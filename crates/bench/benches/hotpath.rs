@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use looplynx_model::attention::{attend_heads_into, AttnScratch};
+use looplynx_model::attention::{attend_heads_segments_into, AttnScratch};
 use looplynx_model::kv_cache::LayerKvCache;
 use looplynx_tensor::activation::{gelu_vec, softmax_into};
 use looplynx_tensor::linear::{gemm_i32, gemm_i32_naive, gemv_i32_into, QuantLinear};
@@ -80,9 +80,9 @@ fn bench_attend(c: &mut Criterion) {
     let mut out = Vec::new();
     c.bench_function("attend_16h_64d_ctx512", |b| {
         b.iter(|| {
-            attend_heads_into(
+            attend_heads_segments_into(
                 black_box(&q),
-                &cache,
+                |h| cache.segments(h),
                 0..heads,
                 0,
                 d_head,

@@ -36,6 +36,8 @@ use looplynx_serve::{
     Terminal,
 };
 
+use crate::json_f64;
+
 /// Injected fault intensities swept per scenario (fraction of
 /// operations): fault-free control, 1%, 5%, and 20%.
 pub const FAULT_RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
@@ -317,14 +319,6 @@ pub fn measure(quick: bool) -> ChaosReport {
     }
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".into()
-    }
-}
-
 /// Renders the report as a JSON document (`BENCH_robustness.json`).
 pub fn to_json(report: &ChaosReport) -> String {
     let mut out = String::from("{\n");
@@ -438,6 +432,6 @@ mod tests {
         let json = to_json(&report);
         assert!(json.contains("\"passed\": true"));
         assert!(json.contains("\"scenario\": \"bursty\""));
-        assert!(json.contains("\"goodput_tok_s\": 1234.500"));
+        assert!(json.contains("\"goodput_tok_s\": 1234.50"));
     }
 }

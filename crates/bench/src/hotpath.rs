@@ -25,6 +25,7 @@ use looplynx_model::config::ModelConfig;
 use looplynx_model::gpt2::Gpt2Model;
 
 use crate::experiments;
+use crate::json_f64;
 
 /// Ring sizes measured.
 pub const NODE_COUNTS: [usize; 3] = [1, 2, 4];
@@ -227,16 +228,6 @@ pub fn measure(quick: bool) -> HotpathReport {
         models,
         serve_sweep_wall_s: t0.elapsed().as_secs_f64(),
         quick,
-    }
-}
-
-fn json_f64(x: f64) -> String {
-    // JSON has no NaN/inf; a baseline that was never captured serializes
-    // as null so consumers can tell "absent" from "zero".
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".into()
     }
 }
 

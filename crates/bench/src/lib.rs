@@ -35,3 +35,34 @@ pub mod hotpath;
 pub mod paper;
 pub mod prefix;
 pub mod serve_functional;
+
+/// Formats a measurement for the hand-written `BENCH_*.json` emitters
+/// with six significant digits (fixed decimals would print a 166 µs wall
+/// as `0.000`). JSON has no NaN/inf: a value that was never captured
+/// serializes as `null` so consumers can tell "absent" from "zero".
+pub(crate) fn json_f64(x: f64) -> String {
+    if !x.is_finite() {
+        return "null".into();
+    }
+    if x == 0.0 {
+        return "0".into();
+    }
+    let magnitude = x.abs().log10().floor() as i32;
+    let decimals = (5 - magnitude).max(0) as usize;
+    format!("{x:.decimals$}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_f64;
+
+    #[test]
+    fn json_f64_keeps_six_significant_digits() {
+        assert_eq!(json_f64(1.66e-4), "0.000166000");
+        assert_eq!(json_f64(277.9), "277.900");
+        assert_eq!(json_f64(144_972.4), "144972");
+        assert_eq!(json_f64(0.0), "0");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
+    }
+}

@@ -31,6 +31,7 @@ use looplynx_model::gpt2::Gpt2Model;
 use looplynx_model::prefix::PrefixIndexStats;
 
 use crate::hotpath::medium_shaped;
+use crate::json_f64;
 
 /// Timed repetitions per side; the best (lowest prefill time)
 /// repetition is reported, matching the `hotpath` methodology.
@@ -307,14 +308,6 @@ pub fn measure(quick: bool) -> PrefixReport {
     report
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".into()
-    }
-}
-
 /// Renders the report (plus the pinned [`BASELINE`]) as a JSON document.
 pub fn to_json(report: &PrefixReport) -> String {
     let s = &report.spec;
@@ -456,8 +449,8 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         assert!(j.contains("\"baseline\""));
-        assert!(j.contains("\"amplification\": 8.000"));
-        assert!(j.contains("\"hit_rate\": 0.938"));
+        assert!(j.contains("\"amplification\": 8.00000"));
+        assert!(j.contains("\"hit_rate\": 0.937500"));
         assert!(j.contains("\"reused_tokens\": 1344"));
         assert!(render(&report).contains("amplification"));
     }

@@ -28,6 +28,7 @@ use looplynx_model::gpt2::Gpt2Model;
 use looplynx_serve::{serve_continuous_on, serve_sequential_on, ArrivalProcess, ServeConfig};
 
 use crate::hotpath::medium_shaped;
+use crate::json_f64;
 
 /// Decode-batch ceilings swept.
 pub const BATCH_SWEEP: [usize; 4] = [1, 4, 8, 16];
@@ -455,14 +456,6 @@ pub fn measure(quick: bool) -> ServeFunctionalReport {
     };
     report.quick = quick;
     report
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".into()
-    }
 }
 
 /// Renders the report (plus the pinned [`BASELINE`]) as a JSON document.

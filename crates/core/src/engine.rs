@@ -18,8 +18,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use looplynx_model::attention::{
-    attend_heads_fused_segments_into, attend_heads_fused_segments_to, attend_heads_segments_into,
-    attend_heads_segments_to, AttnMode, AttnScratch,
+    attend_heads_fused_segments_to, attend_heads_segments_to, AttnMode, AttnScratch,
 };
 use looplynx_model::config::ModelConfig;
 use looplynx_model::generate::Autoregressive;
@@ -30,7 +29,7 @@ use looplynx_model::prefix::{PrefixIndex, PrefixIndexStats};
 use looplynx_tensor::activation::gelu_in_place;
 use looplynx_tensor::linear::QuantLinear;
 use looplynx_tensor::matrix::Matrix;
-use looplynx_tensor::norm::{layernorm_into, residual_add_into, LayerNormParams};
+use looplynx_tensor::norm::{layernorm_into, LayerNormParams};
 use looplynx_tensor::quant::quantize_into;
 
 use crate::config::ArchConfig;
@@ -300,14 +299,13 @@ impl LoopLynx {
 }
 
 /// Per-node functional state: weight shards, the node's head-slice of the
-/// paged multi-sequence KV arena, and persistent working memory (attention
-/// scratch plus batched-GEMM buffers) reused across layers, tokens and
-/// decode steps instead of reallocating.
+/// paged multi-sequence KV arena, and persistent working memory (batched-GEMM
+/// buffers plus per-shard scratch) reused across layers and steps instead
+/// of reallocating.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct NodeState {
     weights: NodeWeights,
     arena: PagedKvArena,
-    scratch: AttnScratch,
     /// The node's full per-stage output, row-major `batch × out_features`.
     /// With one row shard this is the GEMM destination itself (swapped in
     /// from the shard slab); with several it is the stitched slabs.
@@ -335,32 +333,6 @@ struct ShardScratch {
 impl PartialEq for NodeState {
     fn eq(&self, other: &Self) -> bool {
         self.weights == other.weights && self.arena == other.arena
-    }
-}
-
-/// Runs `f` once per node — the data-parallel section between two ring
-/// synchronizations. Nodes are data-independent there (each touches only
-/// its own shard and slot arena), so when a [`WorkerPool`] is supplied the
-/// closures run on its persistent per-node threads (spawned once per
-/// engine, not per section — the old `std::thread::scope` paid a
-/// spawn/join `layers × stages` times per token). Results are collected
-/// in node order, which makes the pooled path bit-identical to the
-/// sequential one: the per-node computation is untouched and gathers see
-/// shards in the same order.
-fn par_map_nodes<T: Send>(
-    nodes: &mut [NodeState],
-    pool: Option<&WorkerPool>,
-    f: impl Fn(usize, &mut NodeState) -> T + Sync,
-) -> Vec<T> {
-    match pool {
-        Some(pool) if nodes.len() >= 2 => {
-            let f = &f;
-            pool.run(nodes.iter_mut().enumerate().map(|(i, n)| {
-                let job: Box<dyn FnOnce() -> T + Send + '_> = Box::new(move || f(i, n));
-                job
-            }))
-        }
-        _ => nodes.iter_mut().enumerate().map(|(i, n)| f(i, n)).collect(),
     }
 }
 
@@ -494,15 +466,14 @@ fn sharded_linear_phase(
     }
 }
 
-/// Which sequence each batch row attends (and how far).
+/// One row of a forward step: the sequence (`slot`) it belongs to and the
+/// absolute position (`pos`) its token lands at — it attends `pos + 1`
+/// cached tokens. Decode rows are one per slot at that slot's arena
+/// position; prefill rows are consecutive positions of one slot.
 #[derive(Clone, Copy)]
-enum AttnRows<'a> {
-    /// Batched decode: row `t` is one new token of sequence `slots[t]`
-    /// (valid length = its current position + 1).
-    Decode { slots: &'a [usize] },
-    /// Batched prefill: row `t` is prompt token `start + t` of one slot
-    /// (causal: valid length = `start + t + 1`).
-    Prefill { slot: usize, start: usize },
+struct Row {
+    slot: usize,
+    pos: usize,
 }
 
 /// The row-partitioned attention phase: every (node, row-shard) worker
@@ -512,17 +483,18 @@ enum AttnRows<'a> {
 /// `attn_out` buffer. Row blocks are disjoint and each row's computation
 /// is byte-for-byte the single-row path, so any shard count and any
 /// execution order produce identical buffers.
-#[allow(clippy::too_many_arguments)]
 fn batch_attention_phase(
     nodes: &mut [NodeState],
     pool: Option<&WorkerPool>,
     row_shards: usize,
     layer: usize,
-    rows: AttnRows<'_>,
-    b: usize,
+    rows: &[Row],
     d_head: usize,
     mode: AttnMode,
 ) {
+    let b = rows.len();
+    // KV tokens the step streams per node: Σ valid lengths.
+    let kv_tokens: usize = rows.iter().map(|r| r.pos + 1).sum();
     let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(nodes.len() * row_shards);
     let mut per_worker_bytes = usize::MAX;
     for node in nodes.iter_mut() {
@@ -532,15 +504,9 @@ fn batch_attention_phase(
             gemm_out,
             attn_out,
             shards,
-            ..
         } = node;
         let head_range = weights.head_range.clone();
         let w = head_range.len() * d_head;
-        // KV bytes one worker streams: Σ valid_len × shard width / shards.
-        let kv_tokens: usize = match rows {
-            AttnRows::Decode { slots } => slots.iter().map(|&s| arena.pos(s) + 1).sum(),
-            AttnRows::Prefill { start, .. } => (0..b).map(|t| start + t + 1).sum(),
-        };
         per_worker_bytes = per_worker_bytes.min(2 * kv_tokens * w / row_shards.max(1));
         attn_out.clear();
         attn_out.resize(b * w, 0.0);
@@ -555,10 +521,7 @@ fn batch_attention_phase(
             let head_range = head_range.clone();
             jobs.push(Box::new(move || {
                 for (t, row_out) in row_range.clone().zip(chunk.chunks_exact_mut(w)) {
-                    let (slot, valid_len) = match rows {
-                        AttnRows::Decode { slots } => (slots[t], arena.pos(slots[t]) + 1),
-                        AttnRows::Prefill { slot, start } => (slot, start + t + 1),
-                    };
+                    let Row { slot, pos } = rows[t];
                     let q = &gemm_out[t * 3 * w..t * 3 * w + w];
                     let view = arena.layer_view(slot, layer);
                     match mode {
@@ -568,7 +531,7 @@ fn batch_attention_phase(
                             head_range.clone(),
                             head_range.start,
                             d_head,
-                            valid_len,
+                            pos + 1,
                             &mut shard.attn,
                             row_out,
                         ),
@@ -578,7 +541,7 @@ fn batch_attention_phase(
                             head_range.clone(),
                             head_range.start,
                             d_head,
-                            valid_len,
+                            pos + 1,
                             &mut shard.attn,
                             row_out,
                         ),
@@ -610,8 +573,7 @@ fn gather_rows_flat(
     if n == 1 && router.mode() == RingMode::Exact {
         // The 1-node exact gather is the identity; move the buffer out
         // instead of copying it (the source is scratch, overwritten by
-        // the next stage) — the flat twin of `all_gather_owned`'s
-        // single-shard fast path.
+        // the next stage).
         std::mem::swap(out, src.buf(&mut nodes[0]));
         return;
     }
@@ -658,21 +620,22 @@ pub const DEFAULT_PAGE_TOKENS: usize = 16;
 
 /// Functionally-correct multi-node W8A8 inference over the simulated ring.
 ///
-/// Two surfaces share one set of weight shards and one slot arena per
-/// node:
+/// Every forward entry point is a thin wrapper over one private
+/// row-batched layer walk (`forward_rows`) on one set of weight shards and
+/// one paged slot arena per node:
 ///
-/// * the **single-sequence** API ([`DistributedGpt2::prefill`],
-///   [`DistributedGpt2::decode_step`], the [`Autoregressive`] driver),
-///   which always runs in slot 0 — engines built with
-///   [`DistributedGpt2::new`] pre-acquire it;
 /// * the **multi-sequence** API ([`DistributedGpt2::acquire_slot`],
-///   [`DistributedGpt2::prefill_slot`],
-///   [`DistributedGpt2::decode_step_batch`]), the continuous-batching
-///   substrate, available on engines built with
-///   [`DistributedGpt2::with_slots`].
+///   [`DistributedGpt2::prefill_slot`] /
+///   [`DistributedGpt2::prefill_slot_chunk`] — rows are consecutive
+///   tokens of one slot — and [`DistributedGpt2::decode_step_batch`] —
+///   one row per slot), the continuous-batching substrate;
+/// * the **single-sequence** API ([`DistributedGpt2::prefill`],
+///   [`DistributedGpt2::decode_step`], the [`Autoregressive`] driver):
+///   the same calls pinned to slot 0 (a decode step is a batch of one),
+///   which engines built with [`DistributedGpt2::new`] pre-acquire.
 ///
-/// Do not drive slot 0 through both surfaces at once: on a `with_slots`
-/// engine, use the slot API exclusively.
+/// Do not drive slot 0 through both at once: on a `with_slots` engine,
+/// use the slot API exclusively.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DistributedGpt2 {
     model_cfg: ModelConfig,
@@ -728,11 +691,7 @@ impl DistributedGpt2 {
     pub fn new(model: &Gpt2Model, nodes: usize, mode: RingMode) -> Result<Self, PartitionError> {
         let max_seq = model.config().max_seq;
         let mut engine = Self::with_slots(model, nodes, mode, 1, max_seq)?;
-        for n in &mut engine.nodes {
-            // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
-            let slot = n.arena.acquire().expect("fresh arena has a free slot");
-            debug_assert_eq!(slot, 0);
-        }
+        engine.ensure_primary_slot();
         Ok(engine)
     }
 
@@ -833,7 +792,6 @@ impl DistributedGpt2 {
                     pages,
                 ),
                 weights,
-                scratch: AttnScratch::new(),
                 gemm_out: Vec::new(),
                 attn_out: Vec::new(),
                 shards: vec![ShardScratch::default(); row_shards],
@@ -1230,161 +1188,230 @@ impl DistributedGpt2 {
             // Reset discards the sequence, so nothing gets registered.
             cache.fed[0].clear();
         }
-        for n in &mut self.nodes {
-            if n.arena.in_use(0) {
+        if self.nodes[0].arena.in_use(0) {
+            for n in &mut self.nodes {
                 n.arena.release(0);
-                // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
-                let slot = n.arena.acquire().expect("slot 0 just freed");
-                debug_assert_eq!(slot, 0);
             }
+            self.ensure_primary_slot();
         }
     }
 
-    /// Runs one token of the sequence in `slot` through the distributed
-    /// pipeline; returns logits when requested.
+    /// The one layer walk. Row `t` feeds `entries[t].1` to the sequence in
+    /// slot `entries[t].0` at that slot's arena position plus the number
+    /// of earlier rows of the same slot — so a decode step is one row per
+    /// slot and a prefill chunk is consecutive rows of one slot, and
+    /// nothing else distinguishes the two phases. On every node each
+    /// linear runs once as a batched GEMM over all rows (each 32-row
+    /// weight block is tiled across the whole batch before the next block
+    /// streams), every row is quantized with its own scale, K/V rows are
+    /// appended before any row attends (causality comes from each row's
+    /// valid length), and gathers run per row in node order — which makes
+    /// every row bit-identical to running it alone.
     ///
-    /// Every per-node section between two ring synchronizations runs
-    /// through [`par_map_nodes`] — sequential or on the persistent worker
-    /// pool depending on [`DistributedGpt2::threaded`], bit-identical
-    /// either way.
-    fn forward_token_in(&mut self, slot: usize, token: u32, want_logits: bool) -> Option<Vec<f32>> {
-        self.reserve_for(&[(slot, 1)]);
-        let cfg = &self.model_cfg;
-        let d = cfg.d_model;
-        let d_head = cfg.d_head();
+    /// Returns the logits of rows `logit_rows` (vocabulary-sharded LM
+    /// head, sharded like every other linear; the host concatenates logit
+    /// shards in node order — raw f32 over PCIe, logits never ride the
+    /// ring). An empty range skips the LM head.
+    ///
+    /// The caller has already granted pages for every row
+    /// ([`DistributedGpt2::reserve_for`]); this advances the slots.
+    fn forward_rows(
+        &mut self,
+        entries: &[(usize, u32)],
+        logit_rows: std::ops::Range<usize>,
+    ) -> Vec<Vec<f32>> {
+        let layers = self.model_cfg.layers;
+        let vocab = self.model_cfg.vocab;
+        let d = self.model_cfg.d_model;
+        let d_ff = self.model_cfg.d_ff;
+        let d_head = self.model_cfg.d_head();
         let n = self.nodes.len();
-        let pos = self.nodes[0].arena.pos(slot);
-        // Work-size gate per stage: each hint is the weight (plus KV)
-        // bytes one node streams, the dominant cost of its job — tiny
-        // models fall below MIN_DISPATCH_BYTES and stay sequential.
-        let d_ff = cfg.d_ff;
-        let vocab = cfg.vocab;
-        let attn_mode = self.attn_mode;
-        let pool = self.pool.as_ref();
-        let qkv_pool = gate(pool, (3 * d * d + 2 * (pos + 1) * d) / n);
-        let proj_pool = gate(pool, d * d / n);
-        let mlp_pool = gate(pool, d_ff * d / n);
-        let lm_pool = gate(pool, vocab * d / n);
+        let b = entries.len();
+        let row_shards = self.row_shards;
 
-        // Host distributes the same full embedding vector to all nodes.
-        let mut x = self.host.embed(token, pos);
+        let arena = &self.nodes[0].arena;
+        let mut next: Vec<usize> = (0..arena.slots()).map(|s| arena.pos(s)).collect();
+        let rows: Vec<Row> = entries
+            .iter()
+            .map(|&(slot, _)| {
+                let pos = next[slot];
+                next[slot] += 1;
+                Row { slot, pos }
+            })
+            .collect();
 
-        // Host-side working buffers, hoisted out of the layer loop so the
-        // replicated critical-path operators (LN, quantize, residual)
-        // allocate once per token instead of once per layer.
-        let mut h = Vec::new();
-        let mut q8 = Vec::new();
-        let mut x1 = Vec::new();
+        // Host embeds each row's token at its own position into one flat
+        // `b × d` activation buffer.
+        let mut xs: Vec<f32> = Vec::with_capacity(b * d);
+        for (row, &(_, token)) in rows.iter().zip(entries) {
+            xs.extend_from_slice(&self.host.embed(token, row.pos));
+        }
 
-        for layer in 0..cfg.layers {
-            // LN1 computed redundantly on every node (identical result).
-            layernorm_into(&x, &self.nodes[0].weights.layers[layer].ln1, &mut h);
-            let h_scale = quantize_into(&h, &mut q8);
-
-            // QKV projection: head-aligned shards, attention node-local.
-            let attn_shards = par_map_nodes(&mut self.nodes, qkv_pool, |_, node| {
+        let mut scratch = StackScratch::default();
+        let mut gathered: Vec<f32> = Vec::new();
+        for layer in 0..layers {
+            // LN1 + per-row quantize (replicated), one sharded QKV GEMM
+            // per node, per-row cache append, then attention with the
+            // rows partitioned across the node's row shards.
+            let xmat = scratch.stack_flat(&xs, Some(&self.nodes[0].weights.layers[layer].ln1), d);
+            sharded_linear_phase(
+                &mut self.nodes,
+                self.pool.as_ref(),
+                row_shards,
+                b,
+                |w, l| &w.layers[l].qkv,
+                layer,
+                &xmat,
+                &scratch.scales,
+                false,
+            );
+            scratch.reclaim(xmat);
+            for node in &mut self.nodes {
                 let NodeState {
                     weights,
                     arena,
-                    scratch,
+                    gemm_out,
                     ..
                 } = node;
-                let shard = &weights.layers[layer];
-                let w = d / n;
-                let mut qkv = Vec::new();
-                shard.qkv.forward_raw_into(&q8, h_scale, &mut qkv);
-                let (q, kv) = qkv.split_at(w);
-                let (k, v) = kv.split_at(w);
-                arena.append_at(slot, layer, pos, k, v);
-                let head_range = weights.head_range.clone();
-                let view = arena.layer_view(slot, layer);
-                let mut attn = Vec::new();
-                match attn_mode {
-                    AttnMode::Materialized => attend_heads_segments_into(
-                        q,
-                        |h| view.segments(h),
-                        head_range.clone(),
-                        head_range.start,
-                        d_head,
-                        pos + 1,
-                        scratch,
-                        &mut attn,
-                    ),
-                    AttnMode::Fused => attend_heads_fused_segments_into(
-                        q,
-                        |h| view.segments(h),
-                        head_range.clone(),
-                        head_range.start,
-                        d_head,
-                        pos + 1,
-                        scratch,
-                        &mut attn,
-                    ),
+                let w = weights.head_range.len() * d_head;
+                for (t, row) in rows.iter().enumerate() {
+                    let qkv = &gemm_out[t * 3 * w..(t + 1) * 3 * w];
+                    let (k, v) = qkv[w..].split_at(w);
+                    arena.append_at(row.slot, layer, row.pos, k, v);
                 }
-                attn
-            });
-            let attn = self.router.all_gather_owned(attn_shards);
+            }
+            batch_attention_phase(
+                &mut self.nodes,
+                self.pool.as_ref(),
+                row_shards,
+                layer,
+                &rows,
+                d_head,
+                self.attn_mode,
+            );
+            gather_rows_flat(
+                &self.router,
+                &mut self.nodes,
+                GatherSrc::Attn,
+                b,
+                d / n,
+                &mut scratch.q8,
+                &mut gathered,
+            );
 
-            // Output projection shards + gather, then residual.
-            let a_scale = quantize_into(&attn, &mut q8);
-            let proj_shards = par_map_nodes(&mut self.nodes, proj_pool, |_, node| {
-                let mut out = Vec::new();
-                node.weights.layers[layer]
-                    .proj
-                    .forward_raw_into(&q8, a_scale, &mut out);
-                out
-            });
-            let proj = self.router.all_gather_owned(proj_shards);
-            residual_add_into(&x, &proj, &mut x1);
+            // Sharded projection GEMM per node, gather per row, residual.
+            let amat = scratch.stack_flat(&gathered, None, d);
+            sharded_linear_phase(
+                &mut self.nodes,
+                self.pool.as_ref(),
+                row_shards,
+                b,
+                |w, l| &w.layers[l].proj,
+                layer,
+                &amat,
+                &scratch.scales,
+                false,
+            );
+            scratch.reclaim(amat);
+            gather_rows_flat(
+                &self.router,
+                &mut self.nodes,
+                GatherSrc::Gemm,
+                b,
+                d / n,
+                &mut scratch.q8,
+                &mut gathered,
+            );
+            for (x, p) in xs.iter_mut().zip(gathered.iter()) {
+                *x += p;
+            }
 
-            // MLP: FC1 + node-local GELU, gather, FC2, gather, residual.
-            layernorm_into(&x1, &self.nodes[0].weights.layers[layer].ln2, &mut h);
-            let h2_scale = quantize_into(&h, &mut q8);
-            let gelu_shards = par_map_nodes(&mut self.nodes, mlp_pool, |_, node| {
-                let mut f1 = Vec::new();
-                node.weights.layers[layer]
-                    .fc1
-                    .forward_raw_into(&q8, h2_scale, &mut f1);
-                gelu_in_place(&mut f1);
-                f1
-            });
-            let g = self.router.all_gather_owned(gelu_shards);
-            let g_scale = quantize_into(&g, &mut q8);
-            let f2_shards = par_map_nodes(&mut self.nodes, mlp_pool, |_, node| {
-                let mut out = Vec::new();
-                node.weights.layers[layer]
-                    .fc2
-                    .forward_raw_into(&q8, g_scale, &mut out);
-                out
-            });
-            let f2 = self.router.all_gather_owned(f2_shards);
-            residual_add_into(&x1, &f2, &mut x);
+            // MLP: sharded FC1 GEMM + per-slab GELU, gather, sharded FC2
+            // GEMM, gather, residual.
+            let hmat = scratch.stack_flat(&xs, Some(&self.nodes[0].weights.layers[layer].ln2), d);
+            sharded_linear_phase(
+                &mut self.nodes,
+                self.pool.as_ref(),
+                row_shards,
+                b,
+                |w, l| &w.layers[l].fc1,
+                layer,
+                &hmat,
+                &scratch.scales,
+                true,
+            );
+            scratch.reclaim(hmat);
+            gather_rows_flat(
+                &self.router,
+                &mut self.nodes,
+                GatherSrc::Gemm,
+                b,
+                d_ff / n,
+                &mut scratch.q8,
+                &mut gathered,
+            );
+
+            let gmat = scratch.stack_flat(&gathered, None, d_ff);
+            sharded_linear_phase(
+                &mut self.nodes,
+                self.pool.as_ref(),
+                row_shards,
+                b,
+                |w, l| &w.layers[l].fc2,
+                layer,
+                &gmat,
+                &scratch.scales,
+                false,
+            );
+            scratch.reclaim(gmat);
+            gather_rows_flat(
+                &self.router,
+                &mut self.nodes,
+                GatherSrc::Gemm,
+                b,
+                d / n,
+                &mut scratch.q8,
+                &mut gathered,
+            );
+            for (x, f) in xs.iter_mut().zip(gathered.iter()) {
+                *x += f;
+            }
         }
         for node in &mut self.nodes {
-            node.arena.advance(slot, 1);
+            for row in &rows {
+                node.arena.advance(row.slot, 1);
+            }
         }
-        if let Some(cache) = self.prefix_cache.as_mut() {
-            cache.fed[slot].push(token);
-        }
-        if !want_logits {
-            return None;
+        if logit_rows.is_empty() {
+            return Vec::new();
         }
 
-        // Final LN (replicated) and vocabulary-sharded LM head; the host
-        // concatenates logit shards in node order over PCIe.
-        layernorm_into(&x, &self.nodes[0].weights.ln_f, &mut h);
-        let hf_scale = quantize_into(&h, &mut q8);
-        let logits: Vec<f32> = par_map_nodes(&mut self.nodes, lm_pool, |_, node| {
-            let mut out = Vec::new();
-            node.weights
-                .lm_head
-                .forward_raw_into(&q8, hf_scale, &mut out);
-            out
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        Some(logits)
+        // Final LN (replicated) over the requested rows only (non-final
+        // prefill outputs are discarded, paper Fig. 1).
+        let wanted = &xs[logit_rows.start * d..logit_rows.end * d];
+        let fmat = scratch.stack_flat(wanted, Some(&self.nodes[0].weights.ln_f), d);
+        sharded_linear_phase(
+            &mut self.nodes,
+            self.pool.as_ref(),
+            row_shards,
+            logit_rows.len(),
+            |w, _| &w.lm_head,
+            0,
+            &fmat,
+            &scratch.scales,
+            false,
+        );
+        scratch.reclaim(fmat);
+        (0..logit_rows.len())
+            .map(|t| {
+                let mut row = Vec::with_capacity(vocab);
+                for node in &self.nodes {
+                    let vw = node.weights.lm_head.out_features();
+                    row.extend_from_slice(&node.gemm_out[t * vw..(t + 1) * vw]);
+                }
+                row
+            })
+            .collect()
     }
 
     /// Lazily claims slot 0 for the single-sequence surface. Engines
@@ -1415,12 +1442,14 @@ impl DistributedGpt2 {
         self.prefill_slot(0, prompt)
     }
 
-    /// Decode step on slot 0: one token in, next-token logits out.
+    /// Decode step on slot 0: one token in, next-token logits out — a
+    /// [`DistributedGpt2::decode_step_batch`] of one.
     pub fn decode_step(&mut self, token: u32) -> Vec<f32> {
         self.ensure_primary_slot();
-        self.forward_token_in(0, token, true)
+        self.decode_step_batch(&[(0, token)])
+            .pop()
             // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
-            .expect("logits requested")
+            .expect("one row in, one logits row out")
     }
 
     /// Prefill `prompt` into `slot` with **shared weight passes**: every
@@ -1465,111 +1494,17 @@ impl DistributedGpt2 {
     ) -> Option<Vec<f32>> {
         assert!(!prompt.is_empty(), "prompt must not be empty");
         self.reserve_for(&[(slot, prompt.len())]);
-        let layers = self.model_cfg.layers;
-        let vocab = self.model_cfg.vocab;
-        let d = self.model_cfg.d_model;
-        let d_head = self.model_cfg.d_head();
-        let n = self.nodes.len();
         let b = prompt.len();
-        let row_shards = self.row_shards;
-        let start = self.nodes[0].arena.pos(slot);
-
-        // Host embeds every prompt token at its absolute position into one
-        // flat `b × d` activation buffer.
-        let mut xs: Vec<f32> = Vec::with_capacity(b * d);
-        for (t, &token) in prompt.iter().enumerate() {
-            xs.extend_from_slice(&self.host.embed(token, start + t));
-        }
-
-        let mut scratch = StackScratch::default();
-        let mut gathered: Vec<f32> = Vec::new();
-        for layer in 0..layers {
-            // Sharded QKV GEMM per node; append the whole prompt's K/V to
-            // the slot, then attend each token causally over its prefix
-            // (rows partitioned across the node's row shards).
-            let xmat = scratch.stack_flat(&xs, Some(&self.nodes[0].weights.layers[layer].ln1), d);
-            sharded_linear_phase(
-                &mut self.nodes,
-                self.pool.as_ref(),
-                row_shards,
-                b,
-                |w, l| &w.layers[l].qkv,
-                layer,
-                &xmat,
-                &scratch.scales,
-                false,
-            );
-            scratch.reclaim(xmat);
-            for node in &mut self.nodes {
-                let NodeState {
-                    weights,
-                    arena,
-                    gemm_out,
-                    ..
-                } = node;
-                let w = weights.head_range.len() * d_head;
-                for t in 0..b {
-                    let row = &gemm_out[t * 3 * w..(t + 1) * 3 * w];
-                    let (k, v) = row[w..].split_at(w);
-                    arena.append_at(slot, layer, start + t, k, v);
-                }
-            }
-            batch_attention_phase(
-                &mut self.nodes,
-                self.pool.as_ref(),
-                row_shards,
-                layer,
-                AttnRows::Prefill { slot, start },
-                b,
-                d_head,
-                self.attn_mode,
-            );
-            gather_rows_flat(
-                &self.router,
-                &mut self.nodes,
-                GatherSrc::Attn,
-                b,
-                d / n,
-                &mut scratch.q8,
-                &mut gathered,
-            );
-            self.finish_layer_batch(layer, b, &mut xs, &mut gathered, &mut scratch);
-        }
-        for node in &mut self.nodes {
-            node.arena.advance(slot, b);
-        }
-        if self.prefix_cache.is_some() {
-            if let Some(cache) = self.prefix_cache.as_mut() {
-                cache.fed[slot].extend_from_slice(prompt);
-            }
+        let entries: Vec<(usize, u32)> = prompt.iter().map(|&t| (slot, t)).collect();
+        let logit_rows = if want_logits { b - 1..b } else { b..b };
+        let mut logits = self.forward_rows(&entries, logit_rows);
+        if let Some(cache) = self.prefix_cache.as_mut() {
+            cache.fed[slot].extend_from_slice(prompt);
             // Full prompt pages are final the moment the chunk lands —
             // index them now so concurrent admissions can share them.
             self.prefix_register(slot, false);
         }
-
-        if !want_logits {
-            return None;
-        }
-
-        // LM head for the final prompt token only (non-final outputs are
-        // discarded, paper Fig. 1).
-        let last = &xs[(b - 1) * d..];
-        layernorm_into(last, &self.nodes[0].weights.ln_f, &mut scratch.h);
-        let hf_scale = quantize_into(&scratch.h, &mut scratch.q8);
-        let q8 = &scratch.q8;
-        let pool = gate(self.pool.as_ref(), vocab * d / n);
-        Some(
-            par_map_nodes(&mut self.nodes, pool, |_, node| {
-                let mut out = Vec::new();
-                node.weights
-                    .lm_head
-                    .forward_raw_into(q8, hf_scale, &mut out);
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect(),
-        )
+        logits.pop()
     }
 
     /// One decode step for a batch of resident sequences: entry `t` feeds
@@ -1577,12 +1512,9 @@ impl DistributedGpt2 {
     /// logits, bit-identical to decoding each sequence alone through
     /// [`DistributedGpt2::decode_step`].
     ///
-    /// This is the continuous-batching hot path: on every node, each
-    /// linear runs once per step as a batched GEMM over all entry rows
-    /// (each 32-row weight block is tiled across the whole batch before
-    /// the next block streams — one weight pass per layer per step,
-    /// shared by every resident sequence), while attention stays
-    /// per-sequence over each slot's own head-sliced cache.
+    /// This is the continuous-batching hot path: one weight pass per
+    /// layer per step, shared by every resident sequence, while attention
+    /// stays per-sequence over each slot's own head-sliced cache.
     ///
     /// # Panics
     ///
@@ -1590,228 +1522,22 @@ impl DistributedGpt2 {
     /// any slot would overflow its capacity.
     pub fn decode_step_batch(&mut self, entries: &[(usize, u32)]) -> Vec<Vec<f32>> {
         assert!(!entries.is_empty(), "batch must not be empty");
-        let slots: Vec<usize> = entries.iter().map(|&(s, _)| s).collect();
         assert!(
-            slots
+            entries
                 .iter()
                 .enumerate()
-                .all(|(i, s)| !slots[..i].contains(s)),
+                .all(|(i, (s, _))| entries[..i].iter().all(|(earlier, _)| earlier != s)),
             "a sequence cannot decode two tokens in one step"
         );
-        let reserve: Vec<(usize, usize)> = slots.iter().map(|&s| (s, 1)).collect();
+        let reserve: Vec<(usize, usize)> = entries.iter().map(|&(s, _)| (s, 1)).collect();
         self.reserve_for(&reserve);
-        let layers = self.model_cfg.layers;
-        let vocab = self.model_cfg.vocab;
-        let d = self.model_cfg.d_model;
-        let d_head = self.model_cfg.d_head();
-        let n = self.nodes.len();
-        let b = entries.len();
-        let row_shards = self.row_shards;
-
-        // Host embeds each sequence's token at its own position into one
-        // flat `b × d` activation buffer.
-        let mut xs: Vec<f32> = Vec::with_capacity(b * d);
-        for &(slot, token) in entries {
-            let pos = self.nodes[0].arena.pos(slot);
-            xs.extend_from_slice(&self.host.embed(token, pos));
-        }
-
-        let mut scratch = StackScratch::default();
-        let mut gathered: Vec<f32> = Vec::new();
-        for layer in 0..layers {
-            // LN1 + per-row quantize (replicated), one sharded QKV GEMM
-            // per node, per-sequence cache append, then attention with the
-            // batch rows partitioned across the node's row shards.
-            let xmat = scratch.stack_flat(&xs, Some(&self.nodes[0].weights.layers[layer].ln1), d);
-            sharded_linear_phase(
-                &mut self.nodes,
-                self.pool.as_ref(),
-                row_shards,
-                b,
-                |w, l| &w.layers[l].qkv,
-                layer,
-                &xmat,
-                &scratch.scales,
-                false,
-            );
-            scratch.reclaim(xmat);
-            for node in &mut self.nodes {
-                let NodeState {
-                    weights,
-                    arena,
-                    gemm_out,
-                    ..
-                } = node;
-                let w = weights.head_range.len() * d_head;
-                for (t, &slot) in slots.iter().enumerate() {
-                    let row = &gemm_out[t * 3 * w..(t + 1) * 3 * w];
-                    let (k, v) = row[w..].split_at(w);
-                    let t_abs = arena.pos(slot);
-                    arena.append_at(slot, layer, t_abs, k, v);
-                }
-            }
-            batch_attention_phase(
-                &mut self.nodes,
-                self.pool.as_ref(),
-                row_shards,
-                layer,
-                AttnRows::Decode { slots: &slots },
-                b,
-                d_head,
-                self.attn_mode,
-            );
-            gather_rows_flat(
-                &self.router,
-                &mut self.nodes,
-                GatherSrc::Attn,
-                b,
-                d / n,
-                &mut scratch.q8,
-                &mut gathered,
-            );
-            self.finish_layer_batch(layer, b, &mut xs, &mut gathered, &mut scratch);
-        }
-        for node in &mut self.nodes {
-            for &slot in &slots {
-                node.arena.advance(slot, 1);
-            }
-        }
+        let logits = self.forward_rows(entries, 0..entries.len());
         if let Some(cache) = self.prefix_cache.as_mut() {
             for &(slot, token) in entries {
                 cache.fed[slot].push(token);
             }
         }
-
-        // Final LN (replicated) and vocabulary-sharded LM head, sharded
-        // like every other linear; the host concatenates logit shards in
-        // node order (raw f32 over PCIe — logits never ride the ring).
-        let fmat = scratch.stack_flat(&xs, Some(&self.nodes[0].weights.ln_f), d);
-        sharded_linear_phase(
-            &mut self.nodes,
-            self.pool.as_ref(),
-            row_shards,
-            b,
-            |w, _| &w.lm_head,
-            0,
-            &fmat,
-            &scratch.scales,
-            false,
-        );
-        scratch.reclaim(fmat);
-        (0..b)
-            .map(|t| {
-                let mut row = Vec::with_capacity(vocab);
-                for node in &self.nodes {
-                    let vw = node.weights.lm_head.out_features();
-                    row.extend_from_slice(&node.gemm_out[t * vw..(t + 1) * vw]);
-                }
-                row
-            })
-            .collect()
-    }
-
-    /// Shared tail of one batched layer — output projection + residual,
-    /// then the MLP (FC1 + node-local GELU, FC2) with a residual — over
-    /// `b` stacked rows, given the already-gathered attention rows in
-    /// `gathered` (clobbered as the stage-to-stage gather buffer) and the
-    /// flat `b × d` activations in `xs` (updated in place; the in-place
-    /// `+=` adds the same two floats the old row-wise `residual_add`
-    /// did, so the folded residuals are bit-identical).
-    ///
-    /// Batched prefill (rows = one slot's prompt tokens) and batched
-    /// decode (rows = resident sequences) differ only in their
-    /// QKV/attention stage; everything after it lives here exactly once,
-    /// so the two paths cannot drift apart (the generate-loop lesson).
-    fn finish_layer_batch(
-        &mut self,
-        layer: usize,
-        b: usize,
-        xs: &mut [f32],
-        gathered: &mut Vec<f32>,
-        scratch: &mut StackScratch,
-    ) {
-        let d = self.model_cfg.d_model;
-        let d_ff = self.model_cfg.d_ff;
-        let n = self.nodes.len();
-        let row_shards = self.row_shards;
-
-        // Sharded projection GEMM per node, gather per row, residual.
-        let amat = scratch.stack_flat(gathered, None, d);
-        sharded_linear_phase(
-            &mut self.nodes,
-            self.pool.as_ref(),
-            row_shards,
-            b,
-            |w, l| &w.layers[l].proj,
-            layer,
-            &amat,
-            &scratch.scales,
-            false,
-        );
-        scratch.reclaim(amat);
-        gather_rows_flat(
-            &self.router,
-            &mut self.nodes,
-            GatherSrc::Gemm,
-            b,
-            d / n,
-            &mut scratch.q8,
-            gathered,
-        );
-        for (x, p) in xs.iter_mut().zip(gathered.iter()) {
-            *x += p;
-        }
-
-        // MLP: sharded FC1 GEMM + per-slab GELU, gather, sharded FC2
-        // GEMM, gather, residual.
-        let hmat = scratch.stack_flat(xs, Some(&self.nodes[0].weights.layers[layer].ln2), d);
-        sharded_linear_phase(
-            &mut self.nodes,
-            self.pool.as_ref(),
-            row_shards,
-            b,
-            |w, l| &w.layers[l].fc1,
-            layer,
-            &hmat,
-            &scratch.scales,
-            true,
-        );
-        scratch.reclaim(hmat);
-        gather_rows_flat(
-            &self.router,
-            &mut self.nodes,
-            GatherSrc::Gemm,
-            b,
-            d_ff / n,
-            &mut scratch.q8,
-            gathered,
-        );
-
-        let gmat = scratch.stack_flat(gathered, None, d_ff);
-        sharded_linear_phase(
-            &mut self.nodes,
-            self.pool.as_ref(),
-            row_shards,
-            b,
-            |w, l| &w.layers[l].fc2,
-            layer,
-            &gmat,
-            &scratch.scales,
-            false,
-        );
-        scratch.reclaim(gmat);
-        gather_rows_flat(
-            &self.router,
-            &mut self.nodes,
-            GatherSrc::Gemm,
-            b,
-            d / n,
-            &mut scratch.q8,
-            gathered,
-        );
-        for (x, f) in xs.iter_mut().zip(gathered.iter()) {
-            *x += f;
-        }
+        logits
     }
 }
 

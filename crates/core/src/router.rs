@@ -93,22 +93,6 @@ impl Router {
         }
     }
 
-    /// [`Router::all_gather`] taking ownership of the shards: identical
-    /// output, but a single exact shard (the 1-node ring) is moved out
-    /// instead of copied — the common fast path of the functional engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard count differs from the ring size or shard
-    /// lengths are unequal.
-    pub fn all_gather_owned(&self, shards: Vec<Vec<f32>>) -> Vec<f32> {
-        if self.nodes == 1 && self.mode == RingMode::Exact {
-            assert_eq!(shards.len(), 1, "one shard per node");
-            return shards.into_iter().next().expect("one shard");
-        }
-        self.all_gather(&shards)
-    }
-
     /// Bytes one node contributes to a gather of `elements` per node.
     pub fn shard_bytes(&self, elements: usize) -> usize {
         match self.mode {

@@ -10,9 +10,9 @@
 //!
 //! Rules ([`rules`]):
 //!
-//! * `panic_free` — no `unwrap`/`expect`/`panic!`/`todo!`/
-//!   `unimplemented!` in non-test code of `serve::{gateway,batcher}` and
-//!   `core::{backend,engine,pool}`; errors flow through `BackendError`.
+//! * `panic_free` — no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`
+//!   in non-test code of `serve::{gateway,batcher}` (the serving loop and
+//!   its presets) and `core::{backend,engine,pool}`; use `BackendError`.
 //! * `safety_comment` — every `unsafe` workspace-wide carries an
 //!   adjacent `// SAFETY:` comment (or `/// # Safety` section).
 //! * `determinism` — no `Instant`/`SystemTime`, `HashMap`/`HashSet`, or

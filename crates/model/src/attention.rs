@@ -55,8 +55,7 @@ pub enum AttnMode {
 
 /// Reusable attention working memory: quantized query head, score /
 /// weight vectors, quantized weights. One instance serves any number of
-/// [`attend_heads_into`] calls; buffers grow to the high-water mark and
-/// stay there.
+/// attention calls; buffers grow to the high-water mark and stay there.
 #[derive(Debug, Clone, Default)]
 pub struct AttnScratch {
     q8: Vec<i8>,
@@ -90,97 +89,14 @@ pub struct KvSegment<'a> {
     pub value_scales: &'a [f32],
 }
 
-/// Computes attention for `head_range` of the query `q`.
-///
-/// * `q` — the query slice held by the caller (`q.len()` must equal
-///   `head_range.len() × d_head`; a full-width caller passes the full
-///   query and `0..heads`).
-/// * `cache` — KV cache whose local head 0 corresponds to global head
-///   `cache_head_offset`.
-/// * `valid_len` — cache positions attended (own position + predecessors).
-///
-/// Returns the concatenated per-head outputs.
-///
-/// # Panics
-///
-/// Panics if geometry is inconsistent or `valid_len` exceeds the cache.
-pub fn attend_heads(
-    q: &[f32],
-    cache: &LayerKvCache,
-    head_range: Range<usize>,
-    cache_head_offset: usize,
-    d_head: usize,
-    valid_len: usize,
-) -> Vec<f32> {
-    // Scratch persists per thread across calls, so steady-state decode
-    // loops (one attend per node per layer per token) stop allocating
-    // working memory entirely; only the returned vector is fresh.
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<AttnScratch> =
-            std::cell::RefCell::new(AttnScratch::new());
-    }
-    let mut out = Vec::new();
-    SCRATCH.with(|scratch| {
-        attend_heads_into(
-            q,
-            cache,
-            head_range,
-            cache_head_offset,
-            d_head,
-            valid_len,
-            &mut scratch.borrow_mut(),
-            &mut out,
-        );
-    });
-    out
-}
-
-/// [`attend_heads`] writing into a caller-provided output buffer (cleared
-/// and resized) with caller-provided scratch — the fully allocation-free
-/// decode path.
-///
-/// # Panics
-///
-/// Panics if geometry is inconsistent or `valid_len` exceeds the cache.
-#[allow(clippy::too_many_arguments)]
-pub fn attend_heads_into(
-    q: &[f32],
-    cache: &LayerKvCache,
-    head_range: Range<usize>,
-    cache_head_offset: usize,
-    d_head: usize,
-    valid_len: usize,
-    scratch: &mut AttnScratch,
-    out: &mut Vec<f32>,
-) {
-    assert!(valid_len <= cache.len(), "valid_len beyond cache");
-    assert!(
-        head_range.start >= cache_head_offset
-            && head_range.end - cache_head_offset <= cache.heads(),
-        "head range outside cache slice"
-    );
-
-    attend_heads_segments_into(
-        q,
-        |cache_h| {
-            std::iter::once(KvSegment {
-                keys: cache.key_strip(cache_h),
-                values: cache.value_strip(cache_h),
-                key_scales: cache.key_scales(cache_h),
-                value_scales: cache.value_scales(cache_h),
-            })
-        },
-        head_range,
-        cache_head_offset,
-        d_head,
-        valid_len,
-        scratch,
-        out,
-    );
-}
-
-/// The segment-generic attention core: `segments_of(local_head)` yields
-/// that head's cached tokens as contiguous [`KvSegment`]s in token order.
+/// The segment-generic attention core. Computes attention for
+/// `head_range` (global head indices) of the query slice `q`
+/// (`head_range.len() × d_head` wide; a full-width caller passes the
+/// full query and `0..heads`) over `valid_len` cached positions (own
+/// position + predecessors), writing the concatenated per-head outputs.
+/// `segments_of(local_head)` yields that head's cached tokens as
+/// contiguous [`KvSegment`]s in token order, local head 0 being global
+/// head `cache_head_offset`.
 /// The per-token operations and their order are identical regardless of
 /// how tokens are split into segments, so a paged cache (one segment per
 /// page) is **bit-identical** to a contiguous one (a single segment).
@@ -318,7 +234,12 @@ pub fn attend_heads_segments_to<'a, I, F>(
     }
 }
 
-/// Full-width attention over all heads of a full cache.
+/// Full-width attention over all heads of a contiguous cache — the
+/// single-node reference helper.
+///
+/// # Panics
+///
+/// Panics if geometry is inconsistent or `valid_len` exceeds the cache.
 pub fn attend_all(
     q: &[f32],
     cache: &LayerKvCache,
@@ -326,7 +247,19 @@ pub fn attend_all(
     d_head: usize,
     valid_len: usize,
 ) -> Vec<f32> {
-    attend_heads(q, cache, 0..heads, 0, d_head, valid_len)
+    assert!(valid_len <= cache.len(), "valid_len beyond cache");
+    let mut out = Vec::new();
+    attend_heads_segments_into(
+        q,
+        |h| cache.segments(h),
+        0..heads,
+        0,
+        d_head,
+        valid_len,
+        &mut AttnScratch::new(),
+        &mut out,
+    );
+    out
 }
 
 /// Logical tile width (in tokens) of the fused online-softmax path. Tiles
@@ -492,6 +425,10 @@ pub fn attend_heads_fused_segments_into<'a, I, F>(
 
 /// Full-width fused attention over all heads of a contiguous cache — the
 /// single-node reference counterpart of [`attend_all`].
+///
+/// # Panics
+///
+/// Panics if geometry is inconsistent or `valid_len` exceeds the cache.
 pub fn attend_all_fused(
     q: &[f32],
     cache: &LayerKvCache,
@@ -500,36 +437,46 @@ pub fn attend_all_fused(
     valid_len: usize,
 ) -> Vec<f32> {
     assert!(valid_len <= cache.len(), "valid_len beyond cache");
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<AttnScratch> =
-            std::cell::RefCell::new(AttnScratch::new());
-    }
     let mut out = Vec::new();
-    SCRATCH.with(|scratch| {
-        attend_heads_fused_segments_into(
-            q,
-            |cache_h| {
-                std::iter::once(KvSegment {
-                    keys: cache.key_strip(cache_h),
-                    values: cache.value_strip(cache_h),
-                    key_scales: cache.key_scales(cache_h),
-                    value_scales: cache.value_scales(cache_h),
-                })
-            },
-            0..heads,
-            0,
-            d_head,
-            valid_len,
-            &mut scratch.borrow_mut(),
-            &mut out,
-        );
-    });
+    attend_heads_fused_segments_into(
+        q,
+        |h| cache.segments(h),
+        0..heads,
+        0,
+        d_head,
+        valid_len,
+        &mut AttnScratch::new(),
+        &mut out,
+    );
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Attention for `head_range` over a (possibly head-sliced)
+    /// contiguous cache with fresh scratch.
+    fn attend_slice(
+        q: &[f32],
+        cache: &LayerKvCache,
+        head_range: Range<usize>,
+        d_head: usize,
+        valid_len: usize,
+    ) -> Vec<f32> {
+        let mut out = Vec::new();
+        attend_heads_segments_into(
+            q,
+            |h| cache.segments(h),
+            head_range.clone(),
+            head_range.start,
+            d_head,
+            valid_len,
+            &mut AttnScratch::new(),
+            &mut out,
+        );
+        out
+    }
 
     fn cache_with(d_head: usize, tokens: &[(&[f32], &[f32])]) -> LayerKvCache {
         let mut c = LayerKvCache::new(d_head);
@@ -597,8 +544,8 @@ mod tests {
         let q: Vec<f32> = (0..d).map(|i| (i as f32 * 0.11).sin()).collect();
         let reference = attend_all(&q, &full, heads, d_head, 3);
         // node 0 owns heads 0..2 with a local cache; node 1 owns heads 2..4
-        let lo = attend_heads(&q[..d / 2], &lo_cache, 0..2, 0, d_head, 3);
-        let hi = attend_heads(&q[d / 2..], &hi_cache, 2..4, 2, d_head, 3);
+        let lo = attend_slice(&q[..d / 2], &lo_cache, 0..2, d_head, 3);
+        let hi = attend_slice(&q[d / 2..], &hi_cache, 2..4, d_head, 3);
         let stitched: Vec<f32> = lo.into_iter().chain(hi).collect();
         assert_eq!(reference, stitched, "partitioned attention must be exact");
     }
@@ -620,8 +567,17 @@ mod tests {
         let mut scratch = AttnScratch::new();
         let mut out = Vec::new();
         for valid in [3usize, 1, 2, 3] {
-            attend_heads_into(&q, &cache, 0..2, 0, d_head, valid, &mut scratch, &mut out);
-            let fresh = attend_heads(&q, &cache, 0..2, 0, d_head, valid);
+            attend_heads_segments_into(
+                &q,
+                |h| cache.segments(h),
+                0..2,
+                0,
+                d_head,
+                valid,
+                &mut scratch,
+                &mut out,
+            );
+            let fresh = attend_slice(&q, &cache, 0..2, d_head, valid);
             assert_eq!(out, fresh, "valid_len {valid}");
         }
     }
@@ -641,10 +597,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside cache slice")]
+    #[should_panic(expected = "head 1 out of range")]
     fn head_range_checked_against_cache() {
         let cache = cache_with(2, &[(&[1.0, 0.0], &[1.0, 0.0])]);
         // cache has 1 head but we ask for heads 0..2
-        let _ = attend_heads(&[1.0, 0.0, 0.5, 0.5], &cache, 0..2, 0, 2, 1);
+        let _ = attend_slice(&[1.0, 0.0, 0.5, 0.5], &cache, 0..2, 2, 1);
     }
 }

@@ -160,103 +160,6 @@ pub fn block_forward_batch_mode(
     (0..b).map(|t| residual_add(&x1[t], f2.row(t))).collect()
 }
 
-/// Runs one decode token for a *batch of independent sequences* through
-/// one block, sharing every weight pass: row `t` of `xs` is the current
-/// token of the sequence resident in `slots[t]` of `arena`.
-///
-/// This is the continuous-batching hot path. Each linear streams its
-/// weights once per step through the blocked GEMM
-/// ([`looplynx_tensor::linear::gemm_i32`]): every 32-row weight block is
-/// tiled across all resident sequences before the next block is touched,
-/// so weight traffic is amortized over the whole batch. Attention is
-/// per-sequence over each slot's own cache, and every row is quantized
-/// with its own scale — results are **bit-identical** to running
-/// [`block_forward`] on each sequence alone.
-///
-/// # Panics
-///
-/// Panics if `xs` is empty, lengths disagree, a slot repeats within the
-/// batch, or any vector has the wrong width.
-pub fn block_forward_decode_batch(
-    xs: &[Vec<f32>],
-    w: &BlockWeights,
-    arena: &mut crate::kv_cache::SlotKvArena,
-    layer: usize,
-    slots: &[usize],
-    cfg: &ModelConfig,
-) -> Vec<Vec<f32>> {
-    block_forward_decode_batch_mode(xs, w, arena, layer, slots, cfg, AttnMode::Materialized)
-}
-
-/// [`block_forward_decode_batch`] with an explicit attention kernel.
-#[allow(clippy::too_many_arguments)]
-pub fn block_forward_decode_batch_mode(
-    xs: &[Vec<f32>],
-    w: &BlockWeights,
-    arena: &mut crate::kv_cache::SlotKvArena,
-    layer: usize,
-    slots: &[usize],
-    cfg: &ModelConfig,
-    mode: AttnMode,
-) -> Vec<Vec<f32>> {
-    assert!(!xs.is_empty(), "batch must not be empty");
-    assert_eq!(xs.len(), slots.len(), "one slot per token row");
-    assert!(
-        xs.iter().all(|x| x.len() == cfg.d_model),
-        "block input dimension"
-    );
-    assert!(
-        slots
-            .iter()
-            .enumerate()
-            .all(|(i, s)| !slots[..i].contains(s)),
-        "a sequence cannot decode two tokens in one step"
-    );
-    let d = cfg.d_model;
-    let b = xs.len();
-
-    // LN1 + per-row quantization, stacked for one shared QKV pass.
-    let (h1_rows, h1_scales) = quantize_rows(xs.iter().map(|x| layernorm(x, &w.ln1)));
-    let qkv = w.qkv.forward_batch_scaled(
-        &looplynx_tensor::matrix::Matrix::from_vec(b, d, h1_rows).expect("stacked rows"),
-        &h1_scales,
-    );
-
-    // Per sequence: append this token's K/V to its own slot, attend over
-    // its own history (bit-identical to the single-sequence path).
-    let attn_rows: Vec<Vec<f32>> = slots
-        .iter()
-        .enumerate()
-        .map(|(t, &slot)| {
-            let row = qkv.row(t);
-            let cache = arena.layer_mut(slot, layer);
-            cache.append(&row[d..2 * d], &row[2 * d..3 * d]);
-            attend(mode, &row[..d], cache, cfg, cache.len())
-        })
-        .collect();
-
-    // Shared projection pass, residual per row.
-    let (a_rows, a_scales) = quantize_rows(attn_rows.into_iter());
-    let proj = w.proj.forward_batch_scaled(
-        &looplynx_tensor::matrix::Matrix::from_vec(b, d, a_rows).expect("stacked rows"),
-        &a_scales,
-    );
-    let x1: Vec<Vec<f32>> = (0..b).map(|t| residual_add(&xs[t], proj.row(t))).collect();
-
-    // MLP with shared FC1/FC2 passes.
-    let (h2_rows, h2_scales) = quantize_rows(x1.iter().map(|x| layernorm(x, &w.ln2)));
-    let f1 = w.fc1.forward_batch_scaled(
-        &looplynx_tensor::matrix::Matrix::from_vec(b, d, h2_rows).expect("stacked rows"),
-        &h2_scales,
-    );
-    let (g_rows, g_scales) = quantize_rows((0..b).map(|t| gelu_vec(f1.row(t))));
-    let f2 = w.fc2.forward_batch_scaled(
-        &looplynx_tensor::matrix::Matrix::from_vec(b, cfg.d_ff, g_rows).expect("stacked rows"),
-        &g_scales,
-    );
-    (0..b).map(|t| residual_add(&x1[t], f2.row(t))).collect()
-}
-
 /// Dispatches one full-width attention call to the selected kernel.
 fn attend(
     mode: AttnMode,
@@ -386,52 +289,6 @@ mod tests {
         assert_eq!(base[0], poked[0]);
         assert_eq!(base[1], poked[1]);
         assert_ne!(base[2], poked[2]);
-    }
-
-    #[test]
-    fn decode_batch_is_bit_identical_to_lone_sequences() {
-        use crate::kv_cache::SlotKvArena;
-        let (cfg, w) = setup();
-        let mk = |s: usize, t: usize| -> Vec<f32> {
-            (0..cfg.d_model)
-                .map(|i| (((s * 131 + t * 17 + i) as f32) * 0.07).sin())
-                .collect()
-        };
-        // Three sequences of different lengths, decoded together whenever
-        // more than one is still active.
-        let lens = [4usize, 2, 3];
-        let mut arena = SlotKvArena::new(1, cfg.d_head(), cfg.heads, 3, 8);
-        let slots: Vec<usize> = (0..3).map(|_| arena.acquire().unwrap()).collect();
-        let mut batched: Vec<Vec<Vec<f32>>> = vec![Vec::new(); 3];
-        for step in 0..4 {
-            let active: Vec<usize> = (0..3).filter(|&s| step < lens[s]).collect();
-            let xs: Vec<Vec<f32>> = active.iter().map(|&s| mk(s, step)).collect();
-            let sel: Vec<usize> = active.iter().map(|&s| slots[s]).collect();
-            let ys = block_forward_decode_batch(&xs, &w.blocks[0], &mut arena, 0, &sel, &cfg);
-            for (&s, y) in active.iter().zip(ys) {
-                arena.advance(slots[s], 1);
-                batched[s].push(y);
-            }
-        }
-        for s in 0..3 {
-            let mut cache = LayerKvCache::new(cfg.d_head());
-            let lone: Vec<Vec<f32>> = (0..lens[s])
-                .map(|t| block_forward(&mk(s, t), &w.blocks[0], &mut cache, &cfg, t))
-                .collect();
-            assert_eq!(batched[s], lone, "sequence {s} diverged");
-            assert_eq!(*arena.layer(slots[s], 0), cache, "cache {s} diverged");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "two tokens in one step")]
-    fn decode_batch_rejects_duplicate_slots() {
-        use crate::kv_cache::SlotKvArena;
-        let (cfg, w) = setup();
-        let mut arena = SlotKvArena::new(1, cfg.d_head(), cfg.heads, 2, 4);
-        let s = arena.acquire().unwrap();
-        let xs = vec![vec![0.1f32; cfg.d_model]; 2];
-        let _ = block_forward_decode_batch(&xs, &w.blocks[0], &mut arena, 0, &[s, s], &cfg);
     }
 
     #[test]

@@ -12,10 +12,10 @@ use looplynx_tensor::norm::layernorm;
 use looplynx_tensor::quant::quantize_vec;
 
 use crate::attention::AttnMode;
-use crate::block::{block_forward_batch_mode, block_forward_decode_batch_mode, block_forward_mode};
+use crate::block::{block_forward_batch_mode, block_forward_mode};
 use crate::config::ModelConfig;
 use crate::generate::Autoregressive;
-use crate::kv_cache::{KvCache, SlotKvArena};
+use crate::kv_cache::KvCache;
 use crate::weights::Gpt2Weights;
 
 #[cfg(test)]
@@ -171,6 +171,14 @@ impl Gpt2Model {
     /// counterpart of the accelerator's batched-prefill extension.
     /// Bit-identical to [`Gpt2Model::prefill`].
     ///
+    /// **Suffix-only contract**: processing starts at the current
+    /// position, so `prompt` is whatever the KV cache does *not* already
+    /// hold. Because int8 GEMM rows accumulate independently and
+    /// attention reads the cache as-is, prefilling `[a, b]` then `[c]`
+    /// is bit-identical to prefilling `[a, b, c]` in one pass (the
+    /// engine-level counterpart is `looplynx-core`'s
+    /// `prefill_slot_chunk`, which a prefix cache relies on).
+    ///
     /// # Panics
     ///
     /// Panics if `prompt` is empty or overruns `max_seq`.
@@ -202,127 +210,6 @@ impl Gpt2Model {
         let h = layernorm(last, &self.weights.ln_f);
         let hq = quantize_vec(&h);
         self.weights.lm_head.forward(&hq)
-    }
-
-    /// Creates a [`SlotKvArena`] sized for this model: `slots` resident
-    /// sequences of up to `capacity` tokens each, full head width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` or `capacity` is zero or `capacity` exceeds
-    /// `max_seq` (positions beyond it have no positional embedding).
-    pub fn slot_arena(&self, slots: usize, capacity: usize) -> SlotKvArena {
-        assert!(
-            capacity <= self.cfg.max_seq,
-            "slot capacity {capacity} exceeds max_seq {}",
-            self.cfg.max_seq
-        );
-        SlotKvArena::new(
-            self.cfg.layers,
-            self.cfg.d_head(),
-            self.cfg.heads,
-            slots,
-            capacity,
-        )
-    }
-
-    /// Prefills `prompt` into `slot` of `arena` with shared weight passes
-    /// (the batched-prefill path against the slot's caches) and returns
-    /// the logits after the final prompt token. Bit-identical to
-    /// [`Gpt2Model::prefill`] on a fresh model — the model's own cache is
-    /// untouched.
-    ///
-    /// **Suffix-only contract**: processing starts at the slot's current
-    /// position, so `prompt` is whatever the KV cache does *not* already
-    /// hold. Because int8 GEMM rows accumulate independently and
-    /// attention reads the cache as-is, prefilling `[a, b]` then `[c]`
-    /// is bit-identical to prefilling `[a, b, c]` in one pass — this is
-    /// what lets a prefix cache map shared KV pages for `[a, b]` and
-    /// feed only the novel `[c]` here (the engine-level counterpart is
-    /// `looplynx-core`'s `prefill_slot_chunk`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompt` is empty, the slot would overflow its capacity,
-    /// or the arena geometry disagrees with the model.
-    pub fn prefill_slot(&self, arena: &mut SlotKvArena, slot: usize, prompt: &[u32]) -> Vec<f32> {
-        assert!(!prompt.is_empty(), "prompt must not be empty");
-        let start = arena.pos(slot);
-        let mut xs: Vec<Vec<f32>> = prompt
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| self.embed(t, start + i))
-            .collect();
-        for (l, block) in self.weights.blocks.iter().enumerate() {
-            xs = block_forward_batch_mode(
-                &xs,
-                block,
-                arena.layer_mut(slot, l),
-                &self.cfg,
-                start,
-                self.attn_mode,
-            );
-        }
-        arena.advance(slot, prompt.len());
-        let last = xs.last().expect("non-empty batch");
-        let h = layernorm(last, &self.weights.ln_f);
-        let hq = quantize_vec(&h);
-        self.weights.lm_head.forward(&hq)
-    }
-
-    /// One decode step for a batch of resident sequences: entry `t` feeds
-    /// `token` to the sequence in `slot` and receives its next-token
-    /// logits. Every weight block is tiled across all entries before the
-    /// next block streams (see
-    /// [`crate::block::block_forward_decode_batch`]), so one weight pass
-    /// per layer serves the whole batch — results are bit-identical to
-    /// decoding each sequence alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is empty, a slot repeats, or any slot would
-    /// overflow its capacity.
-    pub fn forward_token_batch(
-        &self,
-        arena: &mut SlotKvArena,
-        entries: &[(usize, u32)],
-    ) -> Vec<Vec<f32>> {
-        assert!(!entries.is_empty(), "batch must not be empty");
-        let slots: Vec<usize> = entries.iter().map(|&(s, _)| s).collect();
-        let mut xs: Vec<Vec<f32>> = entries
-            .iter()
-            .map(|&(slot, token)| self.embed(token, arena.pos(slot)))
-            .collect();
-        for (l, block) in self.weights.blocks.iter().enumerate() {
-            xs = block_forward_decode_batch_mode(
-                &xs,
-                block,
-                arena,
-                l,
-                &slots,
-                &self.cfg,
-                self.attn_mode,
-            );
-        }
-        for &slot in &slots {
-            arena.advance(slot, 1);
-        }
-        // LM head as one shared GEMM too — the vocab × d_model matrix is
-        // the largest in the model, so streaming it per resident would
-        // undo the batching win (each row still quantized with its own
-        // scale: bit-identical to per-row forward).
-        let mut rows8: Vec<i8> = Vec::with_capacity(xs.len() * self.cfg.d_model);
-        let mut scales: Vec<f32> = Vec::with_capacity(xs.len());
-        for x in &xs {
-            let h = layernorm(x, &self.weights.ln_f);
-            let hq = quantize_vec(&h);
-            rows8.extend_from_slice(hq.data());
-            scales.push(hq.scale());
-        }
-        let stacked = looplynx_tensor::matrix::Matrix::from_vec(xs.len(), self.cfg.d_model, rows8)
-            .expect("stacked rows");
-        let logits = self.weights.lm_head.forward_batch_scaled(&stacked, &scales);
-        (0..xs.len()).map(|t| logits.row(t).to_vec()).collect()
     }
 }
 
@@ -361,31 +248,27 @@ mod tests {
     }
 
     #[test]
-    fn prefill_slot_is_suffix_only_and_split_invariant() {
-        // The prefix-cache contract: prefilling a prompt in two calls
-        // (the cached prefix, then the novel suffix) must be bit-equal
-        // to one pass — final logits AND every cached byte.
-        let m = model();
+    fn prefill_batched_is_suffix_only_and_split_invariant() {
+        // The prefix-cache contract on the reference path: prefilling a
+        // prompt in two calls (the cached prefix, then the novel suffix)
+        // must be bit-equal to one pass — final logits AND every cached
+        // byte.
         let prompt: Vec<u32> = (0..11).map(|i| (i * 7 + 3) % 50).collect();
 
-        let mut whole = m.slot_arena(1, 32);
-        let s_whole = whole.acquire().unwrap();
-        let one_pass = m.prefill_slot(&mut whole, s_whole, &prompt);
+        let mut whole = model();
+        let one_pass = whole.prefill_batched(&prompt);
 
-        let mut split = m.slot_arena(1, 32);
-        let s_split = split.acquire().unwrap();
-        m.prefill_slot(&mut split, s_split, &prompt[..7]);
-        let two_pass = m.prefill_slot(&mut split, s_split, &prompt[7..]);
+        let mut split = model();
+        split.prefill_batched(&prompt[..7]);
+        let two_pass = split.prefill_batched(&prompt[7..]);
 
         assert_eq!(one_pass, two_pass);
-        assert_eq!(split.pos(s_split), whole.pos(s_whole));
-        for l in 0..m.config().layers {
-            assert_eq!(
-                whole.layer(s_whole, l),
-                split.layer(s_split, l),
-                "layer {l} caches diverged across the split"
-            );
-        }
+        assert_eq!(split.seq_len(), whole.seq_len());
+        assert_eq!(
+            split.cache(),
+            whole.cache(),
+            "caches diverged across the split"
+        );
     }
 
     #[test]
@@ -459,62 +342,6 @@ mod tests {
         let tokens = m.generate(&[1], max + 50, &mut Sampler::greedy());
         assert!(tokens.len() <= max);
         assert!(m.seq_len() <= max);
-    }
-
-    #[test]
-    fn slot_prefill_matches_model_prefill_bitwise() {
-        let m = model();
-        let mut arena = m.slot_arena(2, 16);
-        let slot = arena.acquire().unwrap();
-        let prompt = [4u32, 7, 1, 9];
-        let batched = m.prefill_slot(&mut arena, slot, &prompt);
-        let mut reference = model();
-        let lone = reference.prefill(&prompt);
-        assert_eq!(batched, lone, "slot prefill must be exact");
-        assert_eq!(arena.pos(slot), prompt.len());
-    }
-
-    #[test]
-    fn batched_decode_through_arena_matches_lone_decode() {
-        // Two sequences decoded together step by step must produce the
-        // same logits as each running alone on its own model.
-        let m = model();
-        let mut arena = m.slot_arena(2, 24);
-        let prompts = [vec![1u32, 2, 3], vec![9u32, 8]];
-        let slots: Vec<usize> = prompts
-            .iter()
-            .map(|p| {
-                let s = arena.acquire().unwrap();
-                m.prefill_slot(&mut arena, s, p);
-                s
-            })
-            .collect();
-        let mut lones: Vec<Gpt2Model> = prompts
-            .iter()
-            .map(|p| {
-                let mut r = model();
-                r.prefill(p);
-                r
-            })
-            .collect();
-        // One feed pair per step: (token for sequence 0, for sequence 1).
-        let steps = [[5u32, 11], [6, 12], [7, 13]];
-        for (step, feed) in steps.iter().enumerate() {
-            let entries: Vec<(usize, u32)> =
-                slots.iter().copied().zip(feed.iter().copied()).collect();
-            let batched = m.forward_token_batch(&mut arena, &entries);
-            for (i, lone_model) in lones.iter_mut().enumerate() {
-                let lone = lone_model.decode_step(feed[i]);
-                assert_eq!(batched[i], lone, "sequence {i}, step {step}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds max_seq")]
-    fn slot_arena_capacity_bounded_by_max_seq() {
-        let m = model();
-        let _ = m.slot_arena(1, m.config().max_seq + 1);
     }
 
     #[test]

@@ -31,6 +31,8 @@ use serde::{Deserialize, Serialize};
 
 use looplynx_tensor::quant::{scale_for, QuantizedVector};
 
+use crate::attention::KvSegment;
+
 /// Token capacity a growable cache starts with when the first append
 /// arrives without an explicit capacity.
 const DEFAULT_CAPACITY: usize = 64;
@@ -308,6 +310,22 @@ impl LayerKvCache {
         &self.value_scales[h * self.capacity..h * self.capacity + self.len]
     }
 
+    /// Head `h`'s cached tokens as attention segments — the contiguous
+    /// twin of [`crate::paged::PagedLayerView::segments`]: one segment
+    /// covering all `len()` tokens.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` is out of range.
+    pub fn segments(&self, h: usize) -> impl Iterator<Item = KvSegment<'_>> {
+        std::iter::once(KvSegment {
+            keys: self.key_strip(h),
+            values: self.value_strip(h),
+            key_scales: self.key_scales(h),
+            value_scales: self.value_scales(h),
+        })
+    }
+
     /// Appends one token whose per-head K/V is *already quantized* —
     /// `k`/`v` hold `heads() * d_head` int8 values (head-major for the
     /// token) and `k_scales`/`v_scales` one scale per head. Used by the
@@ -450,197 +468,6 @@ impl KvCache {
         for l in &mut self.layers {
             l.clear();
         }
-    }
-}
-
-/// A multi-sequence KV arena: `slots` resident sequences, each owning one
-/// preallocated contiguous head-major [`LayerKvCache`] arena per layer
-/// plus its own position counter.
-///
-/// This is the state store behind continuous batching: every resident
-/// request holds one slot for its lifetime, a batched decode step appends
-/// one token to each scheduled slot, and a completed request's slot is
-/// recycled through the free list. Because each slot *is* a
-/// [`LayerKvCache`], the attention kernels ([`crate::attention`]) read a
-/// slot exactly as they read a single-sequence cache — batched execution
-/// is bit-identical to running each sequence alone by construction.
-///
-/// Slots are acquired lowest-index-first so identical admission sequences
-/// always map requests to identical slots (reproducible schedules).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SlotKvArena {
-    layers: usize,
-    d_head: usize,
-    heads: usize,
-    capacity: usize,
-    slots: Vec<SlotState>,
-}
-
-/// One resident sequence's caches and bookkeeping.
-#[derive(Debug, Clone, PartialEq)]
-struct SlotState {
-    /// One preallocated arena per layer.
-    caches: Vec<LayerKvCache>,
-    /// Tokens this sequence has processed (layer caches stay in step).
-    pos: usize,
-    /// Whether a sequence currently owns this slot.
-    in_use: bool,
-}
-
-impl SlotKvArena {
-    /// Creates an arena of `slots` sequences, each preallocated for
-    /// `layers` layers of `heads` heads and `capacity` tokens. All slots
-    /// start free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    pub fn new(layers: usize, d_head: usize, heads: usize, slots: usize, capacity: usize) -> Self {
-        assert!(layers > 0, "layers must be positive");
-        assert!(slots > 0, "slots must be positive");
-        assert!(capacity > 0, "capacity must be positive");
-        SlotKvArena {
-            layers,
-            d_head,
-            heads,
-            capacity,
-            slots: (0..slots)
-                .map(|_| SlotState {
-                    caches: (0..layers)
-                        .map(|_| LayerKvCache::with_capacity(d_head, heads, capacity))
-                        .collect(),
-                    pos: 0,
-                    in_use: false,
-                })
-                .collect(),
-        }
-    }
-
-    /// Total slots (resident-sequence capacity).
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Token capacity of each slot.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Layers per slot.
-    pub fn layers(&self) -> usize {
-        self.layers
-    }
-
-    /// Heads per cached vector.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
-    /// Currently free slots.
-    pub fn free_slots(&self) -> usize {
-        self.slots.iter().filter(|s| !s.in_use).count()
-    }
-
-    /// Whether `slot` is owned by a resident sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    pub fn in_use(&self, slot: usize) -> bool {
-        self.slots[slot].in_use
-    }
-
-    /// Claims the lowest-index free slot (cleared, position 0), or `None`
-    /// when every slot is resident.
-    pub fn acquire(&mut self) -> Option<usize> {
-        let slot = self.slots.iter().position(|s| !s.in_use)?;
-        let state = &mut self.slots[slot];
-        state.in_use = true;
-        state.pos = 0;
-        for c in &mut state.caches {
-            c.clear();
-        }
-        Some(slot)
-    }
-
-    /// Returns `slot` to the free list (the arena allocation is retained).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range or not in use.
-    pub fn release(&mut self, slot: usize) {
-        let state = &mut self.slots[slot];
-        assert!(state.in_use, "slot {slot} not in use");
-        state.in_use = false;
-        state.pos = 0;
-        for c in &mut state.caches {
-            c.clear();
-        }
-    }
-
-    /// Tokens processed by the sequence in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    pub fn pos(&self, slot: usize) -> usize {
-        self.slots[slot].pos
-    }
-
-    /// Advances `slot`'s position by `tokens` (call after the token walk
-    /// appended to every layer cache).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range or the position would exceed the
-    /// slot capacity.
-    pub fn advance(&mut self, slot: usize, tokens: usize) {
-        let state = &mut self.slots[slot];
-        assert!(
-            state.pos + tokens <= self.capacity,
-            "slot {slot} overflows capacity {}",
-            self.capacity
-        );
-        state.pos += tokens;
-    }
-
-    /// Layer `layer` of the sequence in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn layer(&self, slot: usize, layer: usize) -> &LayerKvCache {
-        &self.slots[slot].caches[layer]
-    }
-
-    /// Mutable layer `layer` of the sequence in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn layer_mut(&mut self, slot: usize, layer: usize) -> &mut LayerKvCache {
-        &mut self.slots[slot].caches[layer]
-    }
-
-    /// Live int8 bytes across all slots and layers (keys + values).
-    pub fn byte_len(&self) -> usize {
-        self.slots
-            .iter()
-            .flat_map(|s| s.caches.iter())
-            .map(LayerKvCache::byte_len)
-            .sum()
-    }
-}
-
-/// Content equality: same geometry and the same live sequences (slot
-/// occupancy, positions and cached tokens); spare capacity is ignored by
-/// the per-layer [`LayerKvCache`] equality.
-impl PartialEq for SlotKvArena {
-    fn eq(&self, other: &Self) -> bool {
-        self.layers == other.layers
-            && self.d_head == other.d_head
-            && self.heads == other.heads
-            && self.slots == other.slots
     }
 }
 
@@ -788,81 +615,6 @@ mod tests {
         assert_eq!(a, b);
         b.append(&[1.0; 4], &[1.0; 4]);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn slot_arena_acquires_lowest_free_slot_and_recycles() {
-        let mut a = SlotKvArena::new(2, 4, 2, 3, 8);
-        assert_eq!(a.free_slots(), 3);
-        assert_eq!(a.acquire(), Some(0));
-        assert_eq!(a.acquire(), Some(1));
-        assert_eq!(a.acquire(), Some(2));
-        assert_eq!(a.acquire(), None, "arena full");
-        a.release(1);
-        assert_eq!(a.free_slots(), 1);
-        assert_eq!(a.acquire(), Some(1), "lowest free slot is reused");
-    }
-
-    #[test]
-    fn slot_arena_isolates_sequences() {
-        let mut a = SlotKvArena::new(1, 4, 2, 2, 8);
-        let s0 = a.acquire().unwrap();
-        let s1 = a.acquire().unwrap();
-        a.layer_mut(s0, 0).append(&[1.0; 8], &[2.0; 8]);
-        a.advance(s0, 1);
-        assert_eq!(a.pos(s0), 1);
-        assert_eq!(a.pos(s1), 0);
-        assert_eq!(a.layer(s0, 0).len(), 1);
-        assert_eq!(a.layer(s1, 0).len(), 0);
-        // releasing s0 clears its content but keeps s1 intact
-        a.release(s0);
-        assert_eq!(a.layer(s0, 0).len(), 0);
-        assert!(!a.in_use(s0) && a.in_use(s1));
-    }
-
-    #[test]
-    fn slot_matches_standalone_cache_bitwise() {
-        // A slot fed the same tokens as a standalone LayerKvCache holds
-        // byte-identical content — the property batched decode rests on.
-        let mut arena = SlotKvArena::new(1, 4, 2, 2, 16);
-        let slot = arena.acquire().unwrap();
-        let mut lone = LayerKvCache::with_capacity(4, 2, 16);
-        for t in 0..5 {
-            let k: Vec<f32> = (0..8).map(|i| ((i + t) as f32 * 0.23).sin()).collect();
-            let v: Vec<f32> = (0..8).map(|i| ((i * t + 2) as f32 * 0.19).cos()).collect();
-            arena.layer_mut(slot, 0).append(&k, &v);
-            arena.advance(slot, 1);
-            lone.append(&k, &v);
-        }
-        assert_eq!(*arena.layer(slot, 0), lone);
-    }
-
-    #[test]
-    #[should_panic(expected = "overflows capacity")]
-    fn slot_arena_rejects_capacity_overflow() {
-        let mut a = SlotKvArena::new(1, 4, 1, 1, 2);
-        let s = a.acquire().unwrap();
-        a.advance(s, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "not in use")]
-    fn releasing_free_slot_panics() {
-        let mut a = SlotKvArena::new(1, 4, 1, 1, 2);
-        a.release(0);
-    }
-
-    #[test]
-    fn slot_arena_byte_accounting_counts_live_tokens_only() {
-        let mut a = SlotKvArena::new(2, 4, 2, 2, 8);
-        assert_eq!(a.byte_len(), 0);
-        let s = a.acquire().unwrap();
-        for l in 0..2 {
-            a.layer_mut(s, l).append(&[0.5; 8], &[0.5; 8]);
-        }
-        a.advance(s, 1);
-        // 1 token × 2 layers × (8 + 8) int8 bytes
-        assert_eq!(a.byte_len(), 32);
     }
 
     #[test]

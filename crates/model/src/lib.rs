@@ -17,19 +17,20 @@
 //! * [`weights`] — seeded synthetic weight generation.
 //! * [`checkpoint`] — on-disk quantized checkpoints with a page-aligned
 //!   tensor arena, loaded zero-copy through `mmap`.
-//! * [`kv_cache`] — the quantized key/value cache, single-sequence
-//!   ([`kv_cache::KvCache`]) and multi-sequence
-//!   ([`kv_cache::SlotKvArena`], the continuous-batching slot arena).
-//! * [`paged`] — the paged (block-table) multi-sequence KV allocator
-//!   ([`paged::PagedKvArena`]): fixed-size pages granted on demand, so
-//!   resident concurrency is bounded by *actual* context, not worst-case.
+//! * [`kv_cache`] — the contiguous single-sequence quantized key/value
+//!   cache ([`kv_cache::KvCache`]), the reference model's store.
+//! * [`paged`] — the paged (block-table) KV allocator
+//!   ([`paged::PagedKvArena`]), the only multi-sequence store: fixed-size
+//!   pages granted on demand, so resident concurrency is bounded by
+//!   *actual* context, not worst-case.
 //! * [`prefix`] — content-addressed prefix index over paged KV
 //!   ([`prefix::PrefixIndex`]): hash-chained page identities so repeated
 //!   prompt prefixes share cached pages instead of re-prefilling.
 //! * [`attention`] — causal multi-head attention over the cache.
-//! * [`block`] — one transformer block (single-token, batched-prefill and
-//!   batched-decode paths).
-//! * [`gpt2`] — end-to-end model: prefill, decode, batched decode.
+//! * [`block`] — one transformer block (single-token and batched-prefill
+//!   paths).
+//! * [`gpt2`] — the end-to-end single-sequence reference model: prefill
+//!   (token by token or batched) and decode.
 //! * [`generate`] — the [`generate::Autoregressive`] trait and the one
 //!   shared generation driver.
 //! * [`sampler`] — greedy and top-k sampling.
@@ -70,6 +71,5 @@ pub mod weights;
 pub use config::ModelConfig;
 pub use generate::Autoregressive;
 pub use gpt2::Gpt2Model;
-pub use kv_cache::SlotKvArena;
 pub use paged::{PagedKvArena, PagesExhausted};
 pub use sampler::Sampler;

@@ -1,9 +1,9 @@
 //! Paged (block-table) multi-sequence KV allocator.
 //!
-//! [`crate::kv_cache::SlotKvArena`] preallocates `capacity` tokens per
-//! slot, so KV memory scales with `slots × worst-case context` and caps
-//! resident concurrency long before admission control does. The paged
-//! arena decouples the two: KV storage is a pool of fixed-size **pages**
+//! Preallocating `capacity` tokens per slot makes KV memory scale with
+//! `slots × worst-case context` and caps resident concurrency long
+//! before admission control does. The paged arena decouples the two: KV
+//! storage is a pool of fixed-size **pages**
 //! (`page_tokens` tokens each), slots hold a **page table** instead of a
 //! private arena, and pages are granted on demand as a sequence grows.
 //! Many short sequences can then share the bytes one worst-case sequence
@@ -118,10 +118,9 @@ struct PagedSlot {
     in_use: bool,
 }
 
-/// The paged multi-sequence KV arena: drop-in replacement for
-/// [`crate::kv_cache::SlotKvArena`] in the engine's continuous-batching
-/// path, with storage decoupled from slot count. See the module docs for
-/// layout and invariants.
+/// The paged multi-sequence KV arena behind the engine's
+/// continuous-batching path, with storage decoupled from slot count. See
+/// the module docs for layout and invariants.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PagedKvArena {
     layers: usize,
@@ -942,7 +941,7 @@ mod tests {
 
     #[test]
     fn attention_over_pages_matches_contiguous() {
-        use crate::attention::{attend_heads, attend_heads_segments_into, AttnScratch};
+        use crate::attention::{attend_all, attend_heads_segments_into, AttnScratch};
         let (d_head, heads) = (4, 2);
         let mut a = PagedKvArena::new(1, d_head, heads, 1, 32, 3, 11);
         let slot = a.acquire().unwrap();
@@ -958,7 +957,7 @@ mod tests {
             .map(|i| (i as f32 * 0.41).cos())
             .collect();
         for valid in [1usize, 3, 4, 7, 10] {
-            let reference = attend_heads(&q, &lone, 0..heads, 0, d_head, valid);
+            let reference = attend_all(&q, &lone, heads, d_head, valid);
             let view = a.layer_view(slot, 0);
             let mut scratch = AttnScratch::new();
             let mut out = Vec::new();

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use looplynx_model::attention::{attend_all, attend_heads};
+use looplynx_model::attention::{attend_all, attend_heads_segments_into, AttnScratch};
 use looplynx_model::config::ModelConfig;
 use looplynx_model::generate::Autoregressive;
 use looplynx_model::gpt2::Gpt2Model;
@@ -64,8 +64,14 @@ proptest! {
         }
         let q = arb_vec(d, seed ^ 0x1234);
         let reference = attend_all(&q, &full, heads, d_head, tokens);
-        let a = attend_heads(&q[..cut], &lo, 0..split, 0, d_head, tokens);
-        let b = attend_heads(&q[cut..], &hi, split..heads, split, d_head, tokens);
+        let mut scratch = AttnScratch::new();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        attend_heads_segments_into(
+            &q[..cut], |h| lo.segments(h), 0..split, 0, d_head, tokens, &mut scratch, &mut a,
+        );
+        attend_heads_segments_into(
+            &q[cut..], |h| hi.segments(h), split..heads, split, d_head, tokens, &mut scratch, &mut b,
+        );
         let stitched: Vec<f32> = a.into_iter().chain(b).collect();
         prop_assert_eq!(reference, stitched);
     }

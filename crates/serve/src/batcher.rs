@@ -1,39 +1,22 @@
-//! The serving schedulers: continuous batching and the sequential
-//! baseline, generic over the execution substrate.
+//! The fair-weather schedulers — continuous batching and the sequential
+//! baseline — as presets of the one serving loop: [`serve_gateway_on`]
+//! configured for a well-behaved backend (no deadlines, an unbounded
+//! queue, no retries, nothing shed), handing back the plain
+//! [`ServingReport`] and panicking if any request fails to complete.
 //!
-//! Scheduling policy lives here; *how* a prefill or a batched decode
-//! iteration executes lives behind
-//! [`looplynx_core::backend::InferenceBackend`]:
-//!
-//! * [`serve_continuous_on`] / [`serve_sequential_on`] — the schedulers,
-//!   generic over any backend. On the
-//!   [`looplynx_core::backend::SimBackend`] they time the cycle-accurate
-//!   accelerator model; on the
-//!   [`looplynx_core::backend::FunctionalBackend`] they drive real W8A8
-//!   inference, and the report carries every request's generated tokens.
-//! * [`serve_continuous`] / [`serve_sequential`] — convenience wrappers
-//!   pinning the sim backend (the pre-trait API, reports unchanged).
-//!
-//! Under continuous batching, new requests are admitted into the decode
-//! loop between iterations (prefill runs once at admission), and each
-//! decode iteration advances every active request by one token while
-//! sharing every weight pass. A request's first output token is sampled
-//! from its prefill logits, so TTFT = queue wait + prefill; the remaining
-//! `decode_tokens - 1` tokens each take one decode iteration. Admission
-//! is strictly FIFO in arrival order, which makes starvation impossible:
-//! every admitted request stays resident until it completes, and the
-//! queue head is always admitted first.
-
-use std::collections::VecDeque;
+//! Requests join the decode loop between iterations, FIFO in arrival
+//! order. The first output token is sampled from the prefill logits (TTFT
+//! = queue wait + prefill); each later token takes one decode iteration
+//! shared with every other resident.
 
 use serde::{Deserialize, Serialize};
 
 use looplynx_core::backend::{InferenceBackend, SimBackend};
 use looplynx_core::engine::LoopLynx;
-use looplynx_sim::stats::Summary;
 
-use crate::metrics::{GeneratedOutput, ServingReport};
-use crate::request::{Request, RequestMetrics};
+use crate::gateway::{serve_gateway_on, GatewayConfig, GatewayRequest, Terminal};
+use crate::metrics::ServingReport;
+use crate::request::Request;
 
 /// Serving-policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,234 +56,73 @@ impl Default for ServeConfig {
     }
 }
 
-/// A request resident in the decode loop.
-#[derive(Debug)]
-struct Active {
-    req: Request,
-    /// Backend slot the request occupies.
-    slot: usize,
-    first_token_ms: f64,
-    /// Tokens emitted so far (token-producing backends only).
-    tokens: Vec<u32>,
-    /// Output tokens emitted so far (≥ 1 — the prefill emits the first).
-    produced: usize,
-}
-
-/// Sorts requests by arrival (stable: ties keep workload order) and
-/// validates them against the backend's sequence bound.
-fn admission_queue<B: InferenceBackend>(backend: &B, requests: &[Request]) -> VecDeque<Request> {
-    let max_seq = backend.max_seq();
-    for r in requests {
-        assert!(
-            r.peak_context() <= max_seq,
-            "request {}: {} prompt + {} output tokens exceed max_seq {max_seq}",
-            r.id,
-            r.prefill_tokens,
-            r.decode_tokens
-        );
-    }
-    let mut sorted: Vec<Request> = requests.to_vec();
-    // total_cmp: a total order even on NaN arrival times, so the sort
-    // itself can never panic.
-    sorted.sort_by(|a, b| a.arrival_ms.total_cmp(&b.arrival_ms));
-    sorted.into()
-}
-
-/// Completes a request: releases its slot and records metrics + tokens.
-fn finish<B: InferenceBackend>(
+/// The gateway as a fair-weather scheduler, with the wrappers' `# Panics`.
+fn serve_preset<B: InferenceBackend>(
     backend: &mut B,
-    done: &mut Vec<RequestMetrics>,
-    outputs: &mut Vec<GeneratedOutput>,
-    active: Active,
-    completion_ms: f64,
-) {
-    // The scheduler releases only slots it owns; on these fair-weather
-    // paths a failed release means the accounting is already broken, and
-    // the debug assertion (not a release-path panic) pins that contract.
-    let released = backend.release(active.slot);
-    debug_assert!(
-        released.is_ok(),
-        "scheduler released a non-resident slot: {released:?}"
+    requests: &[Request],
+    max_batch: usize,
+) -> ServingReport {
+    let max_seq = backend.max_seq();
+    let too_long = requests.iter().find(|r| r.peak_context() > max_seq);
+    assert!(
+        too_long.is_none(),
+        "prompt + output tokens exceed max_seq {max_seq}: {too_long:?}"
     );
-    done.push(RequestMetrics {
-        id: active.req.id,
-        arrival_ms: active.req.arrival_ms,
-        first_token_ms: active.first_token_ms,
-        completion_ms,
-        prefill_tokens: active.req.prefill_tokens,
-        decode_tokens: active.req.decode_tokens,
-    });
-    if !active.tokens.is_empty() {
-        outputs.push(GeneratedOutput {
-            id: active.req.id,
-            tokens: active.tokens,
-        });
-    }
+    let cfg = GatewayConfig {
+        max_batch,
+        queue_depth: usize::MAX,
+        max_retries: 0,
+        ..GatewayConfig::default()
+    };
+    let report = serve_gateway_on(backend, &GatewayRequest::from_workload(requests), &cfg);
+    let unfinished = report
+        .terminals
+        .iter()
+        .find(|t| t.terminal != Terminal::Completed);
+    assert!(unfinished.is_none(), "did not complete: {unfinished:?}");
+    report.serving
 }
 
 /// Serves the workload with continuous batching on any backend.
 ///
-/// Between decode iterations the scheduler admits every arrived request
-/// (FIFO) up to `min(cfg.max_batch(), backend.capacity())` residents;
-/// admission runs the prompt through the backend's prefill and emits the
-/// request's first token. Each decode iteration then advances all
-/// residents by one token on the shared weight stream. When the loop is
-/// empty the clock jumps to the next arrival.
-///
-/// The clock advances by whatever the backend reports — simulated
-/// accelerator milliseconds on the sim backend, measured host wall-clock
-/// on the functional backend — so latency percentiles are consistent
-/// within one backend but not comparable across backends.
+/// Up to `min(cfg.max_batch(), backend.capacity())` requests are resident
+/// at once; a request that finds no free slot or page waits for a
+/// resident to complete. The clock advances by whatever the backend
+/// reports (simulated accelerator ms on the sim backend, measured host
+/// wall-clock on the functional one), jumping to the next arrival when
+/// idle, so latencies are not comparable across backends.
 ///
 /// # Panics
 ///
-/// Panics if any request would overflow the backend's `max_seq`.
+/// Panics if a request would overflow the backend's `max_seq`, two share
+/// an id, or one does not complete (a backend operation failed, capacity
+/// collapsed); fault-tolerant callers use [`serve_gateway_on`].
 pub fn serve_continuous_on<B: InferenceBackend>(
     backend: &mut B,
     requests: &[Request],
     cfg: &ServeConfig,
 ) -> ServingReport {
-    let mut queue = admission_queue(backend, requests);
-    let mut active: Vec<Active> = Vec::new();
-    let mut done: Vec<RequestMetrics> = Vec::new();
-    let mut outputs: Vec<GeneratedOutput> = Vec::new();
-    let mut occupancy = Summary::new();
-    let mut iterations = 0u64;
-    let mut clock = 0.0f64;
-    let max_batch = cfg.max_batch().min(backend.capacity());
-
-    while !queue.is_empty() || !active.is_empty() {
-        // Idle: jump to the next arrival.
-        if active.is_empty() {
-            if let Some(front) = queue.front() {
-                clock = clock.max(front.arrival_ms);
-            }
-        }
-        // Admit every arrived request, FIFO, up to the batch ceiling.
-        while active.len() < max_batch && queue.front().is_some_and(|r| r.arrival_ms <= clock) {
-            let Some(req) = queue.pop_front() else {
-                break;
-            };
-            let start = clock.max(req.arrival_ms);
-            // These schedulers assume a well-behaved backend (the gateway
-            // is the fault-tolerant path): admission respects capacity and
-            // prompts are pre-validated, so errors here are caller bugs —
-            // except resource pressure on a paged backend, where a
-            // resident will free pages on completion: hold the request
-            // and decode on.
-            let outcome = match backend.prefill(req.prefill_tokens, req.prompt.as_deref(), req.id) {
-                Ok(o) => o,
-                Err(e) if e.is_resource_pressure() && !active.is_empty() => {
-                    queue.push_front(req);
-                    break;
-                }
-                // lint: allow(panic_free) — documented `# Panics` contract: fair-weather scheduler; fault-tolerant callers use serve_gateway_on
-                Err(e) => panic!("prefill of request {} failed: {e}", req.id),
-            };
-            clock = start + outcome.elapsed_ms;
-            let entry = Active {
-                slot: outcome.slot,
-                first_token_ms: clock,
-                tokens: outcome.first_token.into_iter().collect(),
-                produced: 1,
-                req,
-            };
-            if entry.req.decode_tokens == 1 {
-                finish(backend, &mut done, &mut outputs, entry, clock);
-            } else {
-                active.push(entry);
-            }
-        }
-        if active.is_empty() {
-            continue;
-        }
-
-        // One decode iteration: every resident gains one token.
-        let slots: Vec<usize> = active.iter().map(|a| a.slot).collect();
-        let outcome = backend
-            .decode_batch(&slots)
-            // lint: allow(panic_free) — documented `# Panics` contract: fair-weather scheduler; fault-tolerant callers use serve_gateway_on
-            .expect("decode of resident slots failed");
-        clock += outcome.elapsed_ms;
-        iterations += 1;
-        occupancy.add(active.len() as f64);
-        for (i, a) in active.iter_mut().enumerate() {
-            a.produced += 1;
-            if let Some(tokens) = &outcome.tokens {
-                a.tokens.push(tokens[i]);
-            }
-        }
-        let mut still_active = Vec::with_capacity(active.len());
-        for a in active {
-            if a.produced == a.req.decode_tokens {
-                finish(backend, &mut done, &mut outputs, a, clock);
-            } else {
-                still_active.push(a);
-            }
-        }
-        active = still_active;
-    }
-    ServingReport::with_outputs(done, outputs, iterations, occupancy)
+    serve_preset(backend, requests, cfg.max_batch())
 }
 
-/// Serves the workload one request at a time on any backend (the baseline
-/// continuous batching is measured against): each request runs prefill
-/// and its full decode before the next request starts.
+/// Serves the workload one request at a time — the baseline continuous
+/// batching is measured against: [`serve_continuous_on`] at a ceiling of 1.
 ///
 /// # Panics
 ///
-/// Panics if any request would overflow the backend's `max_seq`.
+/// As [`serve_continuous_on`].
 pub fn serve_sequential_on<B: InferenceBackend>(
     backend: &mut B,
     requests: &[Request],
 ) -> ServingReport {
-    let queue = admission_queue(backend, requests);
-    let mut done: Vec<RequestMetrics> = Vec::new();
-    let mut outputs: Vec<GeneratedOutput> = Vec::new();
-    let mut occupancy = Summary::new();
-    let mut iterations = 0u64;
-    let mut clock = 0.0f64;
-
-    for req in queue {
-        let start = clock.max(req.arrival_ms);
-        let outcome = backend
-            .prefill(req.prefill_tokens, req.prompt.as_deref(), req.id)
-            // lint: allow(panic_free) — documented `# Panics` contract: fair-weather scheduler; fault-tolerant callers use serve_gateway_on
-            .unwrap_or_else(|e| panic!("prefill of request {} failed: {e}", req.id));
-        clock = start + outcome.elapsed_ms;
-        let mut entry = Active {
-            slot: outcome.slot,
-            first_token_ms: clock,
-            tokens: outcome.first_token.into_iter().collect(),
-            produced: 1,
-            req,
-        };
-        // Decode passes for tokens 2..=decode_tokens, one at a time on the
-        // same cost model as the batched path (a singleton batch is
-        // cycle-identical to a plain decode token).
-        for _ in 1..entry.req.decode_tokens {
-            let outcome = backend
-                .decode_batch(&[entry.slot])
-                // lint: allow(panic_free) — documented `# Panics` contract: fair-weather scheduler; fault-tolerant callers use serve_gateway_on
-                .expect("decode of resident slot failed");
-            clock += outcome.elapsed_ms;
-            iterations += 1;
-            occupancy.add(1.0);
-            if let Some(tokens) = &outcome.tokens {
-                entry.tokens.push(tokens[0]);
-            }
-        }
-        finish(backend, &mut done, &mut outputs, entry, clock);
-    }
-    ServingReport::with_outputs(done, outputs, iterations, occupancy)
+    serve_preset(backend, requests, 1)
 }
 
-/// [`serve_continuous_on`] pinned to the cycle-accurate sim backend — the
-/// original serving API, reports unchanged by the backend refactor.
+/// [`serve_continuous_on`] pinned to the cycle-accurate sim backend.
 ///
 /// # Panics
 ///
-/// Panics if any request would overflow the model's `max_seq`.
+/// As [`serve_continuous_on`].
 pub fn serve_continuous(
     engine: &LoopLynx,
     requests: &[Request],
@@ -313,7 +135,7 @@ pub fn serve_continuous(
 ///
 /// # Panics
 ///
-/// Panics if any request would overflow the model's `max_seq`.
+/// As [`serve_continuous_on`].
 pub fn serve_sequential(engine: &LoopLynx, requests: &[Request]) -> ServingReport {
     serve_sequential_on(&mut SimBackend::new(engine), requests)
 }
@@ -331,6 +153,7 @@ mod tests {
     use looplynx_model::sampler::Sampler;
 
     use crate::arrival::ArrivalProcess;
+    use crate::request::RequestMetrics;
 
     fn engine(nodes: usize) -> LoopLynx {
         LoopLynx::new(

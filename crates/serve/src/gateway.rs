@@ -1,11 +1,10 @@
-//! The fault-tolerant serving gateway: deadlines, admission control,
-//! cancellation, and retry — the ingress tier in front of the
-//! continuous-batching scheduler.
+//! The fault-tolerant serving gateway: continuous batching with
+//! deadlines, admission control, cancellation, and retry.
 //!
-//! [`batcher::serve_continuous_on`](crate::batcher::serve_continuous_on)
-//! is a fair-weather scheduler: every request is pre-admitted, nothing
-//! can fail, and nothing can be late. [`serve_gateway_on`] wraps the same
-//! continuous-batching core with the machinery a production ingress needs:
+//! [`serve_gateway_on`] is the crate's one serving loop: continuous
+//! batching plus the machinery a production ingress needs (the
+//! fair-weather schedulers in [`crate::batcher`] are this loop with all of
+//! it switched off):
 //!
 //! * **Admission control** — a bounded queue ([`GatewayConfig::queue_depth`]);
 //!   arrivals past the bound are shed according to [`ShedPolicy`]
@@ -66,8 +65,9 @@ pub enum ShedPolicy {
     Preempt,
 }
 
-/// One preemption candidate as an [`EvictPolicy`] sees it. The gateway
-/// builds these from its residents; policies never touch the backend.
+/// One preemption candidate as [`EvictPolicyKind::pick`] sees it. The
+/// gateway builds these from its residents; selection never touches the
+/// backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvictCandidate {
     /// Admission ordinal: larger = became resident more recently
@@ -83,73 +83,37 @@ pub struct EvictCandidate {
     pub reclaimable_pages: usize,
 }
 
-/// Picks the preemption victim under page pressure. Implementations
-/// must be deterministic pure functions of the candidate list — the
-/// bit-exactness wall replays runs and expects identical choices.
-pub trait EvictPolicy {
-    /// Index of the victim within `candidates` (never empty).
-    fn pick(&self, candidates: &[EvictCandidate]) -> usize;
-}
-
-/// The original oracle: evict the most recently admitted resident (it
-/// has the least sunk prefill work). Exactly reproduces the behavior
-/// before victim selection became a policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct YoungestFirst;
-
-impl EvictPolicy for YoungestFirst {
-    fn pick(&self, candidates: &[EvictCandidate]) -> usize {
-        let (idx, _) = candidates
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| c.admit_seq)
-            // lint: allow(panic_free) — candidates is never empty (gateway invariant)
-            .expect("at least one candidate");
-        idx
-    }
-}
-
-/// Pressure-aware selection: evict whoever frees the most exclusive
-/// pages (that is what actually relieves page pressure — a resident
-/// riding a shared prefix returns almost nothing), breaking ties toward
-/// the least recently used, then the oldest admission.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LruReclaim;
-
-impl EvictPolicy for LruReclaim {
-    fn pick(&self, candidates: &[EvictCandidate]) -> usize {
-        let (idx, _) = candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                b.reclaimable_pages
-                    .cmp(&a.reclaimable_pages)
-                    .then(a.last_used_ms.total_cmp(&b.last_used_ms))
-                    .then(a.admit_seq.cmp(&b.admit_seq))
-            })
-            // lint: allow(panic_free) — candidates is never empty (gateway invariant)
-            .expect("at least one candidate");
-        idx
-    }
-}
-
-/// Serializable selector for the gateway's [`EvictPolicy`].
+/// Which resident the gateway preempts under page pressure. Both
+/// selections are deterministic pure functions of the candidate list —
+/// the bit-exactness wall replays runs and expects identical choices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EvictPolicyKind {
-    /// [`YoungestFirst`] — the default oracle.
+    /// The default oracle: evict the most recently admitted resident (it
+    /// has the least sunk prefill work).
     YoungestFirst,
-    /// [`LruReclaim`] — frees the most unshared pages per eviction.
+    /// Pressure-aware selection: evict whoever frees the most exclusive
+    /// pages (that is what actually relieves page pressure — a resident
+    /// riding a shared prefix returns almost nothing), breaking ties
+    /// toward the least recently used, then the oldest admission.
     LruReclaim,
 }
 
 impl EvictPolicyKind {
-    /// Dispatches to the policy this kind names.
+    /// Index of the victim within `candidates` (0 when it is empty; the
+    /// gateway never asks with no resident).
     #[must_use]
     pub fn pick(self, candidates: &[EvictCandidate]) -> usize {
-        match self {
-            EvictPolicyKind::YoungestFirst => YoungestFirst.pick(candidates),
-            EvictPolicyKind::LruReclaim => LruReclaim.pick(candidates),
-        }
+        let ranked = candidates.iter().enumerate();
+        let victim = match self {
+            EvictPolicyKind::YoungestFirst => ranked.max_by_key(|(_, c)| c.admit_seq),
+            EvictPolicyKind::LruReclaim => ranked.min_by(|(_, a), (_, b)| {
+                b.reclaimable_pages
+                    .cmp(&a.reclaimable_pages)
+                    .then(a.last_used_ms.total_cmp(&b.last_used_ms))
+                    .then(a.admit_seq.cmp(&b.admit_seq))
+            }),
+        };
+        victim.map_or(0, |(idx, _)| idx)
     }
 }
 
@@ -487,10 +451,10 @@ struct ActiveReq {
     /// bounce guard compares against at the next preemption.
     produced_at_admit: usize,
     /// Ordinal of this residency (resumes get a fresh one) — what
-    /// [`YoungestFirst`] ranks by.
+    /// [`EvictPolicyKind::YoungestFirst`] ranks by.
     admit_seq: u64,
     /// Serving-clock time of the last produced token (admission time
-    /// until then) — what [`LruReclaim`] breaks ties by.
+    /// until then) — what [`EvictPolicyKind::LruReclaim`] breaks ties by.
     last_used_ms: f64,
 }
 
@@ -637,8 +601,7 @@ impl<B: InferenceBackend> Run<'_, B> {
     fn admit(&mut self) {
         loop {
             // Prefills advance the clock; requests arriving meanwhile
-            // join this same admission burst (matching the continuous
-            // scheduler's admission semantics).
+            // join this same admission burst.
             self.pump_arrivals();
             if self.queued.is_empty() {
                 return;
@@ -1152,8 +1115,7 @@ impl<B: InferenceBackend> Run<'_, B> {
 
 /// Serves a workload through the fault-tolerant gateway on any backend.
 ///
-/// Drives the same continuous-batching schedule as
-/// [`crate::batcher::serve_continuous_on`], but every hazard a real
+/// Drives a continuous-batching schedule in which every hazard a real
 /// ingress faces — queue overflow, deadline misses, client cancellations,
 /// transient and permanent backend faults, collapsing slot capacity — is
 /// absorbed into a per-request [`Terminal`] state instead of a panic or a
@@ -1258,7 +1220,6 @@ mod tests {
     use looplynx_model::gpt2::Gpt2Model;
 
     use crate::arrival::ArrivalProcess;
-    use crate::batcher::{serve_continuous_on, ServeConfig};
 
     fn engine(nodes: usize) -> LoopLynx {
         LoopLynx::new(
@@ -1289,9 +1250,18 @@ mod tests {
 
     #[test]
     fn fault_free_gateway_matches_continuous_scheduler() {
+        // Per-request (first token, completion) times captured from the
+        // hand-written continuous-batching loop this crate carried before
+        // it became a preset of this gateway: the default config on a
+        // fault-free backend must still reproduce that schedule exactly.
+        const GOLDEN: [(f64, f64); 4] = [
+            (51.24226315789473, 216.41886666666664),
+            (89.74845614035087, 204.93357192982455),
+            (140.9907192982456, 216.41886666666664),
+            (179.49691228070174, 204.93357192982455),
+        ];
         let e = engine(2);
         let reqs = ArrivalProcess::Trace(vec![0.0, 0.0, 4.0, 9.0]).workload(4, &[(16, 8), (12, 5)]);
-        let baseline = serve_continuous_on(&mut SimBackend::new(&e), &reqs, &ServeConfig::new(8));
         let gated = serve_gateway_on(
             &mut SimBackend::new(&e),
             &GatewayRequest::from_workload(&reqs),
@@ -1300,16 +1270,16 @@ mod tests {
         assert!(gated.is_conserved(&GatewayRequest::from_workload(&reqs)));
         assert_eq!(gated.counts().completed, reqs.len());
         assert_eq!(gated.retries, 0);
-        // Same schedule, same clock: per-request timing agrees exactly.
-        let mut a: Vec<_> = baseline.requests.clone();
-        let mut b: Vec<_> = gated.serving.requests.clone();
-        a.sort_by_key(|m| m.id);
-        b.sort_by_key(|m| m.id);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.id, y.id);
-            assert!((x.first_token_ms - y.first_token_ms).abs() < 1e-9);
-            assert!((x.completion_ms - y.completion_ms).abs() < 1e-9);
+        let mut got: Vec<_> = gated.serving.requests.clone();
+        got.sort_by_key(|m| m.id);
+        assert_eq!(got.len(), GOLDEN.len());
+        for (m, (first, completion)) in got.iter().zip(GOLDEN) {
+            assert!((m.first_token_ms - first).abs() < 1e-9, "request {}", m.id);
+            assert!(
+                (m.completion_ms - completion).abs() < 1e-9,
+                "request {}",
+                m.id
+            );
         }
     }
 
@@ -1661,9 +1631,9 @@ mod tests {
             },
         ];
         // Youngest-first: largest admission ordinal, regardless of pages.
-        assert_eq!(YoungestFirst.pick(&candidates), 1);
+        assert_eq!(EvictPolicyKind::YoungestFirst.pick(&candidates), 1);
         // LruReclaim: the most exclusive pages wins outright.
-        assert_eq!(LruReclaim.pick(&candidates), 2);
+        assert_eq!(EvictPolicyKind::LruReclaim.pick(&candidates), 2);
         // Page tie → least recently used; full tie → oldest admission.
         let tied = [
             EvictCandidate {
@@ -1682,7 +1652,7 @@ mod tests {
                 reclaimable_pages: 2,
             },
         ];
-        assert_eq!(LruReclaim.pick(&tied), 2);
+        assert_eq!(EvictPolicyKind::LruReclaim.pick(&tied), 2);
     }
 
     #[test]

@@ -13,16 +13,17 @@
 //!   fixed-trace arrival processes (with or without real prompt tokens).
 //! * [`request`] — requests and per-request latency records (TTFT, TPOT,
 //!   end-to-end).
-//! * [`batcher`] — the schedulers: [`batcher::serve_continuous_on`]
-//!   (continuous batching — requests join the decode loop between
-//!   iterations and share every weight pass) and
+//! * [`gateway`] — the one serving loop ([`gateway::serve_gateway_on`]):
+//!   continuous batching (requests join the decode loop between
+//!   iterations and share every weight pass) with per-request deadlines
+//!   and cancellation, bounded-queue admission control with load
+//!   shedding, preemption under KV page pressure, retry with exponential
+//!   backoff, and exactly-one-terminal-state accounting
+//!   ([`gateway::Terminal`]) for every offered request.
+//! * [`batcher`] — fair-weather presets of that loop returning a plain
+//!   [`metrics::ServingReport`]: [`batcher::serve_continuous_on`],
 //!   [`batcher::serve_sequential_on`] (the one-request-at-a-time
-//!   baseline), plus sim-pinned convenience wrappers.
-//! * [`gateway`] — the fault-tolerant ingress tier
-//!   ([`gateway::serve_gateway_on`]): per-request deadlines and
-//!   cancellation, bounded-queue admission control with load shedding,
-//!   retry with exponential backoff, and exactly-one-terminal-state
-//!   accounting ([`gateway::Terminal`]) for every offered request.
+//!   baseline, a batch ceiling of one), plus sim-pinned wrappers.
 //! * [`metrics`] — [`metrics::ServingReport`]: throughput, p50/p95/p99
 //!   latency percentiles via [`looplynx_sim::stats::Percentiles`], and —
 //!   on token-producing backends — every request's generated tokens.
@@ -64,8 +65,8 @@ pub use batcher::{
     serve_continuous, serve_continuous_on, serve_sequential, serve_sequential_on, ServeConfig,
 };
 pub use gateway::{
-    serve_gateway_on, EvictPolicy, EvictPolicyKind, GatewayConfig, GatewayReport, GatewayRequest,
-    RejectReason, ShedPolicy, Terminal, TimeoutPhase,
+    serve_gateway_on, EvictPolicyKind, GatewayConfig, GatewayReport, GatewayRequest, RejectReason,
+    ShedPolicy, Terminal, TimeoutPhase,
 };
 pub use metrics::{GeneratedOutput, ServingReport};
 pub use request::{Request, RequestMetrics};

@@ -13,9 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ShapeError;
 use crate::matrix::Matrix;
-use crate::quant::{
-    quantize_matrix_per_row, quantize_vec_with_scale, QuantizedMatrix, QuantizedVector,
-};
+use crate::quant::{quantize_matrix_per_row, QuantizedMatrix, QuantizedVector};
 
 /// Rows per weight block in the tiled [`gemm_i32`]: 32 int8 rows of a
 /// 1024-wide layer are 32 KiB — small enough to stay resident in L1/L2
@@ -427,18 +425,8 @@ impl QuantLinear {
     ///
     /// Panics if `x.len() != in_features()`.
     pub fn forward_into(&self, x: &QuantizedVector, out: &mut Vec<f32>) {
-        self.forward_raw_into(x.data(), x.scale(), out);
-    }
-
-    /// [`QuantLinear::forward_into`] taking the int8 payload and scale as
-    /// raw parts, for callers that quantize into reused buffers rather
-    /// than owning a [`QuantizedVector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != in_features()`.
-    pub fn forward_raw_into(&self, x: &[i8], x_scale: f32, out: &mut Vec<f32>) {
         assert_eq!(x.len(), self.in_features(), "gemv shape");
+        let (x, x_scale) = (x.data(), x.scale());
         out.clear();
         out.extend(
             self.weight
@@ -453,37 +441,6 @@ impl QuantLinear {
         );
     }
 
-    /// Forward pass followed by requantization at the given output scale —
-    /// the complete MP-kernel epilogue (bias + quantization in the
-    /// quantization unit).
-    pub fn forward_requantized(&self, x: &QuantizedVector, out_scale: f32) -> QuantizedVector {
-        let y = self.forward(x);
-        quantize_vec_with_scale(&y, out_scale)
-    }
-
-    /// Batched forward for prefill: one row of `x` per token.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != in_features()`.
-    pub fn forward_batch(&self, x: &Matrix<i8>, x_scale: f32) -> Matrix<f32> {
-        let acc = gemm_i32(self.weight.data(), x).expect("gemm shape");
-        let mut out = Matrix::<f32>::zeros(acc.rows(), acc.cols());
-        for t in 0..acc.rows() {
-            let arow = acc.row(t);
-            for (((o, &a), &ws), &b) in out
-                .row_mut(t)
-                .iter_mut()
-                .zip(arow)
-                .zip(self.weight.row_scales())
-                .zip(&self.bias)
-            {
-                *o = a as f32 * ws * x_scale + b;
-            }
-        }
-        out
-    }
-
     /// Batched forward where each token row of `x` carries its own
     /// activation scale — the exact batched counterpart of calling
     /// [`QuantLinear::forward`] per token (bit-identical results), used by
@@ -494,31 +451,9 @@ impl QuantLinear {
     /// Panics if `x.cols() != in_features()` or
     /// `x_scales.len() != x.rows()`.
     pub fn forward_batch_scaled(&self, x: &Matrix<i8>, x_scales: &[f32]) -> Matrix<f32> {
-        assert_eq!(x_scales.len(), x.rows(), "one scale per token row");
-        assert_eq!(x.cols(), self.in_features(), "gemm shape");
-        let mut flat = vec![0i32; x.rows() * self.out_features()];
-        gemm_tiled_flat(
-            self.weight.data(),
-            Some(self.weight.row_sums()),
-            0..self.out_features(),
-            x,
-            &mut flat,
-        );
-        let acc = Matrix::from_vec(x.rows(), self.out_features(), flat).expect("gemm shape");
-        let mut out = Matrix::<f32>::zeros(acc.rows(), acc.cols());
-        for (t, &x_scale) in x_scales.iter().enumerate() {
-            let arow = acc.row(t);
-            for (((o, &a), &ws), &b) in out
-                .row_mut(t)
-                .iter_mut()
-                .zip(arow)
-                .zip(self.weight.row_scales())
-                .zip(&self.bias)
-            {
-                *o = a as f32 * ws * x_scale + b;
-            }
-        }
-        out
+        let (mut acc, mut out) = (Vec::new(), Vec::new());
+        self.forward_batch_scaled_into(x, x_scales, &mut acc, &mut out);
+        Matrix::from_vec(x.rows(), self.out_features(), out).expect("gemm shape")
     }
 
     /// [`QuantLinear::forward_batch_scaled`] writing the dequantized
@@ -687,15 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn requantized_output_has_requested_scale() {
-        let w = Matrix::from_fn(4, 4, |_, _| 0.5);
-        let lin = QuantLinear::from_f32(&w, &[0.0; 4]).unwrap();
-        let out = lin.forward_requantized(&quantize_vec(&[1.0; 4]), 0.05);
-        assert_eq!(out.scale(), 0.05);
-        assert_eq!(out.len(), 4);
-    }
-
-    #[test]
     fn sharding_tiles_the_output_exactly() {
         let w = Matrix::from_fn(8, 4, |r, c| (r * 4 + c) as f32 * 0.01);
         let bias: Vec<f32> = (0..8).map(|i| i as f32).collect();
@@ -724,7 +650,7 @@ mod tests {
         let lin = QuantLinear::from_f32(&w, &[0.1, 0.2, 0.3]).unwrap();
         let x0 = quantize_vec(&[0.4, -0.2, 0.1, 0.9, -0.6]);
         let batch = Matrix::from_vec(1, 5, x0.data().to_vec()).unwrap();
-        let yb = lin.forward_batch(&batch, x0.scale());
+        let yb = lin.forward_batch_scaled(&batch, &[x0.scale()]);
         let ys = lin.forward(&x0);
         for (r, &y) in ys.iter().enumerate() {
             assert!((yb.get(0, r) - y).abs() < 1e-6);

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use looplynx::core::engine::DistributedGpt2;
 use looplynx::core::router::RingMode;
-use looplynx::model::{Autoregressive, Gpt2Model, ModelConfig, Sampler};
+use looplynx::model::{Gpt2Model, ModelConfig, Sampler};
 
 /// Deterministic pseudo-random prompt from a seed (tokens within the
 /// tiny-config vocabulary).
@@ -159,52 +159,6 @@ proptest! {
                 &batch_logits[s], &lone_logits[s],
                 "final logits diverged (seq {}, {} nodes, threaded {})", s, nodes, threaded
             );
-        }
-    }
-
-    /// The single-node reference model's slot arena agrees with the
-    /// distributed engine's: Gpt2Model::forward_token_batch over a shared
-    /// arena is byte-identical to Gpt2Model decoding each sequence alone.
-    #[test]
-    fn model_level_arena_decode_is_byte_identical(
-        seed in any::<u64>(),
-        count in 2usize..4,
-        steps in 1usize..5,
-    ) {
-        let cfg = ModelConfig::tiny();
-        let model = Gpt2Model::synthetic(&cfg, 0x90DE1 ^ (seed % 4));
-        let prompts: Vec<Vec<u32>> = (0..count)
-            .map(|s| prompt_from(seed ^ (s as u64) << 7, 1 + (s + seed as usize) % 6, cfg.vocab))
-            .collect();
-        let mut arena = model.slot_arena(count, 16);
-        let mut greedy = Sampler::greedy();
-
-        // Batched: admit all, then decode together.
-        let slots: Vec<usize> = prompts.iter().map(|_| arena.acquire().unwrap()).collect();
-        let mut last: Vec<u32> = prompts
-            .iter()
-            .zip(&slots)
-            .map(|(p, &slot)| {
-                let logits = model.prefill_slot(&mut arena, slot, p);
-                greedy.sample(&logits)
-            })
-            .collect();
-        let mut batch_stream: Vec<Vec<u32>> = last.iter().map(|&t| vec![t]).collect();
-        for _ in 0..steps {
-            let entries: Vec<(usize, u32)> =
-                slots.iter().copied().zip(last.iter().copied()).collect();
-            let logits = model.forward_token_batch(&mut arena, &entries);
-            for (s, row) in logits.iter().enumerate() {
-                last[s] = greedy.sample(row);
-                batch_stream[s].push(last[s]);
-            }
-        }
-
-        // Lone references.
-        for (s, p) in prompts.iter().enumerate() {
-            let mut lone = model.clone();
-            let expected = lone.generate(p, steps + 1, &mut Sampler::greedy());
-            prop_assert_eq!(&batch_stream[s], &expected, "sequence {} diverged", s);
         }
     }
 }
