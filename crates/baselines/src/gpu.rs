@@ -16,15 +16,13 @@
 //! barely utilizes the device (~65 W measured-style), prefill drives it
 //! substantially harder.
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_hw::power::GpuPowerModel;
 use looplynx_model::config::ModelConfig;
 
 use crate::report::GpuGenerationReport;
 
 /// Calibrated A100 + torch-int executor model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct A100Model {
     /// Per-kernel launch + framework overhead in microseconds.
     pub launch_overhead_us: f64,

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_hw::resources::ResourceVector;
 
 /// One row of the paper's Table II (FPGA implementation comparison).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaBaselineReport {
     /// Architecture name.
     pub name: String,
@@ -39,7 +37,7 @@ impl fmt::Display for FpgaBaselineReport {
 }
 
 /// Latency/energy outcome of a GPU generation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuGenerationReport {
     /// Prompt length.
     pub prefill_tokens: usize,

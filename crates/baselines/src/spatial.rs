@@ -9,15 +9,13 @@
 //! — and most of the HBM channels wired to idle kernels — sit unused
 //! (paper Fig. 3(b.2)).
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_hw::resources::ResourceVector;
 use looplynx_model::config::ModelConfig;
 
 use crate::report::FpgaBaselineReport;
 
 /// The spatial-architecture executor model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpatialArch {
     /// Kernel clock in MHz.
     pub freq_mhz: f64,

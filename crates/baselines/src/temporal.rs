@@ -12,15 +12,13 @@
 //! * **instruction overhead** — each operation is fetched/decoded at the
 //!   200 MHz overlay clock.
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_hw::resources::ResourceVector;
 use looplynx_model::config::ModelConfig;
 
 use crate::report::FpgaBaselineReport;
 
 /// The temporal (DFX-like) executor model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemporalArch {
     /// Overlay clock in MHz.
     pub freq_mhz: f64,

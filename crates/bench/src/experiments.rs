@@ -1,7 +1,5 @@
 //! The experiment implementations, one per paper artifact.
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_baselines::gpu::A100Model;
 use looplynx_baselines::report::FpgaBaselineReport;
 use looplynx_baselines::spatial::SpatialArch;
@@ -65,7 +63,7 @@ pub fn render_table1() -> String {
 // ----------------------------------------------------------------- Fig. 5
 
 /// One optimization level of the Fig. 5 ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Level {
     /// Level label as in the paper ("(a) baseline", …).
     pub label: String,
@@ -146,7 +144,7 @@ pub fn render_fig5(model: &ModelConfig) -> String {
 // ----------------------------------------------------------------- Fig. 7
 
 /// Fig. 7 data: component resources of the dual-node device + floorplan.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Data {
     /// Component rows (device level, two nodes).
     pub components: Vec<ComponentResources>,
@@ -238,7 +236,7 @@ pub fn render_table2(model: &ModelConfig) -> String {
 // --------------------------------------------------------------- Table III
 
 /// One Table III row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table3Row {
     /// Ring size.
     pub nodes: usize,
@@ -282,7 +280,7 @@ pub fn render_table3(model: &ModelConfig) -> String {
 // ----------------------------------------------------------------- Fig. 8
 
 /// One Fig. 8 grid cell: a `[prefill:decode]` setting under every system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig8Cell {
     /// Prompt length.
     pub prefill: usize,
@@ -295,7 +293,7 @@ pub struct Fig8Cell {
 }
 
 /// Fig. 8 aggregate results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Data {
     /// Per-setting cells.
     pub cells: Vec<Fig8Cell>,
@@ -421,7 +419,7 @@ pub fn render_fig8(model: &ModelConfig) -> String {
 pub type LatencyTail = [f64; 3];
 
 /// One `(ring size, arrival rate)` cell of the offered-load sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeSweepPoint {
     /// Ring size.
     pub nodes: usize,

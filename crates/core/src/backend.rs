@@ -432,26 +432,33 @@ impl<'a> SimBackend<'a> {
         }
     }
 
-    /// The underlying timing engine.
-    pub fn engine(&self) -> &LoopLynx {
-        self.engine
-    }
-
-    /// Claims the lowest free context slot, growing the table on demand
-    /// up to [`SimBackend::capacity`].
-    fn claim_slot(&mut self) -> Result<usize, BackendError> {
-        match self.contexts.iter().position(Option::is_none) {
-            Some(free) => Ok(free),
-            None => {
-                if self.contexts.len() >= self.capacity() {
-                    return Err(BackendError::SlotsExhausted {
-                        capacity: self.capacity(),
-                    });
-                }
-                self.contexts.push(None);
-                Ok(self.contexts.len() - 1)
+    /// Claims the lowest free context slot (growing the table on demand
+    /// up to [`SimBackend::capacity`]) for a sequence of `context` tokens
+    /// and charges one prefill over them — admission and resume alike:
+    /// the timing model bills a resume exactly what the functional
+    /// substrate pays to rebuild the KV cache.
+    fn claim_and_charge(&mut self, context: usize) -> Result<PrefillOutcome, BackendError> {
+        let slot = match self.contexts.iter().position(Option::is_none) {
+            Some(free) => free,
+            None if self.contexts.len() >= self.capacity() => {
+                return Err(BackendError::SlotsExhausted {
+                    capacity: self.capacity(),
+                });
             }
-        }
+            None => {
+                self.contexts.push(None);
+                self.contexts.len() - 1
+            }
+        };
+        self.contexts[slot] = Some(context);
+        Ok(PrefillOutcome {
+            slot,
+            elapsed_ms: self
+                .engine
+                .simulate_prefill(context)
+                .to_millis(self.engine.arch()),
+            first_token: None,
+        })
     }
 }
 
@@ -476,16 +483,7 @@ impl InferenceBackend for SimBackend<'_> {
         _prompt: Option<&[u32]>,
         _sampler_seed: u64,
     ) -> Result<PrefillOutcome, BackendError> {
-        let slot = self.claim_slot()?;
-        self.contexts[slot] = Some(prompt_len);
-        Ok(PrefillOutcome {
-            slot,
-            elapsed_ms: self
-                .engine
-                .simulate_prefill(prompt_len)
-                .to_millis(self.engine.arch()),
-            first_token: None,
-        })
+        self.claim_and_charge(prompt_len)
     }
 
     fn decode_batch(&mut self, slots: &[usize]) -> Result<DecodeOutcome, BackendError> {
@@ -545,19 +543,7 @@ impl InferenceBackend for SimBackend<'_> {
         seq: &PreemptedSeq,
         _context: Option<&[u32]>,
     ) -> Result<PrefillOutcome, BackendError> {
-        // Resume re-runs the whole context as one prefill — the timing
-        // model charges exactly what the functional substrate pays to
-        // rebuild the KV cache.
-        let slot = self.claim_slot()?;
-        self.contexts[slot] = Some(seq.context_len);
-        Ok(PrefillOutcome {
-            slot,
-            elapsed_ms: self
-                .engine
-                .simulate_prefill(seq.context_len)
-                .to_millis(self.engine.arch()),
-            first_token: None,
-        })
+        self.claim_and_charge(seq.context_len)
     }
 }
 
@@ -598,14 +584,24 @@ struct Resident {
     last_token: u32,
 }
 
-/// A chunked prefill in flight: the slot is claimed and `fed` prompt
-/// tokens are in its KV cache, but no resident exists yet (the first
-/// output token is sampled when the final chunk lands).
+/// A sequence on its way into a slot: the slot is claimed and `fed` of
+/// `tokens` are in its KV cache, but no resident exists yet.
 #[derive(Debug)]
 struct PendingPrefill {
-    prompt: Vec<u32>,
+    tokens: Vec<u32>,
     fed: usize,
-    sampler_seed: u64,
+    origin: Origin,
+}
+
+/// What an opened sequence becomes when its last token lands.
+#[derive(Debug)]
+enum Origin {
+    /// A new request: sample its first output token from the final
+    /// logits with a sampler built from this seed.
+    Fresh { sampler_seed: u64 },
+    /// A preempted sequence: sample nothing, skip the LM head, and
+    /// restore the sampler and last token frozen at preemption.
+    Resumed(Resident),
 }
 
 /// The functional substrate: real W8A8 inference on a [`DistributedGpt2`]
@@ -619,12 +615,13 @@ pub struct FunctionalBackend {
     engine: DistributedGpt2,
     spec: SamplerSpec,
     residents: Vec<Option<Resident>>,
-    /// Chunked prefills in flight, by slot (disjoint from `residents`).
+    /// Opened sequences still being fed, by slot (disjoint from
+    /// `residents`).
     pending: Vec<Option<PendingPrefill>>,
-    /// Set when a worker panic was caught mid-operation: the engine's
-    /// KV/slot state may be partially mutated, so every subsequent
-    /// operation fails rather than serving corrupt context.
-    poisoned: Option<String>,
+    /// The [`BackendError::WorkerPoisoned`] every operation fails with
+    /// once a worker panic was caught mid-operation: the engine's KV/slot
+    /// state may be partially mutated, and must not serve corrupt context.
+    poisoned: Option<BackendError>,
 }
 
 /// Renders a caught panic payload for [`BackendError::WorkerPoisoned`].
@@ -674,28 +671,16 @@ impl FunctionalBackend {
 
     /// Fails fast once the backend is poisoned.
     fn check_poisoned(&self) -> Result<(), BackendError> {
-        match &self.poisoned {
-            Some(detail) => Err(BackendError::WorkerPoisoned {
-                detail: detail.clone(),
-            }),
-            None => Ok(()),
-        }
+        self.poisoned.clone().map_or(Ok(()), Err)
     }
 
-    /// Marks the backend poisoned and returns the matching error.
-    fn poison(&mut self, payload: Box<dyn std::any::Any + Send>) -> BackendError {
-        let detail = panic_detail(payload);
-        self.poisoned = Some(detail.clone());
-        BackendError::WorkerPoisoned { detail }
-    }
-
-    /// Poisons the backend over a broken engine contract (no panic was
-    /// thrown, but the engine's state can no longer be trusted).
-    fn poison_contract(&mut self, detail: &str) -> BackendError {
-        self.poisoned = Some(detail.to_string());
-        BackendError::WorkerPoisoned {
-            detail: detail.to_string(),
-        }
+    /// Marks the backend poisoned — a caught panic, or a broken engine
+    /// contract after which its state can no longer be trusted — and
+    /// returns the matching error.
+    fn poison(&mut self, detail: String) -> BackendError {
+        let error = BackendError::WorkerPoisoned { detail };
+        self.poisoned = Some(error.clone());
+        error
     }
 
     /// Surfaces page pressure as a typed error *before* the engine runs.
@@ -712,6 +697,147 @@ impl FunctionalBackend {
             return Err(BackendError::PagesExhausted { needed, free });
         }
         Ok(())
+    }
+
+    /// The one way into a slot: validates the tokens, claims a slot, maps
+    /// any cached prefix under it (free — no pages, no compute; a no-op
+    /// while the cache is off) and stages the rest for [`Self::feed`].
+    /// Mapped tokens count as already fed, so cache-aware admission falls
+    /// out: a strong hit turns a long prompt into a short one. No page is
+    /// claimed yet — each feed grants only what its chunk needs, which is
+    /// what lets long prompts trickle in under page pressure.
+    ///
+    /// Errors, in precedence order, each leaving nothing claimed:
+    /// poisoned → missing tokens → length mismatch → empty tokens (also
+    /// [`BackendError::MissingPrompt`]: there is no last token to take
+    /// logits from) → whatever `origin` refuses → no free slot.
+    fn open(
+        &mut self,
+        declared_len: usize,
+        tokens: Option<&[u32]>,
+        origin: impl FnOnce() -> Result<Origin, BackendError>,
+    ) -> Result<usize, BackendError> {
+        self.check_poisoned()?;
+        let tokens = tokens.ok_or(BackendError::MissingPrompt)?;
+        if tokens.len() != declared_len {
+            return Err(BackendError::PromptLengthMismatch {
+                declared: declared_len,
+                got: tokens.len(),
+            });
+        }
+        if tokens.is_empty() {
+            return Err(BackendError::MissingPrompt);
+        }
+        let origin = origin()?;
+        let slot = self
+            .engine
+            .acquire_slot()
+            .ok_or(BackendError::SlotsExhausted {
+                capacity: self.engine.slots(),
+            })?;
+        let fed = self.engine.prefix_attach(slot, tokens);
+        self.pending[slot] = Some(PendingPrefill {
+            tokens: tokens.to_vec(),
+            fed,
+            origin,
+        });
+        Ok(slot)
+    }
+
+    /// Feeds the next `max_tokens` (at most) staged tokens of an opened
+    /// slot — the only caller of the engine's prefill. Non-final chunks
+    /// and resumes skip the LM head; the chunk that lands a fresh
+    /// request's last token samples its first output token, the one that
+    /// lands a resumed sequence's restores its frozen sampler, and either
+    /// way the slot becomes a decodable resident.
+    ///
+    /// On [`BackendError::PagesExhausted`] nothing was fed. A panic below
+    /// (worker thread or host path) leaves the slot's KV partially
+    /// written; the backend poisons itself rather than serve from a cache
+    /// it cannot trust.
+    fn feed(&mut self, slot: usize, max_tokens: usize) -> Result<PrefillProgress, BackendError> {
+        self.check_poisoned()?;
+        assert!(
+            max_tokens > 0,
+            "a prefill chunk must feed at least one token"
+        );
+        let Some(p) = self.pending.get(slot).and_then(Option::as_ref) else {
+            return Err(BackendError::SlotNotResident { slot });
+        };
+        let left = p.tokens.len() - p.fed;
+        let take = left.min(max_tokens);
+        let is_last = take == left;
+        let want_logits = is_last && matches!(p.origin, Origin::Fresh { .. });
+        self.check_pages(self.engine.pages_needed(slot, take))?;
+        // lint: allow(determinism) — measured elapsed_ms only; tokens unaffected
+        let start = Instant::now();
+        let (engine, chunk) = (&mut self.engine, &p.tokens[p.fed..p.fed + take]);
+        let logits = match catch_unwind(AssertUnwindSafe(|| {
+            engine.prefill_slot_chunk(slot, chunk, want_logits)
+        })) {
+            Ok(logits) => logits,
+            Err(payload) => return Err(self.poison(panic_detail(payload))),
+        };
+        let mut first_token = None;
+        if is_last {
+            // Checked pending above; a vacant entry here is unreachable.
+            let Some(done) = self.pending[slot].take() else {
+                return Err(BackendError::SlotNotResident { slot });
+            };
+            self.residents[slot] = Some(match (done.origin, logits) {
+                (Origin::Resumed(resident), _) => resident,
+                (Origin::Fresh { sampler_seed }, Some(logits)) => {
+                    let mut sampler = self.spec.build(sampler_seed);
+                    let first = sampler.sample(&logits);
+                    first_token = Some(first);
+                    Resident {
+                        sampler,
+                        last_token: first,
+                    }
+                }
+                // The engine contract says the final chunk carries logits;
+                // a violation means its state cannot be trusted — poison.
+                (Origin::Fresh { .. }, None) => {
+                    return Err(self.poison("final prefill chunk produced no logits".into()))
+                }
+            });
+        } else if let Some(p) = self.pending[slot].as_mut() {
+            p.fed += take;
+        }
+        Ok(PrefillProgress {
+            elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
+            remaining: left - take,
+            first_token,
+        })
+    }
+
+    /// One-shot entry: open plus one unbounded feed, billed from entry to
+    /// return. When the pool cannot back the whole suffix nothing was fed
+    /// and opening allocated nothing, so the unwind is clean: release the
+    /// slot and report the typed pressure with no slot held.
+    fn open_and_feed_all(
+        &mut self,
+        declared_len: usize,
+        tokens: Option<&[u32]>,
+        origin: impl FnOnce() -> Result<Origin, BackendError>,
+    ) -> Result<PrefillOutcome, BackendError> {
+        // lint: allow(determinism) — measured elapsed_ms only; tokens unaffected
+        let start = Instant::now();
+        let slot = self.open(declared_len, tokens, origin)?;
+        match self.feed(slot, usize::MAX) {
+            Ok(progress) => Ok(PrefillOutcome {
+                slot,
+                elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
+                first_token: progress.first_token,
+            }),
+            Err(e) => {
+                if !self.is_poisoned() {
+                    self.pending[slot] = None;
+                    self.engine.release_slot(slot);
+                }
+                Err(e)
+            }
+        }
     }
 }
 
@@ -734,60 +860,7 @@ impl InferenceBackend for FunctionalBackend {
         prompt: Option<&[u32]>,
         sampler_seed: u64,
     ) -> Result<PrefillOutcome, BackendError> {
-        self.check_poisoned()?;
-        let prompt = prompt.ok_or(BackendError::MissingPrompt)?;
-        if prompt.len() != prompt_len {
-            return Err(BackendError::PromptLengthMismatch {
-                declared: prompt_len,
-                got: prompt.len(),
-            });
-        }
-        // Slot pressure outranks page pressure: a full house is held for
-        // a release either way, and `SlotsExhausted` is what pre-paged
-        // schedulers already understand.
-        if self.engine.free_slots() == 0 {
-            return Err(BackendError::SlotsExhausted {
-                capacity: self.engine.slots(),
-            });
-        }
-        // lint: allow(determinism) — measured elapsed_ms only; tokens unaffected
-        let start = Instant::now();
-        let slot = self
-            .engine
-            .acquire_slot()
-            .ok_or(BackendError::SlotsExhausted {
-                capacity: self.engine.slots(),
-            })?;
-        // Map any cached prefix into the fresh slot (a no-op while the
-        // cache is off); only the novel suffix needs pages and compute.
-        // Attaching allocates nothing, so an insufficient pool unwinds
-        // cleanly: release the slot and report typed pressure.
-        let hit = self.engine.prefix_attach(slot, prompt);
-        let suffix = &prompt[hit..];
-        let needed = self.engine.pages_needed(slot, suffix.len());
-        if let Err(e) = self.check_pages(needed) {
-            self.engine.release_slot(slot);
-            return Err(e);
-        }
-        // A panic below (worker thread or host path) leaves the slot's KV
-        // partially written; the backend poisons itself rather than serve
-        // from a cache it cannot trust.
-        let logits = match catch_unwind(AssertUnwindSafe(|| self.engine.prefill_slot(slot, suffix)))
-        {
-            Ok(logits) => logits,
-            Err(payload) => return Err(self.poison(payload)),
-        };
-        let mut sampler = self.spec.build(sampler_seed);
-        let first = sampler.sample(&logits);
-        self.residents[slot] = Some(Resident {
-            sampler,
-            last_token: first,
-        });
-        Ok(PrefillOutcome {
-            slot,
-            elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
-            first_token: Some(first),
-        })
+        self.open_and_feed_all(prompt_len, prompt, || Ok(Origin::Fresh { sampler_seed }))
     }
 
     fn decode_batch(&mut self, slots: &[usize]) -> Result<DecodeOutcome, BackendError> {
@@ -805,7 +878,7 @@ impl InferenceBackend for FunctionalBackend {
         let logits =
             match catch_unwind(AssertUnwindSafe(|| self.engine.decode_step_batch(&entries))) {
                 Ok(logits) => logits,
-                Err(payload) => return Err(self.poison(payload)),
+                Err(payload) => return Err(self.poison(panic_detail(payload))),
             };
         let mut tokens = Vec::with_capacity(slots.len());
         for (&s, row) in slots.iter().zip(&logits) {
@@ -851,35 +924,7 @@ impl InferenceBackend for FunctionalBackend {
         prompt: Option<&[u32]>,
         sampler_seed: u64,
     ) -> Result<usize, BackendError> {
-        self.check_poisoned()?;
-        let prompt = prompt.ok_or(BackendError::MissingPrompt)?;
-        if prompt.len() != prompt_len {
-            return Err(BackendError::PromptLengthMismatch {
-                declared: prompt_len,
-                got: prompt.len(),
-            });
-        }
-        let slot = self
-            .engine
-            .acquire_slot()
-            .ok_or(BackendError::SlotsExhausted {
-                capacity: self.engine.slots(),
-            })?;
-        // Map any cached prefix now (free — no pages, no compute): the
-        // mapped tokens count as already fed, so the chunk budget is
-        // spent only on the novel suffix. Cache-aware admission falls
-        // out for free: a strong hit turns a long prompt into a short
-        // one from the scheduler's point of view.
-        let hit = self.engine.prefix_attach(slot, prompt);
-        // No pages claimed yet: each prefill_step grants only what its
-        // chunk needs, which is what lets long prompts trickle in under
-        // page pressure.
-        self.pending[slot] = Some(PendingPrefill {
-            prompt: prompt.to_vec(),
-            fed: hit,
-            sampler_seed,
-        });
-        Ok(slot)
+        self.open(prompt_len, prompt, || Ok(Origin::Fresh { sampler_seed }))
     }
 
     fn prefill_step(
@@ -887,63 +932,7 @@ impl InferenceBackend for FunctionalBackend {
         slot: usize,
         max_tokens: usize,
     ) -> Result<PrefillProgress, BackendError> {
-        self.check_poisoned()?;
-        assert!(
-            max_tokens > 0,
-            "a prefill chunk must feed at least one token"
-        );
-        let (chunk, is_last, seed) = match self.pending.get(slot).and_then(Option::as_ref) {
-            Some(p) => {
-                let left = p.prompt.len() - p.fed;
-                let take = left.min(max_tokens);
-                (
-                    p.prompt[p.fed..p.fed + take].to_vec(),
-                    take == left,
-                    p.sampler_seed,
-                )
-            }
-            None => return Err(BackendError::SlotNotResident { slot }),
-        };
-        self.check_pages(self.engine.pages_needed(slot, chunk.len()))?;
-        // lint: allow(determinism) — measured elapsed_ms only; tokens unaffected
-        let start = Instant::now();
-        // Non-final chunks skip the LM head entirely; only the final one
-        // produces the logits the first token is sampled from.
-        let logits = match catch_unwind(AssertUnwindSafe(|| {
-            self.engine.prefill_slot_chunk(slot, &chunk, is_last)
-        })) {
-            Ok(logits) => logits,
-            Err(payload) => return Err(self.poison(payload)),
-        };
-        // Checked resident above; a vacant pending here is unreachable.
-        let Some(p) = self.pending[slot].as_mut() else {
-            return Err(BackendError::SlotNotResident { slot });
-        };
-        p.fed += chunk.len();
-        let remaining = p.prompt.len() - p.fed;
-        let first_token = match (is_last, logits) {
-            (true, Some(logits)) => {
-                let mut sampler = self.spec.build(seed);
-                let first = sampler.sample(&logits);
-                self.pending[slot] = None;
-                self.residents[slot] = Some(Resident {
-                    sampler,
-                    last_token: first,
-                });
-                Some(first)
-            }
-            // The engine contract says the final chunk carries logits; a
-            // violation means its state cannot be trusted — poison.
-            (true, None) => {
-                return Err(self.poison_contract("final prefill chunk produced no logits"))
-            }
-            (false, _) => None,
-        };
-        Ok(PrefillProgress {
-            elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
-            remaining,
-            first_token,
-        })
+        self.feed(slot, max_tokens)
     }
 
     fn supports_preemption(&self) -> bool {
@@ -966,7 +955,8 @@ impl InferenceBackend for FunctionalBackend {
         let context_len = self.engine.slot_pos(slot);
         // Releasing the slot returns its exclusive pages to the pool
         // (shared prefix pages survive their other holders) and, with
-        // the cache on, indexes the context for a cheap resume.
+        // the cache on, indexes the context — so the resume's open often
+        // maps most of its KV straight back instead of re-feeding it.
         self.engine.release_slot(slot);
         Ok(PreemptedSeq {
             context_len,
@@ -980,65 +970,18 @@ impl InferenceBackend for FunctionalBackend {
         seq: &PreemptedSeq,
         context: Option<&[u32]>,
     ) -> Result<PrefillOutcome, BackendError> {
-        self.check_poisoned()?;
-        let context = context.ok_or(BackendError::MissingPrompt)?;
-        if context.len() != seq.context_len {
-            return Err(BackendError::PromptLengthMismatch {
-                declared: seq.context_len,
-                got: context.len(),
-            });
-        }
-        // A timing-only PreemptedSeq (from SimBackend) carries no sampler
-        // or last token to restore — it cannot resume on the functional
-        // path. Reject before claiming any slot or page.
-        let (Some(sampler), Some(last_token)) = (seq.sampler.clone(), seq.last_token) else {
-            return Err(BackendError::Unsupported {
-                op: "resuming a timing-only preempted sequence",
-            });
-        };
-        if self.engine.free_slots() == 0 {
-            return Err(BackendError::SlotsExhausted {
-                capacity: self.engine.slots(),
-            });
-        }
-        // lint: allow(determinism) — measured elapsed_ms only; tokens unaffected
-        let start = Instant::now();
-        let slot = self
-            .engine
-            .acquire_slot()
-            .ok_or(BackendError::SlotsExhausted {
-                capacity: self.engine.slots(),
-            })?;
-        // The preemption registered the context's pages with the prefix
-        // cache, so a prompt resume often maps most of its KV straight
-        // back instead of re-prefilling it (a no-op while the cache is
-        // off). Attach allocates nothing: on page shortfall, unwind by
-        // releasing the slot and report typed pressure.
-        let hit = self.engine.prefix_attach(slot, context);
-        let rest = &context[hit..];
-        let needed = self.engine.pages_needed(slot, rest.len());
-        if let Err(e) = self.check_pages(needed) {
-            self.engine.release_slot(slot);
-            return Err(e);
-        }
-        // Re-prefill rebuilds the KV cache bit-identically (int8 GEMM rows
-        // accumulate independently, so one batched pass over the context
-        // equals the original prefill + decode history; shared pages hold
-        // the very bytes the original wrote) and samples nothing: the
-        // sequence's sampler resumes exactly where it froze.
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-            self.engine.prefill_slot_chunk(slot, rest, false)
-        })) {
-            return Err(self.poison(payload));
-        }
-        self.residents[slot] = Some(Resident {
-            sampler,
-            last_token,
-        });
-        Ok(PrefillOutcome {
-            slot,
-            elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
-            first_token: None,
+        // A timing-only PreemptedSeq (from SimBackend) has no sampler or
+        // last token to restore: refused before any slot is claimed.
+        self.open_and_feed_all(seq.context_len, context, || {
+            match (seq.sampler.clone(), seq.last_token) {
+                (Some(sampler), Some(last_token)) => Ok(Origin::Resumed(Resident {
+                    sampler,
+                    last_token,
+                })),
+                _ => Err(BackendError::Unsupported {
+                    op: "resuming a timing-only preempted sequence",
+                }),
+            }
         })
     }
 }
@@ -1169,6 +1112,28 @@ mod tests {
                 got: 2
             }
         );
+    }
+
+    #[test]
+    fn functional_backend_rejects_an_empty_prompt_on_both_routes() {
+        // Regression: an empty prompt used to reach the engine's
+        // non-empty assert under `catch_unwind` (one-shot at once, chunked
+        // at the first step), poisoning the backend and leaking the slot.
+        let model = Gpt2Model::synthetic(&ModelConfig::tiny(), 9);
+        let engine = DistributedGpt2::with_slots(&model, 1, RingMode::Exact, 2, 8).unwrap();
+        let mut backend = FunctionalBackend::new(engine, SamplerSpec::Greedy);
+        assert_eq!(
+            backend.prefill(0, Some(&[]), 0).unwrap_err(),
+            BackendError::MissingPrompt
+        );
+        assert_eq!(
+            backend.prefill_open(0, Some(&[]), 0).unwrap_err(),
+            BackendError::MissingPrompt
+        );
+        assert!(!backend.is_poisoned());
+        assert_eq!(backend.engine().free_slots(), 2, "nothing was acquired");
+        let p = backend.prefill(2, Some(&[1, 2]), 1).unwrap();
+        backend.decode_batch(&[p.slot]).unwrap();
     }
 
     #[test]

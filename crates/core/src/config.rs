@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_hw::power::FpgaPowerModel;
 use looplynx_hw::resources::{NodeResourceModel, ResourceVector};
 use looplynx_sim::hbm::HbmChannel;
@@ -26,7 +24,7 @@ pub const MAX_WEIGHT_SHARING_BATCH: usize = 64;
 
 /// The latency-optimization techniques of paper Section III-C, each
 /// individually switchable for ablation (Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizationFlags {
     /// Critical-path optimizing: parallelize LN/residual lanes and overlap
     /// their execution (the fused LN&Res kernel).
@@ -84,7 +82,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// A validated LoopLynx hardware configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchConfig {
     nodes: usize,
     freq: Frequency,

@@ -5,8 +5,6 @@
 //! ensure a sufficient burst size" (paper Section III-D). Routers forward
 //! the same 32-byte packs between nodes.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per datapack (`n_group × 8 bit`).
 pub const DATAPACK_BYTES: usize = 32;
 
@@ -16,7 +14,7 @@ pub const fn datapacks_for(bytes: usize) -> usize {
 }
 
 /// A 32-byte pack of int8 payload as moved by DMA engines and routers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataPack {
     payload: Vec<i8>,
 }

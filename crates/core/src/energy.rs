@@ -6,12 +6,10 @@
 //! follow from exactly this product; the comparison side lives in
 //! `looplynx-baselines::gpu`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ArchConfig;
 
 /// Energy outcome of a simulated run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Average board power in watts during the run.
     pub watts: f64,

@@ -15,11 +15,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
-use looplynx_model::attention::{
-    attend_heads_fused_segments_to, attend_heads_segments_to, AttnMode, AttnScratch,
-};
+use looplynx_model::attention::{attend_heads_segments_to, AttnScratch};
 use looplynx_model::config::ModelConfig;
 use looplynx_model::generate::Autoregressive;
 use looplynx_model::gpt2::Gpt2Model;
@@ -41,7 +37,7 @@ use crate::router::{RingMode, Router};
 use crate::scheduler::{Scheduler, TokenTiming};
 
 /// Which phase a simulated token belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenPhase {
     /// Prompt processing (KV-cache fill; logits only for the last token).
     Prefill,
@@ -59,7 +55,7 @@ pub enum TokenPhase {
 /// from the prefill logits and only `decode_tokens - 1` decode iterations
 /// run — its TPOT is therefore not directly comparable to
 /// [`GenerationReport::decode_ms_per_token`] for short generations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenerationReport {
     /// Ring size used.
     pub nodes: usize,
@@ -125,7 +121,7 @@ impl fmt::Display for GenerationReport {
 /// Aggregate timing of a multi-token phase (a prefill walk or a batched
 /// decode iteration): total exposed cycles plus the bucketized breakdown,
 /// without the per-stage trace of [`TokenTiming`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseTiming {
     /// Total exposed cycles of the phase.
     pub cycles: looplynx_sim::time::Cycles,
@@ -141,7 +137,7 @@ impl PhaseTiming {
 }
 
 /// The LoopLynx timing engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopLynx {
     scheduler: Scheduler,
 }
@@ -186,7 +182,7 @@ impl LoopLynx {
             TokenPhase::Decode => true,
             TokenPhase::Prefill => is_last_prefill,
         };
-        self.scheduler.schedule_token(context, with_lm_head)
+        self.scheduler.schedule_rows(&[context], with_lm_head)
     }
 
     /// Steady-state decode latency in ms at a fixed context — the paper's
@@ -217,22 +213,15 @@ impl LoopLynx {
         let mut cycles = 0u64;
         let batch = self.arch().prefill_batch();
         let mut t = 0usize;
-        while t + 1 < prefill {
-            let this_batch = batch.min(prefill - 1 - t);
-            if this_batch > 1 {
-                let timing = self.scheduler.schedule_prefill_batch(t + 1, this_batch);
-                cycles += timing.total.as_u64();
-                breakdown += timing.breakdown;
-            } else {
-                let timing = self.simulate_token(t + 1, TokenPhase::Prefill, false);
-                cycles += timing.total.as_u64();
-                breakdown += timing.breakdown;
-            }
+        while t < prefill {
+            // The last token produces logits, so it is a step of its own.
+            let this_batch = batch.min(prefill - 1 - t).max(1);
+            let contexts: Vec<usize> = (t + 1..=t + this_batch).collect();
+            let timing = self.scheduler.schedule_rows(&contexts, t + 1 == prefill);
+            cycles += timing.total.as_u64();
+            breakdown += timing.breakdown;
             t += this_batch;
         }
-        let timing = self.simulate_token(prefill, TokenPhase::Prefill, true);
-        cycles += timing.total.as_u64();
-        breakdown += timing.breakdown;
         PhaseTiming {
             cycles: looplynx_sim::time::Cycles::new(cycles),
             breakdown,
@@ -241,14 +230,14 @@ impl LoopLynx {
 
     /// Cycle-accurate timing of one continuous-batching decode iteration —
     /// one token for each concurrent request, all sharing every weight
-    /// pass. Delegates to [`Scheduler::schedule_decode_batch`]; see there
-    /// for the cost model.
+    /// pass. Delegates to [`Scheduler::schedule_rows`] with the LM head
+    /// on; see there for the cost model.
     ///
     /// # Panics
     ///
     /// Panics if `contexts` is empty or any context is zero.
     pub fn simulate_decode_batch(&self, contexts: &[usize]) -> PhaseTiming {
-        let timing = self.scheduler.schedule_decode_batch(contexts);
+        let timing = self.scheduler.schedule_rows(contexts, true);
         PhaseTiming {
             cycles: timing.total,
             breakdown: timing.breakdown,
@@ -298,14 +287,13 @@ impl LoopLynx {
     }
 }
 
-/// Per-node functional state: weight shards, the node's head-slice of the
-/// paged multi-sequence KV arena, and persistent working memory (batched-GEMM
-/// buffers plus per-shard scratch) reused across layers and steps instead
-/// of reallocating.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Per-node functional state: weight shards and persistent working memory
+/// (batched-GEMM buffers plus per-shard scratch) reused across layers and
+/// steps instead of reallocating. The node's KV lives in the engine's one
+/// arena, in pools `node × layers ..`.
+#[derive(Debug, Clone)]
 struct NodeState {
     weights: NodeWeights,
-    arena: PagedKvArena,
     /// The node's full per-stage output, row-major `batch × out_features`.
     /// With one row shard this is the GEMM destination itself (swapped in
     /// from the shard slab); with several it is the stitched slabs.
@@ -329,10 +317,10 @@ struct ShardScratch {
 }
 
 /// Scratch holds no semantic state (every buffer is overwritten before
-/// use), so node equality is weights + arena only.
+/// use), so node equality is the weights only.
 impl PartialEq for NodeState {
     fn eq(&self, other: &Self) -> bool {
-        self.weights == other.weights && self.arena == other.arena
+        self.weights == other.weights
     }
 }
 
@@ -478,40 +466,41 @@ struct Row {
 
 /// The row-partitioned attention phase: every (node, row-shard) worker
 /// attends its contiguous block of batch rows over the node's immutable
-/// paged KV view (all appends for the step already happened), writing
+/// paged KV view (pool `node × layers + layer` of the shared arena; all
+/// appends for the step already happened), writing
 /// each row's heads directly into its strip of the node's flat
 /// `attn_out` buffer. Row blocks are disjoint and each row's computation
 /// is byte-for-byte the single-row path, so any shard count and any
 /// execution order produce identical buffers.
 fn batch_attention_phase(
     nodes: &mut [NodeState],
+    arena: &PagedKvArena,
     pool: Option<&WorkerPool>,
     row_shards: usize,
     layer: usize,
     rows: &[Row],
     d_head: usize,
-    mode: AttnMode,
 ) {
     let b = rows.len();
     // KV tokens the step streams per node: Σ valid lengths.
     let kv_tokens: usize = rows.iter().map(|r| r.pos + 1).sum();
     let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(nodes.len() * row_shards);
     let mut per_worker_bytes = usize::MAX;
-    for node in nodes.iter_mut() {
+    let layers = arena.layers() / nodes.len();
+    for (n, node) in nodes.iter_mut().enumerate() {
         let NodeState {
             weights,
-            arena,
             gemm_out,
             attn_out,
             shards,
         } = node;
+        let kv_pool = n * layers + layer;
         let head_range = weights.head_range.clone();
         let w = head_range.len() * d_head;
         per_worker_bytes = per_worker_bytes.min(2 * kv_tokens * w / row_shards.max(1));
         attn_out.clear();
         attn_out.resize(b * w, 0.0);
         let gemm_out = &*gemm_out;
-        let arena = &*arena;
         for ((s, shard), chunk) in shards
             .iter_mut()
             .enumerate()
@@ -523,29 +512,17 @@ fn batch_attention_phase(
                 for (t, row_out) in row_range.clone().zip(chunk.chunks_exact_mut(w)) {
                     let Row { slot, pos } = rows[t];
                     let q = &gemm_out[t * 3 * w..t * 3 * w + w];
-                    let view = arena.layer_view(slot, layer);
-                    match mode {
-                        AttnMode::Materialized => attend_heads_segments_to(
-                            q,
-                            |h| view.segments(h),
-                            head_range.clone(),
-                            head_range.start,
-                            d_head,
-                            pos + 1,
-                            &mut shard.attn,
-                            row_out,
-                        ),
-                        AttnMode::Fused => attend_heads_fused_segments_to(
-                            q,
-                            |h| view.segments(h),
-                            head_range.clone(),
-                            head_range.start,
-                            d_head,
-                            pos + 1,
-                            &mut shard.attn,
-                            row_out,
-                        ),
-                    }
+                    let view = arena.layer_view(slot, kv_pool);
+                    attend_heads_segments_to(
+                        q,
+                        |h| view.segments(h),
+                        head_range.clone(),
+                        head_range.start,
+                        d_head,
+                        pos + 1,
+                        &mut shard.attn,
+                        row_out,
+                    );
                 }
             }));
         }
@@ -621,8 +598,8 @@ pub const DEFAULT_PAGE_TOKENS: usize = 16;
 /// Functionally-correct multi-node W8A8 inference over the simulated ring.
 ///
 /// Every forward entry point is a thin wrapper over one private
-/// row-batched layer walk (`forward_rows`) on one set of weight shards and
-/// one paged slot arena per node:
+/// row-batched layer walk (`forward_rows`) on one set of weight shards per
+/// node and one paged KV arena for the whole ring:
 ///
 /// * the **multi-sequence** API ([`DistributedGpt2::acquire_slot`],
 ///   [`DistributedGpt2::prefill_slot`] /
@@ -636,11 +613,19 @@ pub const DEFAULT_PAGE_TOKENS: usize = 16;
 ///
 /// Do not drive slot 0 through both at once: on a `with_slots` engine,
 /// use the slot API exclusively.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The arena holds `nodes × layers` pools (node `n`'s head-slice of layer
+/// `l` is pool `n × layers + l`) behind one slot table, one page table
+/// and one refcount ledger. One page table serves all layers because
+/// every layer of a slot appends the same tokens; that holds across nodes
+/// just as well, so there is nothing per node to keep in step.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistributedGpt2 {
     model_cfg: ModelConfig,
     router: Router,
     nodes: Vec<NodeState>,
+    /// The one KV ledger (see the type docs).
+    arena: PagedKvArena,
     // Host-side tables (embedding + final LN replicated to every node).
     host: Gpt2Model,
     /// Execute per-node stages on the persistent worker pool
@@ -651,10 +636,6 @@ pub struct DistributedGpt2 {
     /// that many batch-row blocks, all bit-identical to one shard (see
     /// [`DistributedGpt2::set_row_shards`]).
     row_shards: usize,
-    /// Attention kernel for every functional path (default
-    /// [`AttnMode::Materialized`], the bit-exact oracle; fused is
-    /// opt-in via [`DistributedGpt2::set_attn_mode`]).
-    attn_mode: AttnMode,
     /// Long-lived workers, one per (node, row-shard); `Some` iff
     /// `threaded` and there is more than one worker's worth of jobs.
     pool: Option<WorkerPool>,
@@ -767,7 +748,6 @@ impl DistributedGpt2 {
             cfg.max_seq
         );
         let shards = shard_weights(model.weights(), &cfg, nodes)?;
-        let d_head = cfg.d_head();
         // Sizing heuristic: use spare cores for batch-row sharding within
         // each node, capped so nodes × row_shards never exceeds the
         // host's cores (and by the point where slabs get dispatch-bound).
@@ -779,18 +759,18 @@ impl DistributedGpt2 {
             1
         };
         let threaded = cores > 1 && big && nodes * row_shards > 1;
+        let arena = PagedKvArena::new(
+            nodes * cfg.layers,
+            cfg.d_head(),
+            cfg.heads / nodes,
+            slots,
+            capacity,
+            page_tokens,
+            pages,
+        );
         let node_states: Vec<NodeState> = shards
             .into_iter()
             .map(|weights| NodeState {
-                arena: PagedKvArena::new(
-                    cfg.layers,
-                    d_head,
-                    weights.head_range.len(),
-                    slots,
-                    capacity,
-                    page_tokens,
-                    pages,
-                ),
                 weights,
                 gemm_out: Vec::new(),
                 attn_out: Vec::new(),
@@ -801,11 +781,11 @@ impl DistributedGpt2 {
         Ok(DistributedGpt2 {
             router: Router::new(nodes, mode),
             nodes: node_states,
+            arena,
             host: model.clone(),
             model_cfg: cfg,
             threaded,
             row_shards,
-            attn_mode: AttnMode::default(),
             pool,
             prefix_cache: None,
         })
@@ -833,19 +813,6 @@ impl DistributedGpt2 {
     /// Batch-row shards per node in the batched hot paths.
     pub fn row_shards(&self) -> usize {
         self.row_shards
-    }
-
-    /// The attention kernel this engine evaluates.
-    pub fn attn_mode(&self) -> AttnMode {
-        self.attn_mode
-    }
-
-    /// Selects the attention kernel. [`AttnMode::Fused`] is opt-in: its
-    /// results are close to — deterministic and geometry-invariant, but
-    /// not bit-identical with — the materialized default, so engines
-    /// compared against the reference model must stay materialized.
-    pub fn set_attn_mode(&mut self, mode: AttnMode) {
-        self.attn_mode = mode;
     }
 
     /// Forces the per-node batch-row shard count. Results are
@@ -880,35 +847,35 @@ impl DistributedGpt2 {
 
     /// Resident-sequence slots per node.
     pub fn slots(&self) -> usize {
-        self.nodes[0].arena.slots()
+        self.arena.slots()
     }
 
     /// Slots currently free for admission.
     pub fn free_slots(&self) -> usize {
-        self.nodes[0].arena.free_slots()
+        self.arena.free_slots()
     }
 
     /// Token capacity of each slot.
     pub fn slot_capacity(&self) -> usize {
-        self.nodes[0].arena.capacity()
+        self.arena.capacity()
     }
 
     /// KV page size in tokens.
     pub fn page_tokens(&self) -> usize {
-        self.nodes[0].arena.page_tokens()
+        self.arena.page_tokens()
     }
 
-    /// Free KV pages per layer pool (identical on every node and layer —
-    /// grants run in lockstep). Backends pre-check this against
+    /// Free KV pages per pool (one page index names the same page in
+    /// every node's and layer's pool). Backends pre-check this against
     /// [`DistributedGpt2::pages_needed`] before mutating, so page
     /// exhaustion surfaces as a typed error instead of a poisoning panic.
     pub fn free_pages(&self) -> usize {
-        self.nodes[0].arena.free_pages()
+        self.arena.free_pages()
     }
 
-    /// Pages in each layer pool.
+    /// Pages in each pool.
     pub fn total_pages(&self) -> usize {
-        self.nodes[0].arena.total_pages()
+        self.arena.total_pages()
     }
 
     /// Pages a grant for `additional` more tokens in resident `slot`
@@ -918,12 +885,7 @@ impl DistributedGpt2 {
     ///
     /// Panics if `slot` is out of range.
     pub fn pages_needed(&self, slot: usize, additional: usize) -> usize {
-        self.nodes[0].arena.pages_needed(slot, additional)
-    }
-
-    /// Pages a *fresh* sequence of `tokens` tokens would need.
-    pub fn pages_for_tokens(&self, tokens: usize) -> usize {
-        tokens.div_ceil(self.page_tokens())
+        self.arena.pages_needed(slot, additional)
     }
 
     /// Turns on the content-addressed prefix cache: finished KV pages
@@ -949,11 +911,6 @@ impl DistributedGpt2 {
         });
     }
 
-    /// Whether the prefix cache is on.
-    pub fn prefix_cache_enabled(&self) -> bool {
-        self.prefix_cache.is_some()
-    }
-
     /// Prefix-cache traffic counters, `None` while disabled.
     pub fn prefix_stats(&self) -> Option<PrefixIndexStats> {
         self.prefix_cache.as_ref().map(|c| c.index.stats())
@@ -970,9 +927,9 @@ impl DistributedGpt2 {
     /// — so a full-but-cold cache never turns into spurious
     /// page-exhaustion errors.
     pub fn available_pages(&self) -> usize {
-        let free = self.nodes[0].arena.free_pages();
+        let free = self.arena.free_pages();
         match &self.prefix_cache {
-            Some(c) => free + c.index.evictable_pages(self.nodes[0].arena.refcounts()),
+            Some(c) => free + c.index.evictable_pages(self.arena.refcounts()),
             None => free,
         }
     }
@@ -984,7 +941,7 @@ impl DistributedGpt2 {
     ///
     /// Panics if `slot` is out of range.
     pub fn unshared_pages(&self, slot: usize) -> usize {
-        self.nodes[0].arena.unshared_pages(slot)
+        self.arena.unshared_pages(slot)
     }
 
     /// Maps the longest cached prefix of `prompt` into freshly acquired
@@ -1007,9 +964,7 @@ impl DistributedGpt2 {
         if m.tokens == 0 {
             return 0;
         }
-        for n in &mut self.nodes {
-            n.arena.map_shared(slot, &m.pages, m.tokens);
-        }
+        self.arena.map_shared(slot, &m.pages, m.tokens);
         cache.fed[slot].clear();
         cache.fed[slot].extend_from_slice(&prompt[..m.tokens]);
         m.tokens
@@ -1018,14 +973,14 @@ impl DistributedGpt2 {
     /// Registers `slot`'s finished pages with the prefix index: every
     /// full page, plus the final partial page as a chain terminator iff
     /// `include_partial` (only safe once the slot stops appending).
-    /// Newly indexed pages get one cache pin on every node. No-op while
-    /// the cache is off.
+    /// Newly indexed pages get one cache pin. No-op while the cache is
+    /// off.
     fn prefix_register(&mut self, slot: usize, include_partial: bool) {
         let Some(cache) = self.prefix_cache.as_mut() else {
             return;
         };
         let fed = &cache.fed[slot];
-        let page_tokens = self.nodes[0].arena.page_tokens();
+        let page_tokens = self.arena.page_tokens();
         let len = if include_partial {
             fed.len()
         } else {
@@ -1034,12 +989,11 @@ impl DistributedGpt2 {
         if len == 0 {
             return;
         }
-        let pages = self.nodes[0].arena.slot_pages(slot);
-        let newly = cache.index.register(&fed[..len], pages);
-        for page in newly {
-            for n in &mut self.nodes {
-                n.arena.retain_page(page);
-            }
+        for page in cache
+            .index
+            .register(&fed[..len], self.arena.slot_pages(slot))
+        {
+            self.arena.retain_page(page);
         }
     }
 
@@ -1048,30 +1002,21 @@ impl DistributedGpt2 {
     /// remains. Runs before every grant so cached-but-idle pages never
     /// starve live sequences.
     fn evict_cached_for(&mut self, needed: usize) {
-        while self.nodes[0].arena.free_pages() < needed {
+        while self.arena.free_pages() < needed {
             let Some(cache) = self.prefix_cache.as_mut() else {
                 return;
             };
-            let pages = cache.index.evict_lru(self.nodes[0].arena.refcounts());
+            let pages = cache.index.evict_lru(self.arena.refcounts());
             if pages.is_empty() {
                 return;
             }
             for page in pages {
-                for n in &mut self.nodes {
-                    n.arena.release_page(page);
-                }
+                self.arena.release_page(page);
             }
         }
     }
 
-    /// Total int8 bytes of `node`'s KV page pools (occupancy-independent
-    /// storage commitment; compare with [`DistributedGpt2::node_kv_bytes`]
-    /// for live usage).
-    pub fn node_kv_pool_bytes(&self, node: usize) -> usize {
-        self.nodes[node].arena.pool_byte_len()
-    }
-
-    /// Grants pages for the upcoming appends on every node, in lockstep.
+    /// Grants pages for the upcoming appends.
     ///
     /// # Panics
     ///
@@ -1083,43 +1028,28 @@ impl DistributedGpt2 {
         if self.prefix_cache.is_some() {
             let needed = entries
                 .iter()
-                .map(|&(slot, additional)| self.nodes[0].arena.pages_needed(slot, additional))
+                .map(|&(slot, additional)| self.arena.pages_needed(slot, additional))
                 .sum();
             self.evict_cached_for(needed);
         }
-        for node in &mut self.nodes {
-            node.arena
-                .try_reserve_batch(entries)
-                // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
-                .expect("KV page pool exhausted: pre-check free_pages before this call");
-        }
+        self.arena
+            .try_reserve_batch(entries)
+            // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
+            .expect("KV page pool exhausted: pre-check free_pages before this call");
     }
 
-    /// Claims the lowest-index free slot on every node, or `None` when
-    /// all slots are resident.
+    /// Claims the lowest-index free slot, or `None` when all slots are
+    /// resident.
     pub fn acquire_slot(&mut self) -> Option<usize> {
-        if self.nodes[0].arena.free_slots() == 0 {
-            return None;
-        }
-        let acquired: Vec<usize> = self
-            .nodes
-            .iter_mut()
-            // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
-            .map(|n| n.arena.acquire().expect("node arenas evolve in lockstep"))
-            .collect();
-        let slot = acquired[0];
-        debug_assert!(
-            acquired.iter().all(|&s| s == slot),
-            "arenas out of lockstep"
-        );
+        let slot = self.arena.acquire()?;
         if let Some(cache) = self.prefix_cache.as_mut() {
             cache.fed[slot].clear();
         }
         Some(slot)
     }
 
-    /// Returns `slot` to the free list on every node and reports how
-    /// many pages actually came free (shared pages survive their other
+    /// Returns `slot` to the free list and reports how many pages
+    /// actually came free (shared pages survive their other
     /// holders — a cache pin or another slot's mapping keeps them
     /// resident, so the count can be less than the table length).
     ///
@@ -1135,16 +1065,7 @@ impl DistributedGpt2 {
         if let Some(cache) = self.prefix_cache.as_mut() {
             cache.fed[slot].clear();
         }
-        let freed: Vec<usize> = self
-            .nodes
-            .iter_mut()
-            .map(|n| n.arena.release(slot))
-            .collect();
-        debug_assert!(
-            freed.iter().all(|&f| f == freed[0]),
-            "arenas out of lockstep"
-        );
-        freed[0]
+        self.arena.release(slot)
     }
 
     /// Tokens processed by the sequence resident in `slot`.
@@ -1153,7 +1074,7 @@ impl DistributedGpt2 {
     ///
     /// Panics if `slot` is out of range.
     pub fn slot_pos(&self, slot: usize) -> usize {
-        self.nodes[0].arena.pos(slot)
+        self.arena.pos(slot)
     }
 
     /// Tokens processed so far by the single-sequence surface (slot 0).
@@ -1164,7 +1085,8 @@ impl DistributedGpt2 {
     /// Per-node int8 KV bytes currently cached across all slots (shows
     /// the head-wise footprint reduction).
     pub fn node_kv_bytes(&self, node: usize) -> usize {
-        self.nodes[node].arena.byte_len()
+        assert!(node < self.nodes.len(), "node {node} out of range");
+        self.arena.byte_len() / self.nodes.len()
     }
 
     /// Materializes `slot`'s entire KV state as contiguous per-layer
@@ -1174,10 +1096,8 @@ impl DistributedGpt2 {
     /// the prompt was chunked. This is the differential-test hook; it
     /// copies every byte, so keep it out of hot paths.
     pub fn materialized_kv(&self, slot: usize) -> Vec<LayerKvCache> {
-        let layers = self.model_cfg.layers;
-        self.nodes
-            .iter()
-            .flat_map(|n| (0..layers).map(|l| n.arena.materialize(slot, l)))
+        (0..self.arena.layers())
+            .map(|kv_pool| self.arena.materialize(slot, kv_pool))
             .collect()
     }
 
@@ -1188,10 +1108,8 @@ impl DistributedGpt2 {
             // Reset discards the sequence, so nothing gets registered.
             cache.fed[0].clear();
         }
-        if self.nodes[0].arena.in_use(0) {
-            for n in &mut self.nodes {
-                n.arena.release(0);
-            }
+        if self.arena.in_use(0) {
+            self.arena.release(0);
             self.ensure_primary_slot();
         }
     }
@@ -1229,8 +1147,7 @@ impl DistributedGpt2 {
         let b = entries.len();
         let row_shards = self.row_shards;
 
-        let arena = &self.nodes[0].arena;
-        let mut next: Vec<usize> = (0..arena.slots()).map(|s| arena.pos(s)).collect();
+        let mut next: Vec<usize> = (0..self.arena.slots()).map(|s| self.arena.pos(s)).collect();
         let rows: Vec<Row> = entries
             .iter()
             .map(|&(slot, _)| {
@@ -1266,28 +1183,23 @@ impl DistributedGpt2 {
                 false,
             );
             scratch.reclaim(xmat);
-            for node in &mut self.nodes {
-                let NodeState {
-                    weights,
-                    arena,
-                    gemm_out,
-                    ..
-                } = node;
-                let w = weights.head_range.len() * d_head;
+            for (node_idx, node) in self.nodes.iter().enumerate() {
+                let w = node.weights.head_range.len() * d_head;
                 for (t, row) in rows.iter().enumerate() {
-                    let qkv = &gemm_out[t * 3 * w..(t + 1) * 3 * w];
+                    let qkv = &node.gemm_out[t * 3 * w..(t + 1) * 3 * w];
                     let (k, v) = qkv[w..].split_at(w);
-                    arena.append_at(row.slot, layer, row.pos, k, v);
+                    self.arena
+                        .append_at(row.slot, node_idx * layers + layer, row.pos, k, v);
                 }
             }
             batch_attention_phase(
                 &mut self.nodes,
+                &self.arena,
                 self.pool.as_ref(),
                 row_shards,
                 layer,
                 &rows,
                 d_head,
-                self.attn_mode,
             );
             gather_rows_flat(
                 &self.router,
@@ -1377,10 +1289,8 @@ impl DistributedGpt2 {
                 *x += f;
             }
         }
-        for node in &mut self.nodes {
-            for row in &rows {
-                node.arena.advance(row.slot, 1);
-            }
+        for row in &rows {
+            self.arena.advance(row.slot, 1);
         }
         if logit_rows.is_empty() {
             return Vec::new();
@@ -1419,17 +1329,11 @@ impl DistributedGpt2 {
     /// `with_slots` engine the first `prefill`/`decode_step` claims it
     /// here (the paged arena grants pages only to resident slots).
     fn ensure_primary_slot(&mut self) {
-        if self.nodes[0].arena.in_use(0) {
+        if self.arena.in_use(0) {
             return;
         }
-        for n in &mut self.nodes {
-            let slot = n
-                .arena
-                .acquire()
-                // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
-                .expect("single-sequence surface needs a free slot");
-            debug_assert_eq!(slot, 0, "slot 0 must be the lowest free slot");
-        }
+        // Slot 0 is free here, hence the lowest free slot.
+        assert_eq!(self.arena.acquire(), Some(0), "slot 0 must be free");
     }
 
     /// Prefill: processes the prompt in slot 0, returns last-token logits.

@@ -23,7 +23,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::{
     BackendError, DecodeOutcome, InferenceBackend, PreemptedSeq, PrefillOutcome, PrefillProgress,
@@ -32,7 +31,7 @@ use crate::backend::{
 /// A seeded, rate-parameterized chaos plan.
 ///
 /// Rates are per-operation Bernoulli probabilities in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault stream (equal plans inject equal faults).
     pub seed: u64,
@@ -131,7 +130,7 @@ impl FaultPlan {
 }
 
 /// Counters of what a [`FaultyBackend`] actually injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Prefills vetoed.
     pub prefill_faults: u64,

@@ -15,13 +15,11 @@
 //! [`crate::config::ArchConfig`] uses it whenever no explicit override is
 //! configured.
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_model::config::ModelConfig;
 use looplynx_sim::time::{Cycles, Frequency};
 
 /// Host CPU + PCIe cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostModel {
     /// Effective PCIe throughput in GB/s (Gen3 x16 sustains ~12 of its
     /// 16 GB/s on small DMA transfers).

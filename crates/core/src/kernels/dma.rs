@@ -5,8 +5,6 @@
 //! (paper Section III-D). [`DmaEngine`] answers how long a given transfer
 //! occupies its channels.
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_sim::hbm::HbmChannel;
 use looplynx_sim::time::Cycles;
 
@@ -14,7 +12,7 @@ use crate::config::ArchConfig;
 
 /// A group of DMA engines striping one logical stream over several HBM
 /// channels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DmaEngine {
     channel: HbmChannel,
     channels: usize,

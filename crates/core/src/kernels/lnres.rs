@@ -8,8 +8,6 @@
 //! run serially on a single lane — the configuration of the Fig. 5(a)
 //! baseline where critical-path operators consume 18.5 % of token latency.
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_sim::time::Cycles;
 use looplynx_tensor::norm::{residual_add, residual_layernorm, LayerNormParams};
 
@@ -17,7 +15,7 @@ use crate::config::ArchConfig;
 use crate::kernels::{KernelTiming, Segment};
 
 /// One activation of the LN&Res kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LnResJob {
     /// Vector dimension normalized.
     pub dim: usize,
@@ -27,7 +25,7 @@ pub struct LnResJob {
 
 /// The fused LN&Res kernel timing model (also times the element-wise GELU
 /// unit, which shares the critical-path vector lanes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusedLnResKernel {
     cfg: ArchConfig,
 }

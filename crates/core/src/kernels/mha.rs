@@ -12,8 +12,6 @@
 //! head run back-to-back — the difference is the ≈4 % of token latency the
 //! paper reports in Fig. 5.
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_sim::pipeline::{PipelineSpec, StageSpec};
 use looplynx_sim::time::Cycles;
 
@@ -21,7 +19,7 @@ use crate::config::ArchConfig;
 use crate::kernels::{KernelTiming, Segment};
 
 /// One activation of the fused MHA kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MhaJob {
     /// Heads computed on this node (head-wise partitioning).
     pub heads: usize,
@@ -46,7 +44,7 @@ impl MhaJob {
 }
 
 /// The fused MHA kernel timing model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusedMhaKernel {
     cfg: ArchConfig,
 }

@@ -17,12 +17,10 @@ pub mod mha;
 pub mod mp;
 pub mod quantizer;
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_sim::time::Cycles;
 
 /// Timing result of one kernel activation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelTiming {
     /// Total cycles the activation occupies the kernel (exposed time).
     pub total: Cycles,
@@ -32,7 +30,7 @@ pub struct KernelTiming {
 }
 
 /// A named sub-interval of a kernel activation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// What the interval was spent on (e.g. `"dma"`, `"softmax"`).
     pub label: String,

@@ -16,8 +16,6 @@
 //! scheduler reuses it temporally), its activation count per token is
 //! `4 × layers + 1` (QKV, out-proj, FC1, FC2 per block, plus the LM head).
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_sim::pipeline::{PipelineSpec, StageSpec};
 use looplynx_sim::time::Cycles;
 use looplynx_tensor::linear::QuantLinear;
@@ -29,7 +27,7 @@ use crate::kernels::{KernelTiming, Segment};
 /// One activation of the fused MP kernel: a `rows × cols` GEMV shard on
 /// this node, optionally followed by a ring all-gather of the produced
 /// sub-vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MpJob {
     /// Output rows computed on this node (already sharded).
     pub rows: usize,
@@ -65,7 +63,7 @@ impl MpJob {
 }
 
 /// The fused MP kernel timing model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusedMpKernel {
     cfg: ArchConfig,
 }

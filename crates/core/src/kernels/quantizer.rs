@@ -8,8 +8,6 @@
 //! 4 nodes, where small per-node blocks "expose the latency of quantization
 //! and synchronization").
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_sim::time::Cycles;
 use looplynx_tensor::quant::{quantize_vec_with_scale, QuantizedVector};
 
@@ -17,7 +15,7 @@ use crate::config::ArchConfig;
 use crate::datapack::datapacks_for;
 
 /// The fused bias-add + requantize unit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantUnit {
     latency: Cycles,
     n_group: usize,

@@ -10,12 +10,10 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_sim::time::{Cycles, Frequency};
 
 /// Exposed-cycle totals per latency bucket.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyBreakdown {
     /// Fused MP kernel activations (all linear layers + LM head).
     pub linear: Cycles,

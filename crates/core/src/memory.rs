@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_model::config::ModelConfig;
 
 use crate::config::ArchConfig;
@@ -19,7 +17,7 @@ use crate::config::ArchConfig;
 pub const U50_HBM_BYTES: usize = 8 * 1024 * 1024 * 1024;
 
 /// Per-node HBM occupancy of a deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HbmBudget {
     /// Int8 weight bytes stored on one node (output-dimension shard).
     pub weight_bytes: usize,

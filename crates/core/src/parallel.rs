@@ -14,8 +14,6 @@
 use std::fmt;
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_model::config::ModelConfig;
 use looplynx_model::weights::{BlockWeights, Gpt2Weights};
 use looplynx_tensor::error::ShapeError;
@@ -120,7 +118,7 @@ fn slice_linear(lin: &QuantLinear, range: Range<usize>) -> QuantLinear {
 }
 
 /// One layer's weight shards on one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerShard {
     /// Head-aligned QKV rows (this node's heads' Q, then K, then V).
     pub qkv: QuantLinear,
@@ -137,7 +135,7 @@ pub struct LayerShard {
 }
 
 /// All weights one node holds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeWeights {
     /// Node id in ring order.
     pub node: usize,

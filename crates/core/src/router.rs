@@ -15,14 +15,12 @@
 //!   a per-shard scale before travelling (what the hardware actually
 //!   sends); receivers dequantize. Numerically close, not identical.
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_sim::net::RingSpec;
 use looplynx_sim::time::Cycles;
 use looplynx_tensor::quant::{quantize_vec, QuantizedVector};
 
 /// How gathered activations travel on the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RingMode {
     /// Exact f32 payloads (reference algebra; 4 B/element traffic).
     Exact,
@@ -33,7 +31,7 @@ pub enum RingMode {
 
 /// The functional ring: gathers per-node sub-vectors into the full vector
 /// every node needs, mirroring the router's offset rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Router {
     nodes: usize,
     mode: RingMode,

@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_model::config::ModelConfig;
 use looplynx_sim::time::Cycles;
 use looplynx_sim::trace::{Span, Trace};
@@ -24,7 +22,7 @@ use crate::latency::LatencyBreakdown;
 use crate::parallel::{validate_partition, PartitionError};
 
 /// A stage of the per-layer schedule (paper Fig. 3(c.1) numbering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Residual of the previous block fused with the pre-attention LN.
     LnRes1,
@@ -84,7 +82,7 @@ impl fmt::Display for Stage {
 }
 
 /// Timing of one token through all layers (plus final LN / LM head / host).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TokenTiming {
     /// Total exposed cycles for the token.
     pub total: Cycles,
@@ -103,7 +101,7 @@ impl TokenTiming {
 
 /// The scheduler: drives kernels through the stage sequence and accumulates
 /// cycle-accurate timing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scheduler {
     cfg: ArchConfig,
     model: ModelConfig,
@@ -141,8 +139,10 @@ impl Scheduler {
         &self.model
     }
 
-    /// Builds the MP job for a linear-layer stage at the current ring size.
-    fn mp_job(&self, stage: Stage) -> MpJob {
+    /// Builds the MP job for a linear-layer stage at the current ring size,
+    /// `batch` rows sharing each weight pass (and each synchronizing its
+    /// own output slice).
+    fn mp_job(&self, stage: Stage, batch: usize) -> MpJob {
         let n = self.cfg.nodes();
         let d = self.model.d_model;
         let ff = self.model.d_ff;
@@ -153,160 +153,93 @@ impl Scheduler {
                 rows: 3 * d / n,
                 cols: d,
                 sync_bytes: 0,
-                batch: 1,
+                batch,
             },
             Stage::OutProj => MpJob {
                 rows: d / n,
                 cols: d,
-                sync_bytes: d / n,
-                batch: 1,
+                sync_bytes: batch * (d / n),
+                batch,
             },
             Stage::Fc1 => MpJob {
                 rows: ff / n,
                 cols: d,
-                sync_bytes: ff / n,
-                batch: 1,
+                sync_bytes: batch * (ff / n),
+                batch,
             },
             Stage::Fc2 => MpJob {
                 rows: d / n,
                 cols: ff,
-                sync_bytes: d / n,
-                batch: 1,
+                sync_bytes: batch * (d / n),
+                batch,
             },
             _ => unreachable!("{stage} is not an MP stage"),
         }
     }
 
-    /// Times one stage of one layer at the given attention context.
-    fn stage_timing(&self, stage: Stage, context: usize) -> (Cycles, LatencyBreakdown) {
+    /// Times one stage of one layer for a weight-sharing batch of rows:
+    /// an MP stage runs once with the batch factor, every other stage is
+    /// charged once per row at that row's own attention context.
+    fn stage_timing(&self, stage: Stage, contexts: &[usize]) -> (Cycles, LatencyBreakdown) {
+        let n = self.cfg.nodes();
         let mut b = LatencyBreakdown::zero();
-        let total = match stage {
+        let mut total = Cycles::ZERO;
+        match stage {
             Stage::QkvProj | Stage::OutProj | Stage::Fc1 | Stage::Fc2 => {
-                let t = self.mp.timing(&self.mp_job(stage));
+                let t = self.mp.timing(&self.mp_job(stage, contexts.len()));
                 b.sync += t.segment("sync");
                 b.critical_path += t.segment("overhead");
                 b.linear += t.total - t.segment("sync") - t.segment("overhead");
-                t.total
+                total = t.total;
             }
             Stage::Mha => {
-                let n = self.cfg.nodes();
-                let t = self.mha.timing(&MhaJob {
-                    heads: self.model.heads / n,
-                    d_head: self.model.d_head(),
-                    context,
-                    sync_bytes: self.model.d_model / n,
-                });
-                b.sync += t.segment("sync");
-                b.critical_path += t.segment("overhead");
-                b.mha += t.total - t.segment("sync") - t.segment("overhead");
-                t.total
+                for &context in contexts {
+                    let t = self.mha.timing(&MhaJob {
+                        heads: self.model.heads / n,
+                        d_head: self.model.d_head(),
+                        context,
+                        sync_bytes: self.model.d_model / n,
+                    });
+                    b.sync += t.segment("sync");
+                    b.critical_path += t.segment("overhead");
+                    b.mha += t.total - t.segment("sync") - t.segment("overhead");
+                    total += t.total;
+                }
             }
-            Stage::LnRes1 | Stage::LnRes2 => {
-                let t = self.lnres.timing(&LnResJob {
-                    dim: self.model.d_model,
-                    with_residual: true,
-                });
-                b.critical_path += t.total;
-                t.total
+            Stage::LnRes1 | Stage::LnRes2 | Stage::Gelu => {
+                let t = match stage {
+                    // GELU runs on the node-local FC1 slice.
+                    Stage::Gelu => self.lnres.elementwise_timing(self.model.d_ff / n),
+                    _ => self.lnres.timing(&LnResJob {
+                        dim: self.model.d_model,
+                        with_residual: true,
+                    }),
+                };
+                total = t.total * contexts.len() as u64;
+                b.critical_path += total;
             }
-            Stage::Gelu => {
-                // GELU runs on the node-local FC1 slice.
-                let t = self
-                    .lnres
-                    .elementwise_timing(self.model.d_ff / self.cfg.nodes());
-                b.critical_path += t.total;
-                t.total
-            }
-        };
+        }
         (total, b)
     }
 
-    /// Times one token through every layer.
+    /// The one timing walk: a weight-sharing batch of rows, `contexts[i]`
+    /// being row *i*'s KV-cache length after its token is appended. MP
+    /// stages (and the LM head, when `with_lm_head`) run once for the
+    /// whole batch with the batch factor — each streamed weight block
+    /// serves every row, two weight-shared int8 MACs packed per DSP per
+    /// cycle; MHA, the critical-path operators, the final LN and the host
+    /// epilogue are inherently per row and are charged per row at that
+    /// row's own context. A decode iteration is one row per request with
+    /// the LM head on, a batched-prefill step is consecutive contexts of
+    /// one request with it off, and a lone token is a batch of one.
     ///
-    /// * `context` — tokens in the KV cache after this token is appended.
-    /// * `with_lm_head` — whether logits are produced (decode tokens and
-    ///   the final prefill token).
+    /// Span labels carry an `x{batch}` suffix only when `batch > 1`.
     ///
     /// # Panics
     ///
-    /// Panics if `context` is zero.
-    pub fn schedule_token(&self, context: usize, with_lm_head: bool) -> TokenTiming {
-        assert!(context > 0, "context must include the current token");
-        let mut cursor = Cycles::ZERO;
-        let mut breakdown = LatencyBreakdown::zero();
-        let mut trace = Trace::new();
-
-        for layer in 0..self.model.layers {
-            for stage in Stage::SEQUENCE {
-                let (dur, b) = self.stage_timing(stage, context);
-                trace.push(Span::new(
-                    stage.kernel_lane(),
-                    format!("L{layer}.{stage}"),
-                    cursor,
-                    cursor + dur,
-                ));
-                cursor += dur;
-                breakdown += b;
-            }
-        }
-
-        // Final layernorm before the LM head.
-        let final_ln = self.lnres.timing(&LnResJob {
-            dim: self.model.d_model,
-            with_residual: true,
-        });
-        trace.push(Span::new(
-            "lnres",
-            "final_ln".to_owned(),
-            cursor,
-            cursor + final_ln.total,
-        ));
-        cursor += final_ln.total;
-        breakdown.critical_path += final_ln.total;
-
-        if with_lm_head {
-            // LM head sharded over vocab rows; the host gathers logits over
-            // PCIe (inside host overhead), so no ring sync.
-            let job = MpJob {
-                rows: self.model.vocab.div_ceil(self.cfg.nodes()),
-                cols: self.model.d_model,
-                sync_bytes: 0,
-                batch: 1,
-            };
-            let t = self.mp.timing(&job);
-            trace.push(Span::new(
-                "mp",
-                "lm_head".to_owned(),
-                cursor,
-                cursor + t.total,
-            ));
-            cursor += t.total;
-            breakdown.critical_path += t.segment("overhead");
-            breakdown.linear += t.total - t.segment("overhead");
-        }
-
-        let host = self.cfg.host_overhead_cycles(&self.model, with_lm_head);
-        breakdown.host += host;
-        cursor += host;
-
-        TokenTiming {
-            total: cursor,
-            breakdown,
-            trace,
-        }
-    }
-
-    /// The shared per-layer walk of both weight-sharing batch schedules:
-    /// MP stages run once for the whole batch with the batch factor;
-    /// per-item stages (MHA, LN/residual, GELU) are charged once per
-    /// entry of `contexts` at that entry's own context. Appends spans to
-    /// `trace` starting at cycle zero and returns the accumulated cursor
-    /// and breakdown.
-    fn schedule_batched_layers(
-        &self,
-        contexts: &[usize],
-        trace: &mut Trace,
-    ) -> (Cycles, LatencyBreakdown) {
+    /// Panics if `contexts` is empty, any context is zero, or the batch
+    /// exceeds [`crate::config::MAX_WEIGHT_SHARING_BATCH`].
+    pub fn schedule_rows(&self, contexts: &[usize], with_lm_head: bool) -> TokenTiming {
         let batch = contexts.len();
         assert!(batch > 0, "batch must be at least 1");
         assert!(
@@ -318,36 +251,21 @@ impl Scheduler {
             contexts.iter().all(|&c| c > 0),
             "context must include the current token"
         );
+        let rows = batch as u64;
+        let (dot, sp) = if batch > 1 {
+            (format!("x{batch}"), format!(" x{batch}"))
+        } else {
+            (String::new(), String::new())
+        };
         let mut cursor = Cycles::ZERO;
         let mut breakdown = LatencyBreakdown::zero();
+        let mut trace = Trace::new();
         for layer in 0..self.model.layers {
             for stage in Stage::SEQUENCE {
-                let (dur, b) = match stage {
-                    Stage::QkvProj | Stage::OutProj | Stage::Fc1 | Stage::Fc2 => {
-                        let mut job = self.mp_job(stage);
-                        job.batch = batch;
-                        job.sync_bytes *= batch;
-                        let t = self.mp.timing(&job);
-                        let mut b = LatencyBreakdown::zero();
-                        b.sync += t.segment("sync");
-                        b.critical_path += t.segment("overhead");
-                        b.linear += t.total - t.segment("sync") - t.segment("overhead");
-                        (t.total, b)
-                    }
-                    _ => {
-                        let mut total = Cycles::ZERO;
-                        let mut b = LatencyBreakdown::zero();
-                        for &ctx in contexts {
-                            let (d, bi) = self.stage_timing(stage, ctx);
-                            total += d;
-                            b += bi;
-                        }
-                        (total, b)
-                    }
-                };
+                let (dur, b) = self.stage_timing(stage, contexts);
                 trace.push(Span::new(
                     stage.kernel_lane(),
-                    format!("L{layer}.{stage}x{batch}"),
+                    format!("L{layer}.{stage}{dot}"),
                     cursor,
                     cursor + dur,
                 ));
@@ -355,105 +273,43 @@ impl Scheduler {
                 breakdown += b;
             }
         }
-        (cursor, breakdown)
-    }
 
-    /// Times a *batch* of consecutive prefill tokens sharing each weight
-    /// pass — the batched-prefill extension (see
-    /// [`ArchConfig::prefill_batch`]).
-    ///
-    /// MP stages run once per batch with the batch factor; MHA and
-    /// critical-path stages are inherently per-token (each prompt token
-    /// attends over a different, growing context) and are charged per
-    /// token. `first_context` is the cache length after the *first* token
-    /// of the batch is appended.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first_context` or `batch` is zero, or `batch` exceeds
-    /// [`crate::config::MAX_WEIGHT_SHARING_BATCH`].
-    pub fn schedule_prefill_batch(&self, first_context: usize, batch: usize) -> TokenTiming {
-        assert!(first_context > 0, "context must include the current token");
-        let contexts: Vec<usize> = (0..batch).map(|i| first_context + i).collect();
-        let mut trace = Trace::new();
-        let (mut cursor, mut breakdown) = self.schedule_batched_layers(&contexts, &mut trace);
-
-        // Final LN + host overhead charged per token; no LM head (batched
-        // prefill never contains the last prompt token — the engine
-        // schedules that one unbatched).
-        let final_ln = self.lnres.timing(&LnResJob {
-            dim: self.model.d_model,
-            with_residual: true,
-        });
-        let host = self.cfg.host_overhead_cycles(&self.model, false);
-        let epilogue = (final_ln.total + host) * batch as u64;
-        breakdown.critical_path += final_ln.total * batch as u64;
-        breakdown.host += host * batch as u64;
-        cursor += epilogue;
-
-        TokenTiming {
-            total: cursor,
-            breakdown,
-            trace,
-        }
-    }
-
-    /// Times one *continuous-batching decode iteration*: one token for each
-    /// of several concurrent requests, all sharing every weight pass.
-    ///
-    /// `contexts[i]` is request *i*'s KV-cache length after its token is
-    /// appended. Requests share the model, so MP stages (and the LM head)
-    /// run once with the weight-sharing batch factor of the batched-prefill
-    /// extension — each streamed weight block serves every request, two
-    /// weight-shared int8 MACs packed per DSP per cycle. MHA is inherently
-    /// per-request (each attends over its own cache at its own length), as
-    /// are the critical-path operators and host epilogue; those are charged
-    /// per request. A singleton batch is cycle-identical to
-    /// [`Scheduler::schedule_token`] with the LM head on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `contexts` is empty, any context is zero, or the batch
-    /// exceeds [`crate::config::MAX_WEIGHT_SHARING_BATCH`].
-    pub fn schedule_decode_batch(&self, contexts: &[usize]) -> TokenTiming {
-        assert!(!contexts.is_empty(), "decode batch must not be empty");
-        let batch = contexts.len();
-        let mut trace = Trace::new();
-        let (mut cursor, mut breakdown) = self.schedule_batched_layers(contexts, &mut trace);
-
-        // Final LN per request, then one batched LM head (every decode
-        // token needs logits), then the host epilogue per request.
+        // Final layernorm per row.
         let final_ln = self.lnres.timing(&LnResJob {
             dim: self.model.d_model,
             with_residual: true,
         });
         trace.push(Span::new(
             "lnres",
-            format!("final_ln x{batch}"),
+            format!("final_ln{sp}"),
             cursor,
-            cursor + final_ln.total * batch as u64,
+            cursor + final_ln.total * rows,
         ));
-        cursor += final_ln.total * batch as u64;
-        breakdown.critical_path += final_ln.total * batch as u64;
+        cursor += final_ln.total * rows;
+        breakdown.critical_path += final_ln.total * rows;
 
-        let job = MpJob {
-            rows: self.model.vocab.div_ceil(self.cfg.nodes()),
-            cols: self.model.d_model,
-            sync_bytes: 0,
-            batch,
-        };
-        let t = self.mp.timing(&job);
-        trace.push(Span::new(
-            "mp",
-            format!("lm_head x{batch}"),
-            cursor,
-            cursor + t.total,
-        ));
-        cursor += t.total;
-        breakdown.critical_path += t.segment("overhead");
-        breakdown.linear += t.total - t.segment("overhead");
+        if with_lm_head {
+            // One batched LM head sharded over vocab rows; the host
+            // gathers logits over PCIe (inside host overhead), so no ring
+            // sync.
+            let t = self.mp.timing(&MpJob {
+                rows: self.model.vocab.div_ceil(self.cfg.nodes()),
+                cols: self.model.d_model,
+                sync_bytes: 0,
+                batch,
+            });
+            trace.push(Span::new(
+                "mp",
+                format!("lm_head{sp}"),
+                cursor,
+                cursor + t.total,
+            ));
+            cursor += t.total;
+            breakdown.critical_path += t.segment("overhead");
+            breakdown.linear += t.total - t.segment("overhead");
+        }
 
-        let host = self.cfg.host_overhead_cycles(&self.model, true) * batch as u64;
+        let host = self.cfg.host_overhead_cycles(&self.model, with_lm_head) * rows;
         breakdown.host += host;
         cursor += host;
 
@@ -462,6 +318,51 @@ impl Scheduler {
             breakdown,
             trace,
         }
+    }
+
+    /// Times one token through every layer: [`Scheduler::schedule_rows`]
+    /// with a batch of one.
+    ///
+    /// * `context` — tokens in the KV cache after this token is appended.
+    /// * `with_lm_head` — whether logits are produced (decode tokens and
+    ///   the final prefill token).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `context` is zero.
+    pub fn schedule_token(&self, context: usize, with_lm_head: bool) -> TokenTiming {
+        self.schedule_rows(&[context], with_lm_head)
+    }
+
+    /// Times a *batch* of consecutive prefill tokens sharing each weight
+    /// pass — the batched-prefill extension (see
+    /// [`ArchConfig::prefill_batch`]): [`Scheduler::schedule_rows`] over
+    /// contexts `first_context..first_context + batch` with no LM head
+    /// (batched prefill never contains the last prompt token — the engine
+    /// schedules that one on its own). `first_context` is the cache length
+    /// after the *first* token of the batch is appended.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first_context` or `batch` is zero, or `batch` exceeds
+    /// [`crate::config::MAX_WEIGHT_SHARING_BATCH`].
+    pub fn schedule_prefill_batch(&self, first_context: usize, batch: usize) -> TokenTiming {
+        let contexts: Vec<usize> = (0..batch).map(|i| first_context + i).collect();
+        self.schedule_rows(&contexts, false)
+    }
+
+    /// Times one *continuous-batching decode iteration*: one token for each
+    /// of several concurrent requests, all sharing every weight pass —
+    /// [`Scheduler::schedule_rows`] with the LM head on. `contexts[i]` is
+    /// request *i*'s KV-cache length after its token is appended.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `contexts` is empty, any context is zero, or the batch
+    /// exceeds [`crate::config::MAX_WEIGHT_SHARING_BATCH`].
+    pub fn schedule_decode_batch(&self, contexts: &[usize]) -> TokenTiming {
+        assert!(!contexts.is_empty(), "decode batch must not be empty");
+        self.schedule_rows(contexts, true)
     }
 }
 
@@ -602,6 +503,23 @@ mod tests {
                     "{nodes} nodes ctx {ctx}: singleton batch diverged"
                 );
                 assert_eq!(single.breakdown, batched.breakdown);
+            }
+        }
+    }
+
+    #[test]
+    fn singleton_prefill_batch_matches_schedule_token() {
+        for nodes in [1usize, 2, 4] {
+            let s = sched(nodes);
+            for ctx in [1usize, 7, 64, 511] {
+                let single = s.schedule_token(ctx, false);
+                let batched = s.schedule_prefill_batch(ctx, 1);
+                assert_eq!(single.total, batched.total, "{nodes} nodes ctx {ctx}");
+                assert_eq!(single.breakdown, batched.breakdown);
+                // The batch suffix marks real batches only.
+                assert_eq!(batched.trace.spans()[1].label, "L0.qkv");
+                let pair = s.schedule_prefill_batch(ctx, 2);
+                assert_eq!(pair.trace.spans()[1].label, "L0.qkvx2");
             }
         }
     }

@@ -8,9 +8,10 @@
 //! produce must generate byte-identical tokens to running each sequence
 //! alone on an unpaged engine. This suite drives random interleavings of
 //! admit/decode/preempt/resume over random prompts, page sizes, node
-//! counts, and threading, and pins that invariant; the chunked-prefill
-//! differential additionally compares materialized KV contents across
-//! page geometries.
+//! counts, and threading, and pins that invariant; the route property
+//! pins that the backend's three ways into a slot agree on tokens and KV
+//! contents; the chunked-prefill differential additionally compares
+//! materialized KV contents across page geometries.
 
 use proptest::prelude::*;
 
@@ -307,6 +308,112 @@ proptest! {
                 threaded
             );
         }
+    }
+}
+
+/// How [`run_route`] brings one sequence into its slot.
+enum Route<'a> {
+    /// One `prefill` call.
+    OneShot,
+    /// `prefill_open`, then `prefill_step`s of these sizes (cycled).
+    Chunked(&'a [usize]),
+    /// One-shot, then `preempt` → `resume` after this many decode steps.
+    PreemptAfter(usize),
+}
+
+/// Serves one request by `route` on a fresh backend — after a warm-up
+/// request that shares the prompt's first half, so a cache-on engine
+/// enters the slot through a prefix hit — and returns its token stream
+/// and final KV contents. Checks the ledger at quiescence on the way out.
+fn run_route(
+    model: &Gpt2Model,
+    (nodes, page_tokens, cache): (usize, usize, bool),
+    prompt: &[u32],
+    decode_steps: usize,
+    route: Route<'_>,
+) -> (Vec<u32>, Vec<looplynx_model::kv_cache::LayerKvCache>) {
+    let pool = 2 * 48_usize.div_ceil(page_tokens);
+    let mut engine =
+        DistributedGpt2::with_paged_slots(model, nodes, RingMode::Exact, 2, 48, page_tokens, pool)
+            .unwrap();
+    if cache {
+        engine.enable_prefix_cache();
+    }
+    let mut b = FunctionalBackend::new(engine, SAMPLER);
+    let mut warm = prompt[..prompt.len() / 2].to_vec();
+    warm.extend_from_slice(&[1, 2, 3]);
+    let w = b.prefill(warm.len(), Some(&warm), 99).unwrap();
+    b.release(w.slot).unwrap();
+
+    let (mut slot, first) = match route {
+        Route::OneShot | Route::PreemptAfter(_) => {
+            let p = b.prefill(prompt.len(), Some(prompt), 7).unwrap();
+            (p.slot, p.first_token)
+        }
+        Route::Chunked(sizes) => {
+            let slot = b.prefill_open(prompt.len(), Some(prompt), 7).unwrap();
+            let mut sizes = sizes.iter().cycle();
+            loop {
+                let p = b.prefill_step(slot, *sizes.next().unwrap()).unwrap();
+                if p.remaining == 0 {
+                    break (slot, p.first_token);
+                }
+                assert_eq!(p.first_token, None, "non-final chunk sampled");
+            }
+        }
+    };
+    let mut out = vec![first.expect("entering a slot samples the first token")];
+    for step in 0..decode_steps {
+        if matches!(route, Route::PreemptAfter(at) if at == step) {
+            let seq = b.preempt(slot).unwrap();
+            let mut context = prompt.to_vec();
+            context.extend_from_slice(&out[..out.len() - 1]);
+            let r = b.resume(&seq, Some(&context)).unwrap();
+            assert_eq!(r.first_token, None, "resume must not sample");
+            slot = r.slot;
+        }
+        out.push(b.decode_batch(&[slot]).unwrap().tokens.unwrap()[0]);
+    }
+    let kv = b.engine().materialized_kv(slot);
+    b.release(slot).unwrap();
+    let e = b.engine();
+    assert_eq!(e.free_slots(), e.slots(), "a slot leaked");
+    assert_eq!(
+        e.free_pages() + e.cached_prefix_pages(),
+        e.total_pages(),
+        "a page leaked"
+    );
+    (out, kv)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The three trait routes into a slot — one-shot `prefill`,
+    /// `prefill_open` + `prefill_step` at any chunk sizes, and `preempt` →
+    /// `resume` at any point — yield one token stream and one KV content,
+    /// with the prefix cache on or off, and leave the ledger quiescent.
+    #[test]
+    fn trait_routes_into_a_slot_agree(
+        seed in any::<u64>(),
+        nodes_idx in 0usize..3,
+        page_idx in 0usize..3,
+        cache in any::<bool>(),
+        chunks in proptest::collection::vec(1usize..6, 1..4),
+        preempt_at in 0usize..5,
+    ) {
+        let geometry = ([1usize, 2, 4][nodes_idx], [2usize, 4, 8][page_idx], cache);
+        let cfg = ModelConfig::tiny();
+        let model = Gpt2Model::synthetic(&cfg, 2024);
+        let prompt = prompts(seed, 1, cfg.vocab as u32).remove(0);
+
+        let one_shot = run_route(&model, geometry, &prompt, 5, Route::OneShot);
+        let chunked = run_route(&model, geometry, &prompt, 5, Route::Chunked(&chunks));
+        let resumed = run_route(&model, geometry, &prompt, 5, Route::PreemptAfter(preempt_at));
+        prop_assert_eq!(&chunked.0, &one_shot.0, "chunked stream diverged ({:?} {:?})", geometry, chunks);
+        prop_assert_eq!(&resumed.0, &one_shot.0, "resumed stream diverged ({:?} at {})", geometry, preempt_at);
+        prop_assert!(chunked.1 == one_shot.1, "chunked KV diverged ({:?} {:?})", geometry, chunks);
+        prop_assert!(resumed.1 == one_shot.1, "resumed KV diverged ({:?} at {})", geometry, preempt_at);
     }
 }
 

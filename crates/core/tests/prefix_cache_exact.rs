@@ -8,7 +8,7 @@
 //! through it. So for any multi-turn chat workload and any interleaving
 //! of admit/decode/preempt/resume, a cache-enabled engine must emit
 //! token streams byte-identical to the same schedule with the cache
-//! disabled — across node counts, page sizes, and attention kernels.
+//! disabled — across node counts and page sizes.
 //!
 //! This suite drives that differential: random conversations sharing a
 //! system prompt (so hits cross conversations, not just turns), scripted
@@ -24,7 +24,6 @@ use looplynx_core::backend::{
 };
 use looplynx_core::engine::DistributedGpt2;
 use looplynx_core::router::RingMode;
-use looplynx_model::attention::AttnMode;
 use looplynx_model::config::ModelConfig;
 use looplynx_model::gpt2::Gpt2Model;
 use looplynx_model::prefix::PrefixIndexStats;
@@ -179,13 +178,11 @@ fn admit(b: &mut FunctionalBackend, c: &mut Conv) -> Result<bool, BackendError> 
 /// Runs one full chat workload to completion under a scripted
 /// interleaving, returning each conversation's produced tokens and the
 /// final cache statistics (`None` when the cache is disabled).
-#[allow(clippy::too_many_arguments)]
 fn run_chat(
     model: &Gpt2Model,
     nodes: usize,
     page_tokens: usize,
     pool: usize,
-    mode: AttnMode,
     cache: bool,
     seed: u64,
     ops: &[u8],
@@ -201,7 +198,6 @@ fn run_chat(
         pool,
     )
     .unwrap();
-    engine.set_attn_mode(mode);
     if cache {
         engine.enable_prefix_cache();
     }
@@ -316,7 +312,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// For any chat workload, any admit/decode/preempt/resume
-    /// interleaving, any node count, page size, and attention kernel:
+    /// interleaving, any node count and page size:
     /// the cache-enabled run's token streams are bit-identical to the
     /// cache-disabled run of the same schedule.
     #[test]
@@ -325,11 +321,9 @@ proptest! {
         seed in any::<u64>(),
         nodes_idx in 0usize..3,
         page_idx in 0usize..3,
-        fused in any::<bool>(),
     ) {
         let nodes = [1usize, 2, 4][nodes_idx];
         let page_tokens = [2usize, 4, 8][page_idx];
-        let mode = if fused { AttnMode::Fused } else { AttnMode::Materialized };
         let model = Gpt2Model::synthetic(&ModelConfig::tiny(), 2024);
 
         // Tight pool: big enough that one sequence always fits after
@@ -337,9 +331,9 @@ proptest! {
         let pool = CAPACITY.div_ceil(page_tokens) + 4;
 
         let (plain, none) =
-            run_chat(&model, nodes, page_tokens, pool, mode, false, seed, &ops);
+            run_chat(&model, nodes, page_tokens, pool, false, seed, &ops);
         let (cached, stats) =
-            run_chat(&model, nodes, page_tokens, pool, mode, true, seed, &ops);
+            run_chat(&model, nodes, page_tokens, pool, true, seed, &ops);
 
         prop_assert!(none.is_none(), "cache-off run must report no stats");
         let stats = stats.expect("cache-on run reports stats");
@@ -347,8 +341,8 @@ proptest! {
         for (i, (got, want)) in cached.iter().zip(&plain).enumerate() {
             prop_assert_eq!(
                 got, want,
-                "conversation {} diverged ({} nodes, {}-token pages, {:?})",
-                i, nodes, page_tokens, mode
+                "conversation {} diverged ({} nodes, {}-token pages)",
+                i, nodes, page_tokens
             );
         }
     }
@@ -362,8 +356,8 @@ proptest! {
 fn sequential_multi_turn_chat_hits_and_stays_exact() {
     let model = Gpt2Model::synthetic(&ModelConfig::tiny(), 2024);
     for nodes in [1usize, 2] {
-        let (plain, _) = run_chat(&model, nodes, 4, 32, AttnMode::Materialized, false, 99, &[]);
-        let (cached, stats) = run_chat(&model, nodes, 4, 32, AttnMode::Materialized, true, 99, &[]);
+        let (plain, _) = run_chat(&model, nodes, 4, 32, false, 99, &[]);
+        let (cached, stats) = run_chat(&model, nodes, 4, 32, true, 99, &[]);
         assert_eq!(cached, plain, "{nodes}-node sequential chat diverged");
 
         let stats = stats.expect("cache-on run reports stats");

@@ -3,12 +3,9 @@
 //! count × row-shard count × threading, in both ring modes — sharding
 //! partitions GEMM output rows and attention batch rows, never a dot
 //! product, so any divergence is a stitching or synchronization bug.
-//! The fused attention kernel gets the same grid: not bit-identical to
-//! the materialized default, but bitwise *invariant* across the grid.
 
 use looplynx_core::engine::DistributedGpt2;
 use looplynx_core::router::RingMode;
-use looplynx_model::attention::AttnMode;
 use looplynx_model::config::ModelConfig;
 use looplynx_model::gpt2::Gpt2Model;
 
@@ -40,18 +37,16 @@ fn engine(
     mode: RingMode,
     row_shards: usize,
     threaded: bool,
-    attn: AttnMode,
 ) -> DistributedGpt2 {
     let mut e = DistributedGpt2::with_slots(model, nodes, mode, BATCH, 32).expect("divides");
     e.set_row_shards(row_shards);
     e.set_threaded(threaded);
-    e.set_attn_mode(attn);
     e
 }
 
-fn assert_grid_identical(mode: RingMode, attn: AttnMode, seed: u64) {
+fn assert_grid_identical(mode: RingMode, seed: u64) {
     let model = Gpt2Model::synthetic(&ModelConfig::tiny(), seed);
-    let mut reference = engine(&model, 1, mode, 1, false, attn);
+    let mut reference = engine(&model, 1, mode, 1, false);
     let single_node = run_batched(&mut reference);
 
     for nodes in [1usize, 2, 4] {
@@ -59,7 +54,7 @@ fn assert_grid_identical(mode: RingMode, attn: AttnMode, seed: u64) {
         // gathers requantize, so logits legitimately differ *across*
         // node counts; sharding and threading must still never move a
         // bit *within* one.
-        let mut base = engine(&model, nodes, mode, 1, false, attn);
+        let mut base = engine(&model, nodes, mode, 1, false);
         let expect = run_batched(&mut base);
         if mode == RingMode::Exact {
             assert_eq!(
@@ -69,13 +64,13 @@ fn assert_grid_identical(mode: RingMode, attn: AttnMode, seed: u64) {
         }
         for row_shards in [1usize, 2, 4] {
             for threaded in [false, true] {
-                let mut e = engine(&model, nodes, mode, row_shards, threaded, attn);
+                let mut e = engine(&model, nodes, mode, row_shards, threaded);
                 assert_eq!(e.row_shards(), row_shards);
                 let got = run_batched(&mut e);
                 assert_eq!(
                     expect, got,
                     "logits diverged at nodes={nodes} shards={row_shards} \
-                     threaded={threaded} mode={mode:?} attn={attn:?}"
+                     threaded={threaded} mode={mode:?}"
                 );
             }
         }
@@ -84,49 +79,21 @@ fn assert_grid_identical(mode: RingMode, attn: AttnMode, seed: u64) {
 
 #[test]
 fn row_shard_grid_is_bit_exact_in_exact_ring_mode() {
-    assert_grid_identical(RingMode::Exact, AttnMode::Materialized, 21);
+    assert_grid_identical(RingMode::Exact, 21);
 }
 
 #[test]
 fn row_shard_grid_is_bit_exact_in_quantized_ring_mode() {
-    assert_grid_identical(RingMode::Quantized, AttnMode::Materialized, 33);
-}
-
-#[test]
-fn fused_attention_is_bitwise_invariant_across_the_grid() {
-    // Fused ≠ materialized bit-for-bit, but fused must equal fused across
-    // every node/shard/thread combination (tiles are cut by token index).
-    assert_grid_identical(RingMode::Exact, AttnMode::Fused, 45);
-}
-
-#[test]
-fn fused_engine_tracks_fused_reference_model() {
-    // Engine-level fused decode must match the single-model fused
-    // forward bitwise at one node (same kernel, same walk order).
-    let cfg = ModelConfig::tiny();
-    let model = Gpt2Model::synthetic(&cfg, 99);
-    let mut single = model.clone();
-    single.set_attn_mode(AttnMode::Fused);
-
-    let mut e = engine(&model, 1, RingMode::Exact, 1, false, AttnMode::Fused);
-    let slot = e.acquire_slot().expect("slot");
-    let got_prefill = e.prefill_slot(slot, &PROMPT);
-
-    let want_prefill = single.prefill(&PROMPT);
-    assert_eq!(want_prefill, got_prefill, "fused prefill logits diverged");
-
-    let got = e.decode_step_batch(&[(slot, 5)]).remove(0);
-    let want = single.decode_step(5);
-    assert_eq!(want, got, "fused decode logits diverged");
+    assert_grid_identical(RingMode::Quantized, 33);
 }
 
 #[test]
 fn set_row_shards_is_stateless_across_toggles() {
     let model = Gpt2Model::synthetic(&ModelConfig::tiny(), 50);
-    let mut e = engine(&model, 2, RingMode::Exact, 1, false, AttnMode::Materialized);
+    let mut e = engine(&model, 2, RingMode::Exact, 1, false);
     let a = run_batched(&mut e);
 
-    let mut e = engine(&model, 2, RingMode::Exact, 1, false, AttnMode::Materialized);
+    let mut e = engine(&model, 2, RingMode::Exact, 1, false);
     e.set_row_shards(4);
     e.set_threaded(true);
     e.set_row_shards(2); // shrink again mid-flight

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::FpgaDevice;
 use crate::resources::ResourceVector;
 
@@ -33,7 +31,7 @@ impl fmt::Display for PlacementError {
 impl std::error::Error for PlacementError {}
 
 /// A node placed on one SLR.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacedNode {
     /// Node index within the ring.
     pub node_id: usize,
@@ -48,7 +46,7 @@ pub struct PlacedNode {
 }
 
 /// A complete multi-device placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FloorPlan {
     device_name: String,
     slrs_per_device: usize,

@@ -13,12 +13,10 @@
 //!   GPT-2-medium decode barely utilizes an A100 (serial token generation),
 //!   prefill utilizes it substantially.
 
-use serde::{Deserialize, Serialize};
-
 use crate::resources::ResourceVector;
 
 /// Resource-proportional FPGA power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaPowerModel {
     /// Watts per device regardless of activity (shell, HBM PHY, board).
     pub static_watts_per_device: f64,
@@ -78,7 +76,7 @@ impl FpgaPowerModel {
 }
 
 /// Utilization-based GPU power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuPowerModel {
     /// Idle board power in watts.
     pub idle_watts: f64,

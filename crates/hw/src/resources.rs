@@ -19,13 +19,11 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
 
-use serde::{Deserialize, Serialize};
-
 /// Quantities of each FPGA resource type.
 ///
 /// Stored as `f64` because Xilinx reports fractional BRAM (36Kb blocks used
 /// as two 18Kb halves), e.g. the paper's 924.5 BRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceVector {
     /// DSP48 slices.
     pub dsp: f64,
@@ -147,7 +145,7 @@ impl fmt::Display for ResourceVector {
 }
 
 /// One named component of the accelerator (a Fig. 7 row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentResources {
     /// Component name as printed in Fig. 7.
     pub name: String,
@@ -156,7 +154,7 @@ pub struct ComponentResources {
 }
 
 /// The LoopLynx resource composition model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeResourceModel {
     /// Kernel resources of one node, excluding the shared buffer BRAM.
     node_fixed: ResourceVector,

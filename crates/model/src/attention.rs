@@ -23,35 +23,11 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_tensor::activation::{causal_mask, softmax_into};
 use looplynx_tensor::quant::quantize_into;
 use looplynx_tensor::simd::{accumulate_scaled_i8, dot_i8_i32 as dot_i8};
 
 use crate::kv_cache::LayerKvCache;
-
-/// Which attention kernel the functional paths evaluate.
-///
-/// [`AttnMode::Materialized`] is the default and the bit-exact oracle
-/// every equivalence test pins against. [`AttnMode::Fused`] is the
-/// flash-style tiled online-softmax path
-/// ([`attend_heads_fused_segments_to`]): O([`FUSED_TILE`]) working
-/// memory, deterministic and bitwise-invariant across page geometry /
-/// node counts / row shards / threading, but *close to* rather than
-/// bit-identical with the materialized kernel (its mixing weights stay
-/// in f32 and its normalizer accumulates online), so it is strictly
-/// opt-in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum AttnMode {
-    /// Two-phase softmax over a materialized score row, int8 mixing
-    /// weights — the paper's kernel and the repo-wide exactness oracle.
-    #[default]
-    Materialized,
-    /// Tiled online-softmax with f32 mixing weights and a rescaled
-    /// accumulator; never materializes the score row.
-    Fused,
-}
 
 /// Reusable attention working memory: quantized query head, score /
 /// weight vectors, quantized weights. One instance serves any number of
@@ -287,6 +263,11 @@ pub const FUSED_TILE: usize = 64;
 /// fully deterministic and bitwise-invariant across page geometry, node
 /// counts, row shards and threading: tiles follow token indices, so the
 /// segment layout never changes the arithmetic.
+///
+/// No engine or model path selects this kernel: it measured no faster
+/// than the materialized one at any context a workload reaches
+/// (ARCHITECTURE §5), so it stays a kernel-level alternative with its own
+/// test wall and benchmark probe rather than a user-set mode.
 ///
 /// # Panics
 ///

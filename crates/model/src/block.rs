@@ -11,7 +11,7 @@ use looplynx_tensor::activation::gelu_vec;
 use looplynx_tensor::norm::{layernorm, residual_add};
 use looplynx_tensor::quant::quantize_vec;
 
-use crate::attention::{attend_all, attend_all_fused, AttnMode};
+use crate::attention::attend_all;
 use crate::config::ModelConfig;
 use crate::kv_cache::LayerKvCache;
 use crate::weights::BlockWeights;
@@ -33,19 +33,6 @@ pub fn block_forward(
     cfg: &ModelConfig,
     pos: usize,
 ) -> Vec<f32> {
-    block_forward_mode(x, w, cache, cfg, pos, AttnMode::Materialized)
-}
-
-/// [`block_forward`] with an explicit attention kernel; the MHA stage
-/// runs materialized or fused per `mode`, everything else is identical.
-pub fn block_forward_mode(
-    x: &[f32],
-    w: &BlockWeights,
-    cache: &mut LayerKvCache,
-    cfg: &ModelConfig,
-    pos: usize,
-    mode: AttnMode,
-) -> Vec<f32> {
     assert_eq!(x.len(), cfg.d_model, "block input dimension");
     assert_eq!(cache.len(), pos, "cache out of step with position");
     let d = cfg.d_model;
@@ -61,7 +48,7 @@ pub fn block_forward_mode(
 
     // KV cache append (int8), then the fused MHA kernel.
     cache.append(k, v);
-    let attn = attend(mode, q, cache, cfg, pos + 1);
+    let attn = attend_all(q, cache, cfg.heads, cfg.d_head(), pos + 1);
 
     // Fused MP kernel activation #2: output projection, then residual.
     let aq = quantize_vec(&attn);
@@ -98,18 +85,6 @@ pub fn block_forward_batch(
     cfg: &ModelConfig,
     pos: usize,
 ) -> Vec<Vec<f32>> {
-    block_forward_batch_mode(xs, w, cache, cfg, pos, AttnMode::Materialized)
-}
-
-/// [`block_forward_batch`] with an explicit attention kernel.
-pub fn block_forward_batch_mode(
-    xs: &[Vec<f32>],
-    w: &BlockWeights,
-    cache: &mut LayerKvCache,
-    cfg: &ModelConfig,
-    pos: usize,
-    mode: AttnMode,
-) -> Vec<Vec<f32>> {
     assert!(!xs.is_empty(), "batch must not be empty");
     assert!(
         xs.iter().all(|x| x.len() == cfg.d_model),
@@ -134,7 +109,7 @@ pub fn block_forward_batch_mode(
     let attn_rows: Vec<Vec<f32>> = (0..b)
         .map(|t| {
             let q = &qkv.row(t)[..d];
-            attend(mode, q, cache, cfg, pos + t + 1)
+            attend_all(q, cache, cfg.heads, cfg.d_head(), pos + t + 1)
         })
         .collect();
 
@@ -158,20 +133,6 @@ pub fn block_forward_batch_mode(
         &g_scales,
     );
     (0..b).map(|t| residual_add(&x1[t], f2.row(t))).collect()
-}
-
-/// Dispatches one full-width attention call to the selected kernel.
-fn attend(
-    mode: AttnMode,
-    q: &[f32],
-    cache: &LayerKvCache,
-    cfg: &ModelConfig,
-    valid: usize,
-) -> Vec<f32> {
-    match mode {
-        AttnMode::Materialized => attend_all(q, cache, cfg.heads, cfg.d_head(), valid),
-        AttnMode::Fused => attend_all_fused(q, cache, cfg.heads, cfg.d_head(), valid),
-    }
 }
 
 /// Quantizes each produced vector with its own scale and concatenates the

@@ -5,8 +5,6 @@
 //! a freshly-initialized model must score near the uniform bound
 //! `ppl ≈ vocab`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gpt2::Gpt2Model;
 
 /// Numerically-stable log-softmax probability of `target` under `logits`.
@@ -28,7 +26,7 @@ pub fn log_prob(logits: &[f32], target: u32) -> f64 {
 }
 
 /// Streaming cross-entropy accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Perplexity {
     nll_sum: f64,
     tokens: usize,

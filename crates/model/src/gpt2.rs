@@ -6,13 +6,10 @@
 //! for the last one — and [`Gpt2Model::decode_step`] generates one token at
 //! a time auto-regressively.
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_tensor::norm::layernorm;
 use looplynx_tensor::quant::quantize_vec;
 
-use crate::attention::AttnMode;
-use crate::block::{block_forward_batch_mode, block_forward_mode};
+use crate::block::{block_forward, block_forward_batch};
 use crate::config::ModelConfig;
 use crate::generate::Autoregressive;
 use crate::kv_cache::KvCache;
@@ -22,15 +19,12 @@ use crate::weights::Gpt2Weights;
 use crate::sampler::Sampler;
 
 /// A GPT-2 model instance with its KV cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gpt2Model {
     cfg: ModelConfig,
     weights: Gpt2Weights,
     cache: KvCache,
     pos: usize,
-    /// Attention kernel for every forward path (default
-    /// [`AttnMode::Materialized`], the bit-exact oracle).
-    attn_mode: AttnMode,
 }
 
 impl Gpt2Model {
@@ -56,24 +50,12 @@ impl Gpt2Model {
             weights,
             cache,
             pos: 0,
-            attn_mode: AttnMode::default(),
         }
     }
 
     /// The model configuration.
     pub fn config(&self) -> &ModelConfig {
         &self.cfg
-    }
-
-    /// The attention kernel this model evaluates.
-    pub fn attn_mode(&self) -> AttnMode {
-        self.attn_mode
-    }
-
-    /// Selects the attention kernel ([`AttnMode::Fused`] is opt-in and
-    /// close-to, not bit-identical with, the materialized default).
-    pub fn set_attn_mode(&mut self, mode: AttnMode) {
-        self.attn_mode = mode;
     }
 
     /// The weights (shared with the partitioned multi-node engine).
@@ -128,14 +110,7 @@ impl Gpt2Model {
         );
         let mut x = self.embed(token, self.pos);
         for (l, block) in self.weights.blocks.iter().enumerate() {
-            x = block_forward_mode(
-                &x,
-                block,
-                self.cache.layer_mut(l),
-                &self.cfg,
-                self.pos,
-                self.attn_mode,
-            );
+            x = block_forward(&x, block, self.cache.layer_mut(l), &self.cfg, self.pos);
         }
         self.pos += 1;
         if !want_logits {
@@ -196,14 +171,7 @@ impl Gpt2Model {
             .map(|(i, &t)| self.embed(t, start + i))
             .collect();
         for (l, block) in self.weights.blocks.iter().enumerate() {
-            xs = block_forward_batch_mode(
-                &xs,
-                block,
-                self.cache.layer_mut(l),
-                &self.cfg,
-                start,
-                self.attn_mode,
-            );
+            xs = block_forward_batch(&xs, block, self.cache.layer_mut(l), &self.cfg, start);
         }
         self.pos += prompt.len();
         let last = xs.last().expect("non-empty batch");

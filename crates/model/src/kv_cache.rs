@@ -27,8 +27,6 @@
 //! `capacity` tokens (via [`LayerKvCache::with_capacity`]) makes decode
 //! appends pure writes: no reallocation, no per-token heap traffic.
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_tensor::quant::{scale_for, QuantizedVector};
 
 use crate::attention::KvSegment;
@@ -79,13 +77,7 @@ impl<'a> QuantizedView<'a> {
 }
 
 /// KV cache of one transformer layer (or one node's head-slice of it).
-//
-// NOTE on the serde derives: the workspace's vendored `serde` exposes
-// marker traits only, so nothing actually serializes this type today. A
-// real serializer would naively emit the full preallocated arena
-// (capacity, not len); switch to a manual impl that writes only the live
-// `len`-token prefix per head before adopting a real serde backend.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayerKvCache {
     d_head: usize,
     /// Heads per token; 0 until the first append fixes the geometry.
@@ -406,7 +398,7 @@ pub(crate) fn quantize_chunk(src: &[f32], dst: &mut [i8]) -> f32 {
 }
 
 /// KV caches of every layer of a model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KvCache {
     layers: Vec<LayerKvCache>,
 }

@@ -68,8 +68,6 @@
 //! the same descending free list as any grant, so replayed schedules
 //! still produce identical page tables.
 
-use serde::{Deserialize, Serialize};
-
 use crate::attention::KvSegment;
 use crate::kv_cache::{quantize_chunk, LayerKvCache};
 
@@ -98,7 +96,7 @@ impl std::error::Error for PagesExhausted {}
 
 /// One layer's page pool: `pages` fixed-size pages of head-major int8
 /// keys/values plus per-(head, token) scales.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct LayerPool {
     keys: Vec<i8>,
     values: Vec<i8>,
@@ -121,7 +119,7 @@ struct PagedSlot {
 /// The paged multi-sequence KV arena behind the engine's
 /// continuous-batching path, with storage decoupled from slot count. See
 /// the module docs for layout and invariants.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PagedKvArena {
     layers: usize,
     d_head: usize,

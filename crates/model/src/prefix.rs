@@ -41,7 +41,6 @@
 //! descendants, keeping every stored chain contiguous from the root —
 //! a lookup can therefore walk pages greedily and stop at the first gap.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Root of every hash chain: the FNV-1a 64-bit offset basis.
@@ -69,7 +68,7 @@ pub fn chain_hash(prev: u64, tokens: &[u32]) -> u64 {
 }
 
 /// One cached page span: the chain link stored under its identity hash.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Entry {
     /// Exact token span of the page — verified on every lookup.
     tokens: Vec<u32>,
@@ -92,7 +91,7 @@ pub struct PrefixMatch {
 }
 
 /// Counters describing index traffic, for engine-level stats.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefixIndexStats {
     /// Total lookups.
     pub lookups: u64,
@@ -112,7 +111,7 @@ pub struct PrefixIndexStats {
 ///
 /// Deterministic by construction: `BTreeMap` ordering, a seeded hash
 /// chain, and a logical tick (no wall clock) for recency.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixIndex {
     entries: BTreeMap<u64, Entry>,
     page_tokens: usize,

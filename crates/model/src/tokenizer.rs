@@ -5,10 +5,8 @@
 //! reproduction needs — prompt/generation lengths drive all timing results,
 //! and the functional model is exercised with real token streams.
 
-use serde::{Deserialize, Serialize};
-
 /// Byte-level tokenizer: token id = byte value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ByteTokenizer;
 
 impl ByteTokenizer {

@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use looplynx_tensor::linear::QuantLinear;
 use looplynx_tensor::matrix::Matrix;
@@ -20,7 +19,7 @@ use looplynx_tensor::norm::LayerNormParams;
 use crate::config::ModelConfig;
 
 /// Weights of one transformer block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockWeights {
     /// Pre-attention layernorm.
     pub ln1: LayerNormParams,
@@ -37,7 +36,7 @@ pub struct BlockWeights {
 }
 
 /// Full model weights.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gpt2Weights {
     /// Token embedding table (`vocab × d_model`, f32 — looked up on the
     /// host in the paper's system, not streamed through the accelerator).

@@ -8,12 +8,11 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::request::Request;
 
 /// How requests arrive at the serving queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Memoryless arrivals: exponential inter-arrival gaps at `rate_per_s`
     /// requests per second, generated deterministically from `seed`.

@@ -9,8 +9,6 @@
 //! = queue wait + prefill); each later token takes one decode iteration
 //! shared with every other resident.
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_core::backend::{InferenceBackend, SimBackend};
 use looplynx_core::engine::LoopLynx;
 
@@ -19,7 +17,7 @@ use crate::metrics::ServingReport;
 use crate::request::Request;
 
 /// Serving-policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     max_batch: usize,
 }

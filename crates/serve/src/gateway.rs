@@ -31,8 +31,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_core::backend::{BackendError, InferenceBackend, PreemptedSeq};
 use looplynx_sim::stats::Summary;
 
@@ -41,7 +39,7 @@ use crate::request::{Request, RequestMetrics};
 
 /// What the gateway does with arrivals that exceed the bounded queue, and
 /// with admitted requests under queue pressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedPolicy {
     /// Arrivals past [`GatewayConfig::queue_depth`] are rejected; admitted
     /// requests are served exactly as asked.
@@ -86,7 +84,7 @@ pub struct EvictCandidate {
 /// Which resident the gateway preempts under page pressure. Both
 /// selections are deterministic pure functions of the candidate list —
 /// the bit-exactness wall replays runs and expects identical choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictPolicyKind {
     /// The default oracle: evict the most recently admitted resident (it
     /// has the least sunk prefill work).
@@ -118,7 +116,7 @@ impl EvictPolicyKind {
 }
 
 /// Gateway policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatewayConfig {
     /// Decode-batch ceiling (the backend's capacity caps it further).
     pub max_batch: usize,
@@ -202,7 +200,7 @@ impl Default for GatewayConfig {
 }
 
 /// A [`Request`] plus the gateway-level contract attached to it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatewayRequest {
     /// The underlying generation request.
     pub req: Request,
@@ -256,7 +254,7 @@ impl GatewayRequest {
 }
 
 /// Why a request was shed before admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The bounded admission queue was full at arrival.
     QueueFull,
@@ -268,7 +266,7 @@ pub enum RejectReason {
 }
 
 /// Which enforcement point a deadline expired at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimeoutPhase {
     /// Still queued: the TTFT or E2E budget expired before admission.
     Queued,
@@ -279,7 +277,7 @@ pub enum TimeoutPhase {
 }
 
 /// The exactly-one terminal state every offered request reaches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Terminal {
     /// Produced every requested (possibly degraded) output token.
     Completed,
@@ -296,7 +294,7 @@ pub enum Terminal {
 }
 
 /// One request's terminal record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestTerminal {
     /// Request identifier.
     pub id: u64,
@@ -309,7 +307,7 @@ pub struct RequestTerminal {
 }
 
 /// Terminal-state census of one gateway run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TerminalCounts {
     /// Requests that completed.
     pub completed: usize,
@@ -332,7 +330,7 @@ impl TerminalCounts {
 
 /// Outcome of one gateway run: the completed set's [`ServingReport`] plus
 /// the terminal record of *every* offered request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatewayReport {
     /// Latency/throughput report over the **completed** requests only.
     pub serving: ServingReport,
@@ -431,22 +429,28 @@ impl std::fmt::Display for GatewayReport {
 /// small for its context, and bouncing forever would never terminate.
 const BOUNCE_LIMIT: u32 = 8;
 
-/// A request resident in the decode loop.
+/// What an admitted request carries through every residency —
+/// prefilling, active, preempted — so moving between them moves one value.
 #[derive(Debug)]
-struct ActiveReq {
+struct ReqCore {
     gr: GatewayRequest,
-    slot: usize,
-    first_token_ms: f64,
-    tokens: Vec<u32>,
-    produced: usize,
     /// Output tokens this request will actually get (≤ asked when
     /// degraded under pressure).
     target: usize,
-    /// Absolute end-to-end deadline, if any.
-    e2e_deadline_at: Option<f64>,
+    /// Serving-clock time of the first token (0 until it exists).
+    first_token_ms: f64,
+    tokens: Vec<u32>,
+    produced: usize,
     /// Consecutive preempt→resume cycles with no progress (see
     /// [`BOUNCE_LIMIT`]).
     bounces: u32,
+}
+
+/// A request resident in the decode loop.
+#[derive(Debug)]
+struct ActiveReq {
+    core: ReqCore,
+    slot: usize,
     /// `produced` when this residency began — the progress marker the
     /// bounce guard compares against at the next preemption.
     produced_at_admit: usize,
@@ -462,10 +466,8 @@ struct ActiveReq {
 /// but no token exists yet.
 #[derive(Debug)]
 struct PrefillingReq {
-    gr: GatewayRequest,
+    core: ReqCore,
     slot: usize,
-    target: usize,
-    e2e_deadline_at: Option<f64>,
     /// Consecutive rounds this prefill could not grow by even one chunk
     /// (page pressure with nothing evictable); bounded like bounces.
     stalls: u32,
@@ -475,14 +477,8 @@ struct PrefillingReq {
 /// no backend resources at all — that is the point.
 #[derive(Debug)]
 struct PreemptedReq {
-    gr: GatewayRequest,
+    core: ReqCore,
     seq: PreemptedSeq,
-    first_token_ms: f64,
-    tokens: Vec<u32>,
-    produced: usize,
-    target: usize,
-    e2e_deadline_at: Option<f64>,
-    bounces: u32,
 }
 
 /// The in-flight state of one gateway run.
@@ -522,16 +518,44 @@ impl<B: InferenceBackend> Run<'_, B> {
     /// the slot was already lost (leaked by an injected fault or a
     /// drain) and the capacity accounting absorbs it, while a poisoned
     /// backend is observed by the next backend operation, which calls
-    /// `drain_lost_backend`. The drain paths release the same way.
+    /// `drain_lost_backend` (or is the drain itself: the slot is lost
+    /// either way).
     fn release_quietly(&mut self, slot: usize) {
         let _ = self.backend.release(slot);
     }
 
-    /// Absolute E2E deadline of a request (override beats config).
-    fn e2e_deadline_at(&self, gr: &GatewayRequest) -> Option<f64> {
-        gr.deadline_ms
-            .or(self.cfg.e2e_deadline_ms)
-            .map(|d| gr.req.arrival_ms + d)
+    /// Whether a deadline of `gr` has passed on the serving clock: the
+    /// end-to-end budget (the request's own override beats the config)
+    /// in every phase, and the TTFT budget while no first token exists —
+    /// every phase but [`TimeoutPhase::Decode`].
+    fn late(&self, gr: &GatewayRequest, phase: TimeoutPhase) -> bool {
+        let past = |budget: Option<f64>| budget.is_some_and(|d| self.clock > gr.req.arrival_ms + d);
+        past(gr.deadline_ms.or(self.cfg.e2e_deadline_ms))
+            || (phase != TimeoutPhase::Decode && past(self.cfg.ttft_deadline_ms))
+    }
+
+    /// The one cancel/deadline scan: the terminal state `gr` has reached
+    /// by now without the backend's doing, if any. Cancellation wins.
+    fn cut(&self, gr: &GatewayRequest, phase: TimeoutPhase) -> Option<Terminal> {
+        if gr.cancel_ms.is_some_and(|t| t <= self.clock) {
+            Some(Terminal::Cancelled)
+        } else if self.late(gr, phase) {
+            Some(Terminal::TimedOut(phase))
+        } else {
+            None
+        }
+    }
+
+    /// Whether nothing holds a slot — so no release will ever free a slot
+    /// or a page for whoever is waiting.
+    fn nothing_resident(&self) -> bool {
+        self.active.is_empty() && self.prefilling.is_empty()
+    }
+
+    /// Whether another residency fits under the batch ceiling and the
+    /// backend's (possibly shrunken) capacity.
+    fn has_room(&self) -> bool {
+        self.active.len() + self.prefilling.len() < self.cfg.max_batch.min(self.backend.capacity())
     }
 
     /// Moves every arrived request into the bounded queue, shedding
@@ -555,24 +579,21 @@ impl<B: InferenceBackend> Run<'_, B> {
         }
     }
 
-    /// Cancels and times out requests still waiting in the queue.
-    fn scan_queued(&mut self) {
-        let mut keep = VecDeque::with_capacity(self.queued.len());
-        while let Some(gr) = self.queued.pop_front() {
-            if gr.cancel_ms.is_some_and(|t| t <= self.clock) {
-                self.terminate(&gr, Terminal::Cancelled);
-            } else if self
-                .cfg
-                .ttft_deadline_ms
-                .is_some_and(|d| self.clock > gr.req.arrival_ms + d)
-                || self.e2e_deadline_at(&gr).is_some_and(|at| self.clock > at)
-            {
-                self.terminate(&gr, Terminal::TimedOut(TimeoutPhase::Queued));
-            } else {
-                keep.push_back(gr);
+    /// Cancels and times out requests that hold no backend resources:
+    /// those still queued, and those parked in the preempted set.
+    fn scan_waiting(&mut self) {
+        for gr in std::mem::take(&mut self.queued) {
+            match self.cut(&gr, TimeoutPhase::Queued) {
+                Some(terminal) => self.terminate(&gr, terminal),
+                None => self.queued.push_back(gr),
             }
         }
-        self.queued = keep;
+        for p in std::mem::take(&mut self.preempted) {
+            match self.cut(&p.core.gr, TimeoutPhase::Decode) {
+                Some(terminal) => self.terminate(&p.core.gr, terminal),
+                None => self.preempted.push_back(p),
+            }
+        }
     }
 
     /// Runs one operation with exponential-backoff retries on transient
@@ -595,6 +616,72 @@ impl<B: InferenceBackend> Run<'_, B> {
         }
     }
 
+    /// The one answer to a refused admission (`resuming` = a preempted
+    /// request coming back, which *fails* where a new one is *shed*).
+    /// Returns `true` when the caller must hold the request — put it back
+    /// at the head of its queue and stop admitting this iteration — which
+    /// is the answer to capacity pressure while a resident can still free
+    /// what it needs. With nothing resident, pressure ends the request:
+    /// the backend's capacity has collapsed under it (leaked slots,
+    /// stranded sequences) or its context alone does not fit, and no
+    /// release will ever change that. Anything else fails the request,
+    /// and a poisoned backend drains the whole run, which empties every
+    /// queue the caller loops over.
+    fn triage(&mut self, gr: &GatewayRequest, e: &BackendError, resuming: bool) -> bool {
+        let terminal = if !e.is_resource_pressure() {
+            Terminal::Failed(if resuming {
+                format!("resume failed: {e}")
+            } else {
+                e.to_string()
+            })
+        } else if !self.nothing_resident() {
+            return true;
+        } else if resuming {
+            Terminal::Failed(format!("resume cannot fit: {e}"))
+        } else {
+            Terminal::Rejected(RejectReason::Overload)
+        };
+        self.terminate(gr, terminal);
+        if matches!(e, BackendError::WorkerPoisoned { .. }) {
+            self.drain_lost_backend();
+        }
+        false
+    }
+
+    /// A fresh admission's first token exists (one-shot prefill, or the
+    /// last chunk of a chunked one): pass the first-token deadline gate,
+    /// record it, and [`Run::land`].
+    fn first_token(&mut self, mut core: ReqCore, slot: usize, token: Option<u32>) {
+        if self.late(&core.gr, TimeoutPhase::FirstToken) {
+            self.release_quietly(slot);
+            self.terminate(&core.gr, Terminal::TimedOut(TimeoutPhase::FirstToken));
+            return;
+        }
+        core.first_token_ms = self.clock;
+        core.tokens = token.into_iter().collect();
+        core.produced = 1;
+        self.land(core, slot);
+    }
+
+    /// The one admission tail: `core` becomes resident in `slot` — a fresh
+    /// admission with its first token (which may complete it on the
+    /// spot), or a resume with the progress it had.
+    fn land(&mut self, core: ReqCore, slot: usize) {
+        self.admits += 1;
+        let entry = ActiveReq {
+            slot,
+            produced_at_admit: core.produced,
+            admit_seq: self.admits,
+            last_used_ms: self.clock,
+            core,
+        };
+        if entry.core.produced >= entry.core.target {
+            self.complete(entry);
+        } else {
+            self.active.push(entry);
+        }
+    }
+
     /// Admits queued requests (FIFO) up to the batch ceiling, prefilling
     /// each with retry. Requests may terminate here: failed prefills,
     /// first tokens past their deadline, single-token completions.
@@ -606,15 +693,13 @@ impl<B: InferenceBackend> Run<'_, B> {
             if self.queued.is_empty() {
                 return;
             }
-            let room = self.cfg.max_batch.min(self.backend.capacity());
-            if self.active.len() + self.prefilling.len() >= room {
-                if self.active.is_empty() && self.prefilling.is_empty() {
-                    // room == 0 with nothing resident: capacity has
+            if !self.has_room() {
+                if self.nothing_resident() {
+                    // No room with nothing resident: capacity has
                     // collapsed (every slot leaked or lost) and no
                     // release will ever restore it. Shed the queue —
                     // the only terminating move.
-                    let stuck: Vec<GatewayRequest> = self.queued.drain(..).collect();
-                    for gr in stuck {
+                    for gr in std::mem::take(&mut self.queued) {
                         self.terminate(&gr, Terminal::Rejected(RejectReason::Overload));
                     }
                 }
@@ -634,109 +719,46 @@ impl<B: InferenceBackend> Run<'_, B> {
                 }
             }
 
-            // Chunked admission claims a slot and stages the prompt; the
-            // actual token feeding happens in `prefill_round`,
-            // interleaved with resident decode iterations.
-            if self.cfg.prefill_chunk.is_some() && self.backend.supports_chunked_prefill() {
-                let opened = self.with_retries(|b| {
-                    b.prefill_open(gr.req.prefill_tokens, gr.req.prompt.as_deref(), gr.req.id)
-                });
-                match opened {
-                    Ok(slot) => {
-                        let e2e_deadline_at = self.e2e_deadline_at(&gr);
-                        self.prefilling.push(PrefillingReq {
-                            gr,
-                            slot,
-                            target,
-                            e2e_deadline_at,
-                            stalls: 0,
-                        });
-                        continue;
-                    }
-                    Err(
-                        BackendError::SlotsExhausted { .. } | BackendError::PagesExhausted { .. },
-                    ) => {
-                        if self.active.is_empty() && self.prefilling.is_empty() {
-                            self.terminate(&gr, Terminal::Rejected(RejectReason::Overload));
-                            continue;
-                        }
-                        self.queued.push_front(gr);
-                        return;
-                    }
-                    Err(e) => {
-                        self.terminate(&gr, Terminal::Failed(e.to_string()));
-                        if matches!(e, BackendError::WorkerPoisoned { .. }) {
-                            self.drain_lost_backend();
-                            return;
-                        }
-                        continue;
-                    }
-                }
-            }
-
-            let prefill = self.with_retries(|b| {
-                b.prefill(gr.req.prefill_tokens, gr.req.prompt.as_deref(), gr.req.id)
-            });
+            // Chunked admission claims a slot and stages the prompt (no
+            // time billed); the actual token feeding happens in
+            // `prefill_round`, interleaved with resident decode
+            // iterations. One-shot admission returns the first token.
+            let (len, prompt, id) = (gr.req.prefill_tokens, gr.req.prompt.as_deref(), gr.req.id);
+            let admitted =
+                if self.cfg.prefill_chunk.is_some() && self.backend.supports_chunked_prefill() {
+                    self.with_retries(|b| b.prefill_open(len, prompt, id).map(|slot| (slot, None)))
+                } else {
+                    self.with_retries(|b| b.prefill(len, prompt, id).map(|o| (o.slot, Some(o))))
+                };
             // Computed after the retry loop so billed backoff is part of
             // the request's latency, not overwritten by it.
             let start = self.clock.max(gr.req.arrival_ms);
-            let outcome = match prefill {
-                Ok(o) => o,
-                Err(BackendError::SlotsExhausted { .. } | BackendError::PagesExhausted { .. }) => {
-                    if self.active.is_empty() && self.prefilling.is_empty() {
-                        // Nothing resident will ever release a slot or a
-                        // page: the backend's capacity has collapsed
-                        // under this request (leaked slots, stranded
-                        // sequences). Shedding it is the only way to
-                        // terminate.
-                        self.terminate(&gr, Terminal::Rejected(RejectReason::Overload));
-                        continue;
-                    }
-                    // A resident will free a slot; hold the request.
+            let (slot, outcome) = match admitted {
+                Ok(admitted) => admitted,
+                Err(e) if self.triage(&gr, &e, false) => {
                     self.queued.push_front(gr);
                     return;
                 }
-                Err(e) => {
-                    self.terminate(&gr, Terminal::Failed(e.to_string()));
-                    if matches!(e, BackendError::WorkerPoisoned { .. }) {
-                        self.drain_lost_backend();
-                        return;
-                    }
-                    continue;
-                }
+                Err(_) => continue,
             };
-            self.clock = start + outcome.elapsed_ms;
-
-            // First token exists now — is it on time?
-            let ttft_late = self
-                .cfg
-                .ttft_deadline_ms
-                .is_some_and(|d| self.clock > gr.req.arrival_ms + d);
-            let e2e_deadline_at = self.e2e_deadline_at(&gr);
-            if ttft_late || e2e_deadline_at.is_some_and(|at| self.clock > at) {
-                self.release_quietly(outcome.slot);
-                self.terminate(&gr, Terminal::TimedOut(TimeoutPhase::FirstToken));
-                continue;
-            }
-
-            self.admits += 1;
-            let entry = ActiveReq {
-                slot: outcome.slot,
-                first_token_ms: self.clock,
-                tokens: outcome.first_token.into_iter().collect(),
-                produced: 1,
-                target,
-                e2e_deadline_at,
-                bounces: 0,
-                produced_at_admit: 1,
-                admit_seq: self.admits,
-                last_used_ms: self.clock,
+            let core = ReqCore {
                 gr,
+                target,
+                first_token_ms: 0.0,
+                tokens: Vec::new(),
+                produced: 0,
+                bounces: 0,
             };
-            if entry.produced >= entry.target {
-                self.complete(entry);
-            } else {
-                self.active.push(entry);
+            match outcome {
+                Some(outcome) => {
+                    self.clock = start + outcome.elapsed_ms;
+                    self.first_token(core, slot, outcome.first_token);
+                }
+                None => self.prefilling.push(PrefillingReq {
+                    core,
+                    slot,
+                    stalls: 0,
+                }),
             }
         }
     }
@@ -745,38 +767,38 @@ impl<B: InferenceBackend> Run<'_, B> {
     /// tokens and the terminal state.
     fn complete(&mut self, a: ActiveReq) {
         self.release_quietly(a.slot);
+        let ReqCore { gr, tokens, .. } = a.core;
         self.done.push(RequestMetrics {
-            id: a.gr.req.id,
-            arrival_ms: a.gr.req.arrival_ms,
-            first_token_ms: a.first_token_ms,
+            id: gr.req.id,
+            arrival_ms: gr.req.arrival_ms,
+            first_token_ms: a.core.first_token_ms,
             completion_ms: self.clock,
-            prefill_tokens: a.gr.req.prefill_tokens,
-            decode_tokens: a.produced,
+            prefill_tokens: gr.req.prefill_tokens,
+            decode_tokens: a.core.produced,
         });
-        if !a.tokens.is_empty() {
+        if !tokens.is_empty() {
             self.outputs.push(GeneratedOutput {
-                id: a.gr.req.id,
-                tokens: a.tokens,
+                id: gr.req.id,
+                tokens,
             });
         }
-        self.terminate(&a.gr, Terminal::Completed);
+        self.terminate(&gr, Terminal::Completed);
     }
 
     /// Fails every resident and sheds everything still waiting: the
     /// backend is lost (poisoned worker) and can serve nothing more.
     fn drain_lost_backend(&mut self) {
+        let lost = || Terminal::Failed("backend poisoned".into());
         for a in std::mem::take(&mut self.active) {
-            // The poisoned backend may refuse the release; the slot is
-            // lost either way.
-            let _ = self.backend.release(a.slot);
-            self.terminate(&a.gr, Terminal::Failed("backend poisoned".into()));
+            self.release_quietly(a.slot);
+            self.terminate(&a.core.gr, lost());
         }
         for p in std::mem::take(&mut self.prefilling) {
-            let _ = self.backend.release(p.slot);
-            self.terminate(&p.gr, Terminal::Failed("backend poisoned".into()));
+            self.release_quietly(p.slot);
+            self.terminate(&p.core.gr, lost());
         }
         for p in std::mem::take(&mut self.preempted) {
-            self.terminate(&p.gr, Terminal::Failed("backend poisoned".into()));
+            self.terminate(&p.core.gr, lost());
         }
         let waiting: Vec<GatewayRequest> = self
             .queued
@@ -788,16 +810,12 @@ impl<B: InferenceBackend> Run<'_, B> {
         }
     }
 
-    /// Evicts the most recently admitted resident (LIFO — the youngest
-    /// residency has the least sunk decode work), returning its KV pages
-    /// to the pool. Returns `true` if pressure was relieved: either the
-    /// resident was parked for resume, or the bounce guard failed a
-    /// livelocked request (its pages are back either way).
+    /// Evicts the resident [`GatewayConfig::evict`] picks, returning its
+    /// KV pages to the pool. Returns `true` if pressure was relieved:
+    /// either the resident was parked for resume, or the bounce guard
+    /// failed a livelocked request (its pages are back either way).
     fn try_preempt_one(&mut self) -> bool {
-        if !self.backend.supports_preemption() {
-            return false;
-        }
-        if self.active.is_empty() {
+        if !self.backend.supports_preemption() || self.active.is_empty() {
             return false;
         }
         let candidates: Vec<EvictCandidate> = self
@@ -810,62 +828,36 @@ impl<B: InferenceBackend> Run<'_, B> {
             })
             .collect();
         let victim = self.cfg.evict.pick(&candidates);
-        let a = self.active.remove(victim);
+        let mut a = self.active.remove(victim);
         let seq = match self.backend.preempt(a.slot) {
             Ok(seq) => seq,
             Err(e) => {
-                self.terminate(&a.gr, Terminal::Failed(format!("preempt failed: {e}")));
+                self.terminate(&a.core.gr, Terminal::Failed(format!("preempt failed: {e}")));
                 if matches!(e, BackendError::WorkerPoisoned { .. }) {
                     self.drain_lost_backend();
                 }
                 return true;
             }
         };
-        let bounces = if a.produced == a.produced_at_admit {
-            a.bounces + 1
+        a.core.bounces = if a.core.produced == a.produced_at_admit {
+            a.core.bounces + 1
         } else {
             0
         };
-        if bounces > BOUNCE_LIMIT {
+        if a.core.bounces > BOUNCE_LIMIT {
             // Preempt→resume round-trips keep landing back here with no
             // token produced in between: the pool cannot hold this
             // context even briefly, and resuming would bounce forever.
-            self.terminate(
-                &a.gr,
-                Terminal::Failed(format!(
-                    "preemption livelock: {bounces} evictions with no progress"
-                )),
+            let detail = format!(
+                "preemption livelock: {} evictions with no progress",
+                a.core.bounces
             );
+            self.terminate(&a.core.gr, Terminal::Failed(detail));
             return true;
         }
         self.preemptions += 1;
-        self.preempted.push_back(PreemptedReq {
-            gr: a.gr,
-            seq,
-            first_token_ms: a.first_token_ms,
-            tokens: a.tokens,
-            produced: a.produced,
-            target: a.target,
-            e2e_deadline_at: a.e2e_deadline_at,
-            bounces,
-        });
+        self.preempted.push_back(PreemptedReq { core: a.core, seq });
         true
-    }
-
-    /// Cancels and times out requests parked in the preempted set —
-    /// they hold no backend resources, so the terminal is immediate.
-    fn scan_preempted(&mut self) {
-        let mut keep = VecDeque::with_capacity(self.preempted.len());
-        while let Some(p) = self.preempted.pop_front() {
-            if p.gr.cancel_ms.is_some_and(|t| t <= self.clock) {
-                self.terminate(&p.gr, Terminal::Cancelled);
-            } else if p.e2e_deadline_at.is_some_and(|at| self.clock > at) {
-                self.terminate(&p.gr, Terminal::TimedOut(TimeoutPhase::Decode));
-            } else {
-                keep.push_back(p);
-            }
-        }
-        self.preempted = keep;
     }
 
     /// Resumes preempted requests (FIFO, ahead of new admissions) while
@@ -874,18 +866,14 @@ impl<B: InferenceBackend> Run<'_, B> {
     /// on from its preserved sampler and last token as if never evicted.
     fn resume_preempted(&mut self) {
         while !self.preempted.is_empty() {
-            let room = self.cfg.max_batch.min(self.backend.capacity());
-            if self.active.len() + self.prefilling.len() >= room {
-                if self.active.is_empty() && self.prefilling.is_empty() {
-                    // room == 0 with nothing resident: capacity has
+            if !self.has_room() {
+                if self.nothing_resident() {
+                    // No room with nothing resident: capacity has
                     // collapsed and nothing will ever free a slot for
                     // these to resume into.
-                    let stuck: Vec<PreemptedReq> = self.preempted.drain(..).collect();
-                    for p in stuck {
-                        self.terminate(
-                            &p.gr,
-                            Terminal::Failed("capacity collapsed while preempted".into()),
-                        );
+                    for p in std::mem::take(&mut self.preempted) {
+                        let collapsed = "capacity collapsed while preempted".into();
+                        self.terminate(&p.core.gr, Terminal::Failed(collapsed));
                     }
                 }
                 return;
@@ -896,52 +884,22 @@ impl<B: InferenceBackend> Run<'_, B> {
             // The resumable context is the prompt plus every produced
             // token except the last: the last produced token is the next
             // decode *input* and was never appended to the KV cache.
-            let context: Option<Vec<u32>> = p.gr.req.prompt.as_ref().map(|prompt| {
+            let context: Option<Vec<u32>> = p.core.gr.req.prompt.as_ref().map(|prompt| {
                 let mut c = prompt.clone();
-                c.extend_from_slice(&p.tokens[..p.produced - 1]);
+                c.extend_from_slice(&p.core.tokens[..p.core.produced - 1]);
                 c
             });
             let resumed = self.with_retries(|b| b.resume(&p.seq, context.as_deref()));
-            let start = self.clock;
             match resumed {
                 Ok(outcome) => {
-                    self.clock = start + outcome.elapsed_ms;
-                    self.admits += 1;
-                    self.active.push(ActiveReq {
-                        slot: outcome.slot,
-                        first_token_ms: p.first_token_ms,
-                        tokens: p.tokens,
-                        produced: p.produced,
-                        target: p.target,
-                        e2e_deadline_at: p.e2e_deadline_at,
-                        bounces: p.bounces,
-                        produced_at_admit: p.produced,
-                        admit_seq: self.admits,
-                        last_used_ms: self.clock,
-                        gr: p.gr,
-                    });
+                    self.clock += outcome.elapsed_ms;
+                    self.land(p.core, outcome.slot);
                 }
-                Err(
-                    e @ (BackendError::SlotsExhausted { .. } | BackendError::PagesExhausted { .. }),
-                ) => {
-                    if self.active.is_empty() && self.prefilling.is_empty() {
-                        // Nothing resident will ever free pages, and this
-                        // context alone does not fit: it can never come
-                        // back.
-                        self.terminate(&p.gr, Terminal::Failed(format!("resume cannot fit: {e}")));
-                        continue;
-                    }
-                    // A resident will free pages; hold and retry later.
+                Err(e) if self.triage(&p.core.gr, &e, true) => {
                     self.preempted.push_front(p);
                     return;
                 }
-                Err(e) => {
-                    self.terminate(&p.gr, Terminal::Failed(format!("resume failed: {e}")));
-                    if matches!(e, BackendError::WorkerPoisoned { .. }) {
-                        self.drain_lost_backend();
-                        return;
-                    }
-                }
+                Err(_) => {}
             }
         }
     }
@@ -957,19 +915,9 @@ impl<B: InferenceBackend> Run<'_, B> {
         let mut work: VecDeque<PrefillingReq> = std::mem::take(&mut self.prefilling).into();
         let mut keep: Vec<PrefillingReq> = Vec::with_capacity(work.len());
         while let Some(mut p) = work.pop_front() {
-            if p.gr.cancel_ms.is_some_and(|t| t <= self.clock) {
-                let _ = self.backend.release(p.slot);
-                self.terminate(&p.gr, Terminal::Cancelled);
-                continue;
-            }
-            if p.e2e_deadline_at.is_some_and(|at| self.clock > at)
-                || self
-                    .cfg
-                    .ttft_deadline_ms
-                    .is_some_and(|d| self.clock > p.gr.req.arrival_ms + d)
-            {
-                let _ = self.backend.release(p.slot);
-                self.terminate(&p.gr, Terminal::TimedOut(TimeoutPhase::FirstToken));
+            if let Some(terminal) = self.cut(&p.core.gr, TimeoutPhase::FirstToken) {
+                self.release_quietly(p.slot);
+                self.terminate(&p.core.gr, terminal);
                 continue;
             }
             let stepped = self.with_retries(|b| b.prefill_step(p.slot, chunk));
@@ -979,60 +927,31 @@ impl<B: InferenceBackend> Run<'_, B> {
                     p.stalls = 0;
                     if progress.remaining > 0 {
                         keep.push(p);
-                        continue;
-                    }
-                    // First token exists now — same gates as `admit`.
-                    let ttft_late = self
-                        .cfg
-                        .ttft_deadline_ms
-                        .is_some_and(|d| self.clock > p.gr.req.arrival_ms + d);
-                    if ttft_late || p.e2e_deadline_at.is_some_and(|at| self.clock > at) {
-                        self.release_quietly(p.slot);
-                        self.terminate(&p.gr, Terminal::TimedOut(TimeoutPhase::FirstToken));
-                        continue;
-                    }
-                    self.admits += 1;
-                    let entry = ActiveReq {
-                        slot: p.slot,
-                        first_token_ms: self.clock,
-                        tokens: progress.first_token.into_iter().collect(),
-                        produced: 1,
-                        target: p.target,
-                        e2e_deadline_at: p.e2e_deadline_at,
-                        bounces: 0,
-                        produced_at_admit: 1,
-                        admit_seq: self.admits,
-                        last_used_ms: self.clock,
-                        gr: p.gr,
-                    };
-                    if entry.produced >= entry.target {
-                        self.complete(entry);
                     } else {
-                        self.active.push(entry);
+                        self.first_token(p.core, p.slot, progress.first_token);
                     }
                 }
                 Err(e @ BackendError::PagesExhausted { .. }) => {
                     let relieved =
                         matches!(self.cfg.shed, ShedPolicy::Preempt) && self.try_preempt_one();
-                    if relieved {
-                        // Pressure relieved; the chunk retries next round.
-                        keep.push(p);
-                    } else {
+                    // Pressure relieved: the chunk retries next round.
+                    // Otherwise the stall counts toward the bound.
+                    if !relieved {
                         p.stalls += 1;
-                        if p.stalls > BOUNCE_LIMIT {
-                            let _ = self.backend.release(p.slot);
-                            self.terminate(
-                                &p.gr,
-                                Terminal::Failed(format!("prefill starved: {e}")),
-                            );
-                        } else {
-                            keep.push(p);
-                        }
+                    }
+                    if p.stalls > BOUNCE_LIMIT {
+                        self.release_quietly(p.slot);
+                        self.terminate(
+                            &p.core.gr,
+                            Terminal::Failed(format!("prefill starved: {e}")),
+                        );
+                    } else {
+                        keep.push(p);
                     }
                 }
                 Err(e) => {
-                    let _ = self.backend.release(p.slot);
-                    self.terminate(&p.gr, Terminal::Failed(e.to_string()));
+                    self.release_quietly(p.slot);
+                    self.terminate(&p.core.gr, Terminal::Failed(e.to_string()));
                     if matches!(e, BackendError::WorkerPoisoned { .. }) {
                         keep.extend(work.drain(..));
                         self.prefilling = keep;
@@ -1058,10 +977,10 @@ impl<B: InferenceBackend> Run<'_, B> {
                         && self.backend.supports_preemption() =>
                 {
                     // The page pool cannot grow every resident by one
-                    // token. Evict the youngest resident (its pages come
-                    // back; its progress is kept) and retry the round
-                    // with the smaller batch. A failed decode touched no
-                    // state, so the retry is bit-exact.
+                    // token. Evict a resident (its pages come back; its
+                    // progress is kept) and retry the round with the
+                    // smaller batch. A failed decode touched no state, so
+                    // the retry is bit-exact.
                     if !self.try_preempt_one() || self.active.is_empty() {
                         return;
                     }
@@ -1073,8 +992,8 @@ impl<B: InferenceBackend> Run<'_, B> {
                         let detail =
                             format!("decode failed after {} retries: {e}", self.cfg.max_retries);
                         for a in std::mem::take(&mut self.active) {
-                            let _ = self.backend.release(a.slot);
-                            self.terminate(&a.gr, Terminal::Failed(detail.clone()));
+                            self.release_quietly(a.slot);
+                            self.terminate(&a.core.gr, Terminal::Failed(detail.clone()));
                         }
                     }
                     return;
@@ -1085,31 +1004,26 @@ impl<B: InferenceBackend> Run<'_, B> {
         self.iterations += 1;
         self.occupancy.add(self.active.len() as f64);
         for (i, a) in self.active.iter_mut().enumerate() {
-            a.produced += 1;
+            a.core.produced += 1;
             a.last_used_ms = self.clock;
             if let Some(tokens) = &outcome.tokens {
-                a.tokens.push(tokens[i]);
+                a.core.tokens.push(tokens[i]);
             }
         }
 
         // Completion first (a request that just finished beat its
         // deadline by definition of "finished at this clock"), then
         // cancellation, then deadline enforcement.
-        let mut still_active = Vec::with_capacity(self.active.len());
         for a in std::mem::take(&mut self.active) {
-            if a.produced >= a.target {
+            if a.core.produced >= a.core.target {
                 self.complete(a);
-            } else if a.gr.cancel_ms.is_some_and(|t| t <= self.clock) {
+            } else if let Some(terminal) = self.cut(&a.core.gr, TimeoutPhase::Decode) {
                 self.release_quietly(a.slot);
-                self.terminate(&a.gr, Terminal::Cancelled);
-            } else if a.e2e_deadline_at.is_some_and(|at| self.clock > at) {
-                self.release_quietly(a.slot);
-                self.terminate(&a.gr, Terminal::TimedOut(TimeoutPhase::Decode));
+                self.terminate(&a.core.gr, terminal);
             } else {
-                still_active.push(a);
+                self.active.push(a);
             }
         }
-        self.active = still_active;
     }
 }
 
@@ -1169,34 +1083,24 @@ pub fn serve_gateway_on<B: InferenceBackend>(
         admits: 0,
     };
 
-    while !run.pending.is_empty()
-        || !run.queued.is_empty()
-        || !run.active.is_empty()
-        || !run.prefilling.is_empty()
-        || !run.preempted.is_empty()
-    {
+    loop {
         // Idle: jump to the next arrival (the only future event while
         // nothing is queued or resident — queued requests either admit or
-        // terminate within this iteration).
-        if run.active.is_empty()
-            && run.queued.is_empty()
-            && run.prefilling.is_empty()
-            && run.preempted.is_empty()
-        {
-            if let Some(front) = run.pending.front() {
-                run.clock = run.clock.max(front.req.arrival_ms);
-            }
+        // terminate within this iteration), or finish when there is none.
+        if run.nothing_resident() && run.queued.is_empty() && run.preempted.is_empty() {
+            let Some(front) = run.pending.front() else {
+                break;
+            };
+            run.clock = run.clock.max(front.req.arrival_ms);
         }
         run.pump_arrivals();
-        run.scan_queued();
-        run.scan_preempted();
+        run.scan_waiting();
         run.resume_preempted();
         run.admit();
         run.prefill_round();
-        if run.active.is_empty() {
-            continue;
+        if !run.active.is_empty() {
+            run.decode_round();
         }
-        run.decode_round();
     }
 
     GatewayReport {
@@ -1537,6 +1441,33 @@ mod tests {
         let c = report.counts();
         assert_eq!(c.failed, 1, "head request observes the poisoned worker");
         assert_eq!(c.rejected, 2, "tail is shed, not hung");
+    }
+
+    #[test]
+    fn empty_prompt_fails_alone_on_both_admission_routes() {
+        // Regression: an empty prompt used to reach the engine's
+        // non-empty assert under `catch_unwind`, poisoning the backend —
+        // one malformed request failed every request after it.
+        for prefill_chunk in [None, Some(2)] {
+            let (_m, mut backend) = functional_backend(2);
+            let mut reqs = prompted_workload(3, 8);
+            reqs[0].prompt = Some(Vec::new());
+            reqs[0].prefill_tokens = 0;
+            let offered = GatewayRequest::from_workload(&reqs);
+            let cfg = GatewayConfig {
+                prefill_chunk,
+                ..no_deadline_cfg()
+            };
+            let report = serve_gateway_on(&mut backend, &offered, &cfg);
+            assert!(report.is_conserved(&offered));
+            assert!(matches!(
+                report.terminal_of(reqs[0].id),
+                Some(Terminal::Failed(_))
+            ));
+            assert_eq!(report.counts().completed, 2, "the others are served");
+            assert!(!backend.is_poisoned());
+            assert_eq!(backend.engine().free_slots(), 2, "no slot leaked");
+        }
     }
 
     #[test]

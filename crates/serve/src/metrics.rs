@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use looplynx_sim::stats::{Percentiles, Summary};
 
 use crate::request::RequestMetrics;
 
 /// The tokens one request actually generated (token-producing backends
 /// only; timing-only runs have no outputs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedOutput {
     /// Request identifier.
     pub id: u64,
@@ -21,7 +19,7 @@ pub struct GeneratedOutput {
 
 /// Outcome of serving one workload: per-request records plus the
 /// latency-percentile aggregates serving systems are judged by.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
     /// One record per completed request, in completion order.
     pub requests: Vec<RequestMetrics>,

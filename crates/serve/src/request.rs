@@ -1,9 +1,7 @@
 //! Serving requests and per-request latency records.
 
-use serde::{Deserialize, Serialize};
-
 /// One generation request offered to the serving layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Caller-chosen identifier (unique within a workload; also seeds the
     /// request's sampler on token-producing backends).
@@ -79,7 +77,7 @@ impl Request {
 /// host synchronizes model output and samples after the final prompt
 /// token), so TTFT is the queue wait plus the prefill wall-clock; the
 /// remaining `decode_tokens - 1` tokens each take one decode iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestMetrics {
     /// Request identifier.
     pub id: u64,

@@ -14,12 +14,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{Cycles, Frequency};
 
 /// One HBM (pseudo-)channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HbmChannel {
     peak_bytes_per_cycle: f64,
     burst_overhead: Cycles,
@@ -146,7 +144,7 @@ impl fmt::Display for HbmChannel {
 /// hbm.allocate("kv", 4).unwrap();
 /// assert_eq!(hbm.remaining(), 20);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HbmSubsystem {
     channel: HbmChannel,
     total_channels: usize,

@@ -21,13 +21,11 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::{Context, Engine, Process, ProcessId};
 use crate::time::{Cycles, Frequency};
 
 /// Static description of the accelerator ring.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RingSpec {
     nodes: usize,
     link_bytes_per_cycle: f64,

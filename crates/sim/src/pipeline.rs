@@ -22,12 +22,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Cycles;
 
 /// Static description of one pipeline stage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSpec {
     /// Stage name (for traces and error messages).
     pub name: String,
@@ -72,7 +70,7 @@ impl StageSpec {
 }
 
 /// Static description of a linear pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineSpec {
     stages: Vec<StageSpec>,
 }
@@ -195,7 +193,7 @@ impl fmt::Display for PipelineSpec {
 }
 
 /// Result of evaluating a [`PipelineSpec`] over a set of items.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineRun {
     items: usize,
     makespan: Cycles,

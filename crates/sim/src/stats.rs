@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Cycles;
 
 /// Busy-time accumulator for one hardware unit.
@@ -25,7 +23,7 @@ use crate::time::Cycles;
 /// u.record_busy(Cycles::new(20));
 /// assert!((u.fraction_of(Cycles::new(100)) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Utilization {
     name: String,
     busy: Cycles,
@@ -98,7 +96,7 @@ impl fmt::Display for Utilization {
 /// assert_eq!(s.min(), Some(1.0));
 /// assert_eq!(s.max(), Some(3.0));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Summary {
     count: u64,
     sum: f64,
@@ -198,7 +196,7 @@ impl fmt::Display for Summary {
 /// assert_eq!(p.percentile(50.0), Some(50.0));
 /// assert_eq!(p.p99(), Some(99.0));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Percentiles {
     sorted: Vec<f64>,
 }

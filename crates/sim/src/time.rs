@@ -10,8 +10,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A number of clock cycles.
 ///
 /// Newtype over `u64` so cycle counts cannot be accidentally mixed with item
@@ -26,9 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let f = Frequency::from_mhz(285.0);
 /// assert!((lat.to_seconds(f) - 0.001).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(u64);
 
 impl Cycles {
@@ -165,7 +161,7 @@ impl From<u64> for Cycles {
 /// let f = Frequency::from_mhz(285.0);
 /// assert!((f.period_ns() - 3.5087719).abs() < 1e-4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Frequency {
     hz: f64,
 }

@@ -8,12 +8,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Cycles;
 
 /// One activity interval `[start, end)` on a named lane.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Lane (hardware unit / kernel) the activity ran on.
     pub lane: String,
@@ -71,7 +69,7 @@ impl Span {
 /// assert_eq!(t.end().as_u64(), 150);
 /// assert_eq!(t.lane_busy("mp").as_u64(), 100);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     spans: Vec<Span>,
 }

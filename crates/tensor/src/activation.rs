@@ -7,8 +7,6 @@
 //! account for them individually and lets the head-wise pipeline hide phase
 //! boundaries between heads.
 
-use serde::{Deserialize, Serialize};
-
 /// GELU activation (tanh approximation, as used by GPT-2).
 ///
 /// The inner tanh is [`tanh_fast`] rather than libm's `tanhf`: the
@@ -78,7 +76,7 @@ pub fn gelu_in_place(xs: &mut [f32]) {
 
 /// Intermediate state after softmax phase 1: shifted exponentials and their
 /// global sum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxPhase1 {
     exps: Vec<f32>,
     sum: f32,

@@ -9,8 +9,6 @@
 //! `x_scale · w_scale[row]`, add the bias, and optionally requantize for
 //! the next kernel.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ShapeError;
 use crate::matrix::Matrix;
 use crate::quant::{quantize_matrix_per_row, QuantizedMatrix, QuantizedVector};
@@ -337,7 +335,7 @@ fn gemm_tiled_blocks(
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantLinear {
     weight: QuantizedMatrix,
     bias: Vec<f32>,

@@ -14,8 +14,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ShapeError;
 use crate::mmap::{ArenaError, MappedArena};
 
@@ -54,7 +52,7 @@ unsafe impl Pod for f64 {}
 
 /// Backing storage: an owned buffer, or a typed window into a shared
 /// read-only arena.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 enum Buf<T> {
     /// Heap-owned elements.
     Owned(Vec<T>),
@@ -149,7 +147,7 @@ impl<T: Clone> Clone for Buf<T> {
 /// assert_eq!(m.row(1), &[3, 4, 5]);
 /// assert_eq!(m.get(0, 2), 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Matrix<T> {
     rows: usize,
     cols: usize,

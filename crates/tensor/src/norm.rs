@@ -5,12 +5,10 @@
 //! computed in f32 (the accelerator dedicates a fused LN&Res kernel to
 //! them); quantization happens after, when results re-enter an int8 kernel.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ShapeError;
 
 /// Learned layer-norm parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerNormParams {
     /// Per-element scale γ.
     pub gamma: Vec<f32>,

@@ -8,8 +8,6 @@
 //! divided by `s_j` and weight columns multiplied by it, keeping the product
 //! mathematically unchanged while making both operands int8-friendly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::Matrix;
 
 /// Quantized range limit for symmetric int8 (±127; −128 is unused so the
@@ -50,7 +48,7 @@ pub fn quantize_value(x: f32, scale: f32) -> i8 {
 /// let back = q.dequantize();
 /// assert!((back[1] + 1.0).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedVector {
     data: Vec<i8>,
     scale: f32,
@@ -123,7 +121,7 @@ pub fn quantize_vec_with_scale(xs: &[f32], scale: f32) -> QuantizedVector {
 
 /// A weight matrix quantized with one symmetric scale per row
 /// (per output channel).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
     data: Matrix<i8>,
     row_scales: Vec<f32>,

@@ -2,7 +2,9 @@
 # Per-crate source size: `src/**/*.rs` lines in total, and the lines
 # before each file's first `#[cfg(test)] mod` (the non-test part). The
 # benchmark package under crates/bench/src/bin/benchmark is not counted.
-# Run from anywhere; prints one row per crate plus a total.
+# Then the `// lint: allow(<rule>)` waivers per rule (the lint crate's own
+# sources only talk about waivers and are skipped). Both tables are the
+# numbers CHANGES.md tracks. Run from anywhere.
 cd "$(dirname "$0")/.." || exit 1
 printf '%-10s %9s %9s\n' crate non-test total
 for dir in crates/*/; do
@@ -15,3 +17,6 @@ for dir in crates/*/; do
             { total++; if (!in_test) non_test++ }
             END { printf "%-10s %9d %9d\n", crate, non_test, total }'
 done | awk '{ print; n += $2; t += $3 } END { printf "%-10s %9d %9d\n", "total", n, t }'
+printf '\n%-16s %5s\n' 'lint waiver' count
+grep -rhoE '// lint: allow\([a-z_]+\)' --include='*.rs' --exclude-dir=lint --exclude-dir=target crates src |
+    sed -E 's/.*\((.*)\)/\1/' | sort | uniq -c | awk '{ printf "%-16s %5d\n", $2, $1 }'
