@@ -277,11 +277,6 @@ impl ArchConfig {
         self.resource_model().per_node(self.nodes)
     }
 
-    /// Total resources across all devices of this ring.
-    pub fn ring_resources(&self) -> ResourceVector {
-        self.resource_model().ring_total(self.nodes)
-    }
-
     /// Devices (FPGAs) required.
     pub fn devices(&self) -> usize {
         self.resource_model().devices_for(self.nodes)

@@ -325,26 +325,21 @@ impl PartialEq for NodeState {
 }
 
 /// Runs a batch of prepared jobs — one per (node, row-shard) — on the
-/// pool when present, else sequentially on the caller. Results are
-/// discarded (jobs communicate through the disjoint buffers they
-/// captured), so sequential and pooled execution are trivially
+/// pool when present and each worker's share touches [`MIN_DISPATCH_BYTES`],
+/// else sequentially on the caller. Results are discarded (jobs communicate
+/// through the disjoint buffers they captured), so both are trivially
 /// bit-identical: each job touches only its own slab.
-fn run_jobs(pool: Option<&WorkerPool>, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
-    match pool {
-        Some(pool) if jobs.len() >= 2 => {
-            pool.run(jobs);
-        }
-        _ => {
-            for job in jobs {
-                job();
-            }
-        }
+fn run_jobs(pool: Option<&WorkerPool>, bytes: usize, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
+    match pool.filter(|_| bytes >= MIN_DISPATCH_BYTES) {
+        Some(pool) => drop(pool.run(jobs)),
+        None => jobs.into_iter().for_each(|job| job()),
     }
 }
 
-/// Smallest `d_model` for which threading per-node stages pays for the
-/// thread spawn/join overhead (below it, a node's whole shard pass is
-/// cheaper than dispatching a thread).
+/// Smallest `d_model` for which an engine gets a worker pool at all (the
+/// per-stage decision is [`MIN_DISPATCH_BYTES`]). At 256 with two workers
+/// only a real vocabulary's LM head clears that gate; at `d_model` 64 a
+/// pooled batch-1 stage measured 2.8 µs against 0.5–2.4 µs run in line.
 const THREADING_MIN_D_MODEL: usize = 256;
 
 /// Most batch-row shards a node's batched stages split into. Beyond this
@@ -354,17 +349,13 @@ const THREADING_MIN_D_MODEL: usize = 256;
 const MAX_ROW_SHARDS: usize = 4;
 
 /// Smallest per-worker working set (weight or KV bytes touched) for which
-/// dispatching a pool job pays for the channel round-trip. Stages below
-/// this run sequentially even on a threaded engine — the per-dispatch
-/// work-size gate that keeps small shapes single-threaded (a tiny model's
-/// whole per-node stage costs less than waking a worker).
+/// a stage is dispatched to the pool; smaller stages run on the caller.
+/// Measured with one-row activations over 2 workers: a round costs 2–3 µs
+/// while the workers are still polling, so pooled and in-line time cross
+/// at 96–128 KiB a worker and pooled is 1.4–1.7× faster at 256–512 KiB.
+/// The gate stays 2× above the crossing because a worker that has parked
+/// adds a 25–60 µs wake to the round.
 const MIN_DISPATCH_BYTES: usize = 1 << 18;
-
-/// Applies the work-size gate: the pool, but only when each worker's
-/// share of the stage touches at least [`MIN_DISPATCH_BYTES`].
-fn gate(pool: Option<&WorkerPool>, per_worker_bytes: usize) -> Option<&WorkerPool> {
-    pool.filter(|_| per_worker_bytes >= MIN_DISPATCH_BYTES)
-}
 
 /// Splits a flat row-major `rows × width` buffer into one contiguous
 /// block per row shard, matching [`split_range`]`(rows, parts, s)` — the
@@ -400,14 +391,13 @@ fn sharded_linear_phase(
     nodes: &mut [NodeState],
     pool: Option<&WorkerPool>,
     row_shards: usize,
-    b: usize,
     lin: fn(&NodeWeights, usize) -> &QuantLinear,
     layer: usize,
     xmat: &Matrix<i8>,
     scales: &[f32],
     gelu: bool,
 ) {
-    let width = xmat.cols();
+    let (b, width) = (xmat.rows(), xmat.cols());
     let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(nodes.len() * row_shards);
     let mut per_worker_bytes = usize::MAX;
     for node in nodes.iter_mut() {
@@ -433,7 +423,7 @@ fn sharded_linear_phase(
             }));
         }
     }
-    run_jobs(gate(pool, per_worker_bytes), jobs);
+    run_jobs(pool, per_worker_bytes, jobs);
     // Stitch slabs into each node's full output.
     for node in nodes.iter_mut() {
         let out_rows = lin(&node.weights, layer).out_features();
@@ -527,7 +517,7 @@ fn batch_attention_phase(
             }));
         }
     }
-    run_jobs(gate(pool, per_worker_bytes), jobs);
+    run_jobs(pool, per_worker_bytes, jobs);
 }
 
 /// Flat counterpart of one ring all-gather per batch row: for every row
@@ -636,9 +626,11 @@ pub struct DistributedGpt2 {
     /// that many batch-row blocks, all bit-identical to one shard (see
     /// [`DistributedGpt2::set_row_shards`]).
     row_shards: usize,
-    /// Long-lived workers, one per (node, row-shard); `Some` iff
-    /// `threaded` and there is more than one worker's worth of jobs.
+    /// One lane per (node, row-shard), the calling thread being one;
+    /// `Some` iff `threaded` and there is more than one lane's worth of jobs.
     pool: Option<WorkerPool>,
+    /// Host-side working memory of the layer walk, reused across steps.
+    scratch: HostScratch,
     /// Content-addressed prefix cache (`None` = disabled, the default);
     /// see [`DistributedGpt2::enable_prefix_cache`].
     prefix_cache: Option<PrefixCacheState>,
@@ -787,6 +779,7 @@ impl DistributedGpt2 {
             threaded,
             row_shards,
             pool,
+            scratch: HostScratch::default(),
             prefix_cache: None,
         })
     }
@@ -836,12 +829,9 @@ impl DistributedGpt2 {
     /// the current `nodes × row_shards` job count.
     fn resize_pool(&mut self) {
         let workers = self.nodes.len() * self.row_shards;
-        if self.threaded && workers > 1 {
-            if self.pool.as_ref().map(WorkerPool::workers) != Some(workers) {
-                self.pool = Some(WorkerPool::new(workers));
-            }
-        } else {
-            self.pool = None;
+        let want = (self.threaded && workers > 1).then_some(workers);
+        if self.pool.as_ref().map(WorkerPool::workers) != want {
+            self.pool = want.map(WorkerPool::new);
         }
     }
 
@@ -1147,6 +1137,12 @@ impl DistributedGpt2 {
         let b = entries.len();
         let row_shards = self.row_shards;
 
+        let HostScratch {
+            stack: scratch,
+            gathered,
+            xs,
+        } = &mut self.scratch;
+
         let mut next: Vec<usize> = (0..self.arena.slots()).map(|s| self.arena.pos(s)).collect();
         let rows: Vec<Row> = entries
             .iter()
@@ -1159,23 +1155,20 @@ impl DistributedGpt2 {
 
         // Host embeds each row's token at its own position into one flat
         // `b × d` activation buffer.
-        let mut xs: Vec<f32> = Vec::with_capacity(b * d);
+        xs.clear();
         for (row, &(_, token)) in rows.iter().zip(entries) {
             xs.extend_from_slice(&self.host.embed(token, row.pos));
         }
 
-        let mut scratch = StackScratch::default();
-        let mut gathered: Vec<f32> = Vec::new();
         for layer in 0..layers {
             // LN1 + per-row quantize (replicated), one sharded QKV GEMM
             // per node, per-row cache append, then attention with the
             // rows partitioned across the node's row shards.
-            let xmat = scratch.stack_flat(&xs, Some(&self.nodes[0].weights.layers[layer].ln1), d);
+            let xmat = scratch.stack_flat(xs, Some(&self.nodes[0].weights.layers[layer].ln1), d);
             sharded_linear_phase(
                 &mut self.nodes,
                 self.pool.as_ref(),
                 row_shards,
-                b,
                 |w, l| &w.layers[l].qkv,
                 layer,
                 &xmat,
@@ -1208,16 +1201,15 @@ impl DistributedGpt2 {
                 b,
                 d / n,
                 &mut scratch.q8,
-                &mut gathered,
+                gathered,
             );
 
             // Sharded projection GEMM per node, gather per row, residual.
-            let amat = scratch.stack_flat(&gathered, None, d);
+            let amat = scratch.stack_flat(gathered, None, d);
             sharded_linear_phase(
                 &mut self.nodes,
                 self.pool.as_ref(),
                 row_shards,
-                b,
                 |w, l| &w.layers[l].proj,
                 layer,
                 &amat,
@@ -1232,7 +1224,7 @@ impl DistributedGpt2 {
                 b,
                 d / n,
                 &mut scratch.q8,
-                &mut gathered,
+                gathered,
             );
             for (x, p) in xs.iter_mut().zip(gathered.iter()) {
                 *x += p;
@@ -1240,12 +1232,11 @@ impl DistributedGpt2 {
 
             // MLP: sharded FC1 GEMM + per-slab GELU, gather, sharded FC2
             // GEMM, gather, residual.
-            let hmat = scratch.stack_flat(&xs, Some(&self.nodes[0].weights.layers[layer].ln2), d);
+            let hmat = scratch.stack_flat(xs, Some(&self.nodes[0].weights.layers[layer].ln2), d);
             sharded_linear_phase(
                 &mut self.nodes,
                 self.pool.as_ref(),
                 row_shards,
-                b,
                 |w, l| &w.layers[l].fc1,
                 layer,
                 &hmat,
@@ -1260,15 +1251,14 @@ impl DistributedGpt2 {
                 b,
                 d_ff / n,
                 &mut scratch.q8,
-                &mut gathered,
+                gathered,
             );
 
-            let gmat = scratch.stack_flat(&gathered, None, d_ff);
+            let gmat = scratch.stack_flat(gathered, None, d_ff);
             sharded_linear_phase(
                 &mut self.nodes,
                 self.pool.as_ref(),
                 row_shards,
-                b,
                 |w, l| &w.layers[l].fc2,
                 layer,
                 &gmat,
@@ -1283,7 +1273,7 @@ impl DistributedGpt2 {
                 b,
                 d / n,
                 &mut scratch.q8,
-                &mut gathered,
+                gathered,
             );
             for (x, f) in xs.iter_mut().zip(gathered.iter()) {
                 *x += f;
@@ -1304,7 +1294,6 @@ impl DistributedGpt2 {
             &mut self.nodes,
             self.pool.as_ref(),
             row_shards,
-            logit_rows.len(),
             |w, _| &w.lm_head,
             0,
             &fmat,
@@ -1445,12 +1434,27 @@ impl DistributedGpt2 {
     }
 }
 
+/// Host-side working memory of the layer walk, kept across steps. Every
+/// buffer is cleared before use, so like [`ShardScratch`] it is not compared.
+#[derive(Debug, Clone, Default)]
+struct HostScratch {
+    stack: StackScratch,
+    gathered: Vec<f32>,
+    xs: Vec<f32>,
+}
+
+impl PartialEq for HostScratch {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// Host-side row-stacking scratch for the batched stages: LN + per-row
 /// quantization buffers plus the stacked int8 storage.
 /// [`StackScratch::stack`] moves the storage into the returned matrix and
 /// [`StackScratch::reclaim`] takes it back, so per-stage stacking
 /// allocates nothing in steady state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct StackScratch {
     h: Vec<f32>,
     q8: Vec<i8>,

@@ -98,15 +98,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this plan can never inject anything.
-    pub fn is_fault_free(&self) -> bool {
-        self.prefill_fail_rate == 0.0
-            && self.decode_fail_rate == 0.0
-            && self.stall_rate == 0.0
-            && self.release_leak_rate == 0.0
-            && self.page_fault_rate == 0.0
-    }
-
     /// Validates every rate is a probability and the stall is finite.
     ///
     /// # Panics

@@ -1,101 +1,174 @@
 //! A persistent per-node worker pool.
 //!
 //! The functional engine's data-parallel sections (one closure per ring
-//! node between two synchronizations) used to run under
-//! `std::thread::scope`, which spawns and joins one OS thread per node
-//! *per section* — a cost paid `layers × stages` times per token. The
-//! [`WorkerPool`] replaces that with long-lived threads created once per
-//! engine: each section sends one job per worker over a channel and
-//! blocks until every worker has answered, collecting results in worker
-//! order so downstream ring gathers see shards in exactly the order the
-//! scoped-thread implementation produced (bit-identical results).
+//! node between two synchronizations) run ~20 times per decode step, so
+//! what a section costs beyond its work is paid 20 times a token. A
+//! [`WorkerPool`] of `n` keeps `n − 1` long-lived threads and uses the
+//! caller as the `n`-th: [`WorkerPool::run`] posts jobs `1..` into one
+//! preallocated slot per worker, runs job 0 itself, and joins, returning
+//! results in job order (what a sequential loop produces — bit-identical).
 //!
-//! Jobs may borrow the caller's stack (the node states, the shared
-//! activation buffers): [`WorkerPool::run`] erases the borrow lifetime to
-//! ship the closure to a long-lived thread, which is sound because it
+//! A slot is a `Mutex<Option<Post>>` mailbox plus an atomic epoch only
+//! the caller advances (`Release`; the worker's load is `Acquire`); an
+//! empty mailbox at a new epoch means exit. Completion is one pool-wide
+//! `pending` count: each worker decrements it (`AcqRel`) after its job
+//! and the one reaching zero unparks the caller, whose `Acquire` load of
+//! zero happens-after every job's writes. Waiters poll for
+//! `SPIN_BUDGET` before they `park`; `unpark` is unconditional and its
+//! token makes a racing `park` return, so no wakeup is lost.
+//!
+//! Jobs may borrow the caller's stack: `run` erases the borrow lifetime
+//! to ship the closure to a long-lived thread, which is sound because it
 //! never returns — not even by panic — before every dispatched job has
-//! reported back. A panicking job is caught on the worker (keeping the
-//! thread alive), carried home through the result channel, and re-thrown
-//! on the caller after all workers have finished, matching
+//! finished. A panicking job is caught where it runs, kept in the job's
+//! result cell, and re-thrown on the caller after the join, matching
 //! `thread::scope` semantics.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 /// A type-erased unit of work shipped to a worker thread.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A job dispatched through [`WorkerPool::try_run`] panicked.
-///
-/// The worker thread itself survives (panics are caught on the worker),
-/// so the pool remains fully serviceable — this is the recoverable
-/// surface the serving stack's fault tolerance is built on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanic {
-    /// Index of the first job (= node) that panicked.
-    pub job: usize,
-    /// Rendered panic payload (best effort).
-    pub message: String,
+/// How long a worker without a job polls before it parks: as long as most
+/// host-serial gaps between two rounds of a forward step (under 10 µs to
+/// 320 µs measured), so it is awake for the next post (~2 µs a round,
+/// against 25–60 µs to wake a parked one). The caller polls half of it at
+/// the join, where it only waits out skew between equal jobs. A
+/// constant, by the clock; ARCHITECTURE §6 has why not longer and why no
+/// caller could pick better.
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
+
+/// A posted job, and whom to wake when the round's last job finishes.
+type Post = (Job, Thread);
+
+/// One worker's preallocated mailbox.
+#[derive(Default)]
+struct Slot {
+    /// Rounds posted; written only under the `round` lock or `&mut self`.
+    epoch: AtomicUsize,
+    post: Mutex<Option<Post>>,
 }
 
-impl std::fmt::Display for JobPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "pool job {} panicked: {}", self.job, self.message)
+/// State shared by the caller and every worker.
+struct Shared {
+    /// Posted jobs of the current round that have not finished.
+    pending: AtomicUsize,
+    slots: Vec<Slot>,
+    /// [`SPIN_BUDGET`], or zero for a pool with more lanes than the host
+    /// has cores: there a poller only holds a core some job is waiting for.
+    spin: Duration,
+}
+
+/// `n − 1` long-lived threads plus the caller: one lane per (node, row shard).
+pub struct WorkerPool {
+    shared: Arc<Shared>,
+    handles: Vec<JoinHandle<()>>,
+    /// Serializes rounds: the slot protocol has one poster.
+    round: Mutex<()>,
+}
+
+/// Polls `ready` for `budget` (by the clock, read every 64th poll), then
+/// parks between checks. Whoever makes `ready` true must unpark this
+/// thread afterwards.
+fn wait_until(budget: Duration, ready: impl Fn() -> bool) {
+    let mut polls = 0u32;
+    let mut deadline = None;
+    while !ready() {
+        polls = polls.wrapping_add(1);
+        if !polls.is_multiple_of(64)
+            || Instant::now() < *deadline.get_or_insert_with(|| Instant::now() + budget)
+        {
+            std::hint::spin_loop();
+        } else {
+            std::thread::park();
+        }
     }
 }
 
-impl std::error::Error for JobPanic {}
-
-/// A fixed set of long-lived worker threads, one per ring node.
-pub struct WorkerPool {
-    workers: Vec<Worker>,
-}
-
-struct Worker {
-    tx: Sender<Job>,
-    handle: Option<JoinHandle<()>>,
+/// Serves each new epoch of `slot` until one arrives with an empty mailbox.
+fn worker_loop(shared: &Shared, slot: &Slot) {
+    let mut served = 0;
+    loop {
+        // Acquire pairs with the poster's Release bump, which publishes
+        // the mailbox and the round's `pending`.
+        wait_until(shared.spin, || slot.epoch.load(Ordering::Acquire) != served);
+        served += 1;
+        let mut mail = slot.post.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some((job, caller)) = mail.take() else {
+            return;
+        };
+        drop(mail);
+        // Never unwinds: `run` wraps every job in `catch_unwind`.
+        job();
+        // AcqRel: releases this job's writes to the caller's Acquire load
+        // in `run`, and chains the earlier finishers' releases into it.
+        if shared.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            caller.unpark();
+        }
+    }
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads that live until the pool is dropped.
+    /// A pool of `workers` lanes: spawns `workers − 1` threads that live
+    /// until the pool is dropped; the thread calling [`WorkerPool::run`]
+    /// is the remaining lane.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero or a thread cannot be spawned.
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "pool needs at least one worker");
-        let workers = (0..workers)
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let shared = Arc::new(Shared {
+            pending: AtomicUsize::new(0),
+            slots: (1..workers).map(|_| Slot::default()).collect(),
+            spin: if workers <= cores {
+                SPIN_BUDGET
+            } else {
+                Duration::ZERO
+            },
+        });
+        let handles = (1..workers)
             .map(|i| {
-                let (tx, rx) = channel::<Job>();
-                let handle = std::thread::Builder::new()
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
                     .name(format!("looplynx-node-{i}"))
-                    .spawn(move || {
-                        // Exits when the pool drops its sender.
-                        while let Ok(job) = rx.recv() {
-                            job();
-                        }
-                    })
+                    .spawn(move || worker_loop(&shared, &shared.slots[i - 1]))
                     // lint: allow(panic_free) — documented `# Panics` construction contract; pools are built at startup, not per request
-                    .expect("spawn pool worker");
-                Worker {
-                    tx,
-                    handle: Some(handle),
-                }
+                    .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool { workers }
+        WorkerPool {
+            shared,
+            handles,
+            round: Mutex::new(()),
+        }
     }
 
-    /// Worker count.
+    /// Worker count (the calling thread's lane included).
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.handles.len() + 1
     }
 
-    /// Runs one job per worker concurrently (job `i` on worker `i`) and
-    /// returns their results in job order. Blocks until every job has
-    /// completed; if any job panicked, the panic is re-thrown here *after*
-    /// all jobs finished (so no job ever outlives the borrows it captured).
+    /// Fills worker thread `i`'s mailbox (lane `i + 1`) and wakes it.
+    fn post(&self, i: usize, post: Option<Post>) {
+        let slot = &self.shared.slots[i];
+        *slot.post.lock().unwrap_or_else(PoisonError::into_inner) = post;
+        // Release pairs with the worker's Acquire load of the epoch.
+        slot.epoch.fetch_add(1, Ordering::Release);
+        self.handles[i].thread().unpark();
+    }
+
+    /// Runs the jobs concurrently — job 0 on the calling thread, job `i`
+    /// on worker `i` — and returns their results in job order. Blocks
+    /// until every job has completed; if any job panicked, the first
+    /// panic (in job order) is re-thrown here *after* all jobs finished
+    /// (so no job ever outlives the borrows it captured). Not re-entrant:
+    /// a job must not call `run` on the pool it runs on.
     ///
     /// # Panics
     ///
@@ -106,127 +179,67 @@ impl WorkerPool {
         T: Send + 'env,
         I: IntoIterator<Item = Box<dyn FnOnce() -> T + Send + 'env>>,
     {
-        self.run_raw(jobs)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect()
-    }
-
-    /// Like [`WorkerPool::run`], but a panicking job becomes an `Err`
-    /// instead of re-throwing: the first panic (in job order) is reported
-    /// and the pool — whose threads catch panics and live on — stays
-    /// usable. Every dispatched job still completes before this returns,
-    /// so the borrow-safety argument of `run` is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// [`JobPanic`] naming the first panicked job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more jobs are supplied than workers exist.
-    pub fn try_run<'env, T, I>(&self, jobs: I) -> Result<Vec<T>, JobPanic>
-    where
-        T: Send + 'env,
-        I: IntoIterator<Item = Box<dyn FnOnce() -> T + Send + 'env>>,
-    {
-        let mut out = Vec::new();
-        for (job, result) in self.run_raw(jobs).into_iter().enumerate() {
-            match result {
-                Ok(v) => out.push(v),
-                Err(payload) => {
-                    let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                        (*s).to_string()
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        s.clone()
-                    } else {
-                        "non-string panic payload".to_string()
-                    };
-                    return Err(JobPanic { job, message });
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Dispatches one job per worker and joins them all, returning each
-    /// job's caught outcome in job order.
-    fn run_raw<'env, T, I>(&self, jobs: I) -> Vec<std::thread::Result<T>>
-    where
-        T: Send + 'env,
-        I: IntoIterator<Item = Box<dyn FnOnce() -> T + Send + 'env>>,
-    {
         // Drain the caller's iterator BEFORE dispatching anything: user
         // code inside the iterator may panic, and once a single job is in
         // flight an unwind past this frame would free the borrows that
-        // job captured. After this point, no caller-supplied code runs on
-        // this thread until the recv barrier below has joined every job.
+        // job captured.
         let jobs: Vec<_> = jobs.into_iter().collect();
-        assert!(
-            jobs.len() <= self.workers.len(),
-            "more jobs than pool workers"
-        );
-        let mut receivers: Vec<Receiver<std::thread::Result<T>>> = Vec::new();
-        let mut worker_died = false;
-        for (worker, job) in self.workers.iter().zip(jobs) {
-            let (rtx, rrx) = channel();
-            let task: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(job));
-                // The receiver lives on our stack until we drained it; a
-                // send can only fail if the caller itself is unwinding.
-                let _ = rtx.send(result);
-            });
-            let task: Job = {
-                // SAFETY: `run` does not return (normally or by panic)
-                // before every receiver below has yielded, so the job —
-                // and every borrow of 'env it captures — is finished by
-                // the time the caller's frame can be torn down. Nothing
-                // between here and the barrier can unwind: dispatch is
-                // channel sends and Vec pushes only (allocation failure
-                // aborts, not unwinds).
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(task) }
-            };
-            if worker.tx.send(task).is_err() {
-                // Worker thread died (it only exits when the pool drops);
-                // drain what we dispatched, then report.
-                worker_died = true;
-                break;
+        assert!(jobs.len() <= self.workers(), "more jobs than pool workers");
+        let mut results: Vec<Option<std::thread::Result<T>>> = jobs.iter().map(|_| None).collect();
+        {
+            let _round = self.round.lock().unwrap_or_else(PoisonError::into_inner);
+            // From the first post to the join nothing on this thread can
+            // unwind: a post is a store, an atomic and an unpark, job 0 runs
+            // under `catch_unwind`, and allocation failure aborts.
+            let posted = jobs.len().saturating_sub(1);
+            self.shared.pending.store(posted, Ordering::Relaxed);
+            let caller = std::thread::current();
+            let mut lanes = jobs.into_iter().zip(results.iter_mut());
+            let first = lanes.next();
+            for (i, (job, cell)) in lanes.enumerate() {
+                let task: Box<dyn FnOnce() + Send + '_> =
+                    Box::new(move || *cell = Some(catch_unwind(AssertUnwindSafe(job))));
+                let job: Job = {
+                    // SAFETY: the join below does not let `run` return
+                    // (normally or by panic) before `pending` reads zero,
+                    // i.e. before every posted task — and with it every
+                    // borrow of 'env and of `results` it captured — has
+                    // been consumed and finished on its worker.
+                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(task) }
+                };
+                self.post(i, Some((job, caller.clone())));
             }
-            receivers.push(rrx);
+            if let Some((job, cell)) = first {
+                *cell = Some(catch_unwind(AssertUnwindSafe(job)));
+            }
+            // The join. Acquire pairs with the workers' AcqRel decrements:
+            // every job's writes are visible once zero is.
+            let pending = &self.shared.pending;
+            wait_until(self.shared.spin / 2, || {
+                pending.load(Ordering::Acquire) == 0
+            });
         }
-        // Barrier: every dispatched job completes before anything below
-        // can unwind out of this function.
-        let results: Vec<std::thread::Result<T>> = receivers
-            .into_iter()
-            .map(|rx| {
-                rx.recv().unwrap_or_else(|_| {
-                    // The worker dropped its result sender without
-                    // answering — it died mid-job (and dropped the job,
-                    // releasing its borrows). Surface that as a job
-                    // panic: `try_run` reports it, `run` re-throws it.
-                    let payload: Box<dyn std::any::Any + Send> =
-                        Box::new("pool worker died mid-job".to_string());
-                    Err(payload)
-                })
-            })
-            .collect();
-        assert!(!worker_died, "pool worker died before dispatch");
         results
+            .into_iter()
+            .map(
+                |cell| match cell.unwrap_or_else(|| unreachable!("job not joined")) {
+                    Ok(value) => value,
+                    Err(payload) => resume_unwind(payload),
+                },
+            )
+            .collect()
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Close every channel first so all workers see the hang-up...
-        for w in &mut self.workers {
-            let (dead_tx, _) = channel();
-            drop(std::mem::replace(&mut w.tx, dead_tx));
+        // An empty mailbox at a new epoch tells each worker to exit...
+        for i in 0..self.handles.len() {
+            self.post(i, None);
         }
         // ...then join them.
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
     }
 }
@@ -235,7 +248,7 @@ impl Drop for WorkerPool {
 /// pool of the same size.
 impl Clone for WorkerPool {
     fn clone(&self) -> Self {
-        WorkerPool::new(self.workers.len())
+        WorkerPool::new(self.workers())
     }
 }
 
@@ -243,14 +256,14 @@ impl Clone for WorkerPool {
 /// have the same parallelism.
 impl PartialEq for WorkerPool {
     fn eq(&self, other: &Self) -> bool {
-        self.workers.len() == other.workers.len()
+        self.workers() == other.workers()
     }
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.workers())
             .finish()
     }
 }
@@ -345,27 +358,89 @@ mod tests {
     }
 
     #[test]
-    fn try_run_reports_panic_as_error_and_pool_survives() {
+    fn caller_run_job_panic_still_joins_the_rest() {
+        // Job 0 runs on the calling thread. If its panic unwound `run`
+        // before job 1 finished, job 1's borrow of `done` would dangle.
+        // Job 1 cannot finish early: it waits at a barrier job 0 reaches
+        // (from a drop guard) only once it is already unwinding.
+        struct WaitOnDrop<'a>(&'a std::sync::Barrier);
+        impl Drop for WaitOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.wait();
+            }
+        }
         let pool = WorkerPool::new(2);
-        let err = pool
-            .try_run((0..2).map(|i| {
-                let job: Box<dyn FnOnce() -> i32 + Send> = Box::new(move || {
-                    assert!(i != 1, "job {i} exploded");
-                    i
-                });
+        let barrier = std::sync::Barrier::new(2);
+        let mut done = false;
+        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let (barrier, done) = (&barrier, &mut done);
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+                Box::new(move || {
+                    let _unwinding = WaitOnDrop(barrier);
+                    panic!("job 0 exploded on the caller");
+                }),
+                Box::new(move || {
+                    barrier.wait();
+                    *done = true;
+                }),
+            ];
+            pool.run(jobs);
+        }));
+        assert!(attempt.is_err(), "panic must propagate");
+        assert!(done, "run unwound before job 1 finished");
+        let out = pool.run((0..2).map(|i| {
+            let job: Box<dyn FnOnce() -> i32 + Send> = Box::new(move || i);
+            job
+        }));
+        assert_eq!(out, vec![0, 1]);
+    }
+
+    #[test]
+    fn oversubscribed_pool_finishes() {
+        // Far more lanes than cores: if either side could spin without
+        // bound, the threads holding the cores would starve the ones with
+        // work and this would crawl. A pool larger than the host does not
+        // poll at all, and one that fits parks after SPIN_BUDGET.
+        let pool = WorkerPool::new(8);
+        let rounds = if cfg!(miri) { 20 } else { 10_000 };
+        let mut total = 0usize;
+        for round in 0..rounds {
+            let out = pool.run((0..8).map(|i| {
+                let job: Box<dyn FnOnce() -> usize + Send> = Box::new(move || round + i);
                 job
-            }))
-            .unwrap_err();
-        assert_eq!(err.job, 1);
-        assert!(err.message.contains("exploded"), "message: {}", err.message);
-        // All threads caught their panics and keep serving.
-        let out = pool
-            .try_run((0..2).map(|i| {
-                let job: Box<dyn FnOnce() -> i32 + Send> = Box::new(move || i + 7);
+            }));
+            total += out.iter().sum::<usize>();
+        }
+        assert_eq!(total, 8 * rounds * (rounds - 1) / 2 + 28 * rounds);
+    }
+
+    #[test]
+    fn idle_pool_parks_and_still_answers() {
+        let pool = WorkerPool::new(3);
+        for _ in 0..3 {
+            // Long past the spin budget: the workers are parked by now.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            let out = pool.run((0..3).map(|i| {
+                let job: Box<dyn FnOnce() -> i32 + Send> = Box::new(move || i * 2);
                 job
-            }))
-            .unwrap();
-        assert_eq!(out, vec![7, 8]);
+            }));
+            assert_eq!(out, vec![0, 2, 4]);
+        }
+    }
+
+    #[test]
+    fn drop_while_workers_are_parked_joins_cleanly() {
+        // Never used, and used then idle: both drops must wake and join
+        // every parked worker (a missed wake would hang here).
+        let unused = WorkerPool::new(4);
+        let used = WorkerPool::new(4);
+        used.run((0..4).map(|i| {
+            let job: Box<dyn FnOnce() -> i32 + Send> = Box::new(move || i);
+            job
+        }));
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        drop(unused);
+        drop(used);
     }
 
     #[test]

@@ -84,15 +84,8 @@ pub fn gemm_i32_naive(w: &Matrix<i8>, x: &Matrix<i8>) -> Result<Matrix<i32>, Sha
 ///
 /// Returns [`ShapeError`] if `x.cols() != w.cols()`.
 pub fn gemm_i32(w: &Matrix<i8>, x: &Matrix<i8>) -> Result<Matrix<i32>, ShapeError> {
-    if x.cols() != w.cols() {
-        return Err(ShapeError::new(
-            "gemm",
-            (w.rows(), w.cols()),
-            (x.rows(), x.cols()),
-        ));
-    }
-    let mut flat = vec![0i32; x.rows() * w.rows()];
-    gemm_tiled_flat(w, None, 0..w.rows(), x, &mut flat);
+    let mut flat = Vec::new();
+    gemm_i32_into(w, x, &mut flat)?;
     Matrix::from_vec(x.rows(), w.rows(), flat)
 }
 
@@ -130,15 +123,16 @@ pub fn gemm_i32_into(w: &Matrix<i8>, x: &Matrix<i8>, out: &mut Vec<i32>) -> Resu
 /// slabs reproduces the full GEMM bit-for-bit because no dot product is
 /// ever split.
 ///
-/// On VNNI hardware, multi-row activations run through the
+/// On VNNI hardware, activations of width 64 and up run through the
 /// register-blocked 4×4 tile ([`crate::simd::dot_biased_i8_i32_tile4x4`],
 /// exact for all i8) with the per-row biased batch kernel
-/// ([`crate::simd::dot_biased_i8_i32_batch`]) covering ragged edges;
-/// without VNNI the `vpmaddubsw` path ([`crate::simd::dot_i8_i32_batch`],
-/// exact for activations above `-128`, which quantized activations
-/// always are — raw inputs containing `-128` fall back per row). Single
-/// rows take the per-row [`dot_i8_i32`] GEMV path. Integer accumulation
-/// makes every grouping bit-identical.
+/// ([`crate::simd::dot_biased_i8_i32_batch`]) covering ragged edges and
+/// batch-1 decode's single row (twice the weight-streaming rate of the
+/// sign-extending [`dot_i8_i32`]). Without VNNI, multi-row activations
+/// above `-128` (quantized ones always are) take the `vpmaddubsw` path
+/// ([`crate::simd::dot_i8_i32_batch`]) and everything else the per-row
+/// [`dot_i8_i32`] GEMV. Integer accumulation makes every grouping
+/// bit-identical.
 fn gemm_tiled_flat(
     w: &Matrix<i8>,
     w_row_sums: Option<&[i32]>,
@@ -153,7 +147,7 @@ fn gemm_tiled_flat(
     debug_assert!(row_range.start <= row_range.end && row_range.end <= w.rows());
     debug_assert_eq!(out.len(), rows * row_range.len());
 
-    let path = if rows > 1 && vnni512_available() && width >= 64 {
+    let path = if vnni512_available() && width >= 64 {
         Path::Vnni
     } else if rows > 1 && !x.as_slice().contains(&i8::MIN) {
         Path::Maddubs
@@ -194,7 +188,7 @@ enum Path {
     Vnni,
     /// `vpmaddubsw` batch kernel (AVX2, activations above `-128`).
     Maddubs,
-    /// Per-row [`dot_i8_i32`] GEMV.
+    /// Per-row [`dot_i8_i32`] GEMV (no VNNI-512, or width under 64).
     PerRow,
 }
 
@@ -671,6 +665,47 @@ mod tests {
             let single = lin.forward(q);
             for (r, &s) in single.iter().enumerate() {
                 assert_eq!(batch.get(t, r), s, "token {t} row {r}");
+            }
+        }
+
+        // One row — batch-1 decode, which takes the biased `vpdpbusd`
+        // kernel where the hardware has it — at widths on both sides of
+        // its 64-byte step, with a `-128` activation (outside the
+        // `vpmaddubsw` kernel's exact range) and row ranges that start and
+        // end off the 32-row block.
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let rows = 37;
+        // (Miri interprets the scalar fallback; the wide shapes add nothing there.)
+        let widths: &[usize] = if cfg!(miri) {
+            &[64, 96]
+        } else {
+            &[64, 96, 1000, 1024, 4096]
+        };
+        for &width in widths {
+            let w = Matrix::from_fn(rows, width, |r, c| ((r * width + c) as f32 * 0.37).sin());
+            let bias: Vec<f32> = (0..rows).map(|r| r as f32 * 0.01 - 0.1).collect();
+            let lin = QuantLinear::from_f32(&w, &bias).unwrap();
+            let mut data: Vec<i8> = (0..width).map(|c| (c * 89 % 256) as u8 as i8).collect();
+            data[width / 2] = i8::MIN;
+            let q = QuantizedVector::new(data.clone(), 0.0123);
+            let single = lin.forward(&q);
+            let x = Matrix::from_vec(1, width, data).unwrap();
+            let (mut acc, mut out) = (Vec::new(), Vec::new());
+            lin.forward_batch_scaled_into(&x, &[q.scale()], &mut acc, &mut out);
+            assert_eq!(bits(&out), bits(&single), "width {width}");
+            for range in [0..5, 5..rows, 3..36, 32..33] {
+                lin.forward_batch_scaled_range_into(
+                    &x,
+                    &[q.scale()],
+                    range.clone(),
+                    &mut acc,
+                    &mut out,
+                );
+                assert_eq!(
+                    bits(&out),
+                    bits(&single[range.clone()]),
+                    "width {width} rows {range:?}"
+                );
             }
         }
     }

@@ -8,9 +8,19 @@ use proptest::prelude::*;
 
 use looplynx_tensor::linear::QuantLinear;
 use looplynx_tensor::matrix::Matrix;
+use looplynx_tensor::quant::QuantizedVector;
 
 /// Proptest case count — shrunk under Miri (~100× interpreter slowdown).
 const CASES: u32 = if cfg!(miri) { 2 } else { 48 };
+
+/// Activation widths: below, at and off the `vpdpbusd` kernel's 64-byte
+/// step, up to the model's widest layer (Miri, which interprets the scalar
+/// fallback, keeps to the narrow ones).
+const WIDTHS: &[usize] = if cfg!(miri) {
+    &[1, 3, 16, 33, 64]
+} else {
+    &[1, 3, 16, 33, 64, 96, 1000, 1024, 4096]
+};
 
 fn arb_f32_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f32> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
@@ -74,22 +84,38 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// 1-, 2- and 4-way row sharding all reproduce the unsharded batched
-    /// GEMM bitwise, across odd shapes that leave ragged shard sizes.
+    /// GEMM bitwise, across odd shapes that leave ragged shard sizes —
+    /// and the unsharded batched GEMM reproduces the per-token
+    /// `forward_into` bitwise for every batch size down to one row, on
+    /// widths either side of the `vpdpbusd` kernel's 64-byte step, with a
+    /// `-128` activation in every batch.
     #[test]
     fn sharded_slabs_stitch_bitwise(
         rows in 1usize..40,
-        cols in prop::sample::select(vec![1usize, 3, 16, 33, 64]),
+        cols in prop::sample::select(WIDTHS.to_vec()),
         b in 1usize..6,
         seed in any::<u64>(),
     ) {
         let w = arb_f32_matrix(rows, cols, seed);
         let bias: Vec<f32> = arb_f32_matrix(1, rows, seed ^ 1).into_vec();
         let lin = QuantLinear::from_f32(&w, &bias).expect("bias matches rows");
-        let x = arb_i8_matrix(b, cols, seed ^ 2);
+        let mut x = arb_i8_matrix(b, cols, seed ^ 2);
+        x.set(seed as usize % b, (seed >> 8) as usize % cols, i8::MIN);
         let x_scales: Vec<f32> = (0..b).map(|t| 0.003 + t as f32 * 1e-4).collect();
 
         let (mut acc, mut full) = (Vec::new(), Vec::new());
         lin.forward_batch_scaled_into(&x, &x_scales, &mut acc, &mut full);
+
+        let mut single = Vec::new();
+        for (t, &scale) in x_scales.iter().enumerate() {
+            lin.forward_into(&QuantizedVector::new(x.row(t).to_vec(), scale), &mut single);
+            for (r, (s, f)) in single.iter().zip(&full[t * rows..(t + 1) * rows]).enumerate() {
+                prop_assert!(
+                    s.to_bits() == f.to_bits(),
+                    "token {} row {} of {} differs from forward_into: {} vs {}", t, r, b, f, s
+                );
+            }
+        }
 
         for parts in [1usize, 2, 4] {
             let shards = parts.min(rows); // never more shards than rows
