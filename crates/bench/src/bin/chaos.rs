@@ -4,29 +4,11 @@
 //! violation (pass `--quick` for the CI-sized workload, and an optional
 //! output path as the other argument).
 
-use std::env;
-use std::fs;
-
-use looplynx_bench::chaos;
+use looplynx_bench::chaos::{measure, to_json};
+use looplynx_bench::report::run_bin;
 
 fn main() {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_robustness.json");
-    for arg in env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}; usage: chaos [--quick] [output.json]");
-                std::process::exit(2);
-            }
-            other => out_path = other.to_string(),
-        }
-    }
-    let report = chaos::measure(quick);
-    print!("{}", chaos::render(&report));
-    let json = chaos::to_json(&report);
-    fs::write(&out_path, &json).expect("write benchmark JSON");
-    println!("wrote {out_path}");
+    let report = run_bin("chaos", "BENCH_robustness.json", measure, to_json);
     if !report.passed() {
         eprintln!("robustness invariants violated");
         std::process::exit(1);

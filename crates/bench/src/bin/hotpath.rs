@@ -3,27 +3,9 @@
 //! `BENCH_hotpath.json` (pass `--quick` for the CI-sized workload, and an
 //! optional output path as the other argument).
 
-use std::env;
-use std::fs;
-
-use looplynx_bench::hotpath;
+use looplynx_bench::hotpath::{measure, to_json};
+use looplynx_bench::report::run_bin;
 
 fn main() {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_hotpath.json");
-    for arg in env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}; usage: hotpath [--quick] [output.json]");
-                std::process::exit(2);
-            }
-            other => out_path = other.to_string(),
-        }
-    }
-    let report = hotpath::measure(quick);
-    print!("{}", hotpath::render(&report));
-    let json = hotpath::to_json(&report);
-    fs::write(&out_path, &json).expect("write benchmark JSON");
-    println!("wrote {out_path}");
+    run_bin("hotpath", "BENCH_hotpath.json", measure, to_json);
 }

@@ -3,27 +3,9 @@
 //! to `BENCH_prefix.json` (pass `--quick` for the CI-sized trace, and
 //! an optional output path as the other argument).
 
-use std::env;
-use std::fs;
-
-use looplynx_bench::prefix;
+use looplynx_bench::prefix::{measure, to_json};
+use looplynx_bench::report::run_bin;
 
 fn main() {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_prefix.json");
-    for arg in env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}; usage: prefix [--quick] [output.json]");
-                std::process::exit(2);
-            }
-            other => out_path = other.to_string(),
-        }
-    }
-    let report = prefix::measure(quick);
-    print!("{}", prefix::render(&report));
-    let json = prefix::to_json(&report);
-    fs::write(&out_path, &json).expect("write benchmark JSON");
-    println!("wrote {out_path}");
+    run_bin("prefix", "BENCH_prefix.json", measure, to_json);
 }

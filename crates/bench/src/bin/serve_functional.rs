@@ -1,29 +1,12 @@
 //! Functional continuous-batching serving benchmark: sustained tokens/s
-//! at decode-batch ceilings 1/4/16 vs the sequential baseline, written to
+//! at decode-batch ceilings 1/4/8/16 vs the sequential baseline, written to
 //! `BENCH_serve_functional.json` (pass `--quick` for the CI-sized
 //! workload, and an optional output path as the other argument).
 
-use std::env;
-use std::fs;
-
-use looplynx_bench::serve_functional;
+use looplynx_bench::report::run_bin;
+use looplynx_bench::serve_functional::{measure, to_json};
 
 fn main() {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_serve_functional.json");
-    for arg in env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}; usage: serve_functional [--quick] [output.json]");
-                std::process::exit(2);
-            }
-            other => out_path = other.to_string(),
-        }
-    }
-    let report = serve_functional::measure(quick);
-    print!("{}", serve_functional::render(&report));
-    let json = serve_functional::to_json(&report);
-    fs::write(&out_path, &json).expect("write benchmark JSON");
-    println!("wrote {out_path}");
+    let out = "BENCH_serve_functional.json";
+    run_bin("serve_functional", out, measure, to_json);
 }

@@ -25,7 +25,7 @@ use looplynx_model::config::ModelConfig;
 use looplynx_model::gpt2::Gpt2Model;
 
 use crate::experiments;
-use crate::json_f64;
+use crate::report::{best_of, fields, Json};
 
 /// Ring sizes measured.
 pub const NODE_COUNTS: [usize; 3] = [1, 2, 4];
@@ -95,14 +95,6 @@ impl ModelHotpath {
             .find(|p| p.nodes == nodes)
             .map_or(0.0, PhasePoint::tokens_per_second)
     }
-
-    /// Prefill tokens/s at the given ring size (0.0 if not measured).
-    pub fn prefill_tok_s(&self, nodes: usize) -> f64 {
-        self.prefill
-            .iter()
-            .find(|p| p.nodes == nodes)
-            .map_or(0.0, PhasePoint::tokens_per_second)
-    }
 }
 
 /// The full hot-path report.
@@ -132,18 +124,12 @@ pub fn medium_shaped() -> ModelConfig {
     }
 }
 
-/// Timed repetitions per (model, ring size); the best wall-clock of the
-/// set is reported, the standard way to strip scheduler noise out of a
-/// wall-clock benchmark (the pinned [`BASELINE`] is best-of-3 too, so
-/// the comparison stays like-for-like).
-pub const MEASURE_REPS: usize = 5;
-
 /// Measures prefill and decode throughput of `cfg` at each ring size.
 ///
 /// `prefill_tokens` tokens are prefilled in the timed prefill region,
 /// then `decode_tokens` decode steps are timed. One untimed warm-up
-/// generation runs first at each ring size, then [`MEASURE_REPS`] timed
-/// repetitions; each phase reports its best repetition.
+/// generation runs first at each ring size, then the timed repetitions;
+/// each phase reports its best one ([`best_of`]).
 pub fn measure_model(
     cfg: &ModelConfig,
     prefill_tokens: usize,
@@ -165,22 +151,23 @@ pub fn measure_model(
         // Warm-up: touch every weight shard and the allocator once.
         eng.prefill(&prompt[..prefill_tokens.min(4)]);
 
-        let mut best_prefill = f64::INFINITY;
-        let mut best_decode = f64::INFINITY;
-        for _ in 0..MEASURE_REPS {
-            eng.reset();
-            let t0 = Instant::now();
-            let mut logits = eng.prefill(&prompt);
-            best_prefill = best_prefill.min(t0.elapsed().as_secs_f64());
+        let (best_prefill, best_decode) = best_of(
+            || {
+                eng.reset();
+                let t0 = Instant::now();
+                let mut logits = eng.prefill(&prompt);
+                let prefill_s = t0.elapsed().as_secs_f64();
 
-            let t1 = Instant::now();
-            for _ in 0..decode_tokens {
-                // Greedy-ish deterministic feedback, no sampler overhead.
-                let next = (logits[0].abs() as usize % cfg.vocab.min(256)) as u32;
-                logits = eng.decode_step(next);
-            }
-            best_decode = best_decode.min(t1.elapsed().as_secs_f64());
-        }
+                let t1 = Instant::now();
+                for _ in 0..decode_tokens {
+                    // Greedy-ish deterministic feedback, no sampler overhead.
+                    let next = (logits[0].abs() as usize % cfg.vocab.min(256)) as u32;
+                    logits = eng.decode_step(next);
+                }
+                (prefill_s, t1.elapsed().as_secs_f64())
+            },
+            |a, b| (a.0.min(b.0), a.1.min(b.1)),
+        );
         prefill.push(PhasePoint {
             nodes,
             tokens: prefill_tokens,
@@ -231,88 +218,39 @@ pub fn measure(quick: bool) -> HotpathReport {
     }
 }
 
-/// Renders the report (plus the pinned [`BASELINE`]) as a JSON document.
-pub fn to_json(report: &HotpathReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"baseline\": {{\n    \"captured_at\": \"{}\",\n    \"tiny_prefill_tok_s_1node\": {},\n    \"tiny_decode_tok_s_1node\": {},\n    \"medium_decode_tok_s_1node\": {}\n  }},\n",
-        BASELINE.captured_at,
-        json_f64(BASELINE.tiny_prefill_tok_s_1node),
-        json_f64(BASELINE.tiny_decode_tok_s_1node),
-        json_f64(BASELINE.medium_decode_tok_s_1node),
-    ));
-    out.push_str(&format!("  \"quick\": {},\n", report.quick));
-    out.push_str("  \"models\": [\n");
-    for (i, m) in report.models.iter().enumerate() {
-        out.push_str(&format!("    {{\n      \"model\": \"{}\",\n", m.model));
-        for (key, points) in [("prefill", &m.prefill), ("decode", &m.decode)] {
-            out.push_str(&format!("      \"{key}\": [\n"));
-            for (j, p) in points.iter().enumerate() {
-                out.push_str(&format!(
-                    "        {{\"nodes\": {}, \"tokens\": {}, \"wall_s\": {}, \"tok_per_s\": {}}}{}\n",
-                    p.nodes,
-                    p.tokens,
-                    json_f64(p.wall_s),
-                    json_f64(p.tokens_per_second()),
-                    if j + 1 < points.len() { "," } else { "" }
-                ));
-            }
-            out.push_str(if key == "prefill" {
-                "      ],\n"
-            } else {
-                "      ]\n"
-            });
-        }
-        out.push_str(if i + 1 < report.models.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ],\n");
+/// The report (plus the pinned [`BASELINE`]) as a JSON document.
+pub fn to_json(report: &HotpathReport) -> Json {
+    let points = |points: &[PhasePoint]| {
+        Json::arr(points, |p| {
+            let mut point = fields![p; nodes, tokens, wall_s];
+            point.push(("tok_per_s", p.tokens_per_second().into()));
+            Json::Obj(point)
+        })
+    };
+    let models = Json::arr(&report.models, |m| {
+        Json::Obj(vec![
+            ("model", m.model.as_str().into()),
+            ("prefill", points(&m.prefill)),
+            ("decode", points(&m.decode)),
+        ])
+    });
     let tiny_decode = report
         .models
         .iter()
         .find(|m| m.model == "tiny")
         .map_or(0.0, |m| m.decode_tok_s(1));
-    let speedup =
-        if BASELINE.tiny_decode_tok_s_1node.is_finite() && BASELINE.tiny_decode_tok_s_1node > 0.0 {
-            tiny_decode / BASELINE.tiny_decode_tok_s_1node
-        } else {
-            f64::NAN
-        };
-    out.push_str(&format!(
-        "  \"tiny_decode_speedup_vs_baseline\": {},\n",
-        json_f64(speedup)
-    ));
-    out.push_str(&format!(
-        "  \"serve_sweep_wall_s\": {}\n}}\n",
-        json_f64(report.serve_sweep_wall_s)
-    ));
-    out
-}
-
-/// Renders a human-readable table.
-pub fn render(report: &HotpathReport) -> String {
-    let mut out =
-        String::from("HOT-PATH WALL-CLOCK — functional engine throughput (host execution)\n");
-    for m in &report.models {
-        out.push_str(&format!("model {}\n", m.model));
-        out.push_str("  nodes  prefill tok/s   decode tok/s\n");
-        for nodes in NODE_COUNTS {
-            out.push_str(&format!(
-                "  {:>5} {:>14.1} {:>14.1}\n",
-                nodes,
-                m.prefill_tok_s(nodes),
-                m.decode_tok_s(nodes)
-            ));
-        }
-    }
-    out.push_str(&format!(
-        "serve_sweep saturation cell: {:.2} s wall\n",
-        report.serve_sweep_wall_s
-    ));
-    out
+    let speedup = tiny_decode / BASELINE.tiny_decode_tok_s_1node;
+    let baseline = fields![
+        BASELINE; captured_at, tiny_prefill_tok_s_1node, tiny_decode_tok_s_1node,
+        medium_decode_tok_s_1node
+    ];
+    Json::Obj(vec![
+        ("baseline", Json::Obj(baseline)),
+        ("quick", report.quick.into()),
+        ("models", models),
+        ("tiny_decode_speedup_vs_baseline", speedup.into()),
+        ("serve_sweep_wall_s", report.serve_sweep_wall_s.into()),
+    ])
 }
 
 #[cfg(test)]
@@ -349,10 +287,11 @@ mod tests {
             quick: true,
         };
         let j = to_json(&report);
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.contains("\"baseline\""));
-        assert!(j.contains("\"tok_per_s\": 32.000"));
+        // What CI's gate reads.
+        assert!(matches!(j.get("models"), Some(Json::Arr(models)) if models.len() == 1));
+        let text = j.render();
+        assert!(text.contains("\"baseline\""));
+        assert!(text.contains("\"tok_per_s\": 32.0000"));
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //! and graceful goodput degradation. [`prefix`] (binary `prefix`)
 //! replays a multi-turn chat trace with the prefix cache on and off at
 //! equal arena bytes, reporting prefill amplification and hit rate.
+//! [`hotpath`], [`serve_functional`], [`prefix`] and [`chaos`] write their
+//! `BENCH_*.json` through the one path in [`report`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -34,35 +36,5 @@ pub mod experiments;
 pub mod hotpath;
 pub mod paper;
 pub mod prefix;
+pub mod report;
 pub mod serve_functional;
-
-/// Formats a measurement for the hand-written `BENCH_*.json` emitters
-/// with six significant digits (fixed decimals would print a 166 µs wall
-/// as `0.000`). JSON has no NaN/inf: a value that was never captured
-/// serializes as `null` so consumers can tell "absent" from "zero".
-pub(crate) fn json_f64(x: f64) -> String {
-    if !x.is_finite() {
-        return "null".into();
-    }
-    if x == 0.0 {
-        return "0".into();
-    }
-    let magnitude = x.abs().log10().floor() as i32;
-    let decimals = (5 - magnitude).max(0) as usize;
-    format!("{x:.decimals$}")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::json_f64;
-
-    #[test]
-    fn json_f64_keeps_six_significant_digits() {
-        assert_eq!(json_f64(1.66e-4), "0.000166000");
-        assert_eq!(json_f64(277.9), "277.900");
-        assert_eq!(json_f64(144_972.4), "144972");
-        assert_eq!(json_f64(0.0), "0");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-    }
-}

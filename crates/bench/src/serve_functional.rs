@@ -28,14 +28,10 @@ use looplynx_model::gpt2::Gpt2Model;
 use looplynx_serve::{serve_continuous_on, serve_sequential_on, ArrivalProcess, ServeConfig};
 
 use crate::hotpath::medium_shaped;
-use crate::json_f64;
+use crate::report::{best_of, fields, Json};
 
 /// Decode-batch ceilings swept.
 pub const BATCH_SWEEP: [usize; 4] = [1, 4, 8, 16];
-
-/// Timed repetitions per cell; the best (highest-throughput) repetition
-/// is reported, matching the `hotpath` methodology.
-pub const MEASURE_REPS: usize = 5;
 
 /// Single-sequence functional decode throughput of the **pre-change**
 /// tree (PR 4 state: no batched decode, no slot arena), measured on this
@@ -158,14 +154,6 @@ pub struct ServeFunctionalReport {
 }
 
 impl ServeFunctionalReport {
-    /// Batched tokens/s at the given ceiling (0.0 if not measured).
-    pub fn batched_tok_s(&self, max_batch: usize) -> f64 {
-        self.batched
-            .iter()
-            .find(|p| p.max_batch == max_batch)
-            .map_or(0.0, |p| p.tok_s)
-    }
-
     /// Batched decode tokens/s at the given ceiling (0.0 if not measured).
     pub fn batched_decode_tok_s(&self, max_batch: usize) -> f64 {
         self.batched
@@ -259,39 +247,36 @@ pub fn measure_page_pressure(cfg: &ModelConfig) -> PagePressure {
     );
     let serve_cfg = ServeConfig::new(PAGED_SLOTS);
 
-    let mut fixed_peak = 0.0f64;
-    let mut fixed_tok_s = 0.0f64;
-    for _ in 0..MEASURE_REPS {
-        let mut backend = fresh_backend(&model, 1, FIXED_SLOTS, CAPACITY);
+    // One side's best (peak resident requests, tokens/s), each on its own.
+    let side = |mut backend: FunctionalBackend| {
         let report = serve_continuous_on(&mut backend, &workload, &serve_cfg);
-        assert_eq!(
-            report.completed(),
-            REQUESTS,
-            "fixed-stride cell dropped requests"
-        );
-        fixed_peak = fixed_peak.max(report.batch_occupancy.max().unwrap_or(0.0));
-        fixed_tok_s = fixed_tok_s.max(report.tokens_per_second());
-    }
-
-    let mut paged_peak = 0.0f64;
-    let mut paged_tok_s = 0.0f64;
-    for _ in 0..MEASURE_REPS {
-        let engine = DistributedGpt2::with_paged_slots(
-            &model,
-            1,
-            RingMode::Exact,
-            PAGED_SLOTS,
-            CAPACITY,
-            PAGE_TOKENS,
-            POOL_PAGES,
+        assert_eq!(report.completed(), REQUESTS, "cell dropped requests");
+        (
+            report.batch_occupancy.max().unwrap_or(0.0),
+            report.tokens_per_second(),
         )
-        .expect("benchmark model partitions");
-        let mut backend = FunctionalBackend::new(engine, SamplerSpec::Greedy);
-        let report = serve_continuous_on(&mut backend, &workload, &serve_cfg);
-        assert_eq!(report.completed(), REQUESTS, "paged cell dropped requests");
-        paged_peak = paged_peak.max(report.batch_occupancy.max().unwrap_or(0.0));
-        paged_tok_s = paged_tok_s.max(report.tokens_per_second());
-    }
+    };
+    let both_max = |a: (f64, f64), b: (f64, f64)| (a.0.max(b.0), a.1.max(b.1));
+    let (fixed_peak, fixed_tok_s) = best_of(
+        || side(fresh_backend(&model, 1, FIXED_SLOTS, CAPACITY)),
+        both_max,
+    );
+    let (paged_peak, paged_tok_s) = best_of(
+        || {
+            let engine = DistributedGpt2::with_paged_slots(
+                &model,
+                1,
+                RingMode::Exact,
+                PAGED_SLOTS,
+                CAPACITY,
+                PAGE_TOKENS,
+                POOL_PAGES,
+            )
+            .expect("benchmark model partitions");
+            side(FunctionalBackend::new(engine, SamplerSpec::Greedy))
+        },
+        both_max,
+    );
 
     PagePressure {
         capacity: CAPACITY,
@@ -317,9 +302,9 @@ pub fn measure_page_pressure(cfg: &ModelConfig) -> PagePressure {
 
 /// Measures one configuration. All requests arrive at t = 0 (maximal
 /// queueing pressure), so sustained tokens/s is output tokens over the
-/// serving makespan. Each cell is re-measured [`MEASURE_REPS`] times on a
-/// fresh backend (engine construction is excluded — the serving clock
-/// only advances on backend operations) and the best repetition wins.
+/// serving makespan. Each cell is re-measured on a fresh backend (engine
+/// construction is excluded — the serving clock only advances on backend
+/// operations) and the best repetition wins ([`best_of`]).
 pub fn measure_model(
     cfg: &ModelConfig,
     nodes: usize,
@@ -342,46 +327,37 @@ pub fn measure_model(
     );
     let t0 = Instant::now();
 
-    let mut sequential_tok_s = 0.0f64;
-    for _ in 0..MEASURE_REPS {
-        let mut backend = fresh_backend(&model, nodes, 1, capacity);
-        let report = serve_sequential_on(&mut backend, &workload);
-        sequential_tok_s = sequential_tok_s.max(report.tokens_per_second());
-    }
-    let mut sequential_decode_tok_s = 0.0f64;
-    for _ in 0..MEASURE_REPS {
-        let mut backend = fresh_backend(&model, nodes, 1, capacity);
-        sequential_decode_tok_s = sequential_decode_tok_s.max(decode_phase_tok_s(
-            &mut backend,
-            &workload[..1],
-            decode_tokens,
-        ));
-    }
+    // Steady-state decode tokens/s with `slots` residents.
+    let decode_tok_s = |slots: usize| {
+        let mut backend = fresh_backend(&model, nodes, slots, capacity);
+        decode_phase_tok_s(&mut backend, &workload[..slots], decode_tokens)
+    };
+    let sequential_tok_s = best_of(
+        || {
+            let mut backend = fresh_backend(&model, nodes, 1, capacity);
+            serve_sequential_on(&mut backend, &workload).tokens_per_second()
+        },
+        f64::max,
+    );
+    let sequential_decode_tok_s = best_of(|| decode_tok_s(1), f64::max);
 
     let batched = BATCH_SWEEP
         .iter()
         .map(|&max_batch| {
             let cfg_serve = ServeConfig::new(max_batch);
-            let mut tok_s = 0.0f64;
-            for _ in 0..MEASURE_REPS {
-                let mut backend = fresh_backend(&model, nodes, max_batch, capacity);
-                let report = serve_continuous_on(&mut backend, &workload, &cfg_serve);
-                debug_assert_eq!(report.completed(), requests);
-                tok_s = tok_s.max(report.tokens_per_second());
-            }
-            let mut decode_tok_s = 0.0f64;
-            for _ in 0..MEASURE_REPS {
-                let mut backend = fresh_backend(&model, nodes, max_batch, capacity);
-                decode_tok_s = decode_tok_s.max(decode_phase_tok_s(
-                    &mut backend,
-                    &workload[..max_batch.min(requests)],
-                    decode_tokens,
-                ));
-            }
+            let tok_s = best_of(
+                || {
+                    let mut backend = fresh_backend(&model, nodes, max_batch, capacity);
+                    let report = serve_continuous_on(&mut backend, &workload, &cfg_serve);
+                    debug_assert_eq!(report.completed(), requests);
+                    report.tokens_per_second()
+                },
+                f64::max,
+            );
             BatchPoint {
                 max_batch,
                 tok_s,
-                decode_tok_s,
+                decode_tok_s: best_of(|| decode_tok_s(max_batch), f64::max),
             }
         })
         .collect();
@@ -458,148 +434,49 @@ pub fn measure(quick: bool) -> ServeFunctionalReport {
     report
 }
 
-/// Renders the report (plus the pinned [`BASELINE`]) as a JSON document.
-pub fn to_json(report: &ServeFunctionalReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"baseline\": {{\n    \"captured_at\": \"{}\",\n    \"medium_decode_tok_s_1node\": {},\n    \"tiny_decode_tok_s_1node\": {}\n  }},\n",
-        BASELINE.captured_at,
-        json_f64(BASELINE.medium_decode_tok_s_1node),
-        json_f64(BASELINE.tiny_decode_tok_s_1node),
-    ));
-    out.push_str(&format!("  \"quick\": {},\n", report.quick));
-    out.push_str(&format!(
-        "  \"model\": \"{}\",\n  \"nodes\": {},\n  \"requests\": {},\n  \"prefill_tokens\": {},\n  \"decode_tokens\": {},\n",
-        report.model, report.nodes, report.requests, report.prefill_tokens, report.decode_tokens,
-    ));
-    out.push_str(&format!(
-        "  \"sequential_tok_s\": {},\n",
-        json_f64(report.sequential_tok_s)
-    ));
-    out.push_str(&format!(
-        "  \"sequential_decode_tok_s\": {},\n",
-        json_f64(report.sequential_decode_tok_s)
-    ));
-    out.push_str("  \"batched\": [\n");
-    for (i, p) in report.batched.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"max_batch\": {}, \"tok_s\": {}, \"decode_tok_s\": {}}}{}\n",
-            p.max_batch,
-            json_f64(p.tok_s),
-            json_f64(p.decode_tok_s),
-            if i + 1 < report.batched.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"batch_scaling\": [\n");
-    let scaling = report.batch_scaling();
-    for (i, row) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"max_batch\": {}, \"decode_tok_s\": {}, \"speedup_vs_batch1\": {}, \"speedup_vs_sequential_decode\": {}}}{}\n",
-            row.max_batch,
-            json_f64(row.decode_tok_s),
-            json_f64(row.speedup_vs_batch1),
-            json_f64(row.speedup_vs_sequential_decode),
-            if i + 1 < scaling.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    let pp = &report.page_pressure;
-    out.push_str(&format!(
-        "  \"page_pressure\": {{\n    \"capacity\": {},\n    \"arena_tokens\": {},\n    \"fixed_slots\": {},\n    \"paged_slots\": {},\n    \"page_tokens\": {},\n    \"pool_pages\": {},\n    \"requests\": {},\n    \"prefill_tokens\": {},\n    \"decode_tokens\": {},\n    \"fixed_peak_resident\": {},\n    \"paged_peak_resident\": {},\n    \"concurrency_ratio\": {},\n    \"fixed_tok_s\": {},\n    \"paged_tok_s\": {}\n  }},\n",
-        pp.capacity,
-        pp.arena_tokens,
-        pp.fixed_slots,
-        pp.paged_slots,
-        pp.page_tokens,
-        pp.pool_pages,
-        pp.requests,
-        pp.prefill_tokens,
-        pp.decode_tokens,
-        json_f64(pp.fixed_peak_resident),
-        json_f64(pp.paged_peak_resident),
-        json_f64(pp.concurrency_ratio),
-        json_f64(pp.fixed_tok_s),
-        json_f64(pp.paged_tok_s),
-    ));
-    out.push_str(&format!(
-        "  \"batch16_speedup_vs_sequential\": {},\n",
-        json_f64(report.batch16_speedup_vs_sequential())
-    ));
-    out.push_str(&format!(
-        "  \"batch16_decode_speedup_vs_sequential_decode\": {},\n",
-        json_f64(report.batch16_decode_speedup_vs_sequential_decode())
-    ));
-    out.push_str(&format!(
-        "  \"speedup_vs_prechange_single_sequence\": {},\n",
-        json_f64(report.batched_decode_tok_s(16) / BASELINE.medium_decode_tok_s_1node)
-    ));
-    out.push_str(&format!("  \"wall_s\": {}\n}}\n", json_f64(report.wall_s)));
-    out
-}
-
-/// Renders a human-readable table.
-pub fn render(report: &ServeFunctionalReport) -> String {
-    let mut out = format!(
-        "FUNCTIONAL SERVING — continuous batching vs sequential (host wall-clock)\n\
-         model {} on {} node(s): {} requests × [{}:{}]\n\
-         sequential baseline : {:>9.1} tok/s e2e, {:>9.1} tok/s decode-phase\n",
-        report.model,
-        report.nodes,
-        report.requests,
-        report.prefill_tokens,
-        report.decode_tokens,
-        report.sequential_tok_s,
-        report.sequential_decode_tok_s,
-    );
-    let batch1 = report.batched_decode_tok_s(1);
-    for p in &report.batched {
-        out.push_str(&format!(
-            "  batch {:>2}          : {:>9.1} tok/s e2e, {:>9.1} tok/s decode-phase ({:>5.2}x seq e2e, {:>5.2}x batch 1)\n",
-            p.max_batch,
-            p.tok_s,
-            p.decode_tok_s,
-            if report.sequential_tok_s > 0.0 {
-                p.decode_tok_s / report.sequential_tok_s
-            } else {
-                0.0
-            },
-            if batch1 > 0.0 {
-                p.decode_tok_s / batch1
-            } else {
-                0.0
-            },
-        ));
-    }
-    out.push_str(&format!(
-        "pre-change single-sequence decode: {:.1} tok/s ({})\n",
-        BASELINE.medium_decode_tok_s_1node, BASELINE.captured_at,
-    ));
-    let pp = &report.page_pressure;
-    out.push_str(&format!(
-        "PAGE PRESSURE — equal arena bytes ({} KV tokens), {} requests × [{}:{}]\n\
-         \x20 fixed-stride {:>2} slots × {:>3} cap : peak {:>4.1} resident, {:>9.1} tok/s\n\
-         \x20 paged {:>2} slots, {:>2}-token pages : peak {:>4.1} resident, {:>9.1} tok/s\n\
-         \x20 resident-concurrency ratio       : {:>4.2}x (bar: >= 2)\n",
-        pp.arena_tokens,
-        pp.requests,
-        pp.prefill_tokens,
-        pp.decode_tokens,
-        pp.fixed_slots,
-        pp.capacity,
-        pp.fixed_peak_resident,
-        pp.fixed_tok_s,
-        pp.paged_slots,
-        pp.page_tokens,
-        pp.paged_peak_resident,
-        pp.paged_tok_s,
-        pp.concurrency_ratio,
-    ));
-    out
+/// The report (plus the pinned [`BASELINE`]) as a JSON document.
+pub fn to_json(report: &ServeFunctionalReport) -> Json {
+    let baseline = fields![
+        BASELINE; captured_at, medium_decode_tok_s_1node, tiny_decode_tok_s_1node
+    ];
+    let batched = Json::arr(&report.batched, |p| {
+        Json::Obj(fields![p; max_batch, tok_s, decode_tok_s])
+    });
+    let batch_scaling = Json::arr(report.batch_scaling(), |row| {
+        Json::Obj(fields![
+            row; max_batch, decode_tok_s, speedup_vs_batch1, speedup_vs_sequential_decode
+        ])
+    });
+    let page_pressure = fields![
+        report.page_pressure; capacity, arena_tokens, fixed_slots, paged_slots, page_tokens,
+        pool_pages, requests, prefill_tokens, decode_tokens, fixed_peak_resident,
+        paged_peak_resident, concurrency_ratio, fixed_tok_s, paged_tok_s
+    ];
+    let vs_prechange = report.batched_decode_tok_s(16) / BASELINE.medium_decode_tok_s_1node;
+    let mut top = vec![
+        ("baseline", Json::Obj(baseline)),
+        ("model", report.model.as_str().into()),
+    ];
+    top.extend(fields![
+        report; quick, nodes, requests, prefill_tokens, decode_tokens, sequential_tok_s,
+        sequential_decode_tok_s
+    ]);
+    top.extend([
+        ("batched", batched),
+        ("batch_scaling", batch_scaling),
+        ("page_pressure", Json::Obj(page_pressure)),
+        (
+            "batch16_speedup_vs_sequential",
+            report.batch16_speedup_vs_sequential().into(),
+        ),
+        (
+            "batch16_decode_speedup_vs_sequential_decode",
+            report.batch16_decode_speedup_vs_sequential_decode().into(),
+        ),
+        ("speedup_vs_prechange_single_sequence", vs_prechange.into()),
+        ("wall_s", report.wall_s.into()),
+    ]);
+    Json::Obj(top)
 }
 
 #[cfg(test)]
@@ -615,10 +492,11 @@ mod tests {
         for p in &r.batched {
             assert!(p.tok_s > 0.0, "degenerate point {p:?}");
         }
-        assert!(
-            r.batched_tok_s(4) >= r.batched_tok_s(1) * 0.5,
-            "batch 4 collapsed: {r:?}"
-        );
+        let tok_s = |max_batch| {
+            let cell = r.batched.iter().find(|p| p.max_batch == max_batch);
+            cell.expect("swept").tok_s
+        };
+        assert!(tok_s(4) >= tok_s(1) * 0.5, "batch 4 collapsed: {r:?}");
     }
 
     #[test]
@@ -681,15 +559,31 @@ mod tests {
             quick: true,
         };
         let j = to_json(&report);
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.contains("\"baseline\""));
-        assert!(j.contains("\"concurrency_ratio\": 4.000"));
-        assert!(j.contains("\"batch16_speedup_vs_sequential\": 6.000"));
-        assert!(j.contains("\"batch_scaling\""));
+        // What CI's gate reads.
+        assert!(j.get("batched").is_some() && j.get("sequential_tok_s").is_some());
+        let Some(Json::Arr(scaling)) = j.get("batch_scaling") else {
+            panic!("batch_scaling is an array");
+        };
+        for key in ["max_batch", "decode_tok_s", "speedup_vs_batch1"] {
+            assert!(scaling.iter().all(|row| row.get(key).is_some()), "{key}");
+        }
+        let pp = j.get("page_pressure").expect("page_pressure");
+        for key in [
+            "arena_tokens",
+            "fixed_slots",
+            "capacity",
+            "pool_pages",
+            "page_tokens",
+            "concurrency_ratio",
+        ] {
+            assert!(pp.get(key).is_some(), "{key}");
+        }
+        let text = j.render();
+        assert!(text.contains("\"baseline\""));
+        assert!(text.contains("\"concurrency_ratio\": 4.000"));
+        assert!(text.contains("\"batch16_speedup_vs_sequential\": 6.000"));
         // batch 16 at 1500 decode tok/s over batch 1 at 260.
-        assert!(j.contains("\"speedup_vs_batch1\": 5.769"));
-        assert!(render(&report).contains("tok/s"));
+        assert!(text.contains("\"speedup_vs_batch1\": 5.769"));
     }
 
     #[test]

@@ -604,9 +604,11 @@ enum Origin {
     Resumed(Resident),
 }
 
-/// The functional substrate: real W8A8 inference on a [`DistributedGpt2`]
-/// built with [`DistributedGpt2::with_slots`]. Prefill runs the prompt
-/// into the request's slot and samples its first output token; each
+/// The functional substrate: real W8A8 inference on a multi-slot
+/// [`DistributedGpt2`] ([`DistributedGpt2::with_slots`] or, to
+/// oversubscribe the page pool, [`DistributedGpt2::with_paged_slots`]),
+/// over heap-built weights or a mapped checkpoint alike. Prefill runs the
+/// prompt into the request's slot and samples its first output token; each
 /// decode iteration feeds every resident's last token through the batched
 /// pipeline (one weight stream per layer per step, shared by all) and
 /// samples the next. Reported times are measured host wall-clock.
@@ -637,7 +639,9 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 
 impl FunctionalBackend {
     /// Wraps a slot-capable engine. All slots must be free (build the
-    /// engine with [`DistributedGpt2::with_slots`]).
+    /// engine with [`DistributedGpt2::with_slots`] or
+    /// [`DistributedGpt2::with_paged_slots`], not [`DistributedGpt2::new`],
+    /// which pre-acquires slot 0).
     ///
     /// # Panics
     ///
@@ -647,7 +651,7 @@ impl FunctionalBackend {
             engine.free_slots(),
             engine.slots(),
             "functional backend needs an engine with all slots free \
-             (DistributedGpt2::with_slots)"
+             (DistributedGpt2::with_slots / with_paged_slots)"
         );
         let slots = engine.slots();
         FunctionalBackend {

@@ -14,6 +14,7 @@
 //!   suite uses to prove the partitioning algebra correct.
 
 use std::fmt;
+use std::sync::Arc;
 
 use looplynx_model::attention::{attend_heads_segments_to, AttnScratch};
 use looplynx_model::config::ModelConfig;
@@ -22,6 +23,7 @@ use looplynx_model::gpt2::Gpt2Model;
 use looplynx_model::kv_cache::LayerKvCache;
 use looplynx_model::paged::PagedKvArena;
 use looplynx_model::prefix::{PrefixIndex, PrefixIndexStats};
+use looplynx_model::weights::Gpt2Weights;
 use looplynx_tensor::activation::gelu_in_place;
 use looplynx_tensor::linear::QuantLinear;
 use looplynx_tensor::matrix::Matrix;
@@ -376,9 +378,32 @@ fn split_row_chunks<T>(
     out
 }
 
+/// The five sharded linears of the layer walk.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Linear {
+    Qkv,
+    Proj,
+    Fc1,
+    Fc2,
+    LmHead,
+}
+
+impl Linear {
+    /// This linear's shard on one node (`layer` is ignored by the LM head).
+    fn of(self, weights: &NodeWeights, layer: usize) -> &QuantLinear {
+        match self {
+            Linear::Qkv => &weights.layers[layer].qkv,
+            Linear::Proj => &weights.layers[layer].proj,
+            Linear::Fc1 => &weights.layers[layer].fc1,
+            Linear::Fc2 => &weights.layers[layer].fc2,
+            Linear::LmHead => &weights.lm_head,
+        }
+    }
+}
+
 /// One sharded batched linear over every node: each (node, row-shard)
-/// worker computes its weight-row range of `lin(node)`'s output into its
-/// own slab (`forward_batch_scaled_range_into`), optionally applying the
+/// worker computes its weight-row range of `lin.of(node)`'s output into its
+/// own slab (`forward_batch_scaled_range_into`), FC1's followed by its
 /// node-local GELU (elementwise, so per-slab application equals
 /// whole-output application bit for bit); the host then stitches each
 /// node's slabs side by side into `gemm_out` (`batch × out_features`
@@ -386,25 +411,24 @@ fn split_row_chunks<T>(
 /// swapped in instead of copied. Because no dot product is ever split
 /// across shards, the stitched result is bit-identical to the unsharded
 /// `forward_batch_scaled_into` for any shard count.
-#[allow(clippy::too_many_arguments)]
 fn sharded_linear_phase(
     nodes: &mut [NodeState],
     pool: Option<&WorkerPool>,
     row_shards: usize,
-    lin: fn(&NodeWeights, usize) -> &QuantLinear,
+    lin: Linear,
     layer: usize,
     xmat: &Matrix<i8>,
     scales: &[f32],
-    gelu: bool,
 ) {
     let (b, width) = (xmat.rows(), xmat.cols());
+    let gelu = lin == Linear::Fc1;
     let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(nodes.len() * row_shards);
     let mut per_worker_bytes = usize::MAX;
     for node in nodes.iter_mut() {
         let NodeState {
             weights, shards, ..
         } = node;
-        let linear = lin(weights, layer);
+        let linear = lin.of(weights, layer);
         let out_rows = linear.out_features();
         per_worker_bytes = per_worker_bytes.min(out_rows * width / row_shards.max(1));
         for (s, shard) in shards.iter_mut().enumerate() {
@@ -426,7 +450,7 @@ fn sharded_linear_phase(
     run_jobs(pool, per_worker_bytes, jobs);
     // Stitch slabs into each node's full output.
     for node in nodes.iter_mut() {
-        let out_rows = lin(&node.weights, layer).out_features();
+        let out_rows = lin.of(&node.weights, layer).out_features();
         if row_shards == 1 {
             std::mem::swap(&mut node.gemm_out, &mut node.shards[0].out);
         } else {
@@ -616,8 +640,10 @@ pub struct DistributedGpt2 {
     nodes: Vec<NodeState>,
     /// The one KV ledger (see the type docs).
     arena: PagedKvArena,
-    // Host-side tables (embedding + final LN replicated to every node).
-    host: Gpt2Model,
+    /// The store the shards were cut from, shared with the model the engine
+    /// was built over: the host-side embedding tables and the layer norms
+    /// every node replicates are read from here.
+    weights: Arc<Gpt2Weights>,
     /// Execute per-node stages on the persistent worker pool
     /// (bit-identical either way; see [`DistributedGpt2::set_threaded`]).
     threaded: bool,
@@ -774,7 +800,7 @@ impl DistributedGpt2 {
             router: Router::new(nodes, mode),
             nodes: node_states,
             arena,
-            host: model.clone(),
+            weights: Arc::clone(model.shared_weights()),
             model_cfg: cfg,
             threaded,
             row_shards,
@@ -1129,19 +1155,9 @@ impl DistributedGpt2 {
         logit_rows: std::ops::Range<usize>,
     ) -> Vec<Vec<f32>> {
         let layers = self.model_cfg.layers;
-        let vocab = self.model_cfg.vocab;
-        let d = self.model_cfg.d_model;
-        let d_ff = self.model_cfg.d_ff;
         let d_head = self.model_cfg.d_head();
-        let n = self.nodes.len();
+        let shard_w = self.model_cfg.d_model / self.nodes.len();
         let b = entries.len();
-        let row_shards = self.row_shards;
-
-        let HostScratch {
-            stack: scratch,
-            gathered,
-            xs,
-        } = &mut self.scratch;
 
         let mut next: Vec<usize> = (0..self.arena.slots()).map(|s| self.arena.pos(s)).collect();
         let rows: Vec<Row> = entries
@@ -1154,28 +1170,17 @@ impl DistributedGpt2 {
             .collect();
 
         // Host embeds each row's token at its own position into one flat
-        // `b × d` activation buffer.
-        xs.clear();
+        // `b × d` activation buffer, the residual stream.
+        self.scratch.xs.clear();
         for (row, &(_, token)) in rows.iter().zip(entries) {
-            xs.extend_from_slice(&self.host.embed(token, row.pos));
+            let embedding = self.weights.embed(token, row.pos);
+            self.scratch.xs.extend(embedding);
         }
 
         for layer in 0..layers {
-            // LN1 + per-row quantize (replicated), one sharded QKV GEMM
-            // per node, per-row cache append, then attention with the
-            // rows partitioned across the node's row shards.
-            let xmat = scratch.stack_flat(xs, Some(&self.nodes[0].weights.layers[layer].ln1), d);
-            sharded_linear_phase(
-                &mut self.nodes,
-                self.pool.as_ref(),
-                row_shards,
-                |w, l| &w.layers[l].qkv,
-                layer,
-                &xmat,
-                &scratch.scales,
-                false,
-            );
-            scratch.reclaim(xmat);
+            // QKV, per-row cache append, then attention with the rows
+            // partitioned across the node's row shards, gathered per row.
+            self.linear_stage(Linear::Qkv, layer, 0..b);
             for (node_idx, node) in self.nodes.iter().enumerate() {
                 let w = node.weights.head_range.len() * d_head;
                 for (t, row) in rows.iter().enumerate() {
@@ -1189,7 +1194,7 @@ impl DistributedGpt2 {
                 &mut self.nodes,
                 &self.arena,
                 self.pool.as_ref(),
-                row_shards,
+                self.row_shards,
                 layer,
                 &rows,
                 d_head,
@@ -1199,85 +1204,13 @@ impl DistributedGpt2 {
                 &mut self.nodes,
                 GatherSrc::Attn,
                 b,
-                d / n,
-                &mut scratch.q8,
-                gathered,
+                shard_w,
+                &mut self.scratch.stack.q8,
+                &mut self.scratch.gathered,
             );
-
-            // Sharded projection GEMM per node, gather per row, residual.
-            let amat = scratch.stack_flat(gathered, None, d);
-            sharded_linear_phase(
-                &mut self.nodes,
-                self.pool.as_ref(),
-                row_shards,
-                |w, l| &w.layers[l].proj,
-                layer,
-                &amat,
-                &scratch.scales,
-                false,
-            );
-            scratch.reclaim(amat);
-            gather_rows_flat(
-                &self.router,
-                &mut self.nodes,
-                GatherSrc::Gemm,
-                b,
-                d / n,
-                &mut scratch.q8,
-                gathered,
-            );
-            for (x, p) in xs.iter_mut().zip(gathered.iter()) {
-                *x += p;
-            }
-
-            // MLP: sharded FC1 GEMM + per-slab GELU, gather, sharded FC2
-            // GEMM, gather, residual.
-            let hmat = scratch.stack_flat(xs, Some(&self.nodes[0].weights.layers[layer].ln2), d);
-            sharded_linear_phase(
-                &mut self.nodes,
-                self.pool.as_ref(),
-                row_shards,
-                |w, l| &w.layers[l].fc1,
-                layer,
-                &hmat,
-                &scratch.scales,
-                true,
-            );
-            scratch.reclaim(hmat);
-            gather_rows_flat(
-                &self.router,
-                &mut self.nodes,
-                GatherSrc::Gemm,
-                b,
-                d_ff / n,
-                &mut scratch.q8,
-                gathered,
-            );
-
-            let gmat = scratch.stack_flat(gathered, None, d_ff);
-            sharded_linear_phase(
-                &mut self.nodes,
-                self.pool.as_ref(),
-                row_shards,
-                |w, l| &w.layers[l].fc2,
-                layer,
-                &gmat,
-                &scratch.scales,
-                false,
-            );
-            scratch.reclaim(gmat);
-            gather_rows_flat(
-                &self.router,
-                &mut self.nodes,
-                GatherSrc::Gemm,
-                b,
-                d / n,
-                &mut scratch.q8,
-                gathered,
-            );
-            for (x, f) in xs.iter_mut().zip(gathered.iter()) {
-                *x += f;
-            }
+            self.linear_stage(Linear::Proj, layer, 0..b);
+            self.linear_stage(Linear::Fc1, layer, 0..b);
+            self.linear_stage(Linear::Fc2, layer, 0..b);
         }
         for row in &rows {
             self.arena.advance(row.slot, 1);
@@ -1286,24 +1219,12 @@ impl DistributedGpt2 {
             return Vec::new();
         }
 
-        // Final LN (replicated) over the requested rows only (non-final
-        // prefill outputs are discarded, paper Fig. 1).
-        let wanted = &xs[logit_rows.start * d..logit_rows.end * d];
-        let fmat = scratch.stack_flat(wanted, Some(&self.nodes[0].weights.ln_f), d);
-        sharded_linear_phase(
-            &mut self.nodes,
-            self.pool.as_ref(),
-            row_shards,
-            |w, _| &w.lm_head,
-            0,
-            &fmat,
-            &scratch.scales,
-            false,
-        );
-        scratch.reclaim(fmat);
+        // The requested rows only (non-final prefill outputs are
+        // discarded, paper Fig. 1).
+        self.linear_stage(Linear::LmHead, 0, logit_rows.clone());
         (0..logit_rows.len())
             .map(|t| {
-                let mut row = Vec::with_capacity(vocab);
+                let mut row = Vec::with_capacity(self.model_cfg.vocab);
                 for node in &self.nodes {
                     let vw = node.weights.lm_head.out_features();
                     row.extend_from_slice(&node.gemm_out[t * vw..(t + 1) * vw]);
@@ -1311,6 +1232,64 @@ impl DistributedGpt2 {
                 row
             })
             .collect()
+    }
+
+    /// One linear stage of the walk, the same five times over: the host
+    /// quantizes the stage's input rows one by one — rows `rows` of the
+    /// residual stream through the layer norm in front of the linear (QKV,
+    /// FC1, LM head), or what the previous stage gathered (out-proj, FC2)
+    /// — every (node, row-shard) worker computes its slab
+    /// ([`sharded_linear_phase`]; FC1's GELU is applied per slab), and the
+    /// node outputs are all-gathered per row into `gathered`, which
+    /// out-proj and FC2 then add to the residual stream. QKV and the LM
+    /// head are not gathered: attention reads a node's QKV in place and
+    /// logits leave over PCIe, so both stay in each node's `gemm_out`.
+    fn linear_stage(&mut self, lin: Linear, layer: usize, rows: std::ops::Range<usize>) {
+        let d = self.model_cfg.d_model;
+        let HostScratch {
+            stack,
+            gathered,
+            xs,
+        } = &mut self.scratch;
+        let ln = match lin {
+            Linear::Qkv => Some(&self.weights.blocks[layer].ln1),
+            Linear::Fc1 => Some(&self.weights.blocks[layer].ln2),
+            Linear::LmHead => Some(&self.weights.ln_f),
+            Linear::Proj | Linear::Fc2 => None,
+        };
+        let shard = lin.of(&self.nodes[0].weights, layer);
+        let (width, shard_w) = (shard.in_features(), shard.out_features());
+        let xmat = match ln {
+            Some(_) => stack.stack_flat(&xs[rows.start * d..rows.end * d], ln, width),
+            None => stack.stack_flat(gathered, None, width),
+        };
+        sharded_linear_phase(
+            &mut self.nodes,
+            self.pool.as_ref(),
+            self.row_shards,
+            lin,
+            layer,
+            &xmat,
+            &stack.scales,
+        );
+        stack.reclaim(xmat);
+        if matches!(lin, Linear::Qkv | Linear::LmHead) {
+            return;
+        }
+        gather_rows_flat(
+            &self.router,
+            &mut self.nodes,
+            GatherSrc::Gemm,
+            rows.len(),
+            shard_w,
+            &mut stack.q8,
+            gathered,
+        );
+        if ln.is_none() {
+            for (x, g) in xs.iter_mut().zip(gathered.iter()) {
+                *x += g;
+            }
+        }
     }
 
     /// Lazily claims slot 0 for the single-sequence surface. Engines

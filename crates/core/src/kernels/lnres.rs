@@ -9,7 +9,7 @@
 //! baseline where critical-path operators consume 18.5 % of token latency.
 
 use looplynx_sim::time::Cycles;
-use looplynx_tensor::norm::{residual_add, residual_layernorm, LayerNormParams};
+use looplynx_tensor::norm::{residual_layernorm, LayerNormParams};
 
 use crate::config::ArchConfig;
 use crate::kernels::{KernelTiming, Segment};
@@ -101,11 +101,6 @@ impl FusedLnResKernel {
             Some(r) => residual_layernorm(x, r, params),
             None => looplynx_tensor::norm::layernorm(x, params),
         }
-    }
-
-    /// Functional residual-only path.
-    pub fn forward_residual(&self, x: &[f32], r: &[f32]) -> Vec<f32> {
-        residual_add(x, r)
     }
 }
 

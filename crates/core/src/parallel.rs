@@ -16,10 +16,8 @@ use std::ops::Range;
 
 use looplynx_model::config::ModelConfig;
 use looplynx_model::weights::{BlockWeights, Gpt2Weights};
-use looplynx_tensor::error::ShapeError;
 use looplynx_tensor::linear::QuantLinear;
 use looplynx_tensor::matrix::Matrix;
-use looplynx_tensor::norm::LayerNormParams;
 use looplynx_tensor::quant::QuantizedMatrix;
 
 /// Error returned when a model cannot be partitioned over a ring.
@@ -84,37 +82,44 @@ pub fn split_range(total: usize, parts: usize, i: usize) -> Range<usize> {
     start..start + len
 }
 
-/// Vertically concatenates quantized row-shards, preserving per-row
-/// scales. One preallocated buffer and a single pass over the parts —
-/// repeated `vstack` would re-copy every already-stacked row per part
-/// (O(parts²) bytes moved).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the parts disagree on column count.
-fn concat_quantized(parts: &[QuantizedMatrix]) -> Result<QuantizedMatrix, ShapeError> {
-    let cols = parts[0].shape().1;
-    let total_rows: usize = parts.iter().map(|p| p.shape().0).sum();
-    let mut data = Vec::with_capacity(total_rows * cols);
-    let mut scales = Vec::with_capacity(total_rows);
-    for p in parts {
-        if p.shape().1 != cols {
-            return Err(ShapeError::new("concat", (total_rows, cols), p.shape()));
-        }
-        data.extend_from_slice(p.data().as_slice());
-        scales.extend_from_slice(p.row_scales());
+/// `xs[r]` for each of `ranges`, concatenated in one pass.
+fn pick<T: Copy>(xs: &[T], ranges: &[Range<usize>]) -> Vec<T> {
+    let mut out = Vec::with_capacity(ranges.iter().map(Range::len).sum());
+    for r in ranges {
+        out.extend_from_slice(&xs[r.clone()]);
     }
-    Ok(QuantizedMatrix::new(
-        Matrix::from_vec(total_rows, cols, data)?,
-        scales,
-    ))
+    out
 }
 
-/// Extracts the rows `range` of a linear layer as a standalone shard.
-fn slice_linear(lin: &QuantLinear, range: Range<usize>) -> QuantLinear {
-    let weight = lin.weight().slice_rows(range.start, range.end);
-    let bias = lin.bias()[range].to_vec();
-    QuantLinear::new(weight, bias).expect("shard bias matches shard rows")
+/// Rows `ranges` of `lin`, in that order, as a standalone shard. Adjacent
+/// ranges are coalesced first. A single range is a
+/// [`QuantizedMatrix::slice_rows`] — a view into the same arena when the
+/// source is a mapped checkpoint, so sharding touches no weight page; only
+/// a shard whose rows lie apart in the source (head-aligned QKV on two or
+/// more nodes) is copied, once.
+fn shard_linear(lin: &QuantLinear, ranges: impl IntoIterator<Item = Range<usize>>) -> QuantLinear {
+    let mut merged: Vec<Range<usize>> = Vec::new();
+    for r in ranges {
+        match merged.last_mut() {
+            Some(last) if last.end == r.start => last.end = r.end,
+            _ => merged.push(r),
+        }
+    }
+    let w = lin.weight();
+    let weight = match merged.as_slice() {
+        [one] => w.slice_rows(one.start, one.end),
+        apart => {
+            let cols = w.shape().1;
+            let spans: Vec<_> = apart.iter().map(|r| r.start * cols..r.end * cols).collect();
+            let data = pick(w.data().as_slice(), &spans);
+            QuantizedMatrix::from_parts(
+                Matrix::from_vec(data.len() / cols, cols, data).expect("whole rows"),
+                pick(w.row_scales(), apart),
+                pick(w.row_sums(), apart),
+            )
+        }
+    };
+    QuantLinear::new(weight, pick(lin.bias(), &merged)).expect("shard bias matches shard rows")
 }
 
 /// One layer's weight shards on one node.
@@ -128,13 +133,11 @@ pub struct LayerShard {
     pub fc1: QuantLinear,
     /// FC2 rows.
     pub fc2: QuantLinear,
-    /// Pre-attention layernorm (replicated).
-    pub ln1: LayerNormParams,
-    /// Pre-MLP layernorm (replicated).
-    pub ln2: LayerNormParams,
 }
 
-/// All weights one node holds.
+/// All weights one node holds. The replicated tensors (embeddings, layer
+/// norms) are not here: every node reads them from the one
+/// [`Gpt2Weights`] the shards were cut from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeWeights {
     /// Node id in ring order.
@@ -145,8 +148,6 @@ pub struct NodeWeights {
     pub head_range: Range<usize>,
     /// Per-layer shards.
     pub layers: Vec<LayerShard>,
-    /// Final layernorm (replicated).
-    pub ln_f: LayerNormParams,
     /// LM-head row shard (vocabulary split).
     pub lm_head: QuantLinear,
     /// Vocabulary rows this node computes.
@@ -174,29 +175,12 @@ fn shard_block(block: &BlockWeights, model: &ModelConfig, node: usize, nodes: us
     let d = model.d_model;
     let slice = split_range(d, nodes, node);
     // Head-aligned QKV: this node's Q rows, K rows, V rows.
-    let q = block.qkv.weight().slice_rows(slice.start, slice.end);
-    let k = block
-        .qkv
-        .weight()
-        .slice_rows(d + slice.start, d + slice.end);
-    let v = block
-        .qkv
-        .weight()
-        .slice_rows(2 * d + slice.start, 2 * d + slice.end);
-    let qkv_w = concat_quantized(&[q, k, v]).expect("equal widths");
-    let mut qkv_bias = block.qkv.bias()[slice.clone()].to_vec();
-    qkv_bias.extend_from_slice(&block.qkv.bias()[d + slice.start..d + slice.end]);
-    qkv_bias.extend_from_slice(&block.qkv.bias()[2 * d + slice.start..2 * d + slice.end]);
-    let qkv = QuantLinear::new(qkv_w, qkv_bias).expect("qkv shard consistent");
-
-    let ff_slice = split_range(model.d_ff, nodes, node);
+    let qkv = [0, d, 2 * d].map(|base| base + slice.start..base + slice.end);
     LayerShard {
-        qkv,
-        proj: slice_linear(&block.proj, slice.clone()),
-        fc1: slice_linear(&block.fc1, ff_slice),
-        fc2: slice_linear(&block.fc2, slice),
-        ln1: block.ln1.clone(),
-        ln2: block.ln2.clone(),
+        qkv: shard_linear(&block.qkv, qkv),
+        proj: shard_linear(&block.proj, [slice.clone()]),
+        fc1: shard_linear(&block.fc1, [split_range(model.d_ff, nodes, node)]),
+        fc2: shard_linear(&block.fc2, [slice]),
     }
 }
 
@@ -224,8 +208,7 @@ pub fn shard_weights(
                     .iter()
                     .map(|b| shard_block(b, model, node, nodes))
                     .collect(),
-                ln_f: weights.ln_f.clone(),
-                lm_head: slice_linear(&weights.lm_head, vocab.clone()),
+                lm_head: shard_linear(&weights.lm_head, [vocab.clone()]),
                 vocab_range: vocab,
             }
         })
@@ -309,6 +292,50 @@ mod tests {
                     _ => unreachable!(),
                 };
                 assert!((v - expect).abs() < 1e-5, "node {i} elem {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn mapped_shards_are_views_except_a_split_qkv() {
+        let (cfg, w) = setup();
+        let path = std::env::temp_dir().join(format!("looplynx_shards_{}.bin", std::process::id()));
+        looplynx_model::checkpoint::save(&cfg, &w, &path).unwrap();
+        let mapped = looplynx_model::checkpoint::load_model(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let view = |lin: &QuantLinear| lin.weight().data().is_arena_view();
+
+        for nodes in [1usize, 2] {
+            let shards = shard_weights(mapped.weights(), &cfg, nodes).unwrap();
+            assert_eq!(shards, shard_weights(&w, &cfg, nodes).unwrap());
+            for (i, s) in shards.iter().enumerate() {
+                assert!(view(&s.lm_head), "{nodes} nodes: lm_head");
+                for (l, (shard, block)) in s.layers.iter().zip(&w.blocks).enumerate() {
+                    assert!(
+                        view(&shard.proj) && view(&shard.fc1) && view(&shard.fc2),
+                        "{nodes} nodes, layer {l}"
+                    );
+                    // One node's Q, K and V ranges are adjacent: one view.
+                    assert_eq!(view(&shard.qkv), nodes == 1, "{nodes} nodes, layer {l}");
+                    // Split or not, the shard is the three head-aligned
+                    // slices stacked, row sums recomputed from the payload.
+                    let d = cfg.d_model;
+                    let r = split_range(d, nodes, i);
+                    let [q, k, v] = [0, d, 2 * d].map(|base| base + r.start..base + r.end);
+                    let full = block.qkv.weight();
+                    let part = |r: &Range<usize>| full.slice_rows(r.start, r.end);
+                    let data = part(&q).data().vstack(part(&k).data()).unwrap();
+                    let data = data.vstack(part(&v).data()).unwrap();
+                    let stacked = QuantLinear::new(
+                        QuantizedMatrix::new(
+                            data,
+                            pick(full.row_scales(), &[q.clone(), k.clone(), v.clone()]),
+                        ),
+                        pick(block.qkv.bias(), &[q, k, v]),
+                    )
+                    .unwrap();
+                    assert_eq!(shard.qkv, stacked, "{nodes} nodes, layer {l}");
+                }
             }
         }
     }

@@ -6,6 +6,7 @@
 
 use looplynx_core::engine::DistributedGpt2;
 use looplynx_core::router::RingMode;
+use looplynx_model::checkpoint;
 use looplynx_model::config::ModelConfig;
 use looplynx_model::gpt2::Gpt2Model;
 
@@ -44,8 +45,20 @@ fn engine(
     e
 }
 
+/// `model` saved as a checkpoint and loaded back: the same weights, every
+/// large tensor a view into the file mapping.
+fn from_checkpoint(model: &Gpt2Model, seed: u64) -> Gpt2Model {
+    let name = format!("looplynx_row_shard_{}_{seed}.bin", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    checkpoint::save(model.config(), model.weights(), &path).expect("save");
+    let loaded = checkpoint::load_model(&path).expect("load");
+    std::fs::remove_file(&path).ok();
+    loaded
+}
+
 fn assert_grid_identical(mode: RingMode, seed: u64) {
     let model = Gpt2Model::synthetic(&ModelConfig::tiny(), seed);
+    let mapped = from_checkpoint(&model, seed);
     let mut reference = engine(&model, 1, mode, 1, false);
     let single_node = run_batched(&mut reference);
 
@@ -60,6 +73,21 @@ fn assert_grid_identical(mode: RingMode, seed: u64) {
             assert_eq!(
                 single_node, expect,
                 "exact ring mode must be node-count invariant at nodes={nodes}"
+            );
+        }
+        // Built over the mapped checkpoint, the node shards are views into
+        // the file (all but a split QKV) that pool workers read in place.
+        let mut e = engine(&mapped, nodes, mode, 2, true);
+        assert_eq!(
+            expect,
+            run_batched(&mut e),
+            "mapped weights moved logits at nodes={nodes} mode={mode:?}"
+        );
+        for slot in 0..BATCH {
+            assert_eq!(
+                base.materialized_kv(slot),
+                e.materialized_kv(slot),
+                "mapped weights moved slot {slot}'s KV at nodes={nodes} mode={mode:?}"
             );
         }
         for row_shards in [1usize, 2, 4] {

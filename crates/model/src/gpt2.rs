@@ -6,6 +6,8 @@
 //! for the last one — and [`Gpt2Model::decode_step`] generates one token at
 //! a time auto-regressively.
 
+use std::sync::Arc;
+
 use looplynx_tensor::norm::layernorm;
 use looplynx_tensor::quant::quantize_vec;
 
@@ -18,11 +20,13 @@ use crate::weights::Gpt2Weights;
 #[cfg(test)]
 use crate::sampler::Sampler;
 
-/// A GPT-2 model instance with its KV cache.
+/// A GPT-2 model instance with its KV cache. The weights are held behind
+/// an [`Arc`]: cloning a model, or building a partitioned engine over it,
+/// shares the one store instead of copying it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gpt2Model {
     cfg: ModelConfig,
-    weights: Gpt2Weights,
+    weights: Arc<Gpt2Weights>,
     cache: KvCache,
     pos: usize,
 }
@@ -37,17 +41,14 @@ impl Gpt2Model {
     /// Wraps existing weights.
     ///
     /// The KV arenas start lazy (first append allocates, then doubling
-    /// growth re-strides — a handful of copies over a model lifetime):
-    /// this model also serves as `DistributedGpt2`'s host-side embedder,
-    /// which never touches the cache, so eagerly reserving
-    /// `layers × heads × max_seq × d_head × 2` bytes here would be dead
-    /// weight per engine. The distributed engine preallocates the caches
-    /// it actually appends to (per node, head-sliced) to `max_seq`.
+    /// growth re-strides — a handful of copies over a model lifetime), so
+    /// a model that is only ever a weight source — what a partitioned
+    /// engine is built from — reserves no cache bytes.
     pub fn from_weights(cfg: ModelConfig, weights: Gpt2Weights) -> Self {
         let cache = KvCache::new(cfg.layers, cfg.d_head());
         Gpt2Model {
             cfg,
-            weights,
+            weights: Arc::new(weights),
             cache,
             pos: 0,
         }
@@ -58,8 +59,14 @@ impl Gpt2Model {
         &self.cfg
     }
 
-    /// The weights (shared with the partitioned multi-node engine).
+    /// The weights.
     pub fn weights(&self) -> &Gpt2Weights {
+        &self.weights
+    }
+
+    /// The shared weight store — what the partitioned multi-node engine
+    /// holds on to for its host-side tables (embeddings, layer norms).
+    pub fn shared_weights(&self) -> &Arc<Gpt2Weights> {
         &self.weights
     }
 
@@ -79,27 +86,6 @@ impl Gpt2Model {
         self.pos = 0;
     }
 
-    /// Embedding lookup: token + positional embedding (host-side in the
-    /// paper's system).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token` is out of vocabulary or `pos` exceeds `max_seq`.
-    pub fn embed(&self, token: u32, pos: usize) -> Vec<f32> {
-        assert!(
-            (token as usize) < self.cfg.vocab,
-            "token {token} out of vocab"
-        );
-        assert!(pos < self.cfg.max_seq, "position {pos} beyond max_seq");
-        self.weights
-            .wte
-            .row(token as usize)
-            .iter()
-            .zip(self.weights.wpe.row(pos))
-            .map(|(a, b)| a + b)
-            .collect()
-    }
-
     /// Runs one token through every block; computes logits only when
     /// `want_logits` (prefill discards non-final outputs, paper Fig. 1).
     fn forward_token(&mut self, token: u32, want_logits: bool) -> Option<Vec<f32>> {
@@ -108,7 +94,7 @@ impl Gpt2Model {
             "sequence exceeded max_seq {}",
             self.cfg.max_seq
         );
-        let mut x = self.embed(token, self.pos);
+        let mut x: Vec<f32> = self.weights.embed(token, self.pos).collect();
         for (l, block) in self.weights.blocks.iter().enumerate() {
             x = block_forward(&x, block, self.cache.layer_mut(l), &self.cfg, self.pos);
         }
@@ -168,7 +154,7 @@ impl Gpt2Model {
         let mut xs: Vec<Vec<f32>> = prompt
             .iter()
             .enumerate()
-            .map(|(i, &t)| self.embed(t, start + i))
+            .map(|(i, &t)| self.weights.embed(t, start + i).collect())
             .collect();
         for (l, block) in self.weights.blocks.iter().enumerate() {
             xs = block_forward_batch(&xs, block, self.cache.layer_mut(l), &self.cfg, start);
@@ -316,7 +302,7 @@ mod tests {
     #[should_panic(expected = "out of vocab")]
     fn oov_token_panics() {
         let m = model();
-        let _ = m.embed(9999, 0);
+        let _ = m.weights().embed(9999, 0);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! `capacity` tokens (via [`LayerKvCache::with_capacity`]) makes decode
 //! appends pure writes: no reallocation, no per-token heap traffic.
 
-use looplynx_tensor::quant::{scale_for, QuantizedVector};
+use looplynx_tensor::quant::scale_for;
 
 use crate::attention::KvSegment;
 
@@ -68,11 +68,6 @@ impl<'a> QuantizedView<'a> {
     /// Reconstructs the real-valued vector.
     pub fn dequantize(&self) -> Vec<f32> {
         self.data.iter().map(|&q| q as f32 * self.scale).collect()
-    }
-
-    /// Copies the view into an owned [`QuantizedVector`].
-    pub fn to_owned_vector(&self) -> QuantizedVector {
-        QuantizedVector::new(self.data.to_vec(), self.scale)
     }
 }
 

@@ -103,6 +103,22 @@ impl Gpt2Weights {
         }
     }
 
+    /// Embedding lookup: the token row plus the position row, element by
+    /// element (host-side in the paper's system).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` is out of vocabulary or `pos` exceeds `max_seq`.
+    pub fn embed(&self, token: u32, pos: usize) -> impl Iterator<Item = f32> + '_ {
+        assert!(
+            (token as usize) < self.wte.rows(),
+            "token {token} out of vocab"
+        );
+        assert!(pos < self.wpe.rows(), "position {pos} beyond max_seq");
+        let (wte, wpe) = (self.wte.row(token as usize), self.wpe.row(pos));
+        wte.iter().zip(wpe).map(|(a, b)| a + b)
+    }
+
     /// Total int8 weight bytes across blocks and LM head — must agree with
     /// [`ModelConfig::weights_bytes_total`].
     pub fn weight_bytes(&self) -> usize {

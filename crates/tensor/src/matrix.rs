@@ -57,9 +57,10 @@ enum Buf<T> {
     /// Heap-owned elements.
     Owned(Vec<T>),
     /// `len` elements starting at `ptr`, which points into `arena`'s
-    /// bytes. Invariants (established by [`Matrix::from_arena`], the sole
-    /// constructor of this variant): the range is in bounds, `ptr` is
-    /// aligned for `T`, `T: Pod`, and the arena is never written.
+    /// bytes. Invariants (established by [`Matrix::from_arena`], and kept
+    /// by [`Matrix::slice_rows`], which only narrows a view): the range is
+    /// in bounds, `ptr` is aligned for `T`, `T: Pod`, and the arena is
+    /// never written.
     Mapped {
         /// Keeps the mapping alive for as long as this view exists.
         arena: Arc<MappedArena>,
@@ -329,7 +330,8 @@ impl<T: Copy + Default> Matrix<T> {
         self.data.as_slice().chunks_exact(self.cols)
     }
 
-    /// Copies rows `[start, end)` into a new matrix.
+    /// Rows `[start, end)` as a matrix: copied out of an owned matrix, a
+    /// view into the same arena of a mapped one (no weight page touched).
     ///
     /// # Panics
     ///
@@ -339,10 +341,22 @@ impl<T: Copy + Default> Matrix<T> {
             start <= end && end <= self.rows,
             "bad row range {start}..{end}"
         );
+        let window = &self.data.as_slice()[start * self.cols..end * self.cols];
         Matrix {
             rows: end - start,
             cols: self.cols,
-            data: Buf::Owned(self.data.as_slice()[start * self.cols..end * self.cols].to_vec()),
+            data: match &self.data {
+                Buf::Owned(_) => Buf::Owned(window.to_vec()),
+                // SAFETY: (the variant invariants) `window` is a sub-range
+                // of this view's in-bounds range, a whole number of `T`s
+                // past its aligned start, in the same arena — which the
+                // cloned `Arc` keeps alive however long this matrix lives.
+                Buf::Mapped { arena, .. } => Buf::Mapped {
+                    arena: Arc::clone(arena),
+                    ptr: window.as_ptr(),
+                    len: window.len(),
+                },
+            },
         }
     }
 
@@ -573,6 +587,27 @@ mod tests {
         // f32 needs 4-alignment; some offset in 1..=4 is misaligned.
         let misaligned = (1..=4).any(|off| Matrix::<f32>::from_arena(1, 2, &arena, off).is_err());
         assert!(misaligned);
+    }
+
+    #[test]
+    fn slice_rows_of_an_arena_view_is_a_view_that_outlives_its_parent() {
+        let arena = MappedArena::from_bytes((0u8..64).collect());
+        // f32 rows, so the slice has an alignment to keep (a byte arena
+        // is only 1-aligned: take its first 4-aligned offset).
+        let parent = (0..4)
+            .find_map(|off| Matrix::<f32>::from_arena(4, 3, &arena, off).ok())
+            .unwrap();
+        let owned = Matrix::from_vec(4, 3, parent.as_slice().to_vec()).unwrap();
+        let view = parent.slice_rows(1, 3);
+        assert!(view.is_arena_view(), "a mapped matrix slices by view");
+        assert!(!owned.slice_rows(1, 3).is_arena_view());
+        assert_eq!(view, owned.slice_rows(1, 3));
+        assert_eq!(view.as_slice().as_ptr(), parent.row(1).as_ptr());
+        assert!(parent.slice_rows(2, 2).is_empty());
+        drop(parent);
+        drop(arena);
+        assert_eq!(view, owned.slice_rows(1, 3), "the view keeps the arena");
+        assert_eq!(view.slice_rows(1, 2).row(0), owned.row(2));
     }
 
     #[test]

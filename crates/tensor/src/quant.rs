@@ -210,8 +210,9 @@ impl QuantizedMatrix {
         })
     }
 
-    /// Copies rows `[start, end)` with their scales — how weights are
-    /// sharded across nodes (column-parallel split of the output dim).
+    /// Rows `[start, end)` with their scales and sums — how weights are
+    /// sharded across nodes (column-parallel split of the output dim). The
+    /// payload is sliced by [`Matrix::slice_rows`]: a mapped one by view.
     pub fn slice_rows(&self, start: usize, end: usize) -> QuantizedMatrix {
         QuantizedMatrix {
             data: self.data.slice_rows(start, end),
