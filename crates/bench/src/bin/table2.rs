@@ -6,23 +6,10 @@ fn main() {
     let model = ModelConfig::gpt2_medium();
     print!("{}", experiments::render_table2(&model));
     println!();
-    let rows = experiments::table2(&model);
     println!("paper-vs-measured (token latency):");
-    let paper_ms = [
-        paper::TABLE2_LOOPLYNX_MS[2],
-        paper::TABLE2_LOOPLYNX_MS[1],
-        paper::TABLE2_LOOPLYNX_MS[0],
-        paper::TABLE2_DFX_MS,
-        paper::TABLE2_SPATIAL_MS,
-    ];
-    // rows are 4/2/1-node, DFX, spatial
-    let order = [2usize, 1, 0, 3, 4];
-    for (i, &row_idx) in order.iter().enumerate() {
-        let row = &rows[row_idx];
-        println!(
-            "  {:<28} {}",
-            format!("{} {}", row.name, row.nodes_desc),
-            paper::compare(row.token_latency_ms, paper_ms[i])
-        );
+    for (row, paper_ms) in experiments::table2_vs_paper(&model) {
+        let design = format!("{} {}", row.name, row.nodes_desc);
+        let cell = paper::compare(row.token_latency_ms, paper_ms);
+        println!("  {design:<28} {cell}");
     }
 }

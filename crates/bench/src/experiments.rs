@@ -14,6 +14,8 @@ use looplynx_model::config::ModelConfig;
 use looplynx_serve::{serve_continuous, serve_sequential, ArrivalProcess, ServeConfig};
 use looplynx_sim::stats::arithmetic_mean;
 
+use crate::paper;
+
 /// Decode context at which steady-state token latency is measured
 /// (the long-generation regime of the paper's dominant `[·:512]`
 /// settings).
@@ -198,27 +200,35 @@ pub fn render_fig7() -> String {
 
 // ---------------------------------------------------------------- Table II
 
-/// Table II: all five FPGA rows (LoopLynx 4/2/1 nodes, DFX, spatial).
-pub fn table2(model: &ModelConfig) -> Vec<FpgaBaselineReport> {
+/// Table II's five FPGA rows (LoopLynx 4/2/1 nodes, DFX, spatial), each
+/// beside the paper's token latency for the same design and node count.
+pub fn table2_vs_paper(model: &ModelConfig) -> Vec<(FpgaBaselineReport, f64)> {
     let resources = NodeResourceModel::paper();
-    let mut rows: Vec<FpgaBaselineReport> = [4usize, 2, 1]
+    let mut rows: Vec<(FpgaBaselineReport, f64)> = [4usize, 2, 1]
         .into_iter()
         .map(|nodes| {
             let eng = engine(model, nodes);
             let devices = resources.devices_for(nodes);
-            FpgaBaselineReport {
+            let row = FpgaBaselineReport {
                 name: "LoopLynx".into(),
                 nodes_desc: format!("{nodes} Node(s) (U50 x{devices})"),
                 freq_mhz: eng.arch().freq().as_mhz(),
                 quantization: "W8A8".into(),
                 token_latency_ms: eng.steady_state_decode_ms(TABLE2_CONTEXT),
                 resources: resources.ring_total(nodes),
-            }
+            };
+            (row, paper::TABLE2_LOOPLYNX_MS[nodes.ilog2() as usize])
         })
         .collect();
-    rows.push(TemporalArch::dfx_u280().report(model));
-    rows.push(SpatialArch::u280().report(model));
+    rows.push((TemporalArch::dfx_u280().report(model), paper::TABLE2_DFX_MS));
+    rows.push((SpatialArch::u280().report(model), paper::TABLE2_SPATIAL_MS));
     rows
+}
+
+/// Table II: the rows of [`table2_vs_paper`] alone.
+pub fn table2(model: &ModelConfig) -> Vec<FpgaBaselineReport> {
+    let rows = table2_vs_paper(model).into_iter();
+    rows.map(|(row, _)| row).collect()
 }
 
 /// Renders Table II.
@@ -540,7 +550,6 @@ pub fn render_offered_load_sweep(model: &ModelConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper;
 
     fn model() -> ModelConfig {
         ModelConfig::gpt2_medium()
@@ -548,18 +557,37 @@ mod tests {
 
     #[test]
     fn table2_rows_match_paper_within_10pct() {
-        let rows = table2(&model());
+        let rows = table2_vs_paper(&model());
         assert_eq!(rows.len(), 5);
-        // LoopLynx rows are 4/2/1 nodes in paper order
-        let ll: Vec<f64> = rows[..3].iter().map(|r| r.token_latency_ms).collect();
-        for (measured, paper_ms) in ll.iter().rev().zip(paper::TABLE2_LOOPLYNX_MS) {
+        for (row, paper_ms) in &rows {
             assert!(
-                paper::deviation(*measured, paper_ms).abs() < 0.10,
-                "{measured} vs paper {paper_ms}"
+                paper::deviation(row.token_latency_ms, *paper_ms).abs() < 0.10,
+                "{} {}: {} vs paper {paper_ms}",
+                row.name,
+                row.nodes_desc,
+                row.token_latency_ms
             );
         }
-        assert!(paper::deviation(rows[3].token_latency_ms, paper::TABLE2_DFX_MS).abs() < 0.10);
-        assert!(paper::deviation(rows[4].token_latency_ms, paper::TABLE2_SPATIAL_MS).abs() < 0.10);
+    }
+
+    /// The cells the `table2` bin prints, row for row: a pairing that
+    /// crossed the 1- and 4-node rows would read +166 % and −60 %.
+    #[test]
+    fn table2_deltas_pair_by_node_count() {
+        let printed: Vec<String> = table2_vs_paper(&model())
+            .iter()
+            .map(|(row, paper_ms)| paper::compare(row.token_latency_ms, *paper_ms))
+            .collect();
+        assert_eq!(
+            printed,
+            [
+                "2.64 (paper 2.55, +3.4%)",
+                "3.98 (paper 3.85, +3.4%)",
+                "6.79 (paper 6.59, +3.0%)",
+                "5.38 (paper 5.37, +0.2%)",
+                "4.14 (paper 4.17, -0.6%)",
+            ]
+        );
     }
 
     #[test]

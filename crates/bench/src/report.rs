@@ -193,7 +193,7 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// What a report was measured on: core count, the int8 dot path the
+/// What a report was measured on: core count, the widest int8 path the
 /// kernels actually dispatch to on this CPU, and the build profile.
 pub fn machine() -> Json {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -204,6 +204,9 @@ pub fn machine() -> Json {
     }
     if simd::vnni512_available() {
         int8_path = "avx512-vnni";
+    }
+    if simd::amx_int8_live() {
+        int8_path = "amx-int8";
     }
     let profile = if cfg!(debug_assertions) {
         "debug"

@@ -115,6 +115,52 @@ fn row_shard_grid_is_bit_exact_in_quantized_ring_mode() {
     assert_grid_identical(RingMode::Quantized, 33);
 }
 
+/// The grid again on a model wide enough that the widest GEMM kernel runs
+/// on pool lanes — threads that never touched it before the engine's
+/// first step. Eight slots decode together (where the AMX tile path is
+/// live it starts at 5 rows), and the LM head, 32 776 × 128, is the one
+/// stage whose per-worker share (8 194 rows × 128 / 4 = 262 208 bytes at
+/// 4 nodes × 4 shards) still clears the engine's `MIN_DISPATCH_BYTES`
+/// (262 144) when split 16 ways; its shards are 2 048 or 2 049 rows, so
+/// slabs start off the 16-row tile and end in a `vpdpbusd` tail.
+#[test]
+fn wide_batch_grid_is_bit_exact_on_pool_lanes() {
+    const WIDE_BATCH: usize = 8;
+    let cfg = ModelConfig {
+        name: "wide-head".into(),
+        layers: 1,
+        d_model: 128,
+        heads: 4,
+        d_ff: 256,
+        vocab: 32_776,
+        max_seq: 8,
+    };
+    let model = Gpt2Model::synthetic(&cfg, 5);
+    let run = |nodes: usize, row_shards: usize, threaded: bool| {
+        let mut e = DistributedGpt2::with_slots(&model, nodes, RingMode::Exact, WIDE_BATCH, 8)
+            .expect("divides");
+        e.set_row_shards(row_shards);
+        e.set_threaded(threaded);
+        let mut entries = Vec::new();
+        for i in 0..WIDE_BATCH {
+            let slot = e.acquire_slot().expect("slot available");
+            e.prefill_slot(slot, &PROMPT[..2 + i % 3]);
+            entries.push((slot, 11 * i as u32));
+        }
+        e.decode_step_batch(&entries)
+    };
+    let expect = run(1, 1, false);
+    for nodes in [1usize, 2, 4] {
+        for row_shards in [1usize, 2, 4] {
+            assert_eq!(
+                expect,
+                run(nodes, row_shards, true),
+                "logits diverged at nodes={nodes} shards={row_shards}"
+            );
+        }
+    }
+}
+
 #[test]
 fn set_row_shards_is_stateless_across_toggles() {
     let model = Gpt2Model::synthetic(&ModelConfig::tiny(), 50);

@@ -37,6 +37,49 @@ fn threaded_prefill_and_decode_match_sequential() {
     }
 }
 
+/// Threaded ≡ sequential where the pool's lanes run the widest GEMM
+/// kernel themselves: eight sequences decode together (the AMX tile path,
+/// where live, starts at 5 rows) on a model whose 32 776 × 128 LM head
+/// still gives each of 16 workers the 256 KiB the engine's dispatch gate
+/// asks for — so threads that never configured tiles before compute
+/// slabs, at every node × row-shard split.
+#[test]
+fn threaded_wide_batch_decode_matches_sequential() {
+    let cfg = ModelConfig {
+        name: "wide-head".into(),
+        layers: 1,
+        d_model: 128,
+        heads: 4,
+        d_ff: 256,
+        vocab: 32_776,
+        max_seq: 8,
+    };
+    let reference = Gpt2Model::synthetic(&cfg, 9);
+    let decode = |nodes: usize, row_shards: usize, threaded: bool| {
+        let mut e = DistributedGpt2::with_slots(&reference, nodes, RingMode::Exact, 8, 8)
+            .expect("partitionable");
+        e.set_row_shards(row_shards);
+        e.set_threaded(threaded);
+        let entries: Vec<(usize, u32)> = (0..8u32)
+            .map(|i| {
+                let slot = e.acquire_slot().expect("slot available");
+                e.prefill_slot(slot, &[3 + i, 14]);
+                (slot, 7 * i)
+            })
+            .collect();
+        e.decode_step_batch(&entries)
+    };
+    for nodes in [1usize, 2, 4] {
+        for row_shards in [1usize, 2, 4] {
+            assert_eq!(
+                decode(nodes, row_shards, true),
+                decode(nodes, row_shards, false),
+                "logits diverged at {nodes} nodes × {row_shards} row shards"
+            );
+        }
+    }
+}
+
 #[test]
 fn threaded_matches_sequential_in_quantized_ring_mode() {
     // The int8 ring payload path must also be order-stable under threads.

@@ -41,6 +41,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod activation;
+mod amx;
 pub mod error;
 pub mod linear;
 pub mod matrix;

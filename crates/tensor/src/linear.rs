@@ -18,7 +18,9 @@ use crate::quant::{quantize_matrix_per_row, QuantizedMatrix, QuantizedVector};
 /// while every token row of the activation batch is swept over them.
 pub const GEMM_ROW_BLOCK: usize = 32;
 
+use crate::amx::TileUnit;
 use crate::simd::dot_i8_i32;
+use std::ops::Range;
 
 /// Integer matrix-vector product: `y[r] = Σ_c w[r,c] · x[c]` in i32.
 ///
@@ -75,10 +77,8 @@ pub fn gemm_i32_naive(w: &Matrix<i8>, x: &Matrix<i8>) -> Result<Matrix<i32>, Sha
 /// sequences). The loop is tiled over blocks of [`GEMM_ROW_BLOCK`] weight
 /// rows — each block is streamed from memory once and reused across
 /// *all* token rows before the next block is touched — and token rows
-/// run in groups through the batched MAC kernel
-/// ([`crate::simd::dot_i8_i32_batch`]), which amortizes the weight-side
-/// widening across the group. Results are bit-identical to
-/// [`gemm_i32_naive`].
+/// run in groups through the widest MAC kernel the host offers. Results
+/// are bit-identical to [`gemm_i32_naive`].
 ///
 /// # Errors
 ///
@@ -107,7 +107,7 @@ pub fn gemm_i32_into(w: &Matrix<i8>, x: &Matrix<i8>, out: &mut Vec<i32>) -> Resu
     }
     out.clear();
     out.resize(x.rows() * w.rows(), 0);
-    gemm_tiled_flat(w, None, 0..w.rows(), x, out);
+    gemm_tiled_flat(Caps::detect(), w, None, 0..w.rows(), x, out);
     Ok(())
 }
 
@@ -123,192 +123,222 @@ pub fn gemm_i32_into(w: &Matrix<i8>, x: &Matrix<i8>, out: &mut Vec<i32>) -> Resu
 /// slabs reproduces the full GEMM bit-for-bit because no dot product is
 /// ever split.
 ///
-/// On VNNI hardware, activations of width 64 and up run through the
-/// register-blocked 4×4 tile ([`crate::simd::dot_biased_i8_i32_tile4x4`],
-/// exact for all i8) with the per-row biased batch kernel
-/// ([`crate::simd::dot_biased_i8_i32_batch`]) covering ragged edges and
-/// batch-1 decode's single row (twice the weight-streaming rate of the
-/// sign-extending [`dot_i8_i32`]). Without VNNI, multi-row activations
-/// above `-128` (quantized ones always are) take the `vpmaddubsw` path
-/// ([`crate::simd::dot_i8_i32_batch`]) and everything else the per-row
-/// [`dot_i8_i32`] GEMV. Integer accumulation makes every grouping
-/// bit-identical.
+/// [`select_path`] picks the MAC kernel from the shapes and `caps` — the
+/// host's ([`Caps::detect`]), or less where a test sweeps the narrower
+/// arms (always sound: each kernel re-checks what it needs). Integer
+/// accumulation makes every path and grouping bit-identical.
 fn gemm_tiled_flat(
+    caps: Caps,
     w: &Matrix<i8>,
     w_row_sums: Option<&[i32]>,
-    row_range: std::ops::Range<usize>,
+    row_range: Range<usize>,
     x: &Matrix<i8>,
     out: &mut [i32],
 ) {
-    use crate::simd::{bias_to_unsigned, row_sum_i8, vnni512_available};
+    use crate::simd::{bias_to_unsigned, row_sum_i8};
 
-    let rows = x.rows();
-    let width = x.cols();
     debug_assert!(row_range.start <= row_range.end && row_range.end <= w.rows());
-    debug_assert_eq!(out.len(), rows * row_range.len());
+    debug_assert_eq!(out.len(), x.rows() * row_range.len());
 
-    let path = if vnni512_available() && width >= 64 {
-        Path::Vnni
-    } else if rows > 1 && !x.as_slice().contains(&i8::MIN) {
-        Path::Maddubs
-    } else {
-        Path::PerRow
-    };
+    let (mut path, tiled) = select_path(x.rows(), x.cols(), row_range.len(), caps);
+    // The `vpmaddubsw` kernel is exact only above `-128` (quantized
+    // activations always are) — the one data-dependent part of the choice.
+    if path == Path::Maddubs && x.as_slice().contains(&i8::MIN) {
+        path = Path::PerRow;
+    }
+    let (cols, mut rows) = (row_range.len(), row_range);
+    if path == Path::Amx {
+        // Tiles take the leading multiple of 16 weight rows, the VNNI arms
+        // what is left; with nothing left there is no rebias and no sums.
+        crate::amx::gemm(w, rows.start..rows.start + tiled, x, out, cols);
+        (path, rows.start) = (Path::Vnni, rows.start + tiled);
+        if rows.is_empty() {
+            return;
+        }
+    }
 
     // VNNI prologue: rebias the whole activation matrix once and make
     // sure row sums exist (cached by QuantizedMatrix on the hot path).
     // The rebias buffer is thread-local so steady-state decode loops —
-    // including the engine's long-lived pool workers — allocate nothing
-    // per call once it reaches its high-water mark.
+    // the engine's long-lived pool workers too — allocate nothing per call.
     thread_local! {
         static XU: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
     }
     XU.with(|cell| {
-        let mut xu = cell.borrow_mut();
-        let mut computed_sums: Vec<i32> = Vec::new();
-        let sums: &[i32] = if matches!(path, Path::Vnni) {
+        let (mut xu, mut computed_sums) = (cell.borrow_mut(), Vec::new());
+        let mut sums = w_row_sums.unwrap_or(&[]);
+        if path == Path::Vnni {
             bias_to_unsigned(x.as_slice(), &mut xu);
-            match w_row_sums {
-                Some(s) => s,
-                None => {
-                    computed_sums.extend(w.iter_rows().map(row_sum_i8));
-                    &computed_sums
-                }
+            if w_row_sums.is_none() {
+                computed_sums.extend(w.iter_rows().map(row_sum_i8));
+                sums = &computed_sums;
             }
-        } else {
-            &[]
-        };
-        gemm_tiled_blocks(w, row_range, x, out, &path, &xu, sums);
+        }
+        let xu = &xu[..];
+        Sweep {
+            w,
+            x,
+            xu,
+            sums,
+            path,
+            rows,
+            cols,
+        }
+        .run(out);
     });
 }
 
-/// Which MAC kernel [`gemm_tiled_flat`] selected for a call.
+/// Which MAC kernel [`select_path`] chose for a call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Path {
-    /// Biased `vpdpbusd` batch kernel (VNNI hardware, any i8 input).
+    /// AMX `tdpbssd` tiles ([`crate::amx`]; signed × signed, any i8
+    /// input) on the leading multiple of 16 weight rows.
+    Amx,
+    /// Biased `vpdpbusd` kernels (VNNI-512 hardware, any i8 input): the
+    /// register-blocked 4×4 tile, and the per-row batch kernel on ragged
+    /// edges and batch-1 decode's single row.
     Vnni,
     /// `vpmaddubsw` batch kernel (AVX2, activations above `-128`).
     Maddubs,
-    /// Per-row [`dot_i8_i32`] GEMV (no VNNI-512, or width under 64).
+    /// Per-row [`dot_i8_i32`] GEMV (one row, or a `-128` activation).
     PerRow,
 }
 
-/// The tiled block/group loop of [`gemm_tiled_flat`] (split out so the
-/// thread-local rebias buffer can be borrowed across it). `out` columns
-/// are relative to `row_range.start`; `sums` is indexed by absolute
-/// weight row.
-fn gemm_tiled_blocks(
-    w: &Matrix<i8>,
-    row_range: std::ops::Range<usize>,
-    x: &Matrix<i8>,
-    out: &mut [i32],
-    path: &Path,
-    xu: &[u8],
-    sums: &[i32],
-) {
-    use crate::simd::{dot_biased_i8_i32_batch, dot_biased_i8_i32_tile4x4, dot_i8_i32_batch};
+/// What the host offers the GEMM: [`crate::simd::vnni512_available`] and
+/// the state of the AMX tile unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Caps {
+    vnni512: bool,
+    tiles: TileUnit,
+}
 
-    let rows = x.rows();
-    let row0 = row_range.start;
-    let cols = row_range.len();
-    let width = x.cols();
+impl Caps {
+    fn detect() -> Self {
+        let (vnni512, tiles) = (crate::simd::vnni512_available(), crate::amx::tile_unit());
+        Caps { vnni512, tiles }
+    }
+}
 
-    let mut block_start = row_range.start;
-    while block_start < row_range.end {
-        let block_end = (block_start + GEMM_ROW_BLOCK).min(row_range.end);
-        let mut t = 0;
-        while t < rows {
-            let group = match path {
-                Path::PerRow => 1,
-                // The VNNI tile is 4 activation rows wide; larger groups
-                // would spill its 16 accumulators.
-                Path::Vnni => match rows - t {
-                    n if n >= 4 => 4,
-                    n if n >= 2 => 2,
-                    _ => 1,
-                },
-                Path::Maddubs => match rows - t {
-                    n if n >= 8 => 8,
-                    n if n >= 4 => 4,
-                    n if n >= 2 => 2,
-                    _ => 1,
-                },
+/// Fewest activation rows for which the GEMM takes the AMX tile path.
+/// One thread of the reference box (Sapphire Rapids, 2.1 GHz), the medium
+/// model's 4096 × 1024 `fc1` streaming from L3: a tile call costs
+/// 170–185 µs at any row count up to 16 (whole 16-row panels are computed,
+/// and strided tile loads stream slower than row reads); the `vpdpbusd`
+/// arms cost 130 µs at 1 row, 160 at 2 and at 4, 225 at 5, 260 at 6, 320
+/// at 7, 295 at 8. So tiles lose at 1, 2 and 4 rows (×0.76, ×0.9, ×0.93;
+/// 3 would win ×1.2 between two losses) and win from 5 on (×1.3; ×1.7 at
+/// 8, ×2.7 at 16, ×4 at 32): batch-1 and batch-4 decode stay as they were.
+const AMX_MIN_ROWS: usize = 5;
+
+/// The kernel for `rows` activation rows of `width` int8 values against
+/// `w_rows` weight rows, and how many of those weight rows (the leading
+/// multiple of 16; nonzero only with [`Path::Amx`]) the tile path takes.
+/// Pure, so testable anywhere: without `TileUnit::Live` it is the pre-AMX
+/// choice for every input.
+fn select_path(rows: usize, width: usize, w_rows: usize, caps: Caps) -> (Path, usize) {
+    let wide = caps.vnni512 && width >= 64;
+    let whole = rows >= AMX_MIN_ROWS && width.is_multiple_of(64);
+    let tiled = match wide && whole && caps.tiles == TileUnit::Live {
+        true => w_rows / 16 * 16,
+        false => 0,
+    };
+    let path = match (wide, tiled, rows) {
+        (true, 1.., _) => Path::Amx,
+        (true, 0, _) => Path::Vnni,
+        (false, _, 2..) => Path::Maddubs,
+        (false, _, _) => Path::PerRow,
+    };
+    (path, tiled)
+}
+
+/// The block/group loop of [`gemm_tiled_flat`] for the non-tile paths:
+/// weight rows `rows` in blocks of [`GEMM_ROW_BLOCK`], each swept by token
+/// groups. `out` has `cols` columns, the last of them weight row
+/// `rows.end - 1`; `sums` is indexed by absolute weight row.
+struct Sweep<'a> {
+    w: &'a Matrix<i8>,
+    x: &'a Matrix<i8>,
+    xu: &'a [u8],
+    sums: &'a [i32],
+    path: Path,
+    rows: Range<usize>,
+    cols: usize,
+}
+
+impl Sweep<'_> {
+    fn run(&self, out: &mut [i32]) {
+        // The VNNI tile is 4 activation rows wide; larger groups would
+        // spill its 16 accumulators.
+        let widest = match self.path {
+            Path::PerRow => 1,
+            Path::Maddubs => 8,
+            Path::Vnni | Path::Amx => 4,
+        };
+        for start in self.rows.clone().step_by(GEMM_ROW_BLOCK) {
+            let block = start..(start + GEMM_ROW_BLOCK).min(self.rows.end);
+            let mut t = 0;
+            while t < self.x.rows() {
+                // The largest power of two the remaining rows fill.
+                let group = 1 << (self.x.rows() - t).min(widest).ilog2();
+                match group {
+                    8 => self.group::<8>(block.clone(), t, out),
+                    4 => self.group::<4>(block.clone(), t, out),
+                    2 => self.group::<2>(block.clone(), t, out),
+                    _ => self.group::<1>(block.clone(), t, out),
+                }
+                t += group;
+            }
+        }
+    }
+
+    fn xu_rows<const N: usize>(&self, t: usize) -> [&[u8]; N] {
+        let width = self.x.cols();
+        std::array::from_fn(|k| &self.xu[(t + k) * width..(t + k + 1) * width])
+    }
+
+    /// Token rows `t..t + N` against each weight row of `block`: one
+    /// batched dot a weight row, after the 4×4 tile where it applies.
+    fn group<const N: usize>(&self, mut block: Range<usize>, t: usize, out: &mut [i32]) {
+        use crate::simd::{dot_biased_i8_i32_batch, dot_i8_i32_batch};
+        let col0 = self.rows.end - self.cols;
+        let xs: [&[i8]; N] = std::array::from_fn(|k| self.x.row(t + k));
+        let mut xu: [&[u8]; N] = [&[]; N];
+        if self.path == Path::Vnni {
+            xu = self.xu_rows(t);
+            if N == 4 {
+                block.start = self.tile4x4(block.clone(), t, out);
+            }
+        }
+        for r in block {
+            let w = self.w.row(r);
+            let o: [i32; N] = match self.path {
+                Path::Vnni => dot_biased_i8_i32_batch(w, self.sums[r], xu),
+                Path::Maddubs => dot_i8_i32_batch(w, xs),
+                _ => xs.map(|x| dot_i8_i32(w, x)),
             };
-            match (path, group) {
-                (Path::Vnni, 4) => {
-                    let rows4: [&[u8]; 4] =
-                        std::array::from_fn(|k| &xu[(t + k) * width..(t + k + 1) * width]);
-                    let mut r = block_start;
-                    while r + 4 <= block_end {
-                        let wrows: [&[i8]; 4] = std::array::from_fn(|k| w.row(r + k));
-                        let wsums: [i32; 4] = std::array::from_fn(|k| sums[r + k]);
-                        let o = dot_biased_i8_i32_tile4x4(wrows, wsums, rows4);
-                        for (k, orow) in o.into_iter().enumerate() {
-                            for (tt, v) in orow.into_iter().enumerate() {
-                                out[(t + tt) * cols + (r + k - row0)] = v;
-                            }
-                        }
-                        r += 4;
-                    }
-                    for r in r..block_end {
-                        let o = dot_biased_i8_i32_batch::<4>(w.row(r), sums[r], rows4);
-                        for (k, v) in o.into_iter().enumerate() {
-                            out[(t + k) * cols + (r - row0)] = v;
-                        }
-                    }
-                }
-                (Path::Vnni, 2) => {
-                    let rows2: [&[u8]; 2] =
-                        std::array::from_fn(|k| &xu[(t + k) * width..(t + k + 1) * width]);
-                    for r in block_start..block_end {
-                        let o = dot_biased_i8_i32_batch::<2>(w.row(r), sums[r], rows2);
-                        for (k, v) in o.into_iter().enumerate() {
-                            out[(t + k) * cols + (r - row0)] = v;
-                        }
-                    }
-                }
-                (Path::Vnni, _) => {
-                    let rows1: [&[u8]; 1] = [&xu[t * width..(t + 1) * width]];
-                    for r in block_start..block_end {
-                        let o = dot_biased_i8_i32_batch::<1>(w.row(r), sums[r], rows1);
-                        out[t * cols + (r - row0)] = o[0];
-                    }
-                }
-                (Path::Maddubs, 8) => {
-                    let rows8: [&[i8]; 8] = std::array::from_fn(|k| x.row(t + k));
-                    for r in block_start..block_end {
-                        let o = dot_i8_i32_batch::<8>(w.row(r), rows8);
-                        for (k, v) in o.into_iter().enumerate() {
-                            out[(t + k) * cols + (r - row0)] = v;
-                        }
-                    }
-                }
-                (Path::Maddubs, 4) => {
-                    let rows4: [&[i8]; 4] = std::array::from_fn(|k| x.row(t + k));
-                    for r in block_start..block_end {
-                        let o = dot_i8_i32_batch::<4>(w.row(r), rows4);
-                        for (k, v) in o.into_iter().enumerate() {
-                            out[(t + k) * cols + (r - row0)] = v;
-                        }
-                    }
-                }
-                (Path::Maddubs, 2) => {
-                    let rows2: [&[i8]; 2] = std::array::from_fn(|k| x.row(t + k));
-                    for r in block_start..block_end {
-                        let o = dot_i8_i32_batch::<2>(w.row(r), rows2);
-                        for (k, v) in o.into_iter().enumerate() {
-                            out[(t + k) * cols + (r - row0)] = v;
-                        }
-                    }
-                }
-                _ => {
-                    for r in block_start..block_end {
-                        out[t * cols + (r - row0)] = dot_i8_i32(w.row(r), x.row(t));
-                    }
+            for (k, v) in o.into_iter().enumerate() {
+                out[(t + k) * self.cols + r - col0] = v;
+            }
+        }
+    }
+
+    /// Token rows `t..t + 4` against `block`, four weight rows at a time on
+    /// the register-blocked `vpdpbusd` tile; returns the first row left over.
+    fn tile4x4(&self, block: Range<usize>, t: usize, out: &mut [i32]) -> usize {
+        let (xu, col0) = (self.xu_rows::<4>(t), self.rows.end - self.cols);
+        let mut r = block.start;
+        while r + 4 <= block.end {
+            let wrows: [&[i8]; 4] = std::array::from_fn(|k| self.w.row(r + k));
+            let wsums: [i32; 4] = std::array::from_fn(|k| self.sums[r + k]);
+            let o = crate::simd::dot_biased_i8_i32_tile4x4(wrows, wsums, xu);
+            for (k, orow) in o.into_iter().enumerate() {
+                for (tt, v) in orow.into_iter().enumerate() {
+                    out[(t + tt) * self.cols + r + k - col0] = v;
                 }
             }
-            t += group;
+            r += 4;
         }
-        block_start = block_end;
+        r
     }
 }
 
@@ -486,7 +516,7 @@ impl QuantLinear {
         &self,
         x: &Matrix<i8>,
         x_scales: &[f32],
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
         acc: &mut Vec<i32>,
         out: &mut Vec<f32>,
     ) {
@@ -501,6 +531,7 @@ impl QuantLinear {
         acc.clear();
         acc.resize(x.rows() * cols, 0);
         gemm_tiled_flat(
+            Caps::detect(),
             self.weight.data(),
             Some(self.weight.row_sums()),
             rows.clone(),
@@ -706,6 +737,110 @@ mod tests {
                     bits(&single[range.clone()]),
                     "width {width} rows {range:?}"
                 );
+            }
+        }
+    }
+
+    /// The selector is pure, so the fallback is proven on any machine:
+    /// unless the tile unit is live it returns the pre-AMX choice for
+    /// every input, and live tiles are taken exactly from
+    /// [`AMX_MIN_ROWS`] rows over whole 64-byte chunks and 16-row tiles.
+    #[test]
+    fn selector_without_live_tiles_is_the_pre_amx_choice() {
+        let before = |rows: usize, width: usize, vnni512: bool| {
+            if vnni512 && width >= 64 {
+                Path::Vnni
+            } else if rows > 1 {
+                Path::Maddubs
+            } else {
+                Path::PerRow
+            }
+        };
+        for vnni512 in [false, true] {
+            for tiles in [TileUnit::Absent, TileUnit::Refused, TileUnit::Live] {
+                let caps = Caps { vnni512, tiles };
+                for rows in [0, 1, 2, 4, 5, 7, 8, 16, 33, 512] {
+                    for width in [0, 1, 63, 64, 96, 128, 1000, 1024, 4096] {
+                        for w_rows in [0, 1, 15, 16, 17, 31, 32, 37, 4096] {
+                            let tiled = tiles == TileUnit::Live
+                                && vnni512
+                                && rows >= AMX_MIN_ROWS
+                                && width >= 64
+                                && width % 64 == 0
+                                && w_rows >= 16;
+                            let expect = match tiled {
+                                true => (Path::Amx, w_rows - w_rows % 16),
+                                false => (before(rows, width, vnni512), 0),
+                            };
+                            assert_eq!(
+                                select_path(rows, width, w_rows, caps),
+                                expect,
+                                "{rows} × {width} on {w_rows} weight rows, {caps:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every arm the hardware supports — forced by lowering [`Caps`] below
+    /// the host's, so on an AMX box the `vpdpbusd` and `vpmaddubsw` arms
+    /// are still swept at tile-path row counts — equals the naive GEMM on
+    /// ragged shapes, with and without cached row sums and `-128`.
+    #[test]
+    fn every_supported_path_equals_the_naive_gemm() {
+        let host = Caps::detect();
+        if host.tiles != TileUnit::Live {
+            println!(
+                "skipped: AMX not live ({:?}); the other arms still run",
+                host.tiles
+            );
+        }
+        let no_tiles = Caps {
+            tiles: TileUnit::Absent,
+            ..host
+        };
+        let baseline = Caps {
+            vnni512: false,
+            ..no_tiles
+        };
+        let shapes: &[(usize, usize, usize)] = if cfg!(miri) {
+            &[(9, 64, 19)]
+        } else {
+            &[
+                (5, 64, 16),
+                (8, 128, 50),
+                (17, 192, 37),
+                (33, 1024, 70),
+                (70, 64, 33),
+            ]
+        };
+        for &(tokens, width, w_rows) in shapes {
+            let w = Matrix::from_fn(w_rows, width, |r, c| ((r * 131 + c * 17) % 256) as u8 as i8);
+            let sums: Vec<i32> = w.iter_rows().map(crate::simd::row_sum_i8).collect();
+            // Once over all of i8 (the baseline then runs per row), once
+            // clamped above `-128` so the `vpmaddubsw` arm runs too.
+            for floor in [i8::MIN, -127] {
+                let x = Matrix::from_fn(tokens, width, |t, c| {
+                    (((t * 89 + c * 7) % 256) as u8 as i8).max(floor)
+                });
+                let naive = gemm_i32_naive(&w, &x).unwrap();
+                for caps in [host, no_tiles, baseline] {
+                    for range in [0..w_rows, 3..w_rows - 2, 1..2, w_rows..w_rows] {
+                        for cached in [None, Some(sums.as_slice())] {
+                            let mut out = vec![-1i32; tokens * range.len()];
+                            gemm_tiled_flat(caps, &w, cached, range.clone(), &x, &mut out);
+                            for t in 0..tokens {
+                                assert_eq!(
+                                    out[t * range.len()..(t + 1) * range.len()],
+                                    naive.row(t)[range.clone()],
+                                    "{tokens} × {width} from {floor}, rows {range:?}, token {t}, {caps:?}"
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -112,15 +112,9 @@ pub fn dot_i8_i32_batch<const N: usize>(w: &[i8], xs: [&[i8]; N]) -> [i32; N] {
     );
     #[cfg(target_arch = "x86_64")]
     {
-        if w.len() >= 32 {
-            if is_x86_feature_detected!("avx512vnni") && is_x86_feature_detected!("avx512vl") {
-                // SAFETY: VNNI + VL support was just verified at runtime.
-                return unsafe { dot_i8_i32_batch_vnni(w, xs) };
-            }
-            if is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was just verified at runtime.
-                return unsafe { dot_i8_i32_batch_avx2(w, xs) };
-            }
+        if w.len() >= 32 && is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            return unsafe { dot_i8_i32_batch_avx2(w, xs) };
         }
     }
     let mut out = [0i32; N];
@@ -146,6 +140,13 @@ pub fn vnni512_available() -> bool {
     }
 }
 
+/// Whether the AMX `tdpbssd` tile GEMM is live in this process: the CPU
+/// has the unit and the kernel granted the tile-data permission.
+#[inline]
+pub fn amx_int8_live() -> bool {
+    crate::amx::tile_unit() == crate::amx::TileUnit::Live
+}
+
 /// Rebias int8 activations to unsigned (`x ⊕ 0x80`, i.e. `x + 128`) —
 /// the input form of [`dot_biased_i8_i32_batch`]. `-128` maps to `0`, so
 /// the whole i8 range round-trips exactly.
@@ -167,7 +168,7 @@ pub fn row_sum_i8(row: &[i8]) -> i32 {
 /// where `xs` carries activations rebias-ed by [`bias_to_unsigned`] and
 /// `w_row_sum` is `Σ w[i]` ([`row_sum_i8`]).
 ///
-/// This is the widest MAC kernel: on AVX512-VNNI hardware, `vpdpbusd`
+/// This is the widest vector MAC kernel: on AVX512-VNNI hardware, `vpdpbusd`
 /// fuses the u8×i8 multiply and the i32 accumulate — 64 MACs per
 /// instruction at 512 bits, with the weight chunk loaded once per batch.
 /// Unlike the `vpsignb` trick of [`dot_i8_i32_batch`], the bias identity
@@ -381,56 +382,6 @@ unsafe fn dot_biased_i8_i32_batch_vnni512<const N: usize>(
             s += w[j] as i32 * x[j] as i32;
         }
         *o = s - 128 * w_row_sum;
-    }
-    out
-}
-
-/// AVX512-VNNI batched dot (256-bit form): `vpdpbusd` fuses the unsigned
-/// × signed multiply and the i32 accumulate — 32 MACs per instruction,
-/// one `vpsignb + vpdpbusd` per activation row per chunk, with the
-/// weight-side `vpabsb` shared by the whole batch. Same `|w| · sign(x,
-/// w)` algebra as the AVX2 path (`vpdpbusd` widens the four u8×i8
-/// products of each lane to i32 before summing, so there is no
-/// intermediate saturation at all): bit-identical to the scalar dot for
-/// activations in `[-127, 127]`.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX512VNNI and AVX512VL.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512vnni,avx512vl")]
-unsafe fn dot_i8_i32_batch_vnni<const N: usize>(w: &[i8], xs: [&[i8]; N]) -> [i32; N] {
-    use std::arch::x86_64::{
-        __m256i, _mm256_abs_epi8, _mm256_castsi256_si128, _mm256_dpbusd_epi32,
-        _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_setzero_si256, _mm256_sign_epi8,
-        _mm_add_epi32, _mm_cvtsi128_si32, _mm_shuffle_epi32,
-    };
-    let n = w.len();
-    let mut acc = [_mm256_setzero_si256(); N];
-    let mut i = 0;
-    while i + 32 <= n {
-        // SAFETY: i + 32 <= n keeps every 32-byte load in bounds (the
-        // debug assertion above pins xs lengths to w's).
-        let vw = unsafe { _mm256_loadu_si256(w.as_ptr().add(i) as *const __m256i) };
-        let vwabs = _mm256_abs_epi8(vw);
-        for (t, x) in xs.iter().enumerate() {
-            // SAFETY: same bounds as `vw` — x.len() == w.len().
-            let vx = unsafe { _mm256_loadu_si256(x.as_ptr().add(i) as *const __m256i) };
-            acc[t] = _mm256_dpbusd_epi32(acc[t], vwabs, _mm256_sign_epi8(vx, vw));
-        }
-        i += 32;
-    }
-    let mut out = [0i32; N];
-    for (o, a) in out.iter_mut().zip(acc) {
-        let mut s = _mm_add_epi32(_mm256_extracti128_si256(a, 1), _mm256_castsi256_si128(a));
-        s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01_00_11_10));
-        s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b00_00_00_01));
-        *o = _mm_cvtsi128_si32(s);
-    }
-    for (o, x) in out.iter_mut().zip(xs) {
-        for j in i..n {
-            *o += w[j] as i32 * x[j] as i32;
-        }
     }
     out
 }

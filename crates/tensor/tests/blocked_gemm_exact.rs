@@ -54,6 +54,29 @@ proptest! {
         prop_assert_eq!(blocked, naive);
     }
 
+    /// The same at the shapes the AMX tile path takes where it is live
+    /// (the 4×4 `vpdpbusd` tile's where it is not): 8–70 token rows —
+    /// ragged 16-row panels — over whole 64-byte chunks, weight-row counts
+    /// off the 16-row tile, and `-128` / `+127` planted in both operands.
+    #[test]
+    fn wide_batch_gemm_equals_naive(
+        rows in 1usize..90,
+        cols in prop::sample::select(vec![64usize, 128, 192, 1024, 4096]),
+        tokens in 8usize..71,
+        seed in any::<u64>(),
+    ) {
+        let mut w = arb_i8_matrix(rows, cols, seed);
+        let mut x = arb_i8_matrix(tokens, cols, seed.wrapping_add(1));
+        for (i, v) in [i8::MIN, i8::MAX, i8::MIN, i8::MAX].into_iter().enumerate() {
+            let at = (seed as usize).wrapping_mul(i + 3);
+            w.set(at % rows, (at >> 8) % cols, v);
+            x.set((at >> 4) % tokens, (at >> 12) % cols, v);
+        }
+        let blocked = gemm_i32(&w, &x).expect("shapes");
+        let naive = gemm_i32_naive(&w, &x).expect("shapes");
+        prop_assert_eq!(blocked, naive);
+    }
+
     /// GEMM rows equal per-token GEMV results exactly.
     #[test]
     fn gemm_rows_equal_gemv(
@@ -179,5 +202,24 @@ proptest! {
         let mut g = x.clone();
         gelu_in_place(&mut g);
         prop_assert_eq!(g, gelu_vec(&x));
+    }
+}
+
+/// The i32 worst case on whichever path the host dispatches to: width
+/// 4096 of `±127` / `−128` against each other, |Σ| up to 2²⁶, at token
+/// counts either side of the tile path's threshold and panel size.
+#[test]
+fn saturated_operands_accumulate_exactly_at_width_4096() {
+    let extreme = |i: usize| [i8::MIN, i8::MAX, -127][i % 3];
+    let w = Matrix::from_fn(37, 4096, |r, _| extreme(r));
+    for tokens in [1, 4, 8, 16, 21, 33] {
+        let x = Matrix::from_fn(tokens, 4096, |t, _| extreme(t / 2));
+        let blocked = gemm_i32(&w, &x).expect("shapes");
+        assert_eq!(
+            blocked,
+            gemm_i32_naive(&w, &x).expect("shapes"),
+            "{tokens} tokens"
+        );
+        assert_eq!(blocked.get(0, 0), 128 * 128 * 4096);
     }
 }

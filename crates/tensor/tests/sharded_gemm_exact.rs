@@ -130,6 +130,52 @@ proptest! {
         }
     }
 
+    /// The same wall at the shapes the AMX tile path takes where it is
+    /// live: 8–70 token rows over whole 64-byte chunks, and — beside the
+    /// balanced shards — slabs whose start and length are multiples of
+    /// neither the 16-row tile nor the 32-row block, so a slab is part
+    /// tiles, part `vpdpbusd` tail. Every slab equals the per-token
+    /// `forward_into` bitwise (the epilogue is the same code on every path).
+    #[test]
+    fn wide_batch_slabs_stitch_bitwise(
+        rows in 20usize..(if cfg!(miri) { 24 } else { 120 }),
+        cols in prop::sample::select(if cfg!(miri) { vec![64usize] } else { vec![64usize, 128, 1024, 4096] }),
+        b in 8usize..(if cfg!(miri) { 10 } else { 71 }),
+        seed in any::<u64>(),
+    ) {
+        let w = arb_f32_matrix(rows, cols, seed);
+        let bias: Vec<f32> = arb_f32_matrix(1, rows, seed ^ 1).into_vec();
+        let lin = QuantLinear::from_f32(&w, &bias).expect("bias matches rows");
+        let mut x = arb_i8_matrix(b, cols, seed ^ 2);
+        x.set(seed as usize % b, (seed >> 8) as usize % cols, i8::MIN);
+        x.set((seed >> 16) as usize % b, (seed >> 24) as usize % cols, i8::MAX);
+        let x_scales: Vec<f32> = (0..b).map(|t| 0.003 + t as f32 * 1e-4).collect();
+
+        let mut reference = vec![0.0f32; b * rows];
+        let mut single = Vec::new();
+        for (t, &scale) in x_scales.iter().enumerate() {
+            lin.forward_into(&QuantizedVector::new(x.row(t).to_vec(), scale), &mut single);
+            reference[t * rows..(t + 1) * rows].copy_from_slice(&single);
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+
+        for parts in [1usize, 2, 4] {
+            let stitched = sharded_forward(&lin, &x, &x_scales, parts);
+            prop_assert!(bits(&stitched) == bits(&reference), "{} shards differ", parts);
+        }
+        let (mut acc, mut out) = (Vec::new(), Vec::new());
+        for range in [3..rows - 1, 5..rows, 17..18, 1..20] {
+            lin.forward_batch_scaled_range_into(&x, &x_scales, range.clone(), &mut acc, &mut out);
+            for t in 0..b {
+                prop_assert!(
+                    bits(&out[t * range.len()..(t + 1) * range.len()])
+                        == bits(&reference[t * rows..][range.clone()]),
+                    "token {} of slab {:?} differs", t, range
+                );
+            }
+        }
+    }
+
     /// Empty ranges (more shards than rows would produce them) are legal
     /// and yield empty slabs.
     #[test]
