@@ -127,12 +127,6 @@ impl A100Model {
     }
 }
 
-impl Default for A100Model {
-    fn default() -> Self {
-        Self::paper_baseline()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -56,7 +56,7 @@ impl SpatialArch {
 
     /// Prefill per-token latency in milliseconds (task-level pipeline
     /// active — the architecture's strong regime).
-    pub fn prefill_token_ms(&self, model: &ModelConfig) -> f64 {
+    fn prefill_token_ms(&self, model: &ModelConfig) -> f64 {
         let bytes = model.weights_bytes_total() as f64;
         bytes / (self.hbm_gbps * self.prefill_bw_fraction) / 1e6 + self.per_token_overhead_ms
     }
@@ -90,12 +90,6 @@ impl SpatialArch {
             token_latency_ms: self.decode_token_ms(model),
             resources: ResourceVector::new(1780.0, 653_000.0, 569_000.0, 389.0, 111.0),
         }
-    }
-}
-
-impl Default for SpatialArch {
-    fn default() -> Self {
-        Self::u280()
     }
 }
 

@@ -90,12 +90,6 @@ impl TemporalArch {
     }
 }
 
-impl Default for TemporalArch {
-    fn default() -> Self {
-        Self::dfx_u280()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

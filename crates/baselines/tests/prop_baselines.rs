@@ -65,7 +65,8 @@ proptest! {
         let a = SpatialArch::u280();
         let m = ModelConfig::gpt2_medium();
         let w = a.weighted_token_ms(&m, prefill, decode);
-        prop_assert!(w >= a.prefill_token_ms(&m) - 1e-9);
+        // a pure-prefill mix is the prefill per-token cost
+        prop_assert!(w >= a.weighted_token_ms(&m, 1, 0) - 1e-9);
         prop_assert!(w <= a.decode_token_ms(&m) + 1e-9);
         let heavier = a.weighted_token_ms(&m, prefill, decode + 64);
         prop_assert!(heavier >= w - 1e-9);

@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use looplynx_bench::experiments::{fig5, TABLE2_CONTEXT};
 use looplynx_core::config::{ArchConfig, OptimizationFlags};
-use looplynx_core::engine::{LoopLynx, TokenPhase};
+use looplynx_core::engine::LoopLynx;
 use looplynx_model::config::ModelConfig;
 
 fn bench_optimization_levels(c: &mut Criterion) {
@@ -51,7 +51,11 @@ fn bench_optimization_levels(c: &mut Criterion) {
             .expect("valid");
         let engine = LoopLynx::new(model.clone(), arch).expect("partitions");
         group.bench_function(label, |b| {
-            b.iter(|| engine.simulate_token(black_box(TABLE2_CONTEXT), TokenPhase::Decode, false))
+            b.iter(|| {
+                engine
+                    .scheduler()
+                    .schedule_rows(&[black_box(TABLE2_CONTEXT)], true)
+            })
         });
     }
     group.finish();
@@ -74,7 +78,11 @@ fn bench_transmission_hiding(c: &mut Criterion) {
         let ms = engine.steady_state_decode_ms(TABLE2_CONTEXT);
         eprintln!("[transmission] 4-node sync {label}: {ms:.3} ms/token");
         group.bench_function(label, |b| {
-            b.iter(|| engine.simulate_token(black_box(TABLE2_CONTEXT), TokenPhase::Decode, false))
+            b.iter(|| {
+                engine
+                    .scheduler()
+                    .schedule_rows(&[black_box(TABLE2_CONTEXT)], true)
+            })
         });
     }
     group.finish();

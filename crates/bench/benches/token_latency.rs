@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use looplynx_bench::experiments::TABLE2_CONTEXT;
 use looplynx_core::config::ArchConfig;
-use looplynx_core::engine::{LoopLynx, TokenPhase};
+use looplynx_core::engine::LoopLynx;
 use looplynx_model::config::ModelConfig;
 
 fn bench_token_simulation(c: &mut Criterion) {
@@ -23,7 +23,11 @@ fn bench_token_simulation(c: &mut Criterion) {
         let simulated_ms = engine.steady_state_decode_ms(TABLE2_CONTEXT);
         eprintln!("[table2] {nodes}-node simulated token latency: {simulated_ms:.2} ms");
         group.bench_with_input(BenchmarkId::new("nodes", nodes), &nodes, |b, _| {
-            b.iter(|| engine.simulate_token(black_box(TABLE2_CONTEXT), TokenPhase::Decode, false))
+            b.iter(|| {
+                engine
+                    .scheduler()
+                    .schedule_rows(&[black_box(TABLE2_CONTEXT)], true)
+            })
         });
     }
     group.finish();
@@ -36,7 +40,7 @@ fn bench_context_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("token_latency_vs_context");
     for context in [32usize, 128, 512, 1024] {
         group.bench_with_input(BenchmarkId::from_parameter(context), &context, |b, &ctx| {
-            b.iter(|| engine.simulate_token(black_box(ctx), TokenPhase::Decode, false))
+            b.iter(|| engine.scheduler().schedule_rows(&[black_box(ctx)], true))
         });
     }
     group.finish();

@@ -109,11 +109,7 @@ pub fn fig5(model: &ModelConfig) -> Vec<Fig5Level> {
             .build()
             .expect("valid config");
         let eng = LoopLynx::new(model.clone(), arch).expect("single node always partitions");
-        let timing = eng.simulate_token(
-            TABLE2_CONTEXT,
-            looplynx_core::engine::TokenPhase::Decode,
-            false,
-        );
+        let timing = eng.scheduler().schedule_rows(&[TABLE2_CONTEXT], true);
         let ms = timing.total_ms(eng.arch());
         let base = *baseline_ms.get_or_insert(ms);
         out.push(Fig5Level {

@@ -14,6 +14,7 @@
 //! | Table II  | [`experiments::table2`] | `table2` |
 //! | Fig. 8    | [`experiments::fig8`]   | `fig8`   |
 //! | Table III | [`experiments::table3`] | `table3` |
+//! | every paper-vs-measured delta | the four above + [`paper`] | `report` → `BENCH_paper.json` |
 //!
 //! Beyond the paper, [`experiments::offered_load_sweep`] (binary
 //! `serve_sweep`) measures the serving layer: sustained tokens/s and
@@ -25,8 +26,9 @@
 //! and graceful goodput degradation. [`prefix`] (binary `prefix`)
 //! replays a multi-turn chat trace with the prefix cache on and off at
 //! equal arena bytes, reporting prefill amplification and hit rate.
-//! [`hotpath`], [`serve_functional`], [`prefix`] and [`chaos`] write their
-//! `BENCH_*.json` through the one path in [`report`].
+//! [`hotpath`], [`serve_functional`], [`prefix`], [`chaos`] and the
+//! `report` bin write their `BENCH_*.json` through the one path in
+//! [`report`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -1,5 +1,6 @@
 //! The paper's reported numbers, kept next to the harness so every run can
-//! print paper-vs-measured deltas (recorded in `EXPERIMENTS.md`).
+//! print paper-vs-measured deltas (all of them gathered in
+//! `BENCH_paper.json` by the `report` bin).
 
 /// Table II: token latency in ms for LoopLynx 1/2/4 nodes.
 pub const TABLE2_LOOPLYNX_MS: [f64; 3] = [6.59, 3.85, 2.55];

@@ -1,5 +1,5 @@
 //! The one report path of the `BENCH_*.json` binaries (`hotpath`,
-//! `serve_functional`, `prefix`, `chaos`): the repetition policy
+//! `serve_functional`, `prefix`, `chaos`, `report`): the repetition policy
 //! ([`MEASURE_REPS`], [`best_of`]), a [`Json`] value with one renderer —
 //! what a bin prints is what it writes — the [`machine`] fingerprint, and
 //! the driver every bin's `main` is a call into ([`run_bin`]).

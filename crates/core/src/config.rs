@@ -1,11 +1,13 @@
 //! Architecture configuration.
 //!
-//! All hardware parameters of a LoopLynx deployment live here: ring size,
-//! kernel clock (285 MHz from the decoupled FIFO design, Section III-D),
-//! per-node HBM channel allocation, the `n_group = 32` datapack geometry,
-//! and the three latency-optimization flags of Section III-C. The paper's
-//! design point is [`ArchConfig::paper`]; the builder lets experiments
-//! sweep any dimension.
+//! All hardware parameters of a LoopLynx deployment live here. The six an
+//! experiment sweeps are set through [`ArchConfig::builder`]: ring size,
+//! MP-kernel HBM channels, the `n_group = 32` datapack geometry, DMA burst
+//! length, prefill batch and the three latency-optimization flags of
+//! Section III-C. The rest are the paper's design point and are constants:
+//! the 285 MHz kernel clock of the decoupled FIFO design (Section III-D),
+//! the KV channels, FIFO depth, unit lane counts and fixed latencies. The
+//! paper's configuration is [`ArchConfig::paper`].
 
 use std::fmt;
 
@@ -15,12 +17,33 @@ use looplynx_sim::hbm::HbmChannel;
 use looplynx_sim::net::RingSpec;
 use looplynx_sim::time::{Cycles, Frequency};
 
-use crate::datapack::DATAPACK_BYTES;
-
 /// Largest number of activation vectors that can share one streamed
 /// weight pass (batched prefill and continuous-batching decode alike) —
 /// bounded by the on-chip activation buffer.
 pub const MAX_WEIGHT_SHARING_BATCH: usize = 64;
+
+/// Kernel clock in MHz (the decoupled FIFO design, Section III-D).
+pub const KERNEL_MHZ: f64 = 285.0;
+
+/// HBM channels feeding the fused MHA kernel's K and V caches per node,
+/// split evenly between keys and values.
+pub const KV_CHANNELS: usize = 4;
+
+/// Inter-unit FIFO capacity in datapacks.
+pub const FIFO_DEPTH: usize = 64;
+
+/// Lanes of the critical-path (LN/residual/GELU) units when the fused
+/// LN&Res optimization is on; 1 lane when off.
+pub const CP_LANES: usize = 8;
+
+/// Exponent/divide lanes of the softmax unit.
+pub const SOFTMAX_LANES: usize = 4;
+
+/// Pipeline depth of the quantization unit.
+pub const QUANT_LATENCY: Cycles = Cycles::new(24);
+
+/// Scheduler state-machine transition cost charged per stage.
+pub const STAGE_OVERHEAD: Cycles = Cycles::new(400);
 
 /// The latency-optimization techniques of paper Section III-C, each
 /// individually switchable for ablation (Fig. 5).
@@ -85,17 +108,9 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchConfig {
     nodes: usize,
-    freq: Frequency,
     mp_channels: usize,
-    kv_channels: usize,
     n_group: usize,
     burst_bytes: usize,
-    fifo_depth: usize,
-    cp_parallelism: usize,
-    softmax_lanes: usize,
-    quant_latency: Cycles,
-    stage_overhead: Cycles,
-    host_overhead_us: Option<f64>,
     prefill_batch: usize,
     opts: OptimizationFlags,
 }
@@ -120,20 +135,14 @@ impl ArchConfig {
         self.nodes
     }
 
-    /// Kernel clock.
+    /// Kernel clock ([`KERNEL_MHZ`]).
     pub fn freq(&self) -> Frequency {
-        self.freq
+        Frequency::from_mhz(KERNEL_MHZ)
     }
 
     /// HBM channels feeding the fused MP kernel's slices (per node).
     pub fn mp_channels(&self) -> usize {
         self.mp_channels
-    }
-
-    /// HBM channels feeding the fused MHA kernel's K and V caches
-    /// (per node, split evenly between keys and values).
-    pub fn kv_channels(&self) -> usize {
-        self.kv_channels
     }
 
     /// MAC units per MP slice; also the datapack payload in bytes.
@@ -146,62 +155,12 @@ impl ArchConfig {
         self.burst_bytes
     }
 
-    /// Inter-unit FIFO capacity in datapacks.
-    pub fn fifo_depth(&self) -> usize {
-        self.fifo_depth
-    }
-
-    /// Lanes of the critical-path (LN/residual/GELU) units when the fused
-    /// LN&Res optimization is on; 1 lane when off.
-    pub fn cp_parallelism(&self) -> usize {
-        self.cp_parallelism
-    }
-
     /// Effective critical-path lanes under the current flags.
     pub fn effective_cp_lanes(&self) -> usize {
         if self.opts.fuse_ln_res {
-            self.cp_parallelism
+            CP_LANES
         } else {
             1
-        }
-    }
-
-    /// Exponent/divide lanes of the softmax unit.
-    pub fn softmax_lanes(&self) -> usize {
-        self.softmax_lanes
-    }
-
-    /// Pipeline depth of the quantization unit.
-    pub fn quant_latency(&self) -> Cycles {
-        self.quant_latency
-    }
-
-    /// Scheduler state-machine transition cost charged per stage.
-    pub fn stage_overhead(&self) -> Cycles {
-        self.stage_overhead
-    }
-
-    /// Explicit host-overhead override in microseconds, if configured.
-    /// `None` (the default) derives the overhead from
-    /// [`crate::host::HostModel`] and the model shape.
-    pub fn host_overhead_us(&self) -> Option<f64> {
-        self.host_overhead_us
-    }
-
-    /// Host overhead in kernel-clock cycles for one token of the given
-    /// model (uses the override when set, the host model otherwise).
-    pub fn host_overhead_cycles(
-        &self,
-        model: &looplynx_model::config::ModelConfig,
-        needs_logits: bool,
-    ) -> Cycles {
-        match self.host_overhead_us {
-            Some(us) => self.freq.cycles_in_seconds(us * 1e-6),
-            None => crate::host::HostModel::paper().token_overhead_cycles(
-                model,
-                needs_logits,
-                self.freq,
-            ),
         }
     }
 
@@ -223,32 +182,9 @@ impl ArchConfig {
         self.opts
     }
 
-    /// Returns a copy with different optimization flags (for ablations).
-    pub fn with_opts(&self, opts: OptimizationFlags) -> ArchConfig {
-        ArchConfig {
-            opts,
-            ..self.clone()
-        }
-    }
-
-    /// Returns a copy with a different ring size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if `nodes` is zero.
-    pub fn with_nodes(&self, nodes: usize) -> Result<ArchConfig, ConfigError> {
-        if nodes == 0 {
-            return Err(ConfigError::new("ring needs at least one node"));
-        }
-        Ok(ArchConfig {
-            nodes,
-            ..self.clone()
-        })
-    }
-
     /// The per-channel HBM model on this clock.
     pub fn hbm_channel(&self) -> HbmChannel {
-        HbmChannel::paper_channel(self.freq)
+        HbmChannel::paper_channel(self.freq())
     }
 
     /// Effective bytes/cycle of one HBM channel at the configured burst.
@@ -259,12 +195,12 @@ impl ArchConfig {
 
     /// The ring network model.
     pub fn ring(&self) -> RingSpec {
-        RingSpec::paper_ring(self.nodes, self.freq)
+        RingSpec::paper_ring(self.nodes, self.freq())
     }
 
     /// Total HBM channels one node consumes.
     pub fn channels_per_node(&self) -> usize {
-        self.mp_channels + self.kv_channels
+        self.mp_channels + KV_CHANNELS
     }
 
     /// The resource composition model (paper constants).
@@ -304,7 +240,11 @@ impl fmt::Display for ArchConfig {
         write!(
             f,
             "LoopLynx x{} @ {} ({} MP + {} KV ch/node, n_group={})",
-            self.nodes, self.freq, self.mp_channels, self.kv_channels, self.n_group
+            self.nodes,
+            self.freq(),
+            self.mp_channels,
+            KV_CHANNELS,
+            self.n_group
         )
     }
 }
@@ -313,17 +253,9 @@ impl fmt::Display for ArchConfig {
 #[derive(Debug, Clone)]
 pub struct ArchConfigBuilder {
     nodes: usize,
-    freq_mhz: f64,
     mp_channels: usize,
-    kv_channels: usize,
     n_group: usize,
     burst_bytes: usize,
-    fifo_depth: usize,
-    cp_parallelism: usize,
-    softmax_lanes: usize,
-    quant_latency: u64,
-    stage_overhead: u64,
-    host_overhead_us: Option<f64>,
     prefill_batch: usize,
     opts: OptimizationFlags,
 }
@@ -332,17 +264,9 @@ impl Default for ArchConfigBuilder {
     fn default() -> Self {
         ArchConfigBuilder {
             nodes: 2,
-            freq_mhz: 285.0,
             mp_channels: 10,
-            kv_channels: 4,
             n_group: 32,
             burst_bytes: 4096,
-            fifo_depth: 64,
-            cp_parallelism: 8,
-            softmax_lanes: 4,
-            quant_latency: 24,
-            stage_overhead: 400,
-            host_overhead_us: None,
             prefill_batch: 1,
             opts: OptimizationFlags::ALL,
         }
@@ -356,21 +280,9 @@ impl ArchConfigBuilder {
         self
     }
 
-    /// Sets the kernel clock in MHz.
-    pub fn freq_mhz(mut self, mhz: f64) -> Self {
-        self.freq_mhz = mhz;
-        self
-    }
-
     /// Sets MP-kernel HBM channels per node.
     pub fn mp_channels(mut self, ch: usize) -> Self {
         self.mp_channels = ch;
-        self
-    }
-
-    /// Sets KV-cache HBM channels per node (even; half keys, half values).
-    pub fn kv_channels(mut self, ch: usize) -> Self {
-        self.kv_channels = ch;
         self
     }
 
@@ -383,43 +295,6 @@ impl ArchConfigBuilder {
     /// Sets DMA burst bytes.
     pub fn burst_bytes(mut self, b: usize) -> Self {
         self.burst_bytes = b;
-        self
-    }
-
-    /// Sets inter-unit FIFO depth (datapacks).
-    pub fn fifo_depth(mut self, d: usize) -> Self {
-        self.fifo_depth = d;
-        self
-    }
-
-    /// Sets critical-path lanes used when `fuse_ln_res` is on.
-    pub fn cp_parallelism(mut self, lanes: usize) -> Self {
-        self.cp_parallelism = lanes;
-        self
-    }
-
-    /// Sets softmax unit lanes.
-    pub fn softmax_lanes(mut self, lanes: usize) -> Self {
-        self.softmax_lanes = lanes;
-        self
-    }
-
-    /// Sets quantization-unit pipeline depth in cycles.
-    pub fn quant_latency(mut self, cycles: u64) -> Self {
-        self.quant_latency = cycles;
-        self
-    }
-
-    /// Sets scheduler stage-transition overhead in cycles.
-    pub fn stage_overhead(mut self, cycles: u64) -> Self {
-        self.stage_overhead = cycles;
-        self
-    }
-
-    /// Overrides the host per-token overhead in microseconds (otherwise
-    /// derived from [`crate::host::HostModel`]).
-    pub fn host_overhead_us(mut self, us: f64) -> Self {
-        self.host_overhead_us = Some(us);
         self
     }
 
@@ -450,34 +325,14 @@ impl ArchConfigBuilder {
         if self.mp_channels == 0 {
             return Err(ConfigError::new("MP kernel needs at least one channel"));
         }
-        if self.kv_channels == 0 || !self.kv_channels.is_multiple_of(2) {
-            return Err(ConfigError::new(
-                "KV channels must be positive and even (split between K and V)",
-            ));
-        }
         if self.n_group == 0 || !self.n_group.is_power_of_two() {
             return Err(ConfigError::new("n_group must be a power of two"));
         }
-        if self.n_group != DATAPACK_BYTES {
-            // Allowed, but the datapack constant tracks the paper's 32.
-            if self.n_group > 256 {
-                return Err(ConfigError::new("n_group larger than 256 is unrealistic"));
-            }
-        }
-        if !(50.0..=600.0).contains(&self.freq_mhz) {
-            return Err(ConfigError::new("frequency out of FPGA kernel range"));
+        if self.n_group > 256 {
+            return Err(ConfigError::new("n_group larger than 256 is unrealistic"));
         }
         if self.burst_bytes == 0 || self.burst_bytes > 4096 {
             return Err(ConfigError::new("burst must be 1..=4096 bytes"));
-        }
-        if self.fifo_depth == 0 {
-            return Err(ConfigError::new("FIFO depth must be positive"));
-        }
-        if self.cp_parallelism == 0 || self.softmax_lanes == 0 {
-            return Err(ConfigError::new("unit parallelism must be positive"));
-        }
-        if self.host_overhead_us.is_some_and(|us| us < 0.0) {
-            return Err(ConfigError::new("host overhead cannot be negative"));
         }
         if self.prefill_batch == 0 || self.prefill_batch > MAX_WEIGHT_SHARING_BATCH {
             return Err(ConfigError::new(format!(
@@ -485,7 +340,7 @@ impl ArchConfigBuilder {
                  (bounded by on-chip activation buffer)"
             )));
         }
-        let per_node = self.mp_channels + self.kv_channels;
+        let per_node = self.mp_channels + KV_CHANNELS;
         let model = NodeResourceModel::paper();
         let nodes_per_device = model.nodes_per_device().min(self.nodes.max(1));
         if per_node * nodes_per_device > 32 {
@@ -495,17 +350,9 @@ impl ArchConfigBuilder {
         }
         Ok(ArchConfig {
             nodes: self.nodes,
-            freq: Frequency::from_mhz(self.freq_mhz),
             mp_channels: self.mp_channels,
-            kv_channels: self.kv_channels,
             n_group: self.n_group,
             burst_bytes: self.burst_bytes,
-            fifo_depth: self.fifo_depth,
-            cp_parallelism: self.cp_parallelism,
-            softmax_lanes: self.softmax_lanes,
-            quant_latency: Cycles::new(self.quant_latency),
-            stage_overhead: Cycles::new(self.stage_overhead),
-            host_overhead_us: self.host_overhead_us,
             prefill_batch: self.prefill_batch,
             opts: self.opts,
         })
@@ -549,15 +396,10 @@ mod tests {
     fn builder_validations() {
         assert!(ArchConfig::builder().nodes(0).build().is_err());
         assert!(ArchConfig::builder().mp_channels(0).build().is_err());
-        assert!(ArchConfig::builder().kv_channels(3).build().is_err());
         assert!(ArchConfig::builder().n_group(33).build().is_err());
-        assert!(ArchConfig::builder().freq_mhz(10.0).build().is_err());
+        assert!(ArchConfig::builder().n_group(512).build().is_err());
         assert!(ArchConfig::builder().burst_bytes(0).build().is_err());
-        assert!(ArchConfig::builder().fifo_depth(0).build().is_err());
-        assert!(ArchConfig::builder()
-            .host_overhead_us(-1.0)
-            .build()
-            .is_err());
+        assert!(ArchConfig::builder().prefill_batch(0).build().is_err());
     }
 
     #[test]
@@ -577,15 +419,11 @@ mod tests {
     fn effective_cp_lanes_follow_flag() {
         let on = ArchConfig::paper();
         assert_eq!(on.effective_cp_lanes(), 8);
-        let off = on.with_opts(OptimizationFlags::NONE);
+        let off = ArchConfig::builder()
+            .opts(OptimizationFlags::NONE)
+            .build()
+            .unwrap();
         assert_eq!(off.effective_cp_lanes(), 1);
-    }
-
-    #[test]
-    fn with_nodes_rebuilds() {
-        let c = ArchConfig::paper().with_nodes(4).unwrap();
-        assert_eq!(c.nodes(), 4);
-        assert!(ArchConfig::paper().with_nodes(0).is_err());
     }
 
     #[test]

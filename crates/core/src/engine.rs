@@ -36,16 +36,7 @@ use crate::latency::LatencyBreakdown;
 use crate::parallel::{shard_weights, split_range, NodeWeights, PartitionError};
 use crate::pool::WorkerPool;
 use crate::router::{RingMode, Router};
-use crate::scheduler::{Scheduler, TokenTiming};
-
-/// Which phase a simulated token belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenPhase {
-    /// Prompt processing (KV-cache fill; logits only for the last token).
-    Prefill,
-    /// Auto-regressive generation.
-    Decode,
-}
+use crate::scheduler::Scheduler;
 
 /// Latency/energy outcome of a simulated generation.
 ///
@@ -122,7 +113,7 @@ impl fmt::Display for GenerationReport {
 
 /// Aggregate timing of a multi-token phase (a prefill walk or a batched
 /// decode iteration): total exposed cycles plus the bucketized breakdown,
-/// without the per-stage trace of [`TokenTiming`].
+/// without the per-stage trace of [`crate::scheduler::TokenTiming`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseTiming {
     /// Total exposed cycles of the phase.
@@ -173,24 +164,11 @@ impl LoopLynx {
         &self.scheduler
     }
 
-    /// Cycle-accurate timing of one token at the given cache context.
-    pub fn simulate_token(
-        &self,
-        context: usize,
-        phase: TokenPhase,
-        is_last_prefill: bool,
-    ) -> TokenTiming {
-        let with_lm_head = match phase {
-            TokenPhase::Decode => true,
-            TokenPhase::Prefill => is_last_prefill,
-        };
-        self.scheduler.schedule_rows(&[context], with_lm_head)
-    }
-
     /// Steady-state decode latency in ms at a fixed context — the paper's
     /// Table II "token latency" operating point.
     pub fn steady_state_decode_ms(&self, context: usize) -> f64 {
-        self.simulate_token(context, TokenPhase::Decode, false)
+        self.scheduler
+            .schedule_rows(&[context], true)
             .total_ms(self.arch())
     }
 
@@ -268,7 +246,7 @@ impl LoopLynx {
         let mut breakdown = prefill_phase.breakdown;
         let mut decode_cycles = 0u64;
         for t in 0..decode {
-            let timing = self.simulate_token(prefill + t + 1, TokenPhase::Decode, false);
+            let timing = self.scheduler.schedule_rows(&[prefill + t + 1], true);
             decode_cycles += timing.total.as_u64();
             breakdown += timing.breakdown;
         }

@@ -12,8 +12,7 @@
 //! * sampling + loop bookkeeping.
 //!
 //! [`HostModel::token_overhead_us`] computes this from the model shape;
-//! [`crate::config::ArchConfig`] uses it whenever no explicit override is
-//! configured.
+//! the scheduler charges it once per row of every step.
 
 use looplynx_model::config::ModelConfig;
 use looplynx_sim::time::{Cycles, Frequency};
@@ -45,7 +44,7 @@ impl HostModel {
     }
 
     /// Microseconds to move `bytes` across PCIe.
-    pub fn transfer_us(&self, bytes: usize) -> f64 {
+    fn transfer_us(&self, bytes: usize) -> f64 {
         self.pcie_latency_us + bytes as f64 / (self.pcie_gbps * 1e3)
     }
 
@@ -73,12 +72,6 @@ impl HostModel {
         clock: Frequency,
     ) -> Cycles {
         clock.cycles_in_seconds(self.token_overhead_us(model, needs_logits) * 1e-6)
-    }
-}
-
-impl Default for HostModel {
-    fn default() -> Self {
-        Self::paper()
     }
 }
 
@@ -127,6 +120,6 @@ mod tests {
         let clock = Frequency::from_mhz(285.0);
         let us = h.token_overhead_us(&m, true);
         let cyc = h.token_overhead_cycles(&m, true, clock);
-        assert!((cyc.to_micros(clock) - us).abs() < 0.01);
+        assert!((cyc.to_seconds(clock) * 1e6 - us).abs() < 0.01);
     }
 }

@@ -9,9 +9,8 @@
 //! baseline where critical-path operators consume 18.5 % of token latency.
 
 use looplynx_sim::time::Cycles;
-use looplynx_tensor::norm::{residual_layernorm, LayerNormParams};
 
-use crate::config::ArchConfig;
+use crate::config::{ArchConfig, STAGE_OVERHEAD};
 use crate::kernels::{KernelTiming, Segment};
 
 /// One activation of the LN&Res kernel.
@@ -59,13 +58,13 @@ impl FusedLnResKernel {
         } else {
             ln + res
         };
-        let total = Cycles::new(total_compute) + self.cfg.stage_overhead();
+        let total = Cycles::new(total_compute) + STAGE_OVERHEAD;
         KernelTiming::new(
             total,
             vec![
                 Segment::new("layernorm", Cycles::new(ln)),
                 Segment::new("residual", Cycles::new(res)),
-                Segment::new("overhead", self.cfg.stage_overhead()),
+                Segment::new("overhead", STAGE_OVERHEAD),
             ],
         )
     }
@@ -80,27 +79,14 @@ impl FusedLnResKernel {
         assert!(dim > 0, "degenerate element-wise job");
         let lanes = self.cfg.effective_cp_lanes() as u64;
         let cycles = (dim as u64).div_ceil(lanes) + 8;
-        let total = Cycles::new(cycles) + self.cfg.stage_overhead();
+        let total = Cycles::new(cycles) + STAGE_OVERHEAD;
         KernelTiming::new(
             total,
             vec![
                 Segment::new("elementwise", Cycles::new(cycles)),
-                Segment::new("overhead", self.cfg.stage_overhead()),
+                Segment::new("overhead", STAGE_OVERHEAD),
             ],
         )
-    }
-
-    /// Functional path: fused residual + layernorm.
-    pub fn forward(
-        &self,
-        x: &[f32],
-        residual: Option<&[f32]>,
-        params: &LayerNormParams,
-    ) -> Vec<f32> {
-        match residual {
-            Some(r) => residual_layernorm(x, r, params),
-            None => looplynx_tensor::norm::layernorm(x, params),
-        }
     }
 }
 
@@ -170,19 +156,6 @@ mod tests {
         let wide = kernel(true).elementwise_timing(4096).total.as_f64();
         let narrow = kernel(false).elementwise_timing(4096).total.as_f64();
         assert!(narrow / wide > 4.0, "lanes should speed GELU up");
-    }
-
-    #[test]
-    fn functional_fused_matches_substrate() {
-        let k = kernel(true);
-        let params = LayerNormParams::identity(4);
-        let x = [0.1f32, -0.4, 0.2, 0.9];
-        let r = [1.0f32, 0.5, -0.5, 0.0];
-        let out = k.forward(&x, Some(&r), &params);
-        let expect = residual_layernorm(&x, &r, &params);
-        assert_eq!(out, expect);
-        let plain = k.forward(&x, None, &params);
-        assert_eq!(plain, looplynx_tensor::norm::layernorm(&x, &params));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use looplynx_sim::pipeline::{PipelineSpec, StageSpec};
 use looplynx_sim::time::Cycles;
 
-use crate::config::ArchConfig;
+use crate::config::{ArchConfig, KV_CHANNELS, SOFTMAX_LANES, STAGE_OVERHEAD};
 use crate::kernels::{KernelTiming, Segment};
 
 /// One activation of the fused MHA kernel.
@@ -57,7 +57,7 @@ impl FusedMhaKernel {
 
     /// Cycles of one head's score MACs (key-cache streaming bound).
     fn score_cycles(&self, job: &MhaJob) -> u64 {
-        let k_channels = (self.cfg.kv_channels() / 2).max(1);
+        let k_channels = KV_CHANNELS / 2;
         let bytes = job.d_head * job.context;
         let fill = 16; // mask unit + score fifo fill
         (bytes as f64 / (k_channels as f64 * self.cfg.channel_bytes_per_cycle())).ceil() as u64
@@ -66,14 +66,14 @@ impl FusedMhaKernel {
 
     /// Cycles of one head's token-mixing MACs (value-cache streaming bound).
     fn mix_cycles(&self, job: &MhaJob) -> u64 {
-        let v_channels = (self.cfg.kv_channels() / 2).max(1);
+        let v_channels = KV_CHANNELS / 2;
         let bytes = job.d_head * job.context;
         (bytes as f64 / (v_channels as f64 * self.cfg.channel_bytes_per_cycle())).ceil() as u64 + 16
     }
 
     /// Cycles of one head's two-phase softmax.
     fn softmax_cycles(&self, job: &MhaJob) -> u64 {
-        let lanes = self.cfg.softmax_lanes() as u64;
+        let lanes = SOFTMAX_LANES as u64;
         // phase 1 (exp + global sum) and phase 2 (weighted scores)
         2 * (job.context as u64).div_ceil(lanes) + 32
     }
@@ -126,7 +126,7 @@ impl FusedMhaKernel {
             sync_total
         };
 
-        let total = compute + sync_exposed + self.cfg.stage_overhead();
+        let total = compute + sync_exposed + STAGE_OVERHEAD;
         KernelTiming::new(
             total,
             vec![
@@ -134,7 +134,7 @@ impl FusedMhaKernel {
                 Segment::new("softmax", Cycles::new(softmax * job.heads as u64)),
                 Segment::new("mix", Cycles::new(mix * job.heads as u64)),
                 Segment::new("sync", sync_exposed),
-                Segment::new("overhead", self.cfg.stage_overhead()),
+                Segment::new("overhead", STAGE_OVERHEAD),
             ],
         )
     }
@@ -211,12 +211,16 @@ mod tests {
 
     #[test]
     fn sync_hidden_across_heads() {
-        let cfg4 = ArchConfig::builder().nodes(4).build().unwrap();
-        let k_on = FusedMhaKernel::new(&cfg4);
-        let k_off = FusedMhaKernel::new(&cfg4.with_opts(OptimizationFlags {
-            hide_transmission: false,
-            ..OptimizationFlags::ALL
-        }));
+        let k_on = FusedMhaKernel::new(&ArchConfig::builder().nodes(4).build().unwrap());
+        let cfg_off = ArchConfig::builder()
+            .nodes(4)
+            .opts(OptimizationFlags {
+                hide_transmission: false,
+                ..OptimizationFlags::ALL
+            })
+            .build()
+            .unwrap();
+        let k_off = FusedMhaKernel::new(&cfg_off);
         let j = MhaJob {
             heads: 4,
             d_head: 64,

@@ -6,16 +6,14 @@
 //! manner, achieving much higher peak hardware resource usage during each
 //! activation" (paper Section III-B).
 //!
-//! Each kernel exposes a *timing* method returning a [`KernelTiming`]
-//! (computed with the cycle-accurate pipeline calculator of
-//! [`looplynx_sim::pipeline`]) and, where applicable, a functional compute
-//! path so real data flows through the same activation.
+//! Each kernel exposes a *timing* method returning a [`KernelTiming`],
+//! computed with the cycle-accurate pipeline calculator of
+//! [`looplynx_sim::pipeline`]. The numbers they compute with run in
+//! [`crate::engine::DistributedGpt2`], on the `looplynx-tensor` kernels.
 
-pub mod dma;
 pub mod lnres;
 pub mod mha;
 pub mod mp;
-pub mod quantizer;
 
 use looplynx_sim::time::Cycles;
 

@@ -18,10 +18,8 @@
 
 use looplynx_sim::pipeline::{PipelineSpec, StageSpec};
 use looplynx_sim::time::Cycles;
-use looplynx_tensor::linear::QuantLinear;
-use looplynx_tensor::quant::QuantizedVector;
 
-use crate::config::ArchConfig;
+use crate::config::{ArchConfig, FIFO_DEPTH, QUANT_LATENCY, STAGE_OVERHEAD};
 use crate::kernels::{KernelTiming, Segment};
 
 /// One activation of the fused MP kernel: a `rows × cols` GEMV shard on
@@ -45,16 +43,6 @@ pub struct MpJob {
 }
 
 impl MpJob {
-    /// A single-token (decode) GEMV job.
-    pub fn gemv(rows: usize, cols: usize, sync_bytes: usize) -> Self {
-        MpJob {
-            rows,
-            cols,
-            sync_bytes,
-            batch: 1,
-        }
-    }
-
     /// Int8 weight bytes this activation streams from HBM (independent of
     /// the batch — that is the point of batching).
     pub fn weight_bytes(&self) -> usize {
@@ -105,18 +93,18 @@ impl FusedMpKernel {
 
         // Packer emits one datapack per slice per block per batched token.
         let pack_ii = job.batch as u64;
-        // Quant unit: one datapack/cycle; pipeline depth from config.
+        // Quant unit: one datapack/cycle at a fixed pipeline depth.
         let quant_ii = job.batch as u64;
-        let quant_latency = cfg.quant_latency().as_u64().max(1);
+        let quant_latency = QUANT_LATENCY.as_u64();
         // Router ingest: `mp_channels` datapacks per block per batched
         // token at link rate.
         let send_ii = ((cfg.mp_channels() * n_group * job.batch) as f64 / bpc).ceil() as u64;
 
         let spec = PipelineSpec::new(vec![
-            StageSpec::new("dma", dma_ii, dma_ii).with_out_capacity(cfg.fifo_depth()),
-            StageSpec::new("mac", mac_latency, mac_ii).with_out_capacity(cfg.fifo_depth()),
-            StageSpec::new("pack", 4, pack_ii).with_out_capacity(cfg.fifo_depth()),
-            StageSpec::new("quant", quant_latency, quant_ii).with_out_capacity(cfg.fifo_depth()),
+            StageSpec::new("dma", dma_ii, dma_ii).with_out_capacity(FIFO_DEPTH),
+            StageSpec::new("mac", mac_latency, mac_ii).with_out_capacity(FIFO_DEPTH),
+            StageSpec::new("pack", 4, pack_ii).with_out_capacity(FIFO_DEPTH),
+            StageSpec::new("quant", quant_latency, quant_ii).with_out_capacity(FIFO_DEPTH),
             StageSpec::new("send", send_ii.max(1), send_ii.max(1)),
         ]);
         let run = spec.evaluate_uniform(blocks);
@@ -135,7 +123,7 @@ impl FusedMpKernel {
         };
 
         let dma_total = Cycles::new(dma_ii * blocks as u64);
-        let total = compute + sync_exposed + cfg.stage_overhead();
+        let total = compute + sync_exposed + STAGE_OVERHEAD;
         KernelTiming::new(
             total,
             vec![
@@ -143,16 +131,9 @@ impl FusedMpKernel {
                 Segment::new("mac", Cycles::new(mac_ii * blocks as u64)),
                 Segment::new("quant", Cycles::new(quant_latency + blocks as u64)),
                 Segment::new("sync", sync_exposed),
-                Segment::new("overhead", cfg.stage_overhead()),
+                Segment::new("overhead", STAGE_OVERHEAD),
             ],
         )
-    }
-
-    /// Functional path: runs the sharded linear on this node's weights.
-    /// (Delegates to the substrate; the kernel's value is pairing this with
-    /// [`FusedMpKernel::timing`] for the same shapes.)
-    pub fn forward(&self, shard: &QuantLinear, x: &QuantizedVector) -> Vec<f32> {
-        shard.forward(x)
     }
 }
 
@@ -223,12 +204,16 @@ mod tests {
 
     #[test]
     fn transmission_hiding_reduces_exposed_sync() {
-        let cfg = ArchConfig::builder().nodes(4).build().unwrap();
-        let hidden = FusedMpKernel::new(&cfg);
-        let exposed = FusedMpKernel::new(&cfg.with_opts(OptimizationFlags {
-            hide_transmission: false,
-            ..OptimizationFlags::ALL
-        }));
+        let hidden = kernel(4);
+        let cfg = ArchConfig::builder()
+            .nodes(4)
+            .opts(OptimizationFlags {
+                hide_transmission: false,
+                ..OptimizationFlags::ALL
+            })
+            .build()
+            .unwrap();
+        let exposed = FusedMpKernel::new(&cfg);
         let job = MpJob {
             rows: 1024,
             cols: 1024,

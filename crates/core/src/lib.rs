@@ -5,12 +5,12 @@
 //! ring network.
 //!
 //! * [`config`] — architecture configuration ([`ArchConfig`]): ring size,
-//!   HBM channel allocation, `n_group`, clock, FIFO depths, and the three
-//!   optimization flags of Section III-C.
-//! * [`datapack`] — the 32-byte datapack unit moved by DMA and routers.
+//!   HBM channel allocation, `n_group`, burst, prefill batch and the three
+//!   optimization flags of Section III-C; the paper's fixed design values
+//!   (clock, KV channels, FIFO depth, lanes) are constants beside it.
 //! * [`kernels`] — the macro dataflow kernels (fused MP, fused MHA, fused
-//!   LN&Res, quantization unit, DMA engines), each with a cycle-accurate
-//!   timing model and a functional compute path.
+//!   LN&Res), each a cycle-accurate timing model.
+//! * [`host`] — the host's per-token embed / PCIe / sample cost.
 //! * [`scheduler`] — the state machine that *temporally reuses* the fused
 //!   kernels across the stages of every transformer block (the hybrid in
 //!   "hybrid spatial–temporal").
@@ -49,7 +49,6 @@
 
 pub mod backend;
 pub mod config;
-pub mod datapack;
 pub mod energy;
 pub mod engine;
 pub mod fault;
@@ -63,5 +62,5 @@ pub mod router;
 pub mod scheduler;
 
 pub use config::{ArchConfig, ArchConfigBuilder, ConfigError, OptimizationFlags};
-pub use engine::{GenerationReport, LoopLynx, TokenPhase};
+pub use engine::{GenerationReport, LoopLynx};
 pub use latency::LatencyBreakdown;

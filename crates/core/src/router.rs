@@ -15,8 +15,6 @@
 //!   a per-shard scale before travelling (what the hardware actually
 //!   sends); receivers dequantize. Numerically close, not identical.
 
-use looplynx_sim::net::RingSpec;
-use looplynx_sim::time::Cycles;
 use looplynx_tensor::quant::{quantize_vec, QuantizedVector};
 
 /// How gathered activations travel on the ring.
@@ -98,16 +96,12 @@ impl Router {
             RingMode::Quantized => elements,
         }
     }
-
-    /// Cycles for the all-gather on the given ring model.
-    pub fn gather_cycles(&self, ring: &RingSpec, elements_per_node: usize) -> Cycles {
-        ring.all_gather_cycles(self.shard_bytes(elements_per_node))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use looplynx_sim::net::RingSpec;
     use looplynx_sim::time::Frequency;
 
     #[test]
@@ -158,7 +152,8 @@ mod tests {
         assert_eq!(q.shard_bytes(256), 256);
         assert_eq!(e.shard_bytes(256), 1024);
         let ring = RingSpec::paper_ring(4, Frequency::from_mhz(285.0));
-        assert!(q.gather_cycles(&ring, 256) < e.gather_cycles(&ring, 256));
+        let cycles = |r: &Router| ring.all_gather_cycles(r.shard_bytes(256));
+        assert!(cycles(&q) < cycles(&e));
     }
 
     #[test]

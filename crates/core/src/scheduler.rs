@@ -15,6 +15,7 @@ use looplynx_sim::time::Cycles;
 use looplynx_sim::trace::{Span, Trace};
 
 use crate::config::ArchConfig;
+use crate::host::HostModel;
 use crate::kernels::lnres::{FusedLnResKernel, LnResJob};
 use crate::kernels::mha::{FusedMhaKernel, MhaJob};
 use crate::kernels::mp::{FusedMpKernel, MpJob};
@@ -309,7 +310,9 @@ impl Scheduler {
             breakdown.linear += t.total - t.segment("overhead");
         }
 
-        let host = self.cfg.host_overhead_cycles(&self.model, with_lm_head) * rows;
+        let host_model = HostModel::paper();
+        let per_row = host_model.token_overhead_cycles(&self.model, with_lm_head, self.cfg.freq());
+        let host = per_row * rows;
         breakdown.host += host;
         cursor += host;
 
@@ -318,51 +321,6 @@ impl Scheduler {
             breakdown,
             trace,
         }
-    }
-
-    /// Times one token through every layer: [`Scheduler::schedule_rows`]
-    /// with a batch of one.
-    ///
-    /// * `context` — tokens in the KV cache after this token is appended.
-    /// * `with_lm_head` — whether logits are produced (decode tokens and
-    ///   the final prefill token).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `context` is zero.
-    pub fn schedule_token(&self, context: usize, with_lm_head: bool) -> TokenTiming {
-        self.schedule_rows(&[context], with_lm_head)
-    }
-
-    /// Times a *batch* of consecutive prefill tokens sharing each weight
-    /// pass — the batched-prefill extension (see
-    /// [`ArchConfig::prefill_batch`]): [`Scheduler::schedule_rows`] over
-    /// contexts `first_context..first_context + batch` with no LM head
-    /// (batched prefill never contains the last prompt token — the engine
-    /// schedules that one on its own). `first_context` is the cache length
-    /// after the *first* token of the batch is appended.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first_context` or `batch` is zero, or `batch` exceeds
-    /// [`crate::config::MAX_WEIGHT_SHARING_BATCH`].
-    pub fn schedule_prefill_batch(&self, first_context: usize, batch: usize) -> TokenTiming {
-        let contexts: Vec<usize> = (0..batch).map(|i| first_context + i).collect();
-        self.schedule_rows(&contexts, false)
-    }
-
-    /// Times one *continuous-batching decode iteration*: one token for each
-    /// of several concurrent requests, all sharing every weight pass —
-    /// [`Scheduler::schedule_rows`] with the LM head on. `contexts[i]` is
-    /// request *i*'s KV-cache length after its token is appended.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `contexts` is empty, any context is zero, or the batch
-    /// exceeds [`crate::config::MAX_WEIGHT_SHARING_BATCH`].
-    pub fn schedule_decode_batch(&self, contexts: &[usize]) -> TokenTiming {
-        assert!(!contexts.is_empty(), "decode batch must not be empty");
-        self.schedule_rows(contexts, true)
     }
 }
 
@@ -390,18 +348,18 @@ mod tests {
     #[test]
     fn trace_has_one_span_per_stage_plus_epilogue() {
         let s = sched(1);
-        let t = s.schedule_token(16, true);
+        let t = s.schedule_rows(&[16], true);
         // 24 layers × 8 stages + final LN + LM head
         assert_eq!(t.trace.len(), 24 * 8 + 2);
-        // every span on the right lane; no overlap on a physical kernel
-        assert!(t.trace.find_lane_conflict().is_none());
+        // the stages run one after another: no overlap on a physical kernel
+        assert!(t.trace.spans().windows(2).all(|w| w[0].end == w[1].start));
     }
 
     #[test]
     fn decode_token_near_paper_single_node_latency() {
         // Table II: 1-node ≈ 6.59 ms/token. Accept ±12 %.
         let s = sched(1);
-        let t = s.schedule_token(512, true);
+        let t = s.schedule_rows(&[512], true);
         let ms = t.total_ms(s.config());
         assert!((5.8..7.4).contains(&ms), "1-node token {ms} ms");
     }
@@ -410,7 +368,7 @@ mod tests {
     fn two_node_near_paper_latency() {
         // Table II: 2-node ≈ 3.85 ms/token.
         let s = sched(2);
-        let ms = s.schedule_token(512, true).total_ms(s.config());
+        let ms = s.schedule_rows(&[512], true).total_ms(s.config());
         assert!((3.4..4.3).contains(&ms), "2-node token {ms} ms");
     }
 
@@ -418,7 +376,7 @@ mod tests {
     fn four_node_near_paper_latency() {
         // Table II: 4-node ≈ 2.55 ms/token.
         let s = sched(4);
-        let ms = s.schedule_token(512, true).total_ms(s.config());
+        let ms = s.schedule_rows(&[512], true).total_ms(s.config());
         assert!((2.2..2.9).contains(&ms), "4-node token {ms} ms");
     }
 
@@ -426,9 +384,9 @@ mod tests {
     fn scaling_is_sublinear() {
         // Table III: 2-node speedup 1.71x, 4-node (vs 2-node) 1.51x —
         // sub-linear because critical-path operators do not distribute.
-        let l1 = sched(1).schedule_token(512, true).total.as_f64();
-        let l2 = sched(2).schedule_token(512, true).total.as_f64();
-        let l4 = sched(4).schedule_token(512, true).total.as_f64();
+        let l1 = sched(1).schedule_rows(&[512], true).total.as_f64();
+        let l2 = sched(2).schedule_rows(&[512], true).total.as_f64();
+        let l4 = sched(4).schedule_rows(&[512], true).total.as_f64();
         let s21 = l1 / l2;
         let s42 = l2 / l4;
         assert!(s21 > 1.4 && s21 < 2.0, "2-node speedup {s21}");
@@ -445,7 +403,7 @@ mod tests {
             .build()
             .unwrap();
         let s = Scheduler::new(cfg, ModelConfig::gpt2_medium()).unwrap();
-        let t = s.schedule_token(512, true);
+        let t = s.schedule_rows(&[512], true);
         let cp = t.breakdown.critical_path_fraction();
         assert!((0.12..0.27).contains(&cp), "critical-path fraction {cp}");
     }
@@ -453,7 +411,7 @@ mod tests {
     #[test]
     fn optimizations_never_slow_a_token() {
         for nodes in [1usize, 2, 4] {
-            let on = sched(nodes).schedule_token(256, true).total;
+            let on = sched(nodes).schedule_rows(&[256], true).total;
             let cfg_off = ArchConfig::builder()
                 .nodes(nodes)
                 .opts(OptimizationFlags::NONE)
@@ -461,7 +419,7 @@ mod tests {
                 .unwrap();
             let off = Scheduler::new(cfg_off, ModelConfig::gpt2_medium())
                 .unwrap()
-                .schedule_token(256, true)
+                .schedule_rows(&[256], true)
                 .total;
             assert!(on < off, "optimizations regressed at {nodes} nodes");
         }
@@ -470,16 +428,16 @@ mod tests {
     #[test]
     fn prefill_tokens_skip_lm_head() {
         let s = sched(2);
-        let with = s.schedule_token(128, true).total;
-        let without = s.schedule_token(128, false).total;
+        let with = s.schedule_rows(&[128], true).total;
+        let without = s.schedule_rows(&[128], false).total;
         assert!(without < with);
     }
 
     #[test]
     fn longer_context_costs_more() {
         let s = sched(2);
-        let short = s.schedule_token(32, true).total;
-        let long = s.schedule_token(512, true).total;
+        let short = s.schedule_rows(&[32], true).total;
+        let long = s.schedule_rows(&[512], true).total;
         assert!(long > short);
     }
 
@@ -492,35 +450,13 @@ mod tests {
     }
 
     #[test]
-    fn singleton_decode_batch_matches_schedule_token() {
-        for nodes in [1usize, 2, 4] {
-            let s = sched(nodes);
-            for ctx in [1usize, 64, 512] {
-                let single = s.schedule_token(ctx, true);
-                let batched = s.schedule_decode_batch(&[ctx]);
-                assert_eq!(
-                    single.total, batched.total,
-                    "{nodes} nodes ctx {ctx}: singleton batch diverged"
-                );
-                assert_eq!(single.breakdown, batched.breakdown);
-            }
-        }
-    }
-
-    #[test]
-    fn singleton_prefill_batch_matches_schedule_token() {
-        for nodes in [1usize, 2, 4] {
-            let s = sched(nodes);
-            for ctx in [1usize, 7, 64, 511] {
-                let single = s.schedule_token(ctx, false);
-                let batched = s.schedule_prefill_batch(ctx, 1);
-                assert_eq!(single.total, batched.total, "{nodes} nodes ctx {ctx}");
-                assert_eq!(single.breakdown, batched.breakdown);
-                // The batch suffix marks real batches only.
-                assert_eq!(batched.trace.spans()[1].label, "L0.qkv");
-                let pair = s.schedule_prefill_batch(ctx, 2);
-                assert_eq!(pair.trace.spans()[1].label, "L0.qkvx2");
-            }
+    fn batch_suffix_marks_real_batches_only() {
+        let s = sched(2);
+        for ctx in [1usize, 7, 64, 511] {
+            let single = s.schedule_rows(&[ctx], false);
+            assert_eq!(single.trace.spans()[1].label, "L0.qkv");
+            let pair = s.schedule_rows(&[ctx, ctx + 1], false);
+            assert_eq!(pair.trace.spans()[1].label, "L0.qkvx2");
         }
     }
 
@@ -530,8 +466,8 @@ mod tests {
         // back-to-back single-token iterations (weights streamed once),
         // but more than one (MHA and epilogue are per-request).
         let s = sched(2);
-        let one = s.schedule_token(256, true).total.as_u64();
-        let two = s.schedule_decode_batch(&[256, 256]).total.as_u64();
+        let one = s.schedule_rows(&[256], true).total.as_u64();
+        let two = s.schedule_rows(&[256, 256], true).total.as_u64();
         assert!(two < 2 * one, "batched {two} vs 2x single {}", 2 * one);
         assert!(two > one, "batched {two} vs single {one}");
     }
@@ -542,7 +478,7 @@ mod tests {
         let mut prev = f64::INFINITY;
         for batch in [1usize, 2, 4, 8] {
             let contexts = vec![256usize; batch];
-            let per = s.schedule_decode_batch(&contexts).total.as_f64() / batch as f64;
+            let per = s.schedule_rows(&contexts, true).total.as_f64() / batch as f64;
             assert!(per < prev, "batch {batch}: per-token {per} vs {prev}");
             prev = per;
         }
@@ -553,15 +489,15 @@ mod tests {
         // Continuous batching interleaves requests at different decode
         // depths; the MHA charge must follow each request's own context.
         let s = sched(2);
-        let mixed = s.schedule_decode_batch(&[16, 512]).total;
-        let both_short = s.schedule_decode_batch(&[16, 16]).total;
-        let both_long = s.schedule_decode_batch(&[512, 512]).total;
+        let mixed = s.schedule_rows(&[16, 512], true).total;
+        let both_short = s.schedule_rows(&[16, 16], true).total;
+        let both_long = s.schedule_rows(&[512, 512], true).total;
         assert!(both_short < mixed && mixed < both_long);
     }
 
     #[test]
-    #[should_panic(expected = "must not be empty")]
+    #[should_panic(expected = "batch must be at least 1")]
     fn empty_decode_batch_rejected() {
-        let _ = sched(1).schedule_decode_batch(&[]);
+        let _ = sched(1).schedule_rows(&[], true);
     }
 }

@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 
-use looplynx_core::config::ArchConfig;
-use looplynx_core::datapack::{datapacks_for, DataPack, DATAPACK_BYTES};
+use looplynx_core::config::{ArchConfig, KV_CHANNELS};
 use looplynx_core::kernels::mha::{FusedMhaKernel, MhaJob};
 use looplynx_core::kernels::mp::{FusedMpKernel, MpJob};
 use looplynx_core::parallel::{shard_weights, split_range};
@@ -14,18 +13,6 @@ use looplynx_tensor::quant::quantize_vec;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Datapack streams round-trip for arbitrary payload lengths.
-    #[test]
-    fn datapack_roundtrip(data in prop::collection::vec(any::<i8>(), 0..300)) {
-        let packs = DataPack::pack_stream(&data);
-        prop_assert_eq!(packs.len(), datapacks_for(data.len()));
-        if !data.is_empty() {
-            let back = DataPack::unpack_stream(&packs, data.len());
-            prop_assert_eq!(back, data);
-        }
-        prop_assert!(packs.iter().all(|p| p.payload().len() == DATAPACK_BYTES));
-    }
 
     /// MP kernel time is monotone in rows, cols and sync bytes.
     #[test]
@@ -138,17 +125,15 @@ proptest! {
     fn config_derived_quantities_consistent(
         nodes in prop::sample::select(vec![1usize, 2, 4, 8]),
         mp in 2usize..12,
-        kv in prop::sample::select(vec![2usize, 4]),
     ) {
-        prop_assume!((mp + kv) * 2 <= 32 || nodes == 1);
+        prop_assume!((mp + KV_CHANNELS) * 2 <= 32 || nodes == 1);
         let cfg = ArchConfig::builder()
             .nodes(nodes)
             .mp_channels(mp)
-            .kv_channels(kv)
             .build();
         prop_assume!(cfg.is_ok());
         let cfg = cfg.unwrap();
-        prop_assert_eq!(cfg.channels_per_node(), mp + kv);
+        prop_assert_eq!(cfg.channels_per_node(), mp + KV_CHANNELS);
         prop_assert_eq!(cfg.devices(), nodes.div_ceil(2));
         let eff = cfg.channel_bytes_per_cycle();
         prop_assert!(eff > 0.0 && eff <= cfg.hbm_channel().peak_bytes_per_cycle());

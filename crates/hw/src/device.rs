@@ -17,7 +17,6 @@ pub struct FpgaDevice {
     slr_count: usize,
     hbm_channels: usize,
     hbm_total_gbps: f64,
-    max_kernel_mhz: f64,
     tdp_watts: f64,
 }
 
@@ -31,7 +30,6 @@ impl FpgaDevice {
             slr_count: 2,
             hbm_channels: 32,
             hbm_total_gbps: 201.0,
-            max_kernel_mhz: 300.0,
             tdp_watts: 75.0,
         }
     }
@@ -44,7 +42,6 @@ impl FpgaDevice {
             slr_count: 3,
             hbm_channels: 32,
             hbm_total_gbps: 460.0,
-            max_kernel_mhz: 300.0,
             tdp_watts: 215.0,
         }
     }
@@ -83,11 +80,6 @@ impl FpgaDevice {
     /// Peak per-channel HBM bandwidth in GB/s.
     pub fn hbm_channel_gbps(&self) -> f64 {
         self.hbm_total_gbps / self.hbm_channels as f64
-    }
-
-    /// Maximum supported kernel clock in MHz.
-    pub fn max_kernel_mhz(&self) -> f64 {
-        self.max_kernel_mhz
     }
 
     /// Board thermal design power in watts.

@@ -102,26 +102,28 @@ impl FloorPlan {
     }
 
     /// Renders the Fig. 7-style layout: one box per device, one row per
-    /// SLR, ring links drawn between consecutive nodes.
+    /// SLR, ring links drawn between consecutive nodes. Every row of a box
+    /// is padded to the width of its title border.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for dev in 0..self.devices() {
-            out.push_str(&format!(
-                "┌── {} #{dev} ──────────────┐\n",
-                self.device_name
-            ));
+            let top = format!("┌── {} #{dev} ──────────────┐", self.device_name);
+            let inner = top.chars().count() - 2;
+            out.push_str(&top);
+            out.push('\n');
             for slr in (0..self.slrs_per_device).rev() {
                 let occupant = self.nodes.iter().find(|n| n.device == dev && n.slr == slr);
-                match occupant {
-                    Some(n) => out.push_str(&format!(
-                        "│ SLR{slr}: node {} ({:>4.1}% busy) │\n",
+                let row = match occupant {
+                    Some(n) => format!(
+                        " SLR{slr}: node {} ({:>4.1}% busy)",
                         n.node_id,
                         n.slr_utilization * 100.0
-                    )),
-                    None => out.push_str(&format!("│ SLR{slr}: (empty)             │\n")),
-                }
+                    ),
+                    None => format!(" SLR{slr}: (empty)"),
+                };
+                out.push_str(&format!("│{row:<inner$}│\n"));
             }
-            out.push_str("└──────────────────────────────┘\n");
+            out.push_str(&format!("└{}┘\n", "─".repeat(inner)));
             if dev + 1 < self.devices() {
                 out.push_str("        │ ring (AXI-Stream)\n");
             }
@@ -205,6 +207,14 @@ mod tests {
         assert!(art.contains("node 0"));
         assert!(art.contains("node 3"));
         assert!(art.contains("ring"));
+        // every line of a box is as wide as its border
+        let widths: Vec<usize> = art
+            .lines()
+            .filter(|l| l.starts_with(['┌', '│', '└']))
+            .map(|l| l.chars().count())
+            .collect();
+        assert_eq!(widths.len(), 8);
+        assert!(widths.iter().all(|&w| w == widths[0]), "{widths:?}\n{art}");
     }
 
     #[test]

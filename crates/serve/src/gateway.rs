@@ -379,13 +379,6 @@ impl GatewayReport {
         self.serving.total_tokens()
     }
 
-    /// Goodput: completed output tokens per second over the completed
-    /// set's makespan. `0.0` when nothing completed or the makespan is
-    /// degenerate — an all-rejected run reports zero, never NaN.
-    pub fn goodput_tok_s(&self) -> f64 {
-        self.serving.tokens_per_second()
-    }
-
     /// Conservation invariant: every offered id reached exactly one
     /// terminal state (no lost, no double-counted requests), and every
     /// completed terminal has a matching latency record.
@@ -418,7 +411,7 @@ impl std::fmt::Display for GatewayReport {
             self.retries,
             self.degraded,
             self.preemptions,
-            self.goodput_tok_s(),
+            self.serving.tokens_per_second(),
         )?;
         write!(f, "{}", self.serving)
     }
@@ -1321,7 +1314,7 @@ mod tests {
         let report = serve_gateway_on(&mut SimBackend::new(&e), &offered, &no_deadline_cfg());
         assert!(report.is_conserved(&offered));
         assert_eq!(report.counts().rejected, 3);
-        assert_eq!(report.goodput_tok_s(), 0.0);
+        assert_eq!(report.serving.tokens_per_second(), 0.0);
         assert_eq!(report.serving.makespan_ms(), 0.0);
         assert_eq!(report.serving.ttft_ms.p50(), None);
         // Display must not panic on the degenerate report.

@@ -58,11 +58,6 @@ impl HbmChannel {
         self.peak_bytes_per_cycle
     }
 
-    /// Fixed overhead charged once per burst (address phase, row activation).
-    pub fn burst_overhead(&self) -> Cycles {
-        self.burst_overhead
-    }
-
     /// Largest contiguous burst the DMA engine issues.
     pub fn max_burst_bytes(&self) -> usize {
         self.max_burst_bytes
@@ -98,13 +93,8 @@ impl HbmChannel {
         stream + self.burst_overhead * bursts
     }
 
-    /// Cycles to transfer `bytes` at maximum burst length.
-    pub fn transfer_cycles_max_burst(&self, bytes: usize) -> Cycles {
-        self.transfer_cycles(bytes, self.max_burst_bytes)
-    }
-
     /// Effective bandwidth (bytes/cycle) achieved for the given burst length.
-    pub fn effective_bandwidth(&self, burst_bytes: usize) -> f64 {
+    fn effective_bandwidth(&self, burst_bytes: usize) -> f64 {
         let cycles = self.transfer_cycles(burst_bytes, burst_bytes);
         burst_bytes as f64 / cycles.as_f64()
     }
@@ -121,150 +111,6 @@ impl fmt::Display for HbmChannel {
             f,
             "HBM channel {:.2} B/cyc peak, {} per burst",
             self.peak_bytes_per_cycle, self.burst_overhead
-        )
-    }
-}
-
-/// A set of identical HBM channels with a named allocation.
-///
-/// The fused MP kernel owns `n_channel` slices, each wired to its own
-/// channel; the fused MHA kernel owns separate channels for the key cache
-/// and value cache. [`HbmSubsystem`] tracks how many channels each consumer
-/// was granted and answers aggregate-transfer questions.
-///
-/// # Example
-///
-/// ```
-/// use looplynx_sim::hbm::{HbmChannel, HbmSubsystem};
-/// use looplynx_sim::time::{Cycles, Frequency};
-///
-/// let ch = HbmChannel::paper_channel(Frequency::from_mhz(285.0));
-/// let mut hbm = HbmSubsystem::new(ch, 32);
-/// hbm.allocate("mp", 8).unwrap();
-/// hbm.allocate("kv", 4).unwrap();
-/// assert_eq!(hbm.remaining(), 20);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct HbmSubsystem {
-    channel: HbmChannel,
-    total_channels: usize,
-    allocations: Vec<(String, usize)>,
-}
-
-/// Error returned when an HBM allocation cannot be satisfied.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllocationError {
-    requested: usize,
-    available: usize,
-    consumer: String,
-}
-
-impl fmt::Display for AllocationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cannot allocate {} HBM channels to `{}`: only {} available",
-            self.requested, self.consumer, self.available
-        )
-    }
-}
-
-impl std::error::Error for AllocationError {}
-
-impl HbmSubsystem {
-    /// Creates a subsystem of `total_channels` identical channels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_channels` is zero.
-    pub fn new(channel: HbmChannel, total_channels: usize) -> Self {
-        assert!(total_channels > 0, "need at least one channel");
-        HbmSubsystem {
-            channel,
-            total_channels,
-            allocations: Vec::new(),
-        }
-    }
-
-    /// The per-channel model.
-    pub fn channel(&self) -> &HbmChannel {
-        &self.channel
-    }
-
-    /// Total channels in the subsystem.
-    pub fn total_channels(&self) -> usize {
-        self.total_channels
-    }
-
-    /// Channels not yet allocated.
-    pub fn remaining(&self) -> usize {
-        self.total_channels - self.allocations.iter().map(|(_, n)| n).sum::<usize>()
-    }
-
-    /// Grants `count` channels to `consumer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocationError`] if fewer than `count` channels remain.
-    pub fn allocate(
-        &mut self,
-        consumer: impl Into<String>,
-        count: usize,
-    ) -> Result<(), AllocationError> {
-        let consumer = consumer.into();
-        if count > self.remaining() {
-            return Err(AllocationError {
-                requested: count,
-                available: self.remaining(),
-                consumer,
-            });
-        }
-        self.allocations.push((consumer, count));
-        Ok(())
-    }
-
-    /// Channels granted to `consumer` (0 if none).
-    pub fn allocated_to(&self, consumer: &str) -> usize {
-        self.allocations
-            .iter()
-            .filter(|(c, _)| c == consumer)
-            .map(|(_, n)| n)
-            .sum()
-    }
-
-    /// Cycles for `consumer` to stream `bytes` split evenly over its
-    /// channels at the given burst length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `consumer` holds no channels.
-    pub fn parallel_transfer_cycles(
-        &self,
-        consumer: &str,
-        bytes: usize,
-        burst_bytes: usize,
-    ) -> Cycles {
-        let n = self.allocated_to(consumer);
-        assert!(n > 0, "consumer `{consumer}` holds no HBM channels");
-        let per_channel = bytes.div_ceil(n);
-        self.channel.transfer_cycles(per_channel, burst_bytes)
-    }
-
-    /// Aggregate peak bandwidth (bytes/cycle) of all channels held by
-    /// `consumer`.
-    pub fn aggregate_peak(&self, consumer: &str) -> f64 {
-        self.allocated_to(consumer) as f64 * self.channel.peak_bytes_per_cycle
-    }
-}
-
-impl fmt::Display for HbmSubsystem {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "HBM x{} ({} free), {}",
-            self.total_channels,
-            self.remaining(),
-            self.channel
         )
     }
 }
@@ -287,8 +133,8 @@ mod tests {
     #[test]
     fn transfer_scales_linearly_at_large_sizes() {
         let ch = HbmChannel::paper_channel(clock());
-        let one = ch.transfer_cycles_max_burst(1 << 20).as_f64();
-        let two = ch.transfer_cycles_max_burst(2 << 20).as_f64();
+        let one = ch.transfer_cycles(1 << 20, 4096).as_f64();
+        let two = ch.transfer_cycles(2 << 20, 4096).as_f64();
         let ratio = two / one;
         assert!((ratio - 2.0).abs() < 0.01, "ratio {ratio}");
     }
@@ -321,48 +167,16 @@ mod tests {
         let ch = HbmChannel::paper_channel(clock());
         let mut prev = Cycles::ZERO;
         for kb in 1..64 {
-            let t = ch.transfer_cycles_max_burst(kb * 1024);
+            let t = ch.transfer_cycles(kb * 1024, 4096);
             assert!(t >= prev);
             prev = t;
         }
     }
 
     #[test]
-    fn subsystem_allocation_bookkeeping() {
-        let mut hbm = HbmSubsystem::new(HbmChannel::paper_channel(clock()), 16);
-        hbm.allocate("mp", 8).unwrap();
-        hbm.allocate("k", 2).unwrap();
-        hbm.allocate("v", 2).unwrap();
-        assert_eq!(hbm.allocated_to("mp"), 8);
-        assert_eq!(hbm.remaining(), 4);
-        let err = hbm.allocate("extra", 8).unwrap_err();
-        assert!(err.to_string().contains("only 4 available"));
-    }
-
-    #[test]
-    fn parallel_transfer_divides_by_channel_count() {
-        let mut hbm = HbmSubsystem::new(HbmChannel::paper_channel(clock()), 16);
-        hbm.allocate("mp", 8).unwrap();
-        hbm.allocate("solo", 1).unwrap();
-        let bytes = 8 << 20;
-        let eight = hbm.parallel_transfer_cycles("mp", bytes, 4096).as_f64();
-        let one = hbm.parallel_transfer_cycles("solo", bytes, 4096).as_f64();
-        let ratio = one / eight;
-        assert!((ratio - 8.0).abs() < 0.05, "ratio {ratio}");
-    }
-
-    #[test]
-    #[should_panic(expected = "holds no HBM channels")]
-    fn unallocated_consumer_panics() {
-        let hbm = HbmSubsystem::new(HbmChannel::paper_channel(clock()), 4);
-        let _ = hbm.parallel_transfer_cycles("ghost", 1024, 1024);
-    }
-
-    #[test]
     fn display_is_informative() {
-        let hbm = HbmSubsystem::new(HbmChannel::paper_channel(clock()), 4);
-        let s = hbm.to_string();
-        assert!(s.contains("x4"));
+        let s = HbmChannel::paper_channel(clock()).to_string();
         assert!(s.contains("B/cyc"));
+        assert!(s.contains("per burst"));
     }
 }

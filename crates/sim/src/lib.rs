@@ -12,16 +12,17 @@
 //! * [`time`] — strongly-typed cycle counts and clock domains.
 //! * [`engine`] — a small discrete-event simulation core used where
 //!   component interleaving matters (e.g. the ring routers).
-//! * [`fifo`] — bounded FIFO timing semantics (the paper's kernels are
-//!   "connected via FIFOs", Section III-D).
 //! * [`pipeline`] — a pipeline timing calculator implementing the classic
-//!   initiation-interval / latency / capacity recurrences; this is what makes
+//!   initiation-interval / latency / FIFO-capacity recurrences (the paper's
+//!   kernels are "connected via FIFOs", Section III-D); this is what makes
 //!   each macro dataflow kernel cycle-accurate without simulating every
-//!   clock edge.
-//! * [`hbm`] — burst-mode DMA over high-bandwidth-memory channels.
+//!   clock edge. [`des_pipeline`] re-derives the same makespans event by
+//!   event, the cross-check of the closed form.
+//! * [`hbm`] — one burst-mode high-bandwidth-memory channel.
 //! * [`net`] — ring-network links and all-gather timing.
-//! * [`stats`] / [`trace`] — utilization accounting and Gantt-style traces
-//!   used for the paper's latency-breakdown figure.
+//! * [`stats`] — sample summaries and exact percentiles for the serving
+//!   layer's latency tails.
+//! * [`trace`] — Gantt-style kernel-activation traces.
 //!
 //! # Example
 //!
@@ -46,7 +47,6 @@
 
 pub mod des_pipeline;
 pub mod engine;
-pub mod fifo;
 pub mod hbm;
 pub mod net;
 pub mod pipeline;
@@ -54,7 +54,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use hbm::{HbmChannel, HbmSubsystem};
+pub use hbm::HbmChannel;
 pub use net::RingSpec;
 pub use pipeline::{PipelineRun, PipelineSpec, StageSpec};
 pub use time::{Cycles, Frequency};

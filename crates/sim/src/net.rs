@@ -62,16 +62,6 @@ impl RingSpec {
         self.nodes
     }
 
-    /// Peak link bandwidth in bytes per cycle.
-    pub fn link_bytes_per_cycle(&self) -> f64 {
-        self.link_bytes_per_cycle
-    }
-
-    /// Per-hop forwarding latency.
-    pub fn hop_latency(&self) -> Cycles {
-        self.hop_latency
-    }
-
     /// Rounds of buffer writing in a full synchronization: one local round
     /// plus `nodes - 1` network rounds (the paper counts four rounds for
     /// four nodes).

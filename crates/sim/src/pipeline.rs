@@ -145,13 +145,6 @@ impl PipelineSpec {
             .last()
             .and_then(|r| r.last().copied())
             .unwrap_or(Cycles::ZERO);
-        let stage_busy = (0..s_count)
-            .map(|s| {
-                let ii = Cycles::new(self.stages[s].ii);
-                // Each item occupies the stage's issue slot for II cycles.
-                ii * n as u64
-            })
-            .collect();
         let first_out = ready
             .last()
             .and_then(|r| r.first().copied())
@@ -160,8 +153,6 @@ impl PipelineSpec {
             items: n,
             makespan,
             first_out,
-            stage_busy,
-            stage_names: self.stages.iter().map(|s| s.name.clone()).collect(),
             last_stage_starts: start.last().cloned().unwrap_or_default(),
         }
     }
@@ -198,8 +189,6 @@ pub struct PipelineRun {
     items: usize,
     makespan: Cycles,
     first_out: Cycles,
-    stage_busy: Vec<Cycles>,
-    stage_names: Vec<String>,
     last_stage_starts: Vec<Cycles>,
 }
 
@@ -217,14 +206,6 @@ impl PipelineRun {
     /// Cycle at which the *first* item leaves the last stage (fill time).
     pub fn first_out(&self) -> Cycles {
         self.first_out
-    }
-
-    /// Issue-slot busy cycles per stage.
-    pub fn stage_busy(&self) -> impl Iterator<Item = (&str, Cycles)> {
-        self.stage_names
-            .iter()
-            .map(String::as_str)
-            .zip(self.stage_busy.iter().copied())
     }
 
     /// Start times of every item at the final stage (useful for chaining

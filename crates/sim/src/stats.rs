@@ -1,85 +1,8 @@
-//! Utilization and throughput accounting.
-//!
-//! The paper's central argument is about *peak area utilization*: temporal
-//! architectures serialize functional units, spatial architectures leave
-//! most instantiated kernels idle during decode, and the hybrid design keeps
-//! one large kernel busy at a time at full width. These accumulators let the
-//! scheduler quantify that claim.
+//! Sample statistics: a streaming [`Summary`], exact [`Percentiles`] for
+//! the serving layer's latency tails, and [`arithmetic_mean`] for Fig. 8's
+//! averages over the `[prefill:decode]` grid.
 
 use std::fmt;
-
-use crate::time::Cycles;
-
-/// Busy-time accumulator for one hardware unit.
-///
-/// # Example
-///
-/// ```
-/// use looplynx_sim::stats::Utilization;
-/// use looplynx_sim::time::Cycles;
-///
-/// let mut u = Utilization::new("mp");
-/// u.record_busy(Cycles::new(30));
-/// u.record_busy(Cycles::new(20));
-/// assert!((u.fraction_of(Cycles::new(100)) - 0.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Utilization {
-    name: String,
-    busy: Cycles,
-    activations: u64,
-}
-
-impl Utilization {
-    /// Creates an accumulator for the unit with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Utilization {
-            name: name.into(),
-            busy: Cycles::ZERO,
-            activations: 0,
-        }
-    }
-
-    /// Unit name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Adds one activation of `busy` cycles.
-    pub fn record_busy(&mut self, busy: Cycles) {
-        self.busy += busy;
-        self.activations += 1;
-    }
-
-    /// Total busy cycles.
-    pub fn busy(&self) -> Cycles {
-        self.busy
-    }
-
-    /// Number of recorded activations.
-    pub fn activations(&self) -> u64 {
-        self.activations
-    }
-
-    /// Busy fraction of the given span (clamped to 1.0; overlapping
-    /// activations can transiently exceed the span in pipelined designs).
-    pub fn fraction_of(&self, span: Cycles) -> f64 {
-        if span == Cycles::ZERO {
-            return 0.0;
-        }
-        (self.busy.as_f64() / span.as_f64()).min(1.0)
-    }
-}
-
-impl fmt::Display for Utilization {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} over {} activations",
-            self.name, self.busy, self.activations
-        )
-    }
-}
 
 /// Streaming mean/min/max accumulator for scalar samples.
 ///
@@ -308,28 +231,6 @@ impl fmt::Display for Percentiles {
     }
 }
 
-/// Geometric mean over positive ratios (the conventional way to average
-/// normalized speedups such as Fig. 8's latency ratios).
-///
-/// Returns `None` for an empty slice.
-///
-/// # Panics
-///
-/// Panics if any ratio is not strictly positive.
-pub fn geometric_mean(ratios: &[f64]) -> Option<f64> {
-    if ratios.is_empty() {
-        return None;
-    }
-    let log_sum: f64 = ratios
-        .iter()
-        .map(|&r| {
-            assert!(r > 0.0 && r.is_finite(), "invalid ratio {r}");
-            r.ln()
-        })
-        .sum();
-    Some((log_sum / ratios.len() as f64).exp())
-}
-
 /// Arithmetic mean; returns `None` for an empty slice.
 pub fn arithmetic_mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
@@ -341,24 +242,6 @@ pub fn arithmetic_mean(xs: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn utilization_accumulates() {
-        let mut u = Utilization::new("unit");
-        u.record_busy(Cycles::new(10));
-        u.record_busy(Cycles::new(15));
-        assert_eq!(u.busy().as_u64(), 25);
-        assert_eq!(u.activations(), 2);
-        assert!((u.fraction_of(Cycles::new(50)) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_fraction_clamps() {
-        let mut u = Utilization::new("unit");
-        u.record_busy(Cycles::new(200));
-        assert_eq!(u.fraction_of(Cycles::new(100)), 1.0);
-        assert_eq!(u.fraction_of(Cycles::ZERO), 0.0);
-    }
 
     #[test]
     fn summary_empty() {
@@ -449,19 +332,8 @@ mod tests {
     }
 
     #[test]
-    fn geomean_of_reciprocal_pair_is_one() {
-        let g = geometric_mean(&[2.0, 0.5]).unwrap();
-        assert!((g - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geomean_empty_is_none() {
-        assert_eq!(geometric_mean(&[]), None);
-        assert_eq!(arithmetic_mean(&[]), None);
-    }
-
-    #[test]
     fn arithmetic_mean_basic() {
         assert!((arithmetic_mean(&[1.0, 2.0, 3.0]).unwrap() - 2.0).abs() < 1e-12);
+        assert_eq!(arithmetic_mean(&[]), None);
     }
 }

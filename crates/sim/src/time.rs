@@ -82,11 +82,6 @@ impl Cycles {
     pub fn to_millis(self, freq: Frequency) -> f64 {
         self.to_seconds(freq) * 1e3
     }
-
-    /// Converts this cycle count to microseconds under the given clock.
-    pub fn to_micros(self, freq: Frequency) -> f64 {
-        self.to_seconds(freq) * 1e6
-    }
 }
 
 impl Add for Cycles {
@@ -159,7 +154,7 @@ impl From<u64> for Cycles {
 /// use looplynx_sim::time::Frequency;
 ///
 /// let f = Frequency::from_mhz(285.0);
-/// assert!((f.period_ns() - 3.5087719).abs() < 1e-4);
+/// assert_eq!(f.as_hz(), 285e6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Frequency {
@@ -182,11 +177,6 @@ impl Frequency {
         Self::from_hz(mhz * 1e6)
     }
 
-    /// Creates a frequency from gigahertz.
-    pub fn from_ghz(ghz: f64) -> Self {
-        Self::from_hz(ghz * 1e9)
-    }
-
     /// Returns the frequency in hertz.
     pub fn as_hz(self) -> f64 {
         self.hz
@@ -195,11 +185,6 @@ impl Frequency {
     /// Returns the frequency in megahertz.
     pub fn as_mhz(self) -> f64 {
         self.hz / 1e6
-    }
-
-    /// Returns the clock period in nanoseconds.
-    pub fn period_ns(self) -> f64 {
-        1e9 / self.hz
     }
 
     /// Number of whole cycles elapsed in `seconds` (rounded up).

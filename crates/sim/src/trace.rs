@@ -1,9 +1,8 @@
 //! Gantt-style activity traces.
 //!
-//! Every kernel activation in the scheduler can be recorded as a
-//! [`Span`] on a named lane. Traces drive the latency-breakdown
-//! analysis (paper Fig. 5) and the ASCII Gantt rendering used by the
-//! examples to visualize how the hybrid schedule overlaps kernels.
+//! Every kernel activation in the scheduler is recorded as a [`Span`] on
+//! a named lane. Traces drive the ASCII Gantt rendering the quickstart
+//! example uses to show how the hybrid schedule reuses its kernels.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -67,7 +66,7 @@ impl Span {
 /// t.push(Span::new("mp", "qkv", Cycles::new(0), Cycles::new(100)));
 /// t.push(Span::new("mha", "attn", Cycles::new(100), Cycles::new(150)));
 /// assert_eq!(t.end().as_u64(), 150);
-/// assert_eq!(t.lane_busy("mp").as_u64(), 100);
+/// assert_eq!(t.spans()[0].duration().as_u64(), 100);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
@@ -115,55 +114,6 @@ impl Trace {
             .map(|s| s.start)
             .min()
             .unwrap_or(Cycles::ZERO)
-    }
-
-    /// Total busy cycles on one lane (sum of span durations; spans on a
-    /// physical lane are expected not to overlap).
-    pub fn lane_busy(&self, lane: &str) -> Cycles {
-        self.spans
-            .iter()
-            .filter(|s| s.lane == lane)
-            .map(Span::duration)
-            .sum()
-    }
-
-    /// Busy cycles grouped by lane.
-    pub fn busy_by_lane(&self) -> BTreeMap<String, Cycles> {
-        let mut map = BTreeMap::new();
-        for s in &self.spans {
-            *map.entry(s.lane.clone()).or_insert(Cycles::ZERO) += s.duration();
-        }
-        map
-    }
-
-    /// Busy cycles grouped by label prefix up to the first `.`
-    /// (so `"mha.head3"` aggregates under `"mha"`).
-    pub fn busy_by_label_group(&self) -> BTreeMap<String, Cycles> {
-        let mut map = BTreeMap::new();
-        for s in &self.spans {
-            let group = s.label.split('.').next().unwrap_or(&s.label).to_owned();
-            *map.entry(group).or_insert(Cycles::ZERO) += s.duration();
-        }
-        map
-    }
-
-    /// Checks that no two spans on the same lane overlap; returns the first
-    /// offending pair if any. Physical hardware units are exclusive, so this
-    /// is a structural invariant of every schedule.
-    pub fn find_lane_conflict(&self) -> Option<(&Span, &Span)> {
-        let mut by_lane: BTreeMap<&str, Vec<&Span>> = BTreeMap::new();
-        for s in &self.spans {
-            by_lane.entry(s.lane.as_str()).or_default().push(s);
-        }
-        for spans in by_lane.values_mut() {
-            spans.sort_by_key(|s| s.start);
-            for w in spans.windows(2) {
-                if w[0].overlaps(w[1]) {
-                    return Some((w[0], w[1]));
-                }
-            }
-        }
-        None
     }
 
     /// Renders an ASCII Gantt chart with the given width in characters.
@@ -260,23 +210,6 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.start().as_u64(), 0);
         assert_eq!(t.end().as_u64(), 250);
-        assert_eq!(t.lane_busy("mp").as_u64(), 200);
-        assert_eq!(t.busy_by_lane()["mha"].as_u64(), 50);
-        assert_eq!(t.busy_by_label_group()["attn"].as_u64(), 50);
-    }
-
-    #[test]
-    fn lane_conflicts_detected() {
-        let mut t = Trace::new();
-        t.push(span("mp", "a", 0, 100));
-        t.push(span("mp", "b", 50, 80));
-        assert!(t.find_lane_conflict().is_some());
-
-        let mut ok = Trace::new();
-        ok.push(span("mp", "a", 0, 50));
-        ok.push(span("mp", "b", 50, 80));
-        ok.push(span("mha", "c", 20, 60));
-        assert!(ok.find_lane_conflict().is_none());
     }
 
     #[test]

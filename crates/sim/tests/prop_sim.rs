@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use looplynx_sim::des_pipeline::des_makespan;
-use looplynx_sim::fifo::BoundedFifo;
 use looplynx_sim::hbm::HbmChannel;
 use looplynx_sim::net::{RingSim, RingSpec};
 use looplynx_sim::pipeline::{PipelineSpec, StageSpec};
@@ -105,20 +104,6 @@ proptest! {
         let ch = HbmChannel::paper_channel(Frequency::from_mhz(285.0));
         let (small, large) = (1usize << a_log.min(b_log), 1usize << a_log.max(b_log));
         prop_assert!(ch.burst_efficiency(large) >= ch.burst_efficiency(small) - 1e-9);
-    }
-
-    /// A bounded FIFO delivers exactly what it accepted, in order.
-    #[test]
-    fn fifo_preserves_order(cap in 1usize..64, items in prop::collection::vec(any::<u32>(), 0..128)) {
-        let mut fifo = BoundedFifo::new(cap);
-        let mut accepted = Vec::new();
-        for &item in &items {
-            if fifo.try_push(item).is_ok() {
-                accepted.push(item);
-            }
-        }
-        prop_assert!(accepted.len() <= cap);
-        prop_assert_eq!(fifo.drain_all(), accepted);
     }
 
     /// Ring all-gather timing is linear in (nodes − 1) for fixed shards.

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One decode token's kernel activations (first layer shown): the MP
     // kernel is reused for every linear layer — the "temporal" half of the
     // hybrid design.
-    let timing = engine.simulate_token(64, looplynx::core::TokenPhase::Decode, false);
+    let timing = engine.scheduler().schedule_rows(&[64], true);
     let first_layer: looplynx::sim::trace::Trace = timing
         .trace
         .spans()

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use looplynx::core::config::{ArchConfig, OptimizationFlags};
-use looplynx::core::engine::{LoopLynx, TokenPhase};
+use looplynx::core::engine::LoopLynx;
 use looplynx::core::parallel::split_range;
 use looplynx::core::router::{RingMode, Router};
 use looplynx::model::ModelConfig;
@@ -75,8 +75,9 @@ proptest! {
     ) {
         let arch = ArchConfig::builder().nodes(nodes).build().expect("valid");
         let engine = LoopLynx::new(ModelConfig::gpt2_medium(), arch).expect("partitions");
-        let a = engine.simulate_token(ctx_a, TokenPhase::Decode, false).total;
-        let b = engine.simulate_token(ctx_a + delta, TokenPhase::Decode, false).total;
+        let sched = engine.scheduler();
+        let a = sched.schedule_rows(&[ctx_a], true).total;
+        let b = sched.schedule_rows(&[ctx_a + delta], true).total;
         prop_assert!(b >= a, "context {} -> {}: {} vs {}", ctx_a, ctx_a + delta, a, b);
     }
 
@@ -102,14 +103,16 @@ proptest! {
             ArchConfig::builder().nodes(nodes).opts(base).build().expect("valid"),
         )
         .expect("partitions")
-        .simulate_token(ctx, TokenPhase::Decode, true)
+        .scheduler()
+        .schedule_rows(&[ctx], true)
         .total;
         let t_on = LoopLynx::new(
             model,
             ArchConfig::builder().nodes(nodes).opts(all_on).build().expect("valid"),
         )
         .expect("partitions")
-        .simulate_token(ctx, TokenPhase::Decode, true)
+        .scheduler()
+        .schedule_rows(&[ctx], true)
         .total;
         prop_assert!(t_on <= t_base, "flags {base:?}: all-on {t_on} vs {t_base}");
     }
@@ -138,16 +141,13 @@ proptest! {
         let mut t = 0usize;
         while t + 1 < prefill {
             let this_batch = batch.min(prefill - 1 - t);
-            prefill_cycles += if this_batch > 1 {
-                sched.schedule_prefill_batch(t + 1, this_batch).total.as_u64()
-            } else {
-                sched.schedule_token(t + 1, false).total.as_u64()
-            };
+            let contexts: Vec<usize> = (t + 1..=t + this_batch).collect();
+            prefill_cycles += sched.schedule_rows(&contexts, false).total.as_u64();
             t += this_batch;
         }
-        prefill_cycles += sched.schedule_token(prefill, true).total.as_u64();
+        prefill_cycles += sched.schedule_rows(&[prefill], true).total.as_u64();
         let decode_cycles: u64 = (0..decode)
-            .map(|t| sched.schedule_token(prefill + t + 1, true).total.as_u64())
+            .map(|t| sched.schedule_rows(&[prefill + t + 1], true).total.as_u64())
             .sum();
 
         let freq = engine.arch().freq();
@@ -166,10 +166,10 @@ proptest! {
         let arch = ArchConfig::builder().nodes(nodes).build().expect("valid");
         let engine = LoopLynx::new(ModelConfig::gpt2_medium(), arch).expect("partitions");
         let sched = engine.scheduler();
-        let batched = sched.schedule_decode_batch(&contexts).total.as_u64();
+        let batched = sched.schedule_rows(&contexts, true).total.as_u64();
         let singles: Vec<u64> = contexts
             .iter()
-            .map(|&c| sched.schedule_token(c, true).total.as_u64())
+            .map(|&c| sched.schedule_rows(&[c], true).total.as_u64())
             .collect();
         let sum: u64 = singles.iter().sum();
         let max = *singles.iter().max().expect("non-empty");
@@ -241,7 +241,8 @@ proptest! {
             let arch = ArchConfig::builder().nodes(nodes).build().expect("valid");
             let t = LoopLynx::new(model.clone(), arch)
                 .expect("partitions")
-                .simulate_token(ctx, TokenPhase::Decode, true)
+                .scheduler()
+                .schedule_rows(&[ctx], true)
                 .total;
             prop_assert!(t <= prev, "{nodes} nodes regressed: {t} vs {prev}");
             prev = t;

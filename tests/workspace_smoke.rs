@@ -7,7 +7,7 @@
 //! change breaks the crate graph (facade → core → {model, sim, tensor,
 //! hw}), this is the first test to fail.
 
-use looplynx::core::{ArchConfig, LoopLynx, TokenPhase};
+use looplynx::core::{ArchConfig, LoopLynx};
 use looplynx::model::ModelConfig;
 
 #[test]
@@ -16,8 +16,8 @@ fn default_configs_drive_one_token_through_the_engine() {
     let model = ModelConfig::gpt2_medium();
     let engine = LoopLynx::new(model, arch).expect("paper defaults must partition");
 
-    let prefill = engine.simulate_token(1, TokenPhase::Prefill, true);
-    let decode = engine.simulate_token(2, TokenPhase::Decode, false);
+    let prefill = engine.scheduler().schedule_rows(&[1], true);
+    let decode = engine.scheduler().schedule_rows(&[2], true);
 
     for (phase, timing) in [("prefill", &prefill), ("decode", &decode)] {
         let b = &timing.breakdown;
