@@ -1,8 +1,10 @@
 //! Micro-benchmarks of the overhauled functional hot path: the SIMD int8
 //! dot, blocked GEMM vs the naive reference, the arena-backed attention
-//! loop, and the f32 critical-path operators that remain scalar
-//! (layernorm / GELU / softmax / quantize), so regressions in any single
-//! stage are visible in isolation.
+//! loop (one decode query, and a 32-row prefill chunk's causal queries),
+//! the stage prologue's layer norm → quantize over a batch of rows, and
+//! the f32 critical-path operators (layernorm / GELU / softmax /
+//! quantize), so regressions in any single stage are visible in
+//! isolation.
 
 use std::hint::black_box;
 
@@ -13,7 +15,7 @@ use looplynx_model::kv_cache::LayerKvCache;
 use looplynx_tensor::activation::{gelu_vec, softmax_into};
 use looplynx_tensor::linear::{gemm_i32, gemm_i32_naive, gemv_i32_into, QuantLinear};
 use looplynx_tensor::matrix::Matrix;
-use looplynx_tensor::norm::{layernorm, LayerNormParams};
+use looplynx_tensor::norm::{layernorm, layernorm_quantize_rows, LayerNormParams};
 use looplynx_tensor::quant::{quantize_into, quantize_vec};
 use looplynx_tensor::simd::{dot_i8_i32, dot_i8_i32_scalar};
 
@@ -92,6 +94,26 @@ fn bench_attend(c: &mut Criterion) {
             )
         })
     });
+
+    // A 32-token prefill chunk ending at context 192: row t attends to the
+    // 161 + t tokens up to and including its own.
+    let (chunk, end) = (32usize, 192usize);
+    c.bench_function("attend_chunk32_ctx192", |b| {
+        b.iter(|| {
+            for valid_len in end - chunk + 1..=end {
+                attend_heads_segments_into(
+                    black_box(&q),
+                    |h| cache.segments(h),
+                    0..heads,
+                    0,
+                    d_head,
+                    valid_len,
+                    &mut scratch,
+                    &mut out,
+                );
+            }
+        })
+    });
 }
 
 fn bench_critical_path_ops(c: &mut Criterion) {
@@ -99,6 +121,21 @@ fn bench_critical_path_ops(c: &mut Criterion) {
     let ln = LayerNormParams::identity(1024);
     c.bench_function("layernorm_1024", |b| {
         b.iter(|| layernorm(black_box(&x), &ln))
+    });
+    // The prologue of a batch-16 decode step's QKV / FC1 / LM head.
+    let rows = f32_vec(16 * 1024, 8);
+    let (mut h, mut rows8, mut scales) = (Vec::new(), Vec::new(), Vec::new());
+    c.bench_function("ln_quant_rows_16x1024", |b| {
+        b.iter(|| {
+            layernorm_quantize_rows(
+                black_box(&rows),
+                1024,
+                Some(&ln),
+                &mut h,
+                &mut rows8,
+                &mut scales,
+            )
+        })
     });
     let g = f32_vec(4096, 4);
     c.bench_function("gelu_4096", |b| b.iter(|| gelu_vec(black_box(&g))));

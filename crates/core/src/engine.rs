@@ -27,7 +27,7 @@ use looplynx_model::weights::Gpt2Weights;
 use looplynx_tensor::activation::gelu_in_place;
 use looplynx_tensor::linear::QuantLinear;
 use looplynx_tensor::matrix::Matrix;
-use looplynx_tensor::norm::{layernorm_into, LayerNormParams};
+use looplynx_tensor::norm::{layernorm_quantize_rows, LayerNormParams};
 use looplynx_tensor::quant::quantize_into;
 
 use crate::config::ArchConfig;
@@ -1408,15 +1408,16 @@ impl PartialEq for HostScratch {
 
 /// Host-side row-stacking scratch for the batched stages: LN + per-row
 /// quantization buffers plus the stacked int8 storage.
-/// [`StackScratch::stack`] moves the storage into the returned matrix and
-/// [`StackScratch::reclaim`] takes it back, so per-stage stacking
+/// [`StackScratch::stack_flat`] moves the storage into the returned matrix
+/// and [`StackScratch::reclaim`] takes it back, so per-stage stacking
 /// allocates nothing in steady state.
 #[derive(Debug, Clone, Default)]
 struct StackScratch {
     h: Vec<f32>,
     q8: Vec<i8>,
     rows8: Vec<i8>,
-    /// Per-row activation scales of the most recent [`StackScratch::stack`].
+    /// Per-row activation scales of the most recent
+    /// [`StackScratch::stack_flat`].
     scales: Vec<f32>,
 }
 
@@ -1433,20 +1434,14 @@ impl StackScratch {
         ln: Option<&LayerNormParams>,
         width: usize,
     ) -> Matrix<i8> {
-        debug_assert_eq!(rows.len() % width, 0, "flat buffer must be row-aligned");
-        self.rows8.clear();
-        self.scales.clear();
-        for row in rows.chunks_exact(width) {
-            let scale = match ln {
-                Some(params) => {
-                    layernorm_into(row, params, &mut self.h);
-                    quantize_into(&self.h, &mut self.q8)
-                }
-                None => quantize_into(row, &mut self.q8),
-            };
-            self.rows8.extend_from_slice(&self.q8);
-            self.scales.push(scale);
-        }
+        layernorm_quantize_rows(
+            rows,
+            width,
+            ln,
+            &mut self.h,
+            &mut self.rows8,
+            &mut self.scales,
+        );
         let stacked = Matrix::from_vec(rows.len() / width, width, std::mem::take(&mut self.rows8));
         // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
         stacked.expect("stacked rows")

@@ -14,36 +14,56 @@
 //! corresponding slice of a full-width computation (per-head quantization
 //! makes the partition boundary exact).
 //!
-//! The hot loop works directly on the cache's contiguous head-major arena
-//! strips ([`LayerKvCache::key_strip`]) and reuses one [`AttnScratch`]
-//! across heads instead of allocating scores/weights/accumulator vectors
-//! and a quantized query per head per token. The arithmetic — operations
-//! and their order — is unchanged, so results stay bit-identical to the
-//! original per-head implementation.
+//! The walk reuses one [`AttnScratch`] across heads and calls, and stops
+//! at `valid_len` — the mask unit's causal cut. Its scores and value mix
+//! take an AVX-512 arm ([`Avx512`], `d_head` = 64: 16 keys a group, the
+//! accumulator in registers) or the portable arm, one key or value row at
+//! a time; `tests/attention_exact.rs` pins the two bit-identical.
 
 use std::ops::Range;
 
-use looplynx_tensor::activation::{causal_mask, softmax_into};
+use looplynx_tensor::activation::softmax_into;
 use looplynx_tensor::quant::quantize_into;
-use looplynx_tensor::simd::{accumulate_scaled_i8, dot_i8_i32 as dot_i8};
+use looplynx_tensor::simd::{accumulate_scaled_i8, dot_i8_i32 as dot_i8, Avx512};
 
 use crate::kv_cache::LayerKvCache;
 
 /// Reusable attention working memory: quantized query head, score /
 /// weight vectors, quantized weights. One instance serves any number of
 /// attention calls; buffers grow to the high-water mark and stay there.
+/// It also holds the arm the materialized walk takes, found once.
 #[derive(Debug, Clone, Default)]
 pub struct AttnScratch {
     q8: Vec<i8>,
     scores: Vec<f32>,
     weights: Vec<f32>,
     w8: Vec<i8>,
+    arm: Arm,
+}
+
+/// The AVX-512 arm where the host has it (the default), else portable.
+#[derive(Debug, Clone, Copy)]
+struct Arm(Option<Avx512>);
+
+impl Default for Arm {
+    fn default() -> Self {
+        Arm(Avx512::detect())
+    }
 }
 
 impl AttnScratch {
     /// Creates empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Scratch that keeps [`attend_heads_segments_to`] on the portable
+    /// arm — the oracle the AVX-512 arm is tested against.
+    pub fn portable() -> Self {
+        AttnScratch {
+            arm: Arm(None),
+            ..Self::default()
+        }
     }
 }
 
@@ -153,7 +173,9 @@ pub fn attend_heads_segments_to<'a, I, F>(
         scores,
         weights,
         w8: w8_buf,
+        arm,
     } = scratch;
+    let wide = arm.0.filter(|_| d_head == 64);
 
     for (local_idx, h) in head_range.clone().enumerate() {
         let cache_h = h - cache_head_offset;
@@ -162,28 +184,32 @@ pub fn attend_heads_segments_to<'a, I, F>(
         let q_scale = quantize_into(&q[local_idx * d_head..(local_idx + 1) * d_head], q8);
         scores.clear();
         let mut remaining = valid_len;
-        for seg in segments_of(cache_h) {
-            if remaining == 0 {
-                break;
+        if let Some(simd) = wide {
+            scores.resize(valid_len, 0.0);
+            let keys = segments_of(cache_h).map(|seg| (seg.keys, seg.key_scales));
+            remaining -= simd.key_scores_d64(q8, keys, q_scale, inv_sqrt, scores);
+        } else {
+            for seg in segments_of(cache_h) {
+                if remaining == 0 {
+                    break;
+                }
+                scores.extend(
+                    seg.keys
+                        .chunks_exact(d_head)
+                        .zip(seg.key_scales)
+                        .take(remaining)
+                        .map(|(k, &k_scale)| {
+                            let acc = dot_i8(q8, k);
+                            acc as f32 * q_scale * k_scale * inv_sqrt
+                        }),
+                );
+                remaining = valid_len - scores.len();
             }
-            scores.extend(
-                seg.keys
-                    .chunks_exact(d_head)
-                    .zip(seg.key_scales)
-                    .take(remaining)
-                    .map(|(k, &k_scale)| {
-                        let acc = dot_i8(q8, k);
-                        acc as f32 * q_scale * k_scale * inv_sqrt
-                    }),
-            );
-            remaining = valid_len - scores.len();
         }
         // Stays a release-build assert: it runs once per head (not per
         // token), and a short segment walk would otherwise feed the
         // softmax a truncated score row — silently wrong tokens.
         assert!(remaining == 0, "valid_len beyond cache");
-        // --- mask unit: only forward attention survives
-        causal_mask(scores, valid_len);
         // --- softmax unit (two phases internally)
         softmax_into(scores, weights);
         // --- second MAC array: token mixing over the value cache.
@@ -192,6 +218,11 @@ pub fn attend_heads_segments_to<'a, I, F>(
         let w_scale = quantize_into(weights, w8_buf);
         let acc = &mut out[local_idx * d_head..(local_idx + 1) * d_head];
         acc.fill(0.0);
+        if let Some(simd) = wide {
+            let values = segments_of(cache_h).map(|seg| (seg.values, seg.value_scales));
+            simd.mix_values_d64(values, w8_buf, w_scale, acc);
+            continue;
+        }
         let mut t = 0usize;
         'mix: for seg in segments_of(cache_h) {
             for (local, v) in seg.values.chunks_exact(d_head).enumerate() {

@@ -129,15 +129,21 @@ pub fn softmax(scores: &[f32]) -> Vec<f32> {
 ///
 /// Performs the identical operations of [`softmax`] in the identical
 /// order — shifted exponentials, global sum, multiply by the reciprocal —
-/// so results are bit-identical, just without the two allocations.
+/// so results are bit-identical, just without the two allocations. Only
+/// the order-free maximum is vectorized; scalar libm `exp` feeds the sum
+/// chain in index order (from `+0.0`: no exponential is `-0.0`).
 pub fn softmax_into(scores: &[f32], out: &mut Vec<f32>) {
     out.clear();
     if scores.is_empty() {
         return;
     }
-    let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    out.extend(scores.iter().map(|&s| (s - max).exp()));
-    let sum: f32 = out.iter().sum();
+    let max = crate::simd::max_f32(scores);
+    let mut sum = 0.0f32;
+    out.extend(scores.iter().map(|&s| {
+        let e = (s - max).exp();
+        sum += e;
+        e
+    }));
     let inv = 1.0 / sum;
     for e in out.iter_mut() {
         *e *= inv;

@@ -147,6 +147,280 @@ pub fn amx_int8_live() -> bool {
     crate::amx::tile_unit() == crate::amx::TileUnit::Live
 }
 
+/// Proof that the AVX-512 F/BW/VNNI kernels of the f32 host stages may
+/// run; only [`Avx512::detect`] makes one, so a crate without `unsafe` can
+/// call them. Off x86-64 and under Miri none is made (Miri checks the
+/// portable arms). Each kernel is bit-identical to the scalar code it
+/// stands for: integer dots are exact in any order, and every f32
+/// operation runs lane-wise in the scalar order (no FMA).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Avx512(Proof);
+
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+type Proof = ();
+#[cfg(not(all(target_arch = "x86_64", not(miri))))]
+type Proof = std::convert::Infallible;
+
+// Without the kernels, the methods only match on the uninhabited proof.
+#[cfg_attr(not(all(target_arch = "x86_64", not(miri))), allow(unused_variables))]
+impl Avx512 {
+    /// The proof, where [`vnni512_available`] holds.
+    #[inline]
+    pub fn detect() -> Option<Self> {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if vnni512_available() {
+            return Some(Avx512(()));
+        }
+        None
+    }
+
+    /// Attention scores of one `d_head = 64` head over its cache strips
+    /// (token-major keys, one scale a key) in token order: `out[t] = (q8 ·
+    /// k_t) as f32 * q_scale * s_t * inv_sqrt`, 16 keys a `vpdpbusd` group
+    /// and transpose-add tree. Returns the count written (short only if
+    /// the strips run out).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q8` is not 64 wide.
+    pub fn key_scores_d64<'a>(
+        self,
+        q8: &[i8],
+        strips: impl IntoIterator<Item = (&'a [i8], &'a [f32])>,
+        q_scale: f32,
+        inv_sqrt: f32,
+        out: &mut [f32],
+    ) -> usize {
+        assert_eq!(q8.len(), 64, "key_scores_d64 takes a 64-wide query");
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        // SAFETY: `self` proves AVX512F/BW/VNNI and q8 is 64 wide.
+        return unsafe { key_scores_d64(q8, strips.into_iter(), q_scale, inv_sqrt, out) };
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        match self.0 {};
+    }
+
+    /// Attention value mix of one `d_head = 64` head over the first
+    /// `w8.len()` tokens of its value strips: per token in order with
+    /// `w8[t] != 0`, `acc[j] += v_t[j] as f32 * (s_t * w_scale * w8[t] as
+    /// f32)`, `acc` held in four registers across the strips.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` is not 64 wide.
+    pub fn mix_values_d64<'a>(
+        self,
+        strips: impl IntoIterator<Item = (&'a [i8], &'a [f32])>,
+        w8: &[i8],
+        w_scale: f32,
+        acc: &mut [f32],
+    ) {
+        assert_eq!(acc.len(), 64, "mix_values_d64 takes a 64-wide accumulator");
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        // SAFETY: `self` proves AVX512F/BW and acc is 64 wide.
+        unsafe {
+            mix_values_d64(strips.into_iter(), w8, w_scale, acc);
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        let _: () = match self.0 {};
+    }
+
+    /// Sums of up to 16 flat row-major rows, row `r` in lane `r`: the
+    /// scalar `fold(init, +)` of `x[r][i]` (with `center`, of
+    /// `(x[r][i] − c[r])²`) in index order. Other lanes are unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is not a whole number of at most 16 rows.
+    pub fn row_sums16(
+        self,
+        rows: &[f32],
+        width: usize,
+        init: f32,
+        center: Option<&[f32; 16]>,
+    ) -> [f32; 16] {
+        assert!(
+            width > 0 && rows.len().is_multiple_of(width) && rows.len() <= 16 * width,
+            "row_sums16 takes whole rows, at most 16"
+        );
+        assert!(width <= i32::MAX as usize / 16, "row_sums16 row too wide");
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        // SAFETY: `self` proves AVX512F; the assert bounds every load.
+        return unsafe { row_sums16(rows, width, init, center) };
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        match self.0 {};
+    }
+}
+
+/// The first `n ≤ 16` lanes, as a mask.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+fn lanes(n: usize) -> u16 {
+    ((1u32 << n) - 1) as u16
+}
+
+/// The kernel behind [`Avx512::key_scores_d64`].
+///
+/// # Safety
+///
+/// The CPU must support AVX512F/BW/VNNI; `q8` must hold 64 values.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+unsafe fn key_scores_d64<'a>(
+    q8: &[i8],
+    strips: impl Iterator<Item = (&'a [i8], &'a [f32])>,
+    q_scale: f32,
+    inv_sqrt: f32,
+    out: &mut [f32],
+) -> usize {
+    use std::arch::x86_64::*;
+    // SAFETY: q8 holds 64 bytes, one load wide.
+    let vq = unsafe { _mm512_loadu_si512(q8.as_ptr() as *const _) };
+    // Σ (k + 128)·q = Σ k·q + 128·Σq.
+    let bias = _mm512_set1_epi32(128 * row_sum_i8(q8));
+    let (qs, is) = (_mm512_set1_ps(q_scale), _mm512_set1_ps(inv_sqrt));
+    let mut done = 0;
+    for (keys, key_scales) in strips {
+        if done == out.len() {
+            break;
+        }
+        let n = key_scales.len().min(keys.len() / 64).min(out.len() - done);
+        for c in (0..n).step_by(16) {
+            let m = lanes((n - c).min(16));
+            // Always 16 keys, so the accumulators stay in registers: keys
+            // past the strip load as masked-off zeros and are never stored.
+            let dots = std::array::from_fn(|j| {
+                let (live, at) = (if c + j < n { u64::MAX } else { 0 }, keys.as_ptr());
+                // SAFETY: a live load has c + j < n ≤ keys.len() / 64; a
+                // masked-off load touches no memory.
+                let k = unsafe { _mm512_maskz_loadu_epi8(live, at.wrapping_add(64 * (c + j))) };
+                let k = _mm512_xor_si512(k, _mm512_set1_epi8(i8::MIN));
+                _mm512_dpbusd_epi32(_mm512_setzero_si512(), k, vq)
+            });
+            let dot = _mm512_cvtepi32_ps(_mm512_sub_epi32(hsum16_epi32(dots), bias));
+            // SAFETY: the mask keeps to lanes c.. < n of the scales and
+            // done + c.. < out.len() of `out`.
+            unsafe {
+                let ks = _mm512_maskz_loadu_ps(m, key_scales.as_ptr().add(c));
+                let s = _mm512_mul_ps(_mm512_mul_ps(_mm512_mul_ps(dot, qs), ks), is);
+                _mm512_mask_storeu_ps(out.as_mut_ptr().add(done + c), m, s);
+            }
+        }
+        done += n;
+    }
+    done
+}
+
+/// Lane `j` of the result sums `a[j]`'s lanes: a transpose-add tree, 45
+/// ops for 16 sums (integer addition is exact in any order).
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn hsum16_epi32(a: [std::arch::x86_64::__m512i; 16]) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::*;
+    // Per 128-bit chunk, pairs of vectors then pairs of pairs interleave
+    // into four partial sums; then the four chunks fold pairwise.
+    let s: [_; 8] = std::array::from_fn(|p| {
+        let (x, y) = (a[2 * p], a[2 * p + 1]);
+        _mm512_add_epi32(_mm512_unpacklo_epi32(x, y), _mm512_unpackhi_epi32(x, y))
+    });
+    let v: [_; 4] = std::array::from_fn(|p| {
+        let (x, y) = (s[2 * p], s[2 * p + 1]);
+        _mm512_add_epi32(_mm512_unpacklo_epi64(x, y), _mm512_unpackhi_epi64(x, y))
+    });
+    let r: [_; 2] = std::array::from_fn(|p| {
+        let (x, y) = (v[2 * p], v[2 * p + 1]);
+        _mm512_add_epi32(
+            _mm512_shuffle_i32x4::<0b01_00_01_00>(x, y),
+            _mm512_shuffle_i32x4::<0b11_10_11_10>(x, y),
+        )
+    });
+    _mm512_add_epi32(
+        _mm512_shuffle_i32x4::<0b10_00_10_00>(r[0], r[1]),
+        _mm512_shuffle_i32x4::<0b11_01_11_01>(r[0], r[1]),
+    )
+}
+
+/// The kernel behind [`Avx512::mix_values_d64`].
+///
+/// # Safety
+///
+/// The CPU must support AVX512F/BW; `acc` must hold 64 values.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn mix_values_d64<'a>(
+    strips: impl Iterator<Item = (&'a [i8], &'a [f32])>,
+    w8: &[i8],
+    w_scale: f32,
+    acc: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let mut a: [_; 4] = std::array::from_fn(|k| {
+        // SAFETY: `acc` holds four 16-lane vectors.
+        unsafe { _mm512_loadu_ps(acc.as_ptr().add(16 * k)) }
+    });
+    let mut done = 0;
+    for (values, value_scales) in strips {
+        if done == w8.len() {
+            break;
+        }
+        let n = value_scales
+            .len()
+            .min(values.len() / 64)
+            .min(w8.len() - done);
+        for (t, (&w, &v_scale)) in w8[done..done + n].iter().zip(value_scales).enumerate() {
+            if w == 0 {
+                continue;
+            }
+            let vs = _mm512_set1_ps(v_scale * w_scale * w as f32);
+            for (k, ak) in a.iter_mut().enumerate() {
+                let at = values.as_ptr().wrapping_add(64 * t + 16 * k);
+                // SAFETY: t < n ≤ values.len() / 64 bounds the 16-byte load.
+                let v8 = unsafe { _mm_loadu_si128(at as _) };
+                let v = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(v8));
+                *ak = _mm512_add_ps(*ak, _mm512_mul_ps(v, vs));
+            }
+        }
+        done += n;
+    }
+    // SAFETY: as for the loads.
+    (0..4).for_each(|k| unsafe { _mm512_storeu_ps(acc.as_mut_ptr().add(16 * k), a[k]) });
+}
+
+/// The kernel behind [`Avx512::row_sums16`]: column `i` of all the rows
+/// is one masked gather, so lane `r` adds row `r`'s elements in order.
+///
+/// # Safety
+///
+/// The CPU must support AVX512F; `rows` must be at most 16 whole rows.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+unsafe fn row_sums16(
+    rows: &[f32],
+    width: usize,
+    init: f32,
+    center: Option<&[f32; 16]>,
+) -> [f32; 16] {
+    use std::arch::x86_64::*;
+    let m = lanes(rows.len() / width);
+    let at = _mm512_mullo_epi32(
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        _mm512_set1_epi32(width as i32),
+    );
+    // SAFETY: `center` is 16 floats, one load wide.
+    let c = center.map(|c| unsafe { _mm512_loadu_ps(c.as_ptr()) });
+    let (mut acc, zero) = (_mm512_set1_ps(init), _mm512_setzero_ps());
+    for i in 0..width {
+        // SAFETY: lane r < rows.len() / width reads row r's column i < width;
+        // masked-off lanes touch no memory.
+        let x = unsafe { _mm512_mask_i32gather_ps::<4>(zero, m, at, rows.as_ptr().add(i)) };
+        let d = c.map_or(x, |c| _mm512_sub_ps(x, c));
+        acc = _mm512_add_ps(acc, c.map_or(x, |_| _mm512_mul_ps(d, d)));
+    }
+    let mut out = [0f32; 16];
+    // SAFETY: `out` is 16 floats, one store wide.
+    unsafe { _mm512_storeu_ps(out.as_mut_ptr(), acc) };
+    out
+}
+
 /// Rebias int8 activations to unsigned (`x ⊕ 0x80`, i.e. `x + 128`) —
 /// the input form of [`dot_biased_i8_i32_batch`]. `-128` maps to `0`, so
 /// the whole i8 range round-trips exactly.
@@ -449,7 +723,7 @@ pub fn absmax(xs: &[f32]) -> f32 {
     {
         if xs.len() >= 8 && is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { absmax_avx2(xs) };
+            return unsafe { max_avx2::<true>(xs, 0.0) };
         }
     }
     absmax_scalar(xs)
@@ -461,8 +735,25 @@ pub fn absmax_scalar(xs: &[f32]) -> f32 {
     xs.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
 }
 
-/// AVX2 absmax: lane-wise `|x|` + max fold, exact parity with the scalar
-/// fold (including NaN handling — see the operand-order comment below).
+/// Largest value of the slice (`-∞` when empty): the scalar
+/// `fold(-∞, f32::max)`, vectorized like [`absmax`]. Which zero a `±0`
+/// maximum comes back as may differ from the fold's; softmax subtracts
+/// it, where both give the same difference.
+#[inline]
+pub fn max_f32(xs: &[f32]) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if xs.len() >= 8 && is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            return unsafe { max_avx2::<false>(xs, f32::NEG_INFINITY) };
+        }
+    }
+    xs.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// AVX2 `fold(init, f32::max)` over `xs` (over `|xs|` when `ABS`), exact
+/// parity with the scalar fold (including NaN handling — see the
+/// operand-order comment below).
 ///
 /// # Safety
 ///
@@ -470,14 +761,13 @@ pub fn absmax_scalar(xs: &[f32]) -> f32 {
 /// `is_x86_feature_detected!("avx2")`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn absmax_avx2(xs: &[f32]) -> f32 {
+unsafe fn max_avx2<const ABS: bool>(xs: &[f32], init: f32) -> f32 {
     use std::arch::x86_64::{
         _mm256_andnot_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_loadu_ps,
-        _mm256_max_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm_cvtss_f32, _mm_max_ps, _mm_movehl_ps,
-        _mm_shuffle_ps,
+        _mm256_max_ps, _mm256_set1_ps, _mm_cvtss_f32, _mm_max_ps, _mm_movehl_ps, _mm_shuffle_ps,
     };
-    let sign_mask = _mm256_set1_ps(-0.0);
-    let mut acc = _mm256_setzero_ps();
+    let sign_mask = _mm256_set1_ps(if ABS { -0.0 } else { 0.0 });
+    let mut acc = _mm256_set1_ps(init);
     let mut i = 0;
     while i + 8 <= xs.len() {
         // SAFETY: i + 8 <= len keeps the 32-byte load in bounds.
@@ -495,7 +785,7 @@ unsafe fn absmax_avx2(xs: &[f32]) -> f32 {
     m = _mm_max_ps(m, _mm_shuffle_ps(m, m, 0b01));
     let mut best = _mm_cvtss_f32(m);
     while i < xs.len() {
-        best = best.max(xs[i].abs());
+        best = best.max(if ABS { xs[i].abs() } else { xs[i] });
         i += 1;
     }
     best
@@ -545,30 +835,30 @@ pub fn quantize_slice_scalar(src: &[f32], scale: f32, dst: &mut [i8]) {
 #[target_feature(enable = "avx2")]
 unsafe fn quantize_slice_avx2(src: &[f32], scale: f32, dst: &mut [i8]) {
     use std::arch::x86_64::{
-        _mm256_cvtps_epi32, _mm256_div_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps,
-        _mm256_round_ps, _mm256_set1_ps, _mm256_storeu_si256, _MM_FROUND_NO_EXC,
-        _MM_FROUND_TO_NEAREST_INT,
+        _mm256_castsi256_si128, _mm256_cvtps_epi32, _mm256_div_ps, _mm256_extracti128_si256,
+        _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_round_ps, _mm256_set1_epi32,
+        _mm256_set1_ps, _mm256_shuffle_epi8, _mm_storel_epi64, _mm_unpacklo_epi32,
+        _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT,
     };
     let vscale = _mm256_set1_ps(scale);
     let lo = _mm256_set1_ps(-127.0);
     let hi = _mm256_set1_ps(127.0);
     let n = src.len();
     let mut i = 0;
-    let mut lanes = [0i32; 8];
     while i + 8 <= n {
-        // SAFETY: i + 8 <= n keeps the load in bounds; `lanes` is 32 bytes.
+        // SAFETY: i + 8 <= n keeps the load in bounds.
         let v = unsafe { _mm256_loadu_ps(src.as_ptr().add(i)) };
         let q = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
             _mm256_div_ps(v, vscale),
         );
         let c = _mm256_max_ps(lo, _mm256_min_ps(hi, q));
-        // The value is already integral and within i8 range, so the
-        // i32 conversion and narrowing cast are exact.
-        // SAFETY: `lanes` is a 32-byte local, exactly one store wide.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut _, _mm256_cvtps_epi32(c)) };
-        for (d, &l) in dst[i..i + 8].iter_mut().zip(&lanes) {
-            *d = l as i8;
-        }
+        // The value is already integral and within i8 range, so the i32
+        // conversion is exact; keep each lane's low byte (what `as i8`
+        // keeps — a NaN lane's i32::MIN gives 0, as the scalar cast does).
+        let b = _mm256_shuffle_epi8(_mm256_cvtps_epi32(c), _mm256_set1_epi32(0x0c08_0400));
+        let b = _mm_unpacklo_epi32(_mm256_castsi256_si128(b), _mm256_extracti128_si256::<1>(b));
+        // SAFETY: i + 8 <= n keeps the 8-byte store in bounds.
+        unsafe { _mm_storel_epi64(dst.as_mut_ptr().add(i) as *mut _, b) };
         i += 8;
     }
     quantize_slice_scalar(&src[i..], scale, &mut dst[i..]);
@@ -883,6 +1173,19 @@ mod tests {
     }
 
     #[test]
+    fn max_f32_matches_the_scalar_fold() {
+        let fold = |xs: &[f32]| xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        for len in 0..=35 {
+            let mut xs = f32s(len, len + 1);
+            assert_eq!(max_f32(&xs), fold(&xs), "len {len}");
+            if len > 3 {
+                xs[3] = f32::NAN; // skipped, as `f32::max` skips it
+                assert_eq!(max_f32(&xs), fold(&xs), "len {len} with NaN");
+            }
+        }
+    }
+
+    #[test]
     fn absmax_ignores_nan_like_the_scalar_fold() {
         // `f32::max` skips NaN operands; the vectorized fold must too,
         // even when the NaN lands mid-lane after a peak was recorded.
@@ -919,10 +1222,11 @@ mod tests {
 
     #[test]
     fn quantize_slice_saturates_and_rounds_ties_even() {
-        let xs = [1e9f32, -1e9, 0.5, 1.5, -0.5, -2.5, 0.0, 3.0, 4.4];
+        // NaN (inside the vector body) narrows to 0, as `NaN as i8` does.
+        let xs = [1e9f32, -1e9, 0.5, 1.5, -0.5, -2.5, f32::NAN, 0.0, 3.0, 4.4];
         let mut out = vec![0i8; xs.len()];
         quantize_slice(&xs, 1.0, &mut out);
-        assert_eq!(out, vec![127, -127, 0, 2, 0, -2, 0, 3, 4]);
+        assert_eq!(out, vec![127, -127, 0, 2, 0, -2, 0, 0, 3, 4]);
     }
 
     #[test]
