@@ -150,11 +150,6 @@ impl ArchConfig {
         self.n_group
     }
 
-    /// DMA burst length in bytes.
-    pub fn burst_bytes(&self) -> usize {
-        self.burst_bytes
-    }
-
     /// Effective critical-path lanes under the current flags.
     pub fn effective_cp_lanes(&self) -> usize {
         if self.opts.fuse_ln_res {

@@ -594,7 +594,6 @@ pub const DEFAULT_PAGE_TOKENS: usize = 16;
 /// node and one paged KV arena for the whole ring:
 ///
 /// * the **multi-sequence** API ([`DistributedGpt2::acquire_slot`],
-///   [`DistributedGpt2::prefill_slot`] /
 ///   [`DistributedGpt2::prefill_slot_chunk`] — rows are consecutive
 ///   tokens of one slot — and [`DistributedGpt2::decode_step_batch`] —
 ///   one row per slot), the continuous-batching substrate;
@@ -786,11 +785,6 @@ impl DistributedGpt2 {
             scratch: HostScratch::default(),
             prefix_cache: None,
         })
-    }
-
-    /// Ring size.
-    pub fn nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Whether per-node stages run on the persistent worker pool.
@@ -1282,27 +1276,7 @@ impl DistributedGpt2 {
         assert_eq!(self.arena.acquire(), Some(0), "slot 0 must be free");
     }
 
-    /// Prefill: processes the prompt in slot 0, returns last-token logits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompt` is empty.
-    pub fn prefill(&mut self, prompt: &[u32]) -> Vec<f32> {
-        self.ensure_primary_slot();
-        self.prefill_slot(0, prompt)
-    }
-
-    /// Decode step on slot 0: one token in, next-token logits out — a
-    /// [`DistributedGpt2::decode_step_batch`] of one.
-    pub fn decode_step(&mut self, token: u32) -> Vec<f32> {
-        self.ensure_primary_slot();
-        self.decode_step_batch(&[(0, token)])
-            .pop()
-            // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
-            .expect("one row in, one logits row out")
-    }
-
-    /// Prefill `prompt` into `slot` with **shared weight passes**: every
+    /// Prefill `prompt` into slot 0 with **shared weight passes**: every
     /// prompt token is a row of one batched GEMM per linear per node (the
     /// functional counterpart of the accelerator's batched-prefill
     /// extension), while attention stays causal per token. Each row is
@@ -1314,12 +1288,22 @@ impl DistributedGpt2 {
     ///
     /// # Panics
     ///
-    /// Panics if `prompt` is empty or the slot would overflow its
-    /// capacity.
-    pub fn prefill_slot(&mut self, slot: usize, prompt: &[u32]) -> Vec<f32> {
-        self.prefill_slot_chunk(slot, prompt, true)
+    /// Panics if `prompt` is empty or would overflow the slot's capacity.
+    pub fn prefill(&mut self, prompt: &[u32]) -> Vec<f32> {
+        self.ensure_primary_slot();
+        self.prefill_slot_chunk(0, prompt, true)
             // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
             .expect("logits requested")
+    }
+
+    /// Decode step on slot 0: one token in, next-token logits out — a
+    /// [`DistributedGpt2::decode_step_batch`] of one.
+    pub fn decode_step(&mut self, token: u32) -> Vec<f32> {
+        self.ensure_primary_slot();
+        self.decode_step_batch(&[(0, token)])
+            .pop()
+            // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
+            .expect("one row in, one logits row out")
     }
 
     /// One chunk of an incremental prefill: feed `tokens` starting at the

@@ -30,8 +30,10 @@ use crate::backend::{
 
 /// A seeded, rate-parameterized chaos plan.
 ///
-/// Rates are per-operation Bernoulli probabilities in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Rates are per-operation Bernoulli probabilities in `[0, 1]`. The
+/// `Default` plan is fault-free (every rate zero): wrapping a backend
+/// with it changes nothing but the draw of unused random numbers.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault stream (equal plans inject equal faults).
     pub seed: u64,
@@ -57,20 +59,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The fault-free plan (every rate zero) — wrapping a backend with it
-    /// changes nothing but the draw of unused random numbers.
-    pub fn none() -> Self {
-        FaultPlan {
-            seed: 0,
-            prefill_fail_rate: 0.0,
-            decode_fail_rate: 0.0,
-            stall_rate: 0.0,
-            stall_ms: 0.0,
-            release_leak_rate: 0.0,
-            page_fault_rate: 0.0,
-        }
-    }
-
     /// A plan that exercises every *transient-or-leak* fault kind at
     /// intensity `rate`: prefill/decode faults at `rate`, stalls at
     /// `rate / 2` (1500 ms each), release leaks at `rate / 4`. Page
@@ -120,32 +108,6 @@ impl FaultPlan {
     }
 }
 
-/// Counters of what a [`FaultyBackend`] actually injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Prefills vetoed.
-    pub prefill_faults: u64,
-    /// Decode iterations vetoed.
-    pub decode_faults: u64,
-    /// Stalls added to successful operations.
-    pub stalls: u64,
-    /// Releases leaked (slots stranded in the inner backend).
-    pub leaked_releases: u64,
-    /// KV-growing operations vetoed with synthetic page pressure.
-    pub page_faults: u64,
-}
-
-impl FaultStats {
-    /// Total injections of any kind.
-    pub fn total(&self) -> u64 {
-        self.prefill_faults
-            + self.decode_faults
-            + self.stalls
-            + self.leaked_releases
-            + self.page_faults
-    }
-}
-
 /// Wraps any backend with deterministic, seeded fault injection.
 ///
 /// Vetoed operations never reach the inner backend, so the inner
@@ -157,7 +119,6 @@ pub struct FaultyBackend<B> {
     inner: B,
     plan: FaultPlan,
     rng: StdRng,
-    stats: FaultStats,
     /// Slots the wrapper reported released but never released inside.
     leaked: Vec<usize>,
 }
@@ -174,24 +135,8 @@ impl<B: InferenceBackend> FaultyBackend<B> {
             inner,
             plan,
             rng: StdRng::seed_from_u64(plan.seed),
-            stats: FaultStats::default(),
             leaked: Vec::new(),
         }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// What has been injected so far.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
-    }
-
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Slots stranded by leaked releases.
@@ -209,7 +154,6 @@ impl<B: InferenceBackend> FaultyBackend<B> {
     /// operation before the inner backend runs.
     fn roll_page_fault(&mut self) -> Result<(), BackendError> {
         if self.roll(self.plan.page_fault_rate) {
-            self.stats.page_faults += 1;
             return Err(BackendError::PagesExhausted { needed: 1, free: 0 });
         }
         Ok(())
@@ -238,12 +182,10 @@ impl<B: InferenceBackend> InferenceBackend for FaultyBackend<B> {
         sampler_seed: u64,
     ) -> Result<PrefillOutcome, BackendError> {
         if self.roll(self.plan.prefill_fail_rate) {
-            self.stats.prefill_faults += 1;
             return Err(BackendError::InjectedFault { op: "prefill" });
         }
         let mut outcome = self.inner.prefill(prompt_len, prompt, sampler_seed)?;
         if self.roll(self.plan.stall_rate) {
-            self.stats.stalls += 1;
             outcome.elapsed_ms += self.plan.stall_ms;
         }
         Ok(outcome)
@@ -251,13 +193,11 @@ impl<B: InferenceBackend> InferenceBackend for FaultyBackend<B> {
 
     fn decode_batch(&mut self, slots: &[usize]) -> Result<DecodeOutcome, BackendError> {
         if self.roll(self.plan.decode_fail_rate) {
-            self.stats.decode_faults += 1;
             return Err(BackendError::InjectedFault { op: "decode" });
         }
         self.roll_page_fault()?;
         let mut outcome = self.inner.decode_batch(slots)?;
         if self.roll(self.plan.stall_rate) {
-            self.stats.stalls += 1;
             outcome.elapsed_ms += self.plan.stall_ms;
         }
         Ok(outcome)
@@ -265,7 +205,6 @@ impl<B: InferenceBackend> InferenceBackend for FaultyBackend<B> {
 
     fn release(&mut self, slot: usize) -> Result<(), BackendError> {
         if self.roll(self.plan.release_leak_rate) {
-            self.stats.leaked_releases += 1;
             self.leaked.push(slot);
             return Ok(());
         }
@@ -283,7 +222,6 @@ impl<B: InferenceBackend> InferenceBackend for FaultyBackend<B> {
         sampler_seed: u64,
     ) -> Result<usize, BackendError> {
         if self.roll(self.plan.prefill_fail_rate) {
-            self.stats.prefill_faults += 1;
             return Err(BackendError::InjectedFault { op: "prefill" });
         }
         self.inner.prefill_open(prompt_len, prompt, sampler_seed)
@@ -297,7 +235,6 @@ impl<B: InferenceBackend> InferenceBackend for FaultyBackend<B> {
         self.roll_page_fault()?;
         let mut progress = self.inner.prefill_step(slot, max_tokens)?;
         if self.roll(self.plan.stall_rate) {
-            self.stats.stalls += 1;
             progress.elapsed_ms += self.plan.stall_ms;
         }
         Ok(progress)
@@ -325,7 +262,6 @@ impl<B: InferenceBackend> InferenceBackend for FaultyBackend<B> {
         self.roll_page_fault()?;
         let mut outcome = self.inner.resume(seq, context)?;
         if self.roll(self.plan.stall_rate) {
-            self.stats.stalls += 1;
             outcome.elapsed_ms += self.plan.stall_ms;
         }
         Ok(outcome)
@@ -350,7 +286,7 @@ mod tests {
     #[test]
     fn fault_free_plan_is_transparent() {
         let mut plain = functional(2);
-        let mut wrapped = FaultyBackend::new(functional(2), FaultPlan::none());
+        let mut wrapped = FaultyBackend::new(functional(2), FaultPlan::default());
         let p1 = plain.prefill(3, Some(&[1, 2, 3]), 0).unwrap();
         let p2 = wrapped.prefill(3, Some(&[1, 2, 3]), 0).unwrap();
         assert_eq!(p1.slot, p2.slot);
@@ -359,7 +295,6 @@ mod tests {
         let d2 = wrapped.decode_batch(&[p2.slot]).unwrap();
         assert_eq!(d1.tokens, d2.tokens);
         wrapped.release(p2.slot).unwrap();
-        assert_eq!(wrapped.stats().total(), 0);
         assert_eq!(wrapped.capacity(), 2);
     }
 
@@ -367,7 +302,7 @@ mod tests {
     fn always_fail_plan_vetoes_without_touching_inner_state() {
         let plan = FaultPlan {
             prefill_fail_rate: 1.0,
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         };
         let mut b = FaultyBackend::new(functional(2), plan);
         for _ in 0..5 {
@@ -376,9 +311,8 @@ mod tests {
                 BackendError::InjectedFault { op: "prefill" }
             );
         }
-        assert_eq!(b.stats().prefill_faults, 5);
         // No slot was consumed by the vetoed attempts.
-        assert_eq!(b.inner().engine().free_slots(), 2);
+        assert_eq!(b.inner.engine().free_slots(), 2);
     }
 
     #[test]
@@ -386,7 +320,7 @@ mod tests {
         let plan = FaultPlan {
             seed: 3,
             decode_fail_rate: 0.5,
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         };
         let mut faulty = FaultyBackend::new(functional(1), plan);
         let mut clean = functional(1);
@@ -394,12 +328,13 @@ mod tests {
         let q = clean.prefill(2, Some(&[4, 5]), 7).unwrap();
         let mut got = vec![p.first_token.unwrap()];
         let mut want = vec![q.first_token.unwrap()];
+        let mut vetoes = 0;
         for _ in 0..6 {
             // Retry the identical call until the veto lifts.
             let out = loop {
                 match faulty.decode_batch(&[p.slot]) {
                     Ok(out) => break out,
-                    Err(BackendError::InjectedFault { .. }) => continue,
+                    Err(BackendError::InjectedFault { .. }) => vetoes += 1,
                     Err(e) => panic!("unexpected {e}"),
                 }
             };
@@ -407,7 +342,7 @@ mod tests {
             want.push(clean.decode_batch(&[q.slot]).unwrap().tokens.unwrap()[0]);
         }
         assert_eq!(got, want, "retried stream diverged from fault-free run");
-        assert!(faulty.stats().decode_faults > 0, "plan never fired");
+        assert!(vetoes > 0, "plan never fired");
     }
 
     #[test]
@@ -415,7 +350,7 @@ mod tests {
         let plan = FaultPlan {
             stall_rate: 1.0,
             stall_ms: 250.0,
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         };
         let mut b = FaultyBackend::new(functional(1), plan);
         let p = b.prefill(2, Some(&[1, 2]), 0).unwrap();
@@ -423,23 +358,22 @@ mod tests {
         let d = b.decode_batch(&[p.slot]).unwrap();
         assert!(d.elapsed_ms >= 250.0);
         assert!(d.tokens.is_some(), "stalled decode still produces tokens");
-        assert_eq!(b.stats().stalls, 2);
     }
 
     #[test]
     fn leaked_releases_shrink_capacity() {
         let plan = FaultPlan {
             release_leak_rate: 1.0,
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         };
         let mut b = FaultyBackend::new(functional(2), plan);
         let p = b.prefill(2, Some(&[1, 2]), 0).unwrap();
         assert_eq!(b.capacity(), 2);
         b.release(p.slot).unwrap();
         // The caller saw success, but the slot is stranded inside.
-        assert_eq!(b.stats().leaked_releases, 1);
+        assert_eq!(b.leaked_slots(), &[p.slot]);
         assert_eq!(b.capacity(), 1);
-        assert_eq!(b.inner().engine().free_slots(), 1);
+        assert_eq!(b.inner.engine().free_slots(), 1);
         // The second slot still serves; a third admission is exhaustion.
         let q = b.prefill(2, Some(&[3, 4]), 1).unwrap();
         assert!(matches!(
@@ -458,13 +392,16 @@ mod tests {
                 match b.prefill(2, Some(&[1, 2]), i) {
                     Ok(p) => {
                         events.push(1);
-                        let _ = b.decode_batch(&[p.slot]);
-                        let _ = b.release(p.slot);
+                        events.push(
+                            b.decode_batch(&[p.slot])
+                                .map_or(0, |d| 1 + d.tokens.unwrap()[0]),
+                        );
+                        events.push(u32::from(b.release(p.slot).is_ok()));
                     }
                     Err(_) => events.push(0),
                 }
             }
-            (events, b.stats())
+            (events, b.leaked_slots().to_vec())
         };
         let a = run(FaultyBackend::new(functional(2), plan));
         let b = run(FaultyBackend::new(functional(2), plan));

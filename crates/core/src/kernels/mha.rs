@@ -31,18 +31,6 @@ pub struct MhaJob {
     pub sync_bytes: usize,
 }
 
-impl MhaJob {
-    /// Int8 bytes read from the key cache by this activation.
-    pub fn key_bytes(&self) -> usize {
-        self.heads * self.d_head * self.context
-    }
-
-    /// Int8 bytes read from the value cache by this activation.
-    pub fn value_bytes(&self) -> usize {
-        self.key_bytes()
-    }
-}
-
 /// The fused MHA kernel timing model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedMhaKernel {
@@ -200,13 +188,6 @@ mod tests {
             .as_f64();
         let ratio = full / half;
         assert!(ratio > 1.6 && ratio < 2.4, "ratio {ratio}");
-    }
-
-    #[test]
-    fn byte_accounting() {
-        let j = job(128);
-        assert_eq!(j.key_bytes(), 16 * 64 * 128);
-        assert_eq!(j.key_bytes(), j.value_bytes());
     }
 
     #[test]

@@ -42,14 +42,6 @@ pub struct MpJob {
     pub batch: usize,
 }
 
-impl MpJob {
-    /// Int8 weight bytes this activation streams from HBM (independent of
-    /// the batch — that is the point of batching).
-    pub fn weight_bytes(&self) -> usize {
-        self.rows * self.cols
-    }
-}
-
 /// The fused MP kernel timing model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedMpKernel {
@@ -158,8 +150,8 @@ mod tests {
         };
         let t = k.timing(&job).total.as_f64();
         let cfg = ArchConfig::builder().nodes(1).build().unwrap();
-        let ideal =
-            job.weight_bytes() as f64 / (cfg.mp_channels() as f64 * cfg.channel_bytes_per_cycle());
+        let ideal = (job.rows * job.cols) as f64
+            / (cfg.mp_channels() as f64 * cfg.channel_bytes_per_cycle());
         assert!(t > ideal, "cannot beat the memory bound");
         assert!(
             t < 1.25 * ideal + 3000.0,

@@ -10,7 +10,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use looplynx_sim::time::{Cycles, Frequency};
+use looplynx_sim::time::Cycles;
 
 /// Exposed-cycle totals per latency bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,11 +56,6 @@ impl LatencyBreakdown {
             return 0.0;
         }
         (self.critical_path + self.sync).as_f64() / device
-    }
-
-    /// Milliseconds under the given clock.
-    pub fn total_ms(&self, freq: Frequency) -> f64 {
-        self.total().to_millis(freq)
     }
 }
 

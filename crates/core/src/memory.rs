@@ -32,12 +32,12 @@ pub struct HbmBudget {
 
 impl HbmBudget {
     /// Total bytes one node occupies.
-    pub fn used_bytes(&self) -> usize {
+    fn used_bytes(&self) -> usize {
         self.weight_bytes + self.kv_bytes
     }
 
     /// Bytes available to one node (equal split of the device capacity).
-    pub fn available_bytes(&self) -> usize {
+    fn available_bytes(&self) -> usize {
         self.capacity_bytes / self.nodes_per_device
     }
 

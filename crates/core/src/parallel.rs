@@ -324,12 +324,20 @@ mod tests {
                     let [q, k, v] = [0, d, 2 * d].map(|base| base + r.start..base + r.end);
                     let full = block.qkv.weight();
                     let part = |r: &Range<usize>| full.slice_rows(r.start, r.end);
-                    let data = part(&q).data().vstack(part(&k).data()).unwrap();
-                    let data = data.vstack(part(&v).data()).unwrap();
+                    let payload = [&q, &k, &v]
+                        .into_iter()
+                        .flat_map(|r| part(r).data().as_slice().to_vec())
+                        .collect();
+                    let data = Matrix::from_vec(3 * r.len(), d, payload).unwrap();
+                    let sums = data
+                        .iter_rows()
+                        .map(|row| row.iter().map(|&x| i32::from(x)).sum())
+                        .collect();
                     let stacked = QuantLinear::new(
-                        QuantizedMatrix::new(
+                        QuantizedMatrix::from_parts(
                             data,
                             pick(full.row_scales(), &[q.clone(), k.clone(), v.clone()]),
+                            sums,
                         ),
                         pick(block.qkv.bias(), &[q, k, v]),
                     )

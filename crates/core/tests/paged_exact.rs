@@ -431,7 +431,7 @@ fn chunked_prefill_matches_single_pass_kv_and_tokens() {
     let mut one_pass =
         DistributedGpt2::with_paged_slots(&model, 2, RingMode::Exact, 2, 32, 16, 4).unwrap();
     let slot = one_pass.acquire_slot().expect("fresh engine has slots");
-    let ref_logits = one_pass.prefill_slot(slot, &prompt);
+    let ref_logits = one_pass.prefill_slot_chunk(slot, &prompt, true).unwrap();
     let ref_kv = one_pass.materialized_kv(slot);
 
     for chunk in [1usize, 3, 16, prompt.len()] {

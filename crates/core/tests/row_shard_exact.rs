@@ -20,7 +20,7 @@ fn run_batched(engine: &mut DistributedGpt2) -> Vec<Vec<f32>> {
     let entries: Vec<(usize, u32)> = (0..BATCH)
         .map(|i| {
             let slot = engine.acquire_slot().expect("slot available");
-            outputs.push(engine.prefill_slot(slot, &PROMPT));
+            outputs.push(engine.prefill_slot_chunk(slot, &PROMPT, true).unwrap());
             (slot, (i as u32) % 7)
         })
         .collect();
@@ -144,7 +144,8 @@ fn wide_batch_grid_is_bit_exact_on_pool_lanes() {
         let mut entries = Vec::new();
         for i in 0..WIDE_BATCH {
             let slot = e.acquire_slot().expect("slot available");
-            e.prefill_slot(slot, &PROMPT[..2 + i % 3]);
+            e.prefill_slot_chunk(slot, &PROMPT[..2 + i % 3], true)
+                .unwrap();
             entries.push((slot, 11 * i as u32));
         }
         e.decode_step_batch(&entries)

@@ -63,7 +63,7 @@ fn threaded_wide_batch_decode_matches_sequential() {
         let entries: Vec<(usize, u32)> = (0..8u32)
             .map(|i| {
                 let slot = e.acquire_slot().expect("slot available");
-                e.prefill_slot(slot, &[3 + i, 14]);
+                e.prefill_slot_chunk(slot, &[3 + i, 14], true).unwrap();
                 (slot, 7 * i)
             })
             .collect();

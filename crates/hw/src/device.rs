@@ -72,11 +72,6 @@ impl FpgaDevice {
         self.hbm_channels
     }
 
-    /// Aggregate HBM bandwidth in GB/s.
-    pub fn hbm_total_gbps(&self) -> f64 {
-        self.hbm_total_gbps
-    }
-
     /// Peak per-channel HBM bandwidth in GB/s.
     pub fn hbm_channel_gbps(&self) -> f64 {
         self.hbm_total_gbps / self.hbm_channels as f64
@@ -123,7 +118,7 @@ mod tests {
         let u50 = FpgaDevice::alveo_u50();
         let u280 = FpgaDevice::alveo_u280();
         assert!(u50.resources().fits_within(&u280.resources()));
-        assert!(u280.hbm_total_gbps() > u50.hbm_total_gbps());
+        assert!(u280.hbm_total_gbps > u50.hbm_total_gbps);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl ResourceVector {
 
     /// Per-resource utilization fractions of `budget`
     /// (`[dsp, lut, ff, bram, uram]`; zero-budget entries report 0).
-    pub fn utilization_of(&self, budget: &ResourceVector) -> [f64; 5] {
+    fn utilization_of(&self, budget: &ResourceVector) -> [f64; 5] {
         fn frac(used: f64, total: f64) -> f64 {
             if total <= 0.0 {
                 0.0

@@ -149,12 +149,6 @@ impl ModelConfig {
         2 * self.d_model
     }
 
-    /// Int8 KV-cache bytes read when attending over `context_len` cached
-    /// tokens in one layer.
-    pub fn kv_read_bytes(&self, context_len: usize) -> usize {
-        self.kv_bytes_per_token_per_layer() * context_len
-    }
-
     /// Approximate parameter count (weights only, no embeddings).
     pub fn approx_params(&self) -> usize {
         self.weights_bytes_total()
@@ -212,8 +206,6 @@ mod tests {
     fn kv_accounting() {
         let c = ModelConfig::gpt2_medium();
         assert_eq!(c.kv_bytes_per_token_per_layer(), 2048);
-        assert_eq!(c.kv_read_bytes(512), 1_048_576);
-        assert_eq!(c.kv_read_bytes(0), 0);
     }
 
     #[test]

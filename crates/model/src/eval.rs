@@ -3,9 +3,8 @@
 //! Used to sanity-check the functional W8A8 pipeline: quantization noise
 //! should cost little perplexity relative to the model's own entropy, and
 //! a freshly-initialized model must score near the uniform bound
-//! `ppl ≈ vocab`.
-
-use crate::gpt2::Gpt2Model;
+//! `ppl ≈ vocab`. The caller drives the model and feeds each prediction
+//! to a [`Perplexity`] accumulator.
 
 /// Numerically-stable log-softmax probability of `target` under `logits`.
 ///
@@ -44,11 +43,6 @@ impl Perplexity {
         self.tokens += 1;
     }
 
-    /// Tokens scored.
-    pub fn tokens(&self) -> usize {
-        self.tokens
-    }
-
     /// Mean negative log-likelihood in nats (0.0 when empty).
     pub fn cross_entropy(&self) -> f64 {
         if self.tokens == 0 {
@@ -64,30 +58,23 @@ impl Perplexity {
     }
 }
 
-/// Evaluates teacher-forced perplexity of `model` on `tokens` (each token
-/// after the first is predicted from its prefix).
-///
-/// Resets the model's cache first.
-///
-/// # Panics
-///
-/// Panics if fewer than two tokens are supplied.
-pub fn evaluate(model: &mut Gpt2Model, tokens: &[u32]) -> Perplexity {
-    assert!(tokens.len() >= 2, "need at least two tokens to score one");
-    model.reset();
-    let mut ppl = Perplexity::new();
-    let mut logits = model.prefill(&tokens[..1]);
-    for &next in &tokens[1..] {
-        ppl.add(&logits, next);
-        logits = model.decode_step(next);
-    }
-    ppl
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::gpt2::Gpt2Model;
+
+    /// Teacher-forced perplexity of `m` on `tokens`: each token after the
+    /// first is predicted from its prefix.
+    fn teacher_forced(m: &mut Gpt2Model, tokens: &[u32]) -> Perplexity {
+        let mut ppl = Perplexity::new();
+        let mut logits = m.prefill(&tokens[..1]);
+        for &next in &tokens[1..] {
+            ppl.add(&logits, next);
+            logits = m.decode_step(next);
+        }
+        ppl
+    }
 
     #[test]
     fn log_prob_of_uniform_logits() {
@@ -111,7 +98,6 @@ mod tests {
         for t in 0..10u32 {
             ppl.add(&logits, t % 50);
         }
-        assert_eq!(ppl.tokens(), 10);
         assert!((ppl.perplexity() - 50.0).abs() < 1e-6);
     }
 
@@ -130,7 +116,7 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let mut m = Gpt2Model::synthetic(&cfg, 5);
         let tokens: Vec<u32> = (0..24).map(|i| (i * 37 % 256) as u32).collect();
-        let ppl = evaluate(&mut m, &tokens).perplexity();
+        let ppl = teacher_forced(&mut m, &tokens).perplexity();
         let vocab = cfg.vocab as f64;
         assert!(
             ppl > vocab / 10.0 && ppl < vocab * 3.0,
@@ -142,15 +128,8 @@ mod tests {
     fn evaluate_is_deterministic() {
         let cfg = ModelConfig::tiny();
         let tokens: Vec<u32> = (0..16).map(|i| (i * 11 % 256) as u32).collect();
-        let a = evaluate(&mut Gpt2Model::synthetic(&cfg, 9), &tokens).perplexity();
-        let b = evaluate(&mut Gpt2Model::synthetic(&cfg, 9), &tokens).perplexity();
+        let a = teacher_forced(&mut Gpt2Model::synthetic(&cfg, 9), &tokens).perplexity();
+        let b = teacher_forced(&mut Gpt2Model::synthetic(&cfg, 9), &tokens).perplexity();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two tokens")]
-    fn evaluate_needs_two_tokens() {
-        let mut m = Gpt2Model::synthetic(&ModelConfig::tiny(), 1);
-        let _ = evaluate(&mut m, &[1]);
     }
 }

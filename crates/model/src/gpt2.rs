@@ -75,7 +75,7 @@ impl Gpt2Model {
         self.pos
     }
 
-    /// The KV cache (for byte accounting).
+    /// The KV cache (what tests compare across prefill paths).
     pub fn cache(&self) -> &KvCache {
         &self.cache
     }
@@ -242,7 +242,13 @@ mod tests {
         m.decode_step(2);
         m.decode_step(3);
         assert_eq!(m.seq_len(), 3);
-        assert_eq!(m.cache().seq_len(), 3);
+        let mut reference = model();
+        reference.prefill(&[1, 2, 3]);
+        assert_eq!(
+            m.cache(),
+            reference.cache(),
+            "decode appended what prefill would"
+        );
     }
 
     #[test]
@@ -251,7 +257,7 @@ mod tests {
         m.prefill(&[1, 2]);
         m.reset();
         assert_eq!(m.seq_len(), 0);
-        assert_eq!(m.cache().byte_len(), 0);
+        assert_eq!(m.cache(), model().cache(), "cache not empty after reset");
         // usable again after reset
         let logits = m.prefill(&[3]);
         assert_eq!(logits.len(), m.config().vocab);

@@ -21,7 +21,9 @@
 //! key_scales[h * capacity + t]                      (f32, per head/token)
 //! ```
 //!
-//! so head `h`'s keys for tokens `0..len` are one contiguous strip —
+//! so head `h`'s keys for tokens `0..len` are one contiguous strip
+//! ([`LayerKvCache::key_strip`], scales from [`LayerKvCache::key_scales`],
+//! both as one attention segment from [`LayerKvCache::segments`]) —
 //! exactly the access pattern of the decode attention loop, which dots a
 //! query head over every cached token of that head. Preallocating
 //! `capacity` tokens (via [`LayerKvCache::with_capacity`]) makes decode
@@ -34,42 +36,6 @@ use crate::attention::KvSegment;
 /// Token capacity a growable cache starts with when the first append
 /// arrives without an explicit capacity.
 const DEFAULT_CAPACITY: usize = 64;
-
-/// A borrowed view of one head's quantized vector for one token: the int8
-/// strip plus its scale. The arena-backed replacement for handing out
-/// `&QuantizedVector`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantizedView<'a> {
-    data: &'a [i8],
-    scale: f32,
-}
-
-impl<'a> QuantizedView<'a> {
-    /// The int8 payload.
-    pub fn data(&self) -> &'a [i8] {
-        self.data
-    }
-
-    /// The symmetric scale (`real = q * scale`).
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Reconstructs the real-valued vector.
-    pub fn dequantize(&self) -> Vec<f32> {
-        self.data.iter().map(|&q| q as f32 * self.scale).collect()
-    }
-}
 
 /// KV cache of one transformer layer (or one node's head-slice of it).
 #[derive(Debug, Clone)]
@@ -158,11 +124,6 @@ impl LayerKvCache {
         }
     }
 
-    /// Head dimension.
-    pub fn d_head(&self) -> usize {
-        self.d_head
-    }
-
     /// Number of cached tokens.
     pub fn len(&self) -> usize {
         self.len
@@ -180,11 +141,6 @@ impl LayerKvCache {
         } else {
             self.heads
         }
-    }
-
-    /// Token capacity before the next append reallocates.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Quantizes and appends one token's key and value vectors, one scale
@@ -221,37 +177,6 @@ impl LayerKvCache {
                 quantize_chunk(&v[src], &mut self.values[dst..dst + d]);
         }
         self.len += 1;
-    }
-
-    /// Cached key of token `t`, head `h` (local head index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn key_head(&self, t: usize, h: usize) -> QuantizedView<'_> {
-        assert!(t < self.len && h < self.heads, "key ({t},{h}) out of range");
-        let base = (h * self.capacity + t) * self.d_head;
-        QuantizedView {
-            data: &self.keys[base..base + self.d_head],
-            scale: self.key_scales[h * self.capacity + t],
-        }
-    }
-
-    /// Cached value of token `t`, head `h` (local head index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn value_head(&self, t: usize, h: usize) -> QuantizedView<'_> {
-        assert!(
-            t < self.len && h < self.heads,
-            "value ({t},{h}) out of range"
-        );
-        let base = (h * self.capacity + t) * self.d_head;
-        QuantizedView {
-            data: &self.values[base..base + self.d_head],
-            scale: self.value_scales[h * self.capacity + t],
-        }
     }
 
     /// Head `h`'s keys for all cached tokens as one contiguous strip of
@@ -346,11 +271,6 @@ impl LayerKvCache {
         self.len += 1;
     }
 
-    /// Int8 bytes held by this layer's cache (keys + values).
-    pub fn byte_len(&self) -> usize {
-        2 * self.len * self.heads * self.d_head
-    }
-
     /// Clears all cached tokens (the arena allocation is retained).
     pub fn clear(&mut self) {
         self.len = 0;
@@ -400,35 +320,11 @@ pub struct KvCache {
 
 impl KvCache {
     /// Creates caches for `layers` layers with the given head dimension
-    /// (arena allocated lazily; see [`KvCache::with_capacity`]).
+    /// (arena allocated lazily at the first append).
     pub fn new(layers: usize, d_head: usize) -> Self {
         KvCache {
             layers: (0..layers).map(|_| LayerKvCache::new(d_head)).collect(),
         }
-    }
-
-    /// Creates caches with every layer's arena preallocated for `heads`
-    /// heads and `capacity` tokens.
-    pub fn with_capacity(layers: usize, d_head: usize, heads: usize, capacity: usize) -> Self {
-        KvCache {
-            layers: (0..layers)
-                .map(|_| LayerKvCache::with_capacity(d_head, heads, capacity))
-                .collect(),
-        }
-    }
-
-    /// Number of layers.
-    pub fn layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Cache of layer `l`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is out of range.
-    pub fn layer(&self, l: usize) -> &LayerKvCache {
-        &self.layers[l]
     }
 
     /// Mutable cache of layer `l`.
@@ -438,16 +334,6 @@ impl KvCache {
     /// Panics if `l` is out of range.
     pub fn layer_mut(&mut self, l: usize) -> &mut LayerKvCache {
         &mut self.layers[l]
-    }
-
-    /// Cached sequence length (tokens in layer 0; all layers stay in step).
-    pub fn seq_len(&self) -> usize {
-        self.layers.first().map_or(0, LayerKvCache::len)
-    }
-
-    /// Total int8 bytes across all layers.
-    pub fn byte_len(&self) -> usize {
-        self.layers.iter().map(LayerKvCache::byte_len).sum()
     }
 
     /// Clears every layer.
@@ -461,6 +347,22 @@ impl KvCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use looplynx_tensor::quant::quantize_vec;
+
+    /// Token `t` of one head's strip, dequantized with its scale.
+    fn token(strip: &[i8], scales: &[f32], d_head: usize, t: usize) -> Vec<f32> {
+        strip[t * d_head..(t + 1) * d_head]
+            .iter()
+            .map(|&q| q as f32 * scales[t])
+            .collect()
+    }
+
+    /// Int8 bytes held (keys + values), read off the strips.
+    fn bytes(c: &LayerKvCache) -> usize {
+        (0..c.heads())
+            .map(|h| c.key_strip(h).len() + c.value_strip(h).len())
+            .sum()
+    }
 
     #[test]
     fn append_and_read_back_per_head() {
@@ -468,11 +370,11 @@ mod tests {
         c.append(&[1.0, -1.0, 10.0, 20.0], &[0.5, 0.25, -4.0, 8.0]);
         assert_eq!(c.len(), 1);
         assert_eq!(c.heads(), 2);
-        let k0 = c.key_head(0, 0).dequantize();
+        let k0 = token(c.key_strip(0), c.key_scales(0), 2, 0);
         assert!((k0[0] - 1.0).abs() < 0.02);
-        let k1 = c.key_head(0, 1).dequantize();
+        let k1 = token(c.key_strip(1), c.key_scales(1), 2, 0);
         assert!((k1[1] - 20.0).abs() < 0.2);
-        let v1 = c.value_head(0, 1).dequantize();
+        let v1 = token(c.value_strip(1), c.value_scales(1), 2, 0);
         assert!((v1[0] + 4.0).abs() < 0.1);
     }
 
@@ -481,7 +383,7 @@ mod tests {
         // A huge head 1 must not destroy head 0's precision.
         let mut c = LayerKvCache::new(2);
         c.append(&[0.01, -0.02, 500.0, 250.0], &[0.0; 4]);
-        let k0 = c.key_head(0, 0).dequantize();
+        let k0 = token(c.key_strip(0), c.key_scales(0), 2, 0);
         assert!((k0[1] + 0.02).abs() < 0.001, "head 0 crushed: {k0:?}");
     }
 
@@ -498,8 +400,10 @@ mod tests {
         let mut part = LayerKvCache::new(d_head);
         part.append(&full_k[8..16], &full_v[8..16]);
         for h in 0..2 {
-            assert_eq!(part.key_head(0, h), full.key_head(0, h + 2));
-            assert_eq!(part.value_head(0, h), full.value_head(0, h + 2));
+            assert_eq!(part.key_strip(h), full.key_strip(h + 2));
+            assert_eq!(part.key_scales(h), full.key_scales(h + 2));
+            assert_eq!(part.value_strip(h), full.value_strip(h + 2));
+            assert_eq!(part.value_scales(h), full.value_scales(h + 2));
         }
     }
 
@@ -510,7 +414,7 @@ mod tests {
             c.append(&[0.1; 16], &[0.2; 16]);
         }
         // 5 tokens × (16 + 16) bytes
-        assert_eq!(c.byte_len(), 160);
+        assert_eq!(bytes(&c), 160);
     }
 
     #[test]
@@ -531,31 +435,41 @@ mod tests {
     #[test]
     fn model_cache_tracks_layers() {
         let mut c = KvCache::new(3, 8);
-        assert_eq!(c.layers(), 3);
-        assert_eq!(c.seq_len(), 0);
+        assert_eq!(c.layers.len(), 3);
+        assert!(c.layers.iter().all(LayerKvCache::is_empty));
         for l in 0..3 {
             c.layer_mut(l).append(&[0.0; 8], &[0.0; 8]);
         }
-        assert_eq!(c.seq_len(), 1);
-        assert_eq!(c.byte_len(), 3 * 16);
+        assert!(c.layers.iter().all(|l| l.len() == 1));
+        assert_eq!(c.layers.iter().map(bytes).sum::<usize>(), 3 * 16);
         c.clear();
-        assert_eq!(c.seq_len(), 0);
-        assert_eq!(c.byte_len(), 0);
+        assert!(c.layers.iter().all(|l| l.is_empty() && bytes(l) == 0));
     }
 
     #[test]
     fn strips_are_token_major_within_head() {
+        let keys = [[1.0f32, 2.0, 3.0, 4.0], [-1.0, -2.0, -3.0, -4.0]];
+        let values = [[5.0f32, 6.0, 7.0, 8.0], [-5.0, -6.0, -7.0, -8.0]];
         let mut c = LayerKvCache::with_capacity(2, 2, 8);
-        c.append(&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0]);
-        c.append(&[-1.0, -2.0, -3.0, -4.0], &[-5.0, -6.0, -7.0, -8.0]);
+        for (k, v) in keys.iter().zip(&values) {
+            c.append(k, v);
+        }
         for h in 0..2 {
             let strip = c.key_strip(h);
             assert_eq!(strip.len(), 2 * 2);
-            assert_eq!(&strip[..2], c.key_head(0, h).data());
-            assert_eq!(&strip[2..], c.key_head(1, h).data());
+            // Token t's head h is `quantize_vec` of that d_head chunk.
+            let (k0, k1) = (
+                quantize_vec(&keys[0][2 * h..2 * h + 2]),
+                quantize_vec(&keys[1][2 * h..2 * h + 2]),
+            );
+            assert_eq!(&strip[..2], k0.data());
+            assert_eq!(&strip[2..], k1.data());
             assert_eq!(c.key_scales(h).len(), 2);
-            assert_eq!(c.key_scales(h)[1], c.key_head(1, h).scale());
-            assert_eq!(c.value_scales(h)[0], c.value_head(0, h).scale());
+            assert_eq!(c.key_scales(h)[1], k1.scale());
+            assert_eq!(
+                c.value_scales(h)[0],
+                quantize_vec(&values[0][2 * h..2 * h + 2]).scale()
+            );
         }
     }
 
@@ -588,9 +502,9 @@ mod tests {
             small.append(&k, &v);
             big.append(&k, &v);
         }
-        assert!(small.capacity() >= 70);
+        assert!(small.capacity >= 70);
         assert_eq!(small, big, "content equality across capacities");
-        assert_eq!(small.key_head(69, 1), big.key_head(69, 1));
+        assert_eq!(small.key_strip(1), big.key_strip(1));
     }
 
     #[test]
@@ -608,11 +522,11 @@ mod tests {
     fn clear_retains_arena_allocation() {
         let mut c = LayerKvCache::with_capacity(4, 2, 8);
         c.append(&[1.0; 8], &[2.0; 8]);
-        let cap = c.capacity();
+        let cap = c.capacity;
         c.clear();
         assert_eq!(c.len(), 0);
-        assert_eq!(c.byte_len(), 0);
-        assert_eq!(c.capacity(), cap);
+        assert_eq!(bytes(&c), 0);
+        assert_eq!(c.capacity, cap);
         // reusable after clear
         c.append(&[3.0; 8], &[4.0; 8]);
         assert_eq!(c.len(), 1);

@@ -214,11 +214,6 @@ impl PagedKvArena {
         self.layers
     }
 
-    /// Heads per cached vector.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     /// Tokens per page.
     pub fn page_tokens(&self) -> usize {
         self.page_tokens
@@ -685,13 +680,6 @@ impl PagedKvArena {
             .map(|s| 2 * s.pos * self.layers * self.heads * self.d_head)
             .sum()
     }
-
-    /// Total int8 bytes the page pools hold (keys + values across all
-    /// layers), independent of occupancy — the "equal arena bytes" axis
-    /// of the page-pressure benchmark.
-    pub fn pool_byte_len(&self) -> usize {
-        2 * self.layers * self.pages * self.heads * self.page_tokens * self.d_head
-    }
 }
 
 /// Content equality: same geometry bound (`d_head`, `heads`, `layers`)
@@ -740,21 +728,6 @@ pub struct PagedLayerView<'a> {
 }
 
 impl PagedLayerView<'_> {
-    /// Head dimension.
-    pub fn d_head(&self) -> usize {
-        self.d_head
-    }
-
-    /// Heads per cached vector.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
-    /// Tokens the granted pages can hold (upper bound for `valid_len`).
-    pub fn granted_tokens(&self) -> usize {
-        self.table.len() * self.page_tokens
-    }
-
     /// Head `h`'s cached tokens as contiguous segments, one per page, in
     /// token order.
     ///
@@ -795,7 +768,7 @@ mod tests {
 
     /// Feeds `len` tokens into `slot`, reserving page by page.
     fn feed(a: &mut PagedKvArena, slot: usize, seed: usize, len: usize) {
-        let n = a.heads() * 4;
+        let n = a.heads * 4;
         for t in 0..len {
             a.try_reserve(slot, 1).expect("pool sized for test");
             let (k, v) = tok(seed, t, n);
@@ -1128,7 +1101,7 @@ mod tests {
         assert_eq!(a.page_refcount(pages[1]), 2, "owner + pin, mapping gone");
 
         // Continue the sequence in s1 identically to a lone arena.
-        let n = a.heads() * 4;
+        let n = a.heads * 4;
         for t in 6..9 {
             a.try_reserve(s1, 1).unwrap();
             let (k, v) = tok(9, t, n);
@@ -1202,7 +1175,5 @@ mod tests {
         feed(&mut a, s, 1, 1);
         // 1 token × 2 layers × 2 heads × 4 d_head × 2 sides
         assert_eq!(a.byte_len(), 32);
-        // Pool bytes are occupancy-independent.
-        assert_eq!(a.pool_byte_len(), 2 * 2 * 4 * 2 * 4 * 4);
     }
 }

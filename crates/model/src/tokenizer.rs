@@ -15,11 +15,6 @@ impl ByteTokenizer {
         ByteTokenizer
     }
 
-    /// Vocabulary size needed by a model using this tokenizer.
-    pub const fn required_vocab() -> usize {
-        256
-    }
-
     /// Encodes a string as one token per UTF-8 byte.
     pub fn encode(&self, text: &str) -> Vec<u32> {
         text.bytes().map(u32::from).collect()
@@ -66,7 +61,6 @@ mod tests {
     fn ids_are_bytes() {
         let tok = ByteTokenizer::new();
         assert!(tok.encode("anything").iter().all(|&t| t < 256));
-        assert_eq!(ByteTokenizer::required_vocab(), 256);
     }
 
     #[test]

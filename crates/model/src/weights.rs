@@ -183,10 +183,13 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let w = Gpt2Weights::synthetic(&cfg, 3);
         // dequantized weights should be centered near zero with std ~0.02
-        let deq = w.blocks[0].qkv.weight().dequantize();
-        let mean: f32 = deq.as_slice().iter().sum::<f32>() / deq.len() as f32;
+        let q = w.blocks[0].qkv.weight();
+        let deq: Vec<f32> = (q.data().iter_rows().zip(q.row_scales()))
+            .flat_map(|(row, &s)| row.iter().map(move |&x| x as f32 * s))
+            .collect();
+        let mean: f32 = deq.iter().sum::<f32>() / deq.len() as f32;
         assert!(mean.abs() < 0.01, "mean {mean}");
-        let max = deq.as_slice().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+        let max = deq.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
         assert!(max < 0.2, "max {max}");
     }
 }

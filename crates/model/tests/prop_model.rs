@@ -130,6 +130,7 @@ proptest! {
         for t in 0..tokens {
             c.append(&arb_vec(d, t as u64), &arb_vec(d, 100 + t as u64));
         }
-        prop_assert_eq!(c.byte_len(), 2 * d * tokens);
+        let bytes: usize = (0..c.heads()).map(|h| c.key_strip(h).len() + c.value_strip(h).len()).sum();
+        prop_assert_eq!(bytes, 2 * d * tokens);
     }
 }

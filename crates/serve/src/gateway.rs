@@ -321,13 +321,6 @@ pub struct TerminalCounts {
     pub failed: usize,
 }
 
-impl TerminalCounts {
-    /// Total requests across all terminal states.
-    pub fn total(&self) -> usize {
-        self.completed + self.rejected + self.timed_out + self.cancelled + self.failed
-    }
-}
-
 /// Outcome of one gateway run: the completed set's [`ServingReport`] plus
 /// the terminal record of *every* offered request.
 #[derive(Debug, Clone, PartialEq)]

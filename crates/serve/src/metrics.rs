@@ -42,16 +42,6 @@ pub struct ServingReport {
 }
 
 impl ServingReport {
-    /// Aggregates per-request records into a report (no generated
-    /// tokens — the timing-backend shape).
-    pub fn new(
-        requests: Vec<RequestMetrics>,
-        decode_iterations: u64,
-        batch_occupancy: Summary,
-    ) -> Self {
-        Self::with_outputs(requests, Vec::new(), decode_iterations, batch_occupancy)
-    }
-
     /// Aggregates per-request records plus their generated tokens.
     pub fn with_outputs(
         requests: Vec<RequestMetrics>,
@@ -163,11 +153,12 @@ mod tests {
 
     #[test]
     fn report_aggregates_percentiles() {
-        let report = ServingReport::new(
+        let report = ServingReport::with_outputs(
             vec![
                 record(0, 0.0, 10.0, 100.0, 10),
                 record(1, 5.0, 40.0, 120.0, 5),
             ],
+            Vec::new(),
             13,
             Summary::new(),
         );
@@ -182,7 +173,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_degenerate_but_finite() {
-        let report = ServingReport::new(Vec::new(), 0, Summary::new());
+        let report = ServingReport::with_outputs(Vec::new(), Vec::new(), 0, Summary::new());
         assert_eq!(report.tokens_per_second(), 0.0);
         assert_eq!(report.makespan_ms(), 0.0);
         assert_eq!(report.ttft_ms.p50(), None);
@@ -190,8 +181,9 @@ mod tests {
 
     #[test]
     fn single_token_requests_excluded_from_tpot() {
-        let report = ServingReport::new(
+        let report = ServingReport::with_outputs(
             vec![record(0, 0.0, 10.0, 10.0, 1), record(1, 0.0, 20.0, 60.0, 5)],
+            Vec::new(),
             4,
             Summary::new(),
         );

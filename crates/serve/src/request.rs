@@ -57,13 +57,6 @@ impl Request {
         self
     }
 
-    /// Prompt plus requested output tokens. The KV cache peaks one short
-    /// of this: the final output token is sampled but never forwarded
-    /// (the same accounting as the engines' `generate`).
-    pub fn total_tokens(&self) -> usize {
-        self.prefill_tokens + self.decode_tokens
-    }
-
     /// Largest KV-cache length any scheduled pass reaches: the last
     /// decode pass appends token `decode_tokens - 1` onto the prompt.
     pub fn peak_context(&self) -> usize {

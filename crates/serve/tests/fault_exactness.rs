@@ -116,7 +116,7 @@ proptest! {
     }
 
     /// The fault-free plan is fully transparent: wrapping the backend in
-    /// `FaultyBackend` with `FaultPlan::none()` leaves the gateway run's
+    /// `FaultyBackend` with `FaultPlan::default()` leaves the gateway run's
     /// outputs and terminal census unchanged.
     #[test]
     fn none_plan_is_transparent(workload_seed in any::<u64>(), n in 3usize..8) {
@@ -125,7 +125,7 @@ proptest! {
 
         let mut bare = fresh_backend(&model);
         let a = serve_gateway_on(&mut bare, &offered, &gateway_cfg());
-        let mut wrapped = FaultyBackend::new(fresh_backend(&model), FaultPlan::none());
+        let mut wrapped = FaultyBackend::new(fresh_backend(&model), FaultPlan::default());
         let b = serve_gateway_on(&mut wrapped, &offered, &gateway_cfg());
 
         prop_assert_eq!(a.counts(), b.counts());

@@ -62,13 +62,6 @@ impl RingSpec {
         self.nodes
     }
 
-    /// Rounds of buffer writing in a full synchronization: one local round
-    /// plus `nodes - 1` network rounds (the paper counts four rounds for
-    /// four nodes).
-    pub fn sync_rounds(&self) -> usize {
-        self.nodes
-    }
-
     /// Cycles for one node's shard of `shard_bytes` to travel one hop.
     pub fn hop_cycles(&self, shard_bytes: usize) -> Cycles {
         if shard_bytes == 0 {
@@ -86,15 +79,6 @@ impl RingSpec {
             return Cycles::ZERO;
         }
         self.hop_cycles(shard_bytes) * (self.nodes as u64 - 1)
-    }
-
-    /// Total bytes crossing all links in one all-gather of `shard_bytes`
-    /// per node — each of the `nodes` shards traverses `nodes - 1` links.
-    pub fn all_gather_traffic(&self, shard_bytes: usize) -> usize {
-        if self.nodes <= 1 {
-            return 0;
-        }
-        shard_bytes * self.nodes * (self.nodes - 1)
     }
 }
 
@@ -265,7 +249,6 @@ mod tests {
     fn single_node_costs_nothing() {
         let ring = RingSpec::paper_ring(1, clock());
         assert_eq!(ring.all_gather_cycles(1 << 20), Cycles::ZERO);
-        assert_eq!(ring.all_gather_traffic(1 << 20), 0);
     }
 
     #[test]
@@ -278,12 +261,6 @@ mod tests {
         // (n-1) proportionality
         assert_eq!(t4.as_u64(), t2.as_u64() * 3);
         assert_eq!(t8.as_u64(), t2.as_u64() * 7);
-    }
-
-    #[test]
-    fn sync_rounds_match_paper() {
-        // "with four nodes, the process involves four rounds"
-        assert_eq!(RingSpec::paper_ring(4, clock()).sync_rounds(), 4);
     }
 
     #[test]
@@ -320,13 +297,6 @@ mod tests {
         for buf in &bufs {
             assert_eq!(buf, &[1, 1, 2, 2, 3, 3]);
         }
-    }
-
-    #[test]
-    fn traffic_accounting() {
-        let ring = RingSpec::paper_ring(4, clock());
-        // each of 4 shards crosses 3 links
-        assert_eq!(ring.all_gather_traffic(100), 100 * 12);
     }
 
     #[test]

@@ -153,7 +153,6 @@ impl PipelineSpec {
             items: n,
             makespan,
             first_out,
-            last_stage_starts: start.last().cloned().unwrap_or_default(),
         }
     }
 
@@ -189,7 +188,6 @@ pub struct PipelineRun {
     items: usize,
     makespan: Cycles,
     first_out: Cycles,
-    last_stage_starts: Vec<Cycles>,
 }
 
 impl PipelineRun {
@@ -206,12 +204,6 @@ impl PipelineRun {
     /// Cycle at which the *first* item leaves the last stage (fill time).
     pub fn first_out(&self) -> Cycles {
         self.first_out
-    }
-
-    /// Start times of every item at the final stage (useful for chaining
-    /// pipelines: these become arrivals of a downstream pipeline).
-    pub fn last_stage_starts(&self) -> &[Cycles] {
-        &self.last_stage_starts
     }
 }
 
@@ -295,27 +287,6 @@ mod tests {
     fn unsorted_arrivals_rejected() {
         let p = spec(&[("s", 1, 1)]);
         let _ = p.evaluate(&[Cycles::new(5), Cycles::new(1)]);
-    }
-
-    #[test]
-    fn chained_pipelines_match_fused() {
-        // Splitting a pipeline in two and chaining via last_stage_starts must
-        // give the same makespan as the fused pipeline when the cut FIFO is
-        // unbounded.
-        let fused = spec(&[("a", 2, 2), ("b", 4, 4), ("c", 1, 1)]);
-        let front = spec(&[("a", 2, 2), ("b", 4, 4)]);
-        let back = spec(&[("c", 1, 1)]);
-        let n = 10;
-        let f = fused.evaluate_uniform(n);
-        let fr = front.evaluate_uniform(n);
-        // arrivals of back stage = times items become ready out of `b`
-        let arrivals: Vec<Cycles> = fr
-            .last_stage_starts()
-            .iter()
-            .map(|&s| s + Cycles::new(4))
-            .collect();
-        let bk = back.evaluate(&arrivals);
-        assert_eq!(f.makespan(), bk.makespan());
     }
 
     #[test]

@@ -82,23 +82,6 @@ pub struct SoftmaxPhase1 {
     sum: f32,
 }
 
-impl SoftmaxPhase1 {
-    /// The global exponent sum that phase 2 blocks on.
-    pub fn sum(&self) -> f32 {
-        self.sum
-    }
-
-    /// Number of scores.
-    pub fn len(&self) -> usize {
-        self.exps.len()
-    }
-
-    /// Whether there were no scores.
-    pub fn is_empty(&self) -> bool {
-        self.exps.is_empty()
-    }
-}
-
 /// Softmax phase 1: numerically-stable exponentials and their global sum.
 pub fn softmax_phase1(scores: &[f32]) -> SoftmaxPhase1 {
     let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -147,15 +130,6 @@ pub fn softmax_into(scores: &[f32], out: &mut Vec<f32>) {
     let inv = 1.0 / sum;
     for e in out.iter_mut() {
         *e *= inv;
-    }
-}
-
-/// Causal mask: positions after `valid_len` are forced to `-inf` so the
-/// subsequent softmax assigns them zero weight — "the mask unit ensures
-/// that only forward attention is kept" (paper Section III-D).
-pub fn causal_mask(scores: &mut [f32], valid_len: usize) {
-    for s in scores.iter_mut().skip(valid_len) {
-        *s = f32::NEG_INFINITY;
     }
 }
 
@@ -236,7 +210,6 @@ mod tests {
     fn phases_compose_to_softmax() {
         let scores = [0.5f32, -1.0, 2.0];
         let p1 = softmax_phase1(&scores);
-        assert_eq!(p1.len(), 3);
         let direct = softmax(&scores);
         let phased = softmax_phase2(&p1);
         assert_eq!(direct, phased);
@@ -245,22 +218,6 @@ mod tests {
     #[test]
     fn empty_softmax_is_empty() {
         assert!(softmax(&[]).is_empty());
-        assert!(softmax_phase1(&[]).is_empty());
-    }
-
-    #[test]
-    fn causal_mask_zeroes_future() {
-        let mut scores = vec![1.0f32; 5];
-        causal_mask(&mut scores, 3);
-        let w = softmax(&scores);
-        assert!(w[3] == 0.0 && w[4] == 0.0);
-        assert!((w[..3].iter().sum::<f32>() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn full_mask_keeps_everything() {
-        let mut scores = vec![1.0f32, 2.0];
-        causal_mask(&mut scores, 2);
-        assert!(scores.iter().all(|s| s.is_finite()));
+        assert!(softmax_phase2(&softmax_phase1(&[])).is_empty());
     }
 }

@@ -9,8 +9,8 @@
 //! * [`matrix`] — row-major dense matrices (owned or zero-copy views
 //!   into a memory-mapped checkpoint arena).
 //! * [`mmap`] — read-only memory-mapped byte arenas backing those views.
-//! * [`quant`] — symmetric per-tensor / per-row quantization and
-//!   SmoothQuant-style activation-difficulty migration.
+//! * [`quant`] — symmetric per-tensor (activation) and per-row (weight)
+//!   int8 quantization.
 //! * [`linear`] — integer GEMV/GEMM and the fused
 //!   dequantize–bias–requantize epilogue performed by the paper's
 //!   quantization unit.

@@ -554,29 +554,6 @@ impl QuantLinear {
             }
         }
     }
-
-    /// Splits this layer by output rows into `parts` equal shards — the
-    /// column-parallel partition used for multi-node execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out_features` is not divisible by `parts`.
-    pub fn shard_rows(&self, parts: usize) -> Vec<QuantLinear> {
-        assert!(parts > 0, "parts must be positive");
-        assert_eq!(
-            self.out_features() % parts,
-            0,
-            "out_features {} not divisible by {parts}",
-            self.out_features()
-        );
-        let chunk = self.out_features() / parts;
-        (0..parts)
-            .map(|p| QuantLinear {
-                weight: self.weight.slice_rows(p * chunk, (p + 1) * chunk),
-                bias: self.bias[p * chunk..(p + 1) * chunk].to_vec(),
-            })
-            .collect()
-    }
 }
 
 /// Reference f32 GEMV for accuracy comparisons.
@@ -646,25 +623,28 @@ mod tests {
 
     #[test]
     fn sharding_tiles_the_output_exactly() {
+        // The engine's column-parallel split: each node's shard is a row
+        // slice of the weights and bias (`QuantizedMatrix::slice_rows`).
         let w = Matrix::from_fn(8, 4, |r, c| (r * 4 + c) as f32 * 0.01);
         let bias: Vec<f32> = (0..8).map(|i| i as f32).collect();
         let lin = QuantLinear::from_f32(&w, &bias).unwrap();
         let x = quantize_vec(&[0.5, -0.5, 0.25, 1.0]);
         let full = lin.forward(&x);
-        let shards = lin.shard_rows(4);
+        let shards: Vec<QuantLinear> = (0..4)
+            .map(|p| {
+                let rows = 2 * p..2 * p + 2;
+                QuantLinear::new(
+                    lin.weight().slice_rows(rows.start, rows.end),
+                    bias[rows].to_vec(),
+                )
+                .unwrap()
+            })
+            .collect();
         let stitched: Vec<f32> = shards.iter().flat_map(|s| s.forward(&x)).collect();
         assert_eq!(full.len(), stitched.len());
         for (a, b) in full.iter().zip(&stitched) {
             assert!((a - b).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn sharding_requires_divisibility() {
-        let w = Matrix::from_fn(6, 2, |_, _| 1.0);
-        let lin = QuantLinear::from_f32(&w, &[0.0; 6]).unwrap();
-        let _ = lin.shard_rows(4);
     }
 
     #[test]

@@ -314,17 +314,6 @@ impl<T: Copy + Default> Matrix<T> {
         &self.data.as_slice()[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable row `r` (copies a mapped matrix to the heap first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
-        assert!(r < self.rows, "row {r} out of bounds");
-        let (start, end) = (r * self.cols, (r + 1) * self.cols);
-        &mut self.data.make_owned()[start..end]
-    }
-
     /// Iterator over rows.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[T]> {
         self.data.as_slice().chunks_exact(self.cols)
@@ -360,25 +349,6 @@ impl<T: Copy + Default> Matrix<T> {
         }
     }
 
-    /// Transposed copy.
-    ///
-    /// Walks the source row by row (each source row scatters into one
-    /// destination column) instead of per-element bounds-checked `get`
-    /// calls — the source side, at least, streams contiguously.
-    pub fn transposed(&self) -> Matrix<T> {
-        let mut data = vec![T::default(); self.rows * self.cols];
-        for (r, row) in self.iter_rows().enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                data[c * self.rows + r] = v;
-            }
-        }
-        Matrix {
-            rows: self.cols,
-            cols: self.rows,
-            data: Buf::Owned(data),
-        }
-    }
-
     /// Underlying row-major buffer.
     pub fn as_slice(&self) -> &[T] {
         self.data.as_slice()
@@ -389,28 +359,6 @@ impl<T: Copy + Default> Matrix<T> {
     pub fn into_vec(self) -> Vec<T> {
         self.data.into_vec()
     }
-
-    /// Vertically stacks `self` on top of `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if column counts differ.
-    pub fn vstack(&self, other: &Matrix<T>) -> Result<Matrix<T>, ShapeError> {
-        if self.cols != other.cols {
-            return Err(ShapeError::new(
-                "vstack",
-                (self.rows, self.cols),
-                (other.rows, other.cols),
-            ));
-        }
-        let mut data = self.data.as_slice().to_vec();
-        data.extend_from_slice(other.data.as_slice());
-        Ok(Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data: Buf::Owned(data),
-        })
-    }
 }
 
 impl Matrix<f32> {
@@ -419,31 +367,6 @@ impl Matrix<f32> {
         self.iter_rows()
             .map(|r| r.iter().fold(0.0f32, |m, &x| m.max(x.abs())))
             .collect()
-    }
-
-    /// Largest absolute value per column (used by SmoothQuant migration).
-    pub fn col_absmax(&self) -> Vec<f32> {
-        let mut maxes = vec![0.0f32; self.cols];
-        for row in self.iter_rows() {
-            for (m, &x) in maxes.iter_mut().zip(row) {
-                *m = m.max(x.abs());
-            }
-        }
-        maxes
-    }
-
-    /// Multiplies column `c` by `factors[c]` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factors.len() != cols`.
-    pub fn scale_cols(&mut self, factors: &[f32]) {
-        assert_eq!(factors.len(), self.cols, "one factor per column");
-        for row in self.data.make_owned().chunks_exact_mut(self.cols) {
-            for (x, &f) in row.iter_mut().zip(factors) {
-                *x *= f;
-            }
-        }
     }
 }
 
@@ -493,17 +416,8 @@ mod tests {
     fn set_and_row_mut() {
         let mut m = Matrix::<i32>::zeros(2, 2);
         m.set(0, 1, 7);
-        m.row_mut(1)[0] = 9;
+        m.set(1, 0, 9);
         assert_eq!(m.as_slice(), &[0, 7, 9, 0]);
-    }
-
-    #[test]
-    fn transpose_round_trips() {
-        let m = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as i32);
-        let t = m.transposed();
-        assert_eq!(t.shape(), (3, 2));
-        assert_eq!(t.get(2, 1), m.get(1, 2));
-        assert_eq!(t.transposed(), m);
     }
 
     #[test]
@@ -516,29 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn vstack_concatenates() {
-        let a = Matrix::from_fn(1, 2, |_, c| c as i32);
-        let b = Matrix::from_fn(2, 2, |r, _| r as i32 + 10);
-        let s = a.vstack(&b).unwrap();
-        assert_eq!(s.shape(), (3, 2));
-        assert_eq!(s.row(0), &[0, 1]);
-        assert_eq!(s.row(2), &[11, 11]);
-        let bad = Matrix::<i32>::zeros(1, 3);
-        assert!(a.vstack(&bad).is_err());
-    }
-
-    #[test]
     fn absmax_helpers() {
         let m = Matrix::from_vec(2, 2, vec![1.0f32, -4.0, 3.0, 2.0]).unwrap();
         assert_eq!(m.row_absmax(), vec![4.0, 3.0]);
-        assert_eq!(m.col_absmax(), vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn scale_cols_applies_per_column() {
-        let mut m = Matrix::from_vec(2, 2, vec![1.0f32, 2.0, 3.0, 4.0]).unwrap();
-        m.scale_cols(&[2.0, 0.5]);
-        assert_eq!(m.as_slice(), &[2.0, 1.0, 6.0, 2.0]);
     }
 
     #[test]

@@ -173,16 +173,6 @@ pub fn residual_add_into(x: &[f32], r: &[f32], out: &mut Vec<f32>) {
     out.extend(x.iter().zip(r).map(|(a, b)| a + b));
 }
 
-/// Fused residual + layernorm (`layernorm(x + r)`), the combined operation
-/// the Fused LN&Res kernel performs with overlapped execution.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn residual_layernorm(x: &[f32], r: &[f32], params: &LayerNormParams) -> Vec<f32> {
-    layernorm(&residual_add(x, r), params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,16 +256,6 @@ mod tests {
     #[test]
     fn residual_is_elementwise_sum() {
         assert_eq!(residual_add(&[1.0, 2.0], &[0.5, -2.0]), vec![1.5, 0.0]);
-    }
-
-    #[test]
-    fn fused_equals_sequential() {
-        let params = LayerNormParams::identity(4);
-        let x = [0.1f32, 0.4, -0.3, 0.9];
-        let r = [1.0f32, -1.0, 0.5, 0.25];
-        let fused = residual_layernorm(&x, &r, &params);
-        let seq = layernorm(&residual_add(&x, &r), &params);
-        assert_eq!(fused, seq);
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Symmetric 8-bit quantization and SmoothQuant migration.
+//! Symmetric 8-bit quantization.
 //!
 //! The paper runs both the accelerator and the A100 baseline under the
 //! SmoothQuant W8A8 scheme (Xiao et al., ICML 2023): symmetric int8 weights
-//! and activations. SmoothQuant's key trick is migrating quantization
-//! difficulty from activations (which have outlier channels) to weights by
-//! a per-channel factor `s_j = max|X_j|^α / max|W_j|^(1−α)`; activations are
-//! divided by `s_j` and weight columns multiplied by it, keeping the product
-//! mathematically unchanged while making both operands int8-friendly.
+//! and activations. This model keeps the int8 arithmetic — one scale per
+//! weight row ([`quantize_matrix_per_row`]) and one per activation token
+//! ([`quantize_vec`], [`quantize_into`]) — and applies no smoothing step.
 
 use crate::matrix::Matrix;
 
@@ -85,11 +83,6 @@ impl QuantizedVector {
     pub fn dequantize(&self) -> Vec<f32> {
         self.data.iter().map(|&q| q as f32 * self.scale).collect()
     }
-
-    /// Bytes occupied by the payload (1 byte/element — what the DMA moves).
-    pub fn byte_len(&self) -> usize {
-        self.data.len()
-    }
 }
 
 /// Quantizes a vector with a per-tensor symmetric scale.
@@ -111,14 +104,6 @@ pub fn quantize_into(xs: &[f32], out: &mut Vec<i8>) -> f32 {
     scale
 }
 
-/// Quantizes a vector reusing a caller-provided (e.g. calibrated) scale.
-pub fn quantize_vec_with_scale(xs: &[f32], scale: f32) -> QuantizedVector {
-    assert!(scale > 0.0 && scale.is_finite(), "scale must be positive");
-    let mut data = vec![0i8; xs.len()];
-    crate::simd::quantize_slice(xs, scale, &mut data);
-    QuantizedVector { data, scale }
-}
-
 /// A weight matrix quantized with one symmetric scale per row
 /// (per output channel).
 #[derive(Debug, Clone, PartialEq)]
@@ -132,26 +117,6 @@ pub struct QuantizedMatrix {
 }
 
 impl QuantizedMatrix {
-    /// Wraps pre-quantized weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row_scales.len() != data.rows()` or any scale is
-    /// non-positive.
-    pub fn new(data: Matrix<i8>, row_scales: Vec<f32>) -> Self {
-        assert_eq!(row_scales.len(), data.rows(), "one scale per row");
-        assert!(
-            row_scales.iter().all(|&s| s > 0.0 && s.is_finite()),
-            "scales must be positive"
-        );
-        let row_sums = data.iter_rows().map(crate::simd::row_sum_i8).collect();
-        QuantizedMatrix {
-            data,
-            row_scales,
-            row_sums,
-        }
-    }
-
     /// Reassembles a matrix from checkpointed parts, trusting the cached
     /// `row_sums` instead of rescanning the payload — the whole point of
     /// a memory-mapped load is *not* to fault every weight page in at
@@ -203,13 +168,6 @@ impl QuantizedMatrix {
         self.data.len()
     }
 
-    /// Reconstructs the real-valued matrix.
-    pub fn dequantize(&self) -> Matrix<f32> {
-        Matrix::from_fn(self.data.rows(), self.data.cols(), |r, c| {
-            self.data.get(r, c) as f32 * self.row_scales[r]
-        })
-    }
-
     /// Rows `[start, end)` with their scales and sums — how weights are
     /// sharded across nodes (column-parallel split of the output dim). The
     /// payload is sliced by [`Matrix::slice_rows`]: a mapped one by view.
@@ -234,44 +192,6 @@ pub fn quantize_matrix_per_row(w: &Matrix<f32>) -> QuantizedMatrix {
         row_scales: scales,
         row_sums,
     }
-}
-
-/// Computes SmoothQuant per-channel migration factors
-/// `s_j = max|X_j|^α / max|W_j|^(1−α)`.
-///
-/// Channels where either statistic is zero get factor 1.0.
-///
-/// # Panics
-///
-/// Panics if the two slices differ in length or `alpha ∉ [0, 1]`.
-pub fn smoothquant_factors(act_absmax: &[f32], weight_col_absmax: &[f32], alpha: f32) -> Vec<f32> {
-    assert_eq!(
-        act_absmax.len(),
-        weight_col_absmax.len(),
-        "statistics must cover the same channels"
-    );
-    assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0,1]");
-    act_absmax
-        .iter()
-        .zip(weight_col_absmax)
-        .map(|(&a, &w)| {
-            if a <= f32::MIN_POSITIVE || w <= f32::MIN_POSITIVE {
-                1.0
-            } else {
-                a.powf(alpha) / w.powf(1.0 - alpha)
-            }
-        })
-        .collect()
-}
-
-/// Applies SmoothQuant: weight columns are multiplied by the factors and a
-/// matching per-channel divisor is returned for the activation side.
-///
-/// Returns the divisors (`activations[j] /= divisors[j]` before
-/// quantization).
-pub fn smooth_weights_in_place(w: &mut Matrix<f32>, factors: &[f32]) -> Vec<f32> {
-    w.scale_cols(factors);
-    factors.to_vec()
 }
 
 #[cfg(test)]
@@ -308,9 +228,9 @@ mod tests {
         // precise even though row 1 needs a coarse scale.
         let w = Matrix::from_vec(2, 2, vec![0.01f32, -0.02, 100.0, 50.0]).unwrap();
         let q = quantize_matrix_per_row(&w);
-        let back = q.dequantize();
-        assert!((back.get(0, 1) + 0.02).abs() < 0.001);
-        assert!((back.get(1, 0) - 100.0).abs() < 1.0);
+        let back = |r: usize, c: usize| q.data().get(r, c) as f32 * q.row_scales()[r];
+        assert!((back(0, 1) + 0.02).abs() < 0.001);
+        assert!((back(1, 0) - 100.0).abs() < 1.0);
     }
 
     #[test]
@@ -323,50 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn smoothquant_balances_magnitudes() {
-        // alpha=0.5: s_j = sqrt(a_j / w_j); after migration both sides have
-        // effective max sqrt(a_j * w_j).
-        let factors = smoothquant_factors(&[16.0, 4.0], &[1.0, 1.0], 0.5);
-        assert!((factors[0] - 4.0).abs() < 1e-5);
-        assert!((factors[1] - 2.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn smoothquant_identity_at_degenerate_channels() {
-        let factors = smoothquant_factors(&[0.0, 2.0], &[1.0, 0.0], 0.5);
-        assert_eq!(factors, vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn smoothing_preserves_the_matvec_product() {
-        // (W * diag(s)) @ (x / s) == W @ x
-        let mut w = Matrix::from_vec(2, 3, vec![1.0f32, 2.0, 3.0, -1.0, 0.5, 4.0]).unwrap();
-        let x = [2.0f32, 8.0, 1.0];
-        let reference: Vec<f32> = (0..2)
-            .map(|r| w.row(r).iter().zip(&x).map(|(a, b)| a * b).sum())
-            .collect();
-        let factors = smoothquant_factors(&[2.0, 8.0, 1.0], &w.col_absmax(), 0.5);
-        let divisors = smooth_weights_in_place(&mut w, &factors);
-        let x_smooth: Vec<f32> = x.iter().zip(&divisors).map(|(a, d)| a / d).collect();
-        let smoothed: Vec<f32> = (0..2)
-            .map(|r| w.row(r).iter().zip(&x_smooth).map(|(a, b)| a * b).sum())
-            .collect();
-        for (a, b) in reference.iter().zip(&smoothed) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn quantize_with_calibrated_scale() {
-        let q = quantize_vec_with_scale(&[1.0, 2.0], 0.1);
-        assert_eq!(q.data(), &[10, 20]);
-        assert_eq!(q.byte_len(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "one scale per row")]
     fn scale_count_mismatch_panics() {
-        let _ = QuantizedMatrix::new(Matrix::zeros(2, 2), vec![1.0]);
+        let _ = QuantizedMatrix::from_parts(Matrix::zeros(2, 2), vec![1.0], vec![0, 0]);
     }
 
     #[test]

@@ -2,13 +2,11 @@
 
 use proptest::prelude::*;
 
-use looplynx_tensor::activation::{causal_mask, softmax};
+use looplynx_tensor::activation::softmax;
 use looplynx_tensor::linear::{gemv_f32, gemv_i32, QuantLinear};
 use looplynx_tensor::matrix::Matrix;
 use looplynx_tensor::norm::{layernorm, residual_add, LayerNormParams};
-use looplynx_tensor::quant::{
-    quantize_vec, scale_for, smooth_weights_in_place, smoothquant_factors,
-};
+use looplynx_tensor::quant::{quantize_vec, scale_for};
 
 fn arb_f32_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec((-100i32..100).prop_map(|x| x as f32 / 10.0), len)
@@ -93,7 +91,9 @@ proptest! {
         }
     }
 
-    /// Row sharding a linear then stitching outputs equals the full layer.
+    /// Row sharding a linear (each shard a row slice of the weights and
+    /// bias, as the engine splits them across nodes) then stitching the
+    /// outputs equals the full layer.
     #[test]
     fn shard_stitching_exact(parts in prop::sample::select(vec![1usize, 2, 4, 8]), seed in 0u64..500) {
         let rows = 16usize;
@@ -105,7 +105,13 @@ proptest! {
         let lin = QuantLinear::from_f32(&w, &bias).unwrap();
         let x = quantize_vec(&(0..cols).map(|i| i as f32 / 8.0).collect::<Vec<_>>());
         let full = lin.forward(&x);
-        let stitched: Vec<f32> = lin.shard_rows(parts).iter().flat_map(|s| s.forward(&x)).collect();
+        let chunk = rows / parts;
+        let stitched: Vec<f32> = (0..parts)
+            .flat_map(|p| {
+                let (a, b) = (p * chunk, (p + 1) * chunk);
+                QuantLinear::new(lin.weight().slice_rows(a, b), bias[a..b].to_vec()).unwrap().forward(&x)
+            })
+            .collect();
         prop_assert_eq!(full, stitched);
     }
 
@@ -117,18 +123,6 @@ proptest! {
         prop_assert!(w.iter().all(|&p| (0.0..=1.0 + 1e-6).contains(&p)));
         let sum: f32 = w.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-4, "sum {sum}");
-    }
-
-    /// Masked positions get exactly zero softmax weight.
-    #[test]
-    fn mask_zeroes_future(scores in arb_f32_vec(2..32), split in 1usize..31) {
-        let mut s = scores;
-        let valid = split.min(s.len() - 1).max(1);
-        causal_mask(&mut s, valid);
-        let w = softmax(&s);
-        prop_assert!(w[valid..].iter().all(|&p| p == 0.0));
-        let sum: f32 = w[..valid].iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-4);
     }
 
     /// Layernorm output always has ~zero mean and ~unit variance under
@@ -153,25 +147,5 @@ proptest! {
             .map(|(i, _)| ((seed as usize + i) % 100) as f32 / 10.0)
             .collect();
         prop_assert_eq!(residual_add(&a, &b), residual_add(&b, &a));
-    }
-
-    /// SmoothQuant migration preserves the real-valued product.
-    #[test]
-    fn smoothquant_preserves_product(seed in 0u64..1000, alpha_pct in 0u32..=100) {
-        let cols = 6usize;
-        let rows = 4usize;
-        let alpha = alpha_pct as f32 / 100.0;
-        let mut w = Matrix::from_fn(rows, cols, |r, c| {
-            ((seed as usize + r * 7 + c * 13) % 100) as f32 / 25.0 - 2.0
-        });
-        let x: Vec<f32> = (0..cols).map(|i| ((seed as usize + i * 3) % 64) as f32 / 8.0 + 0.1).collect();
-        let reference = gemv_f32(&w, &x).unwrap();
-        let factors = smoothquant_factors(&x.iter().map(|v| v.abs()).collect::<Vec<_>>(), &w.col_absmax(), alpha);
-        let div = smooth_weights_in_place(&mut w, &factors);
-        let x_s: Vec<f32> = x.iter().zip(&div).map(|(v, d)| v / d).collect();
-        let migrated = gemv_f32(&w, &x_s).unwrap();
-        for (a, b) in reference.iter().zip(&migrated) {
-            prop_assert!((a - b).abs() < 1e-2 * (1.0 + a.abs()), "{a} vs {b}");
-        }
     }
 }

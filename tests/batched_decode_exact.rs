@@ -84,7 +84,7 @@ fn batched_generations(
         for (s, &at) in admit_at.iter().enumerate() {
             if at == iteration {
                 let slot = eng.acquire_slot().expect("enough slots");
-                let logits = eng.prefill_slot(slot, &prompts[s]);
+                let logits = eng.prefill_slot_chunk(slot, &prompts[s], true).unwrap();
                 tokens[s].push(samplers[s].sample(&logits));
                 last_logits[s] = logits;
                 slots[s] = Some(slot);

@@ -4,7 +4,7 @@
 use looplynx::core::host::HostModel;
 use looplynx::core::memory::hbm_budget;
 use looplynx::core::{ArchConfig, LoopLynx};
-use looplynx::model::eval::evaluate;
+use looplynx::model::eval::Perplexity;
 use looplynx::model::gpt2::Gpt2Model;
 use looplynx::model::ModelConfig;
 
@@ -111,8 +111,12 @@ fn perplexity_api_round_trips_through_facade() {
     let cfg = ModelConfig::tiny();
     let mut m = Gpt2Model::synthetic(&cfg, 123);
     let tokens: Vec<u32> = (0..20).map(|i| (i * 7 % 256) as u32).collect();
-    let ppl = evaluate(&mut m, &tokens);
-    assert_eq!(ppl.tokens(), 19);
+    let mut ppl = Perplexity::new();
+    let mut logits = m.prefill(&tokens[..1]);
+    for &next in &tokens[1..] {
+        ppl.add(&logits, next);
+        logits = m.decode_step(next);
+    }
     assert!(ppl.perplexity() > 1.0);
     assert!(ppl.cross_entropy() > 0.0);
 }
