@@ -1,10 +1,10 @@
-//! Micro-benchmarks of the overhauled functional hot path: the SIMD int8
-//! dot, blocked GEMM vs the naive reference, the arena-backed attention
-//! loop (one decode query, and a 32-row prefill chunk's causal queries),
-//! the stage prologue's layer norm → quantize over a batch of rows, and
-//! the f32 critical-path operators (layernorm / GELU / softmax /
-//! quantize), so regressions in any single stage are visible in
-//! isolation.
+//! Micro-benchmarks of the functional hot path: the SIMD int8 dot, the
+//! quantized linear as the engine calls it (`forward_batch_scaled_into`
+//! at 1 and 16 rows), the arena-backed attention loop (one decode query,
+//! and a 32-row prefill chunk's causal queries), the stage prologue's
+//! layer norm → quantize over a batch of rows, and the f32 critical-path
+//! operators (layernorm / GELU / softmax / quantize), so regressions in
+//! any single stage are visible in isolation.
 
 use std::hint::black_box;
 
@@ -13,10 +13,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use looplynx_model::attention::{attend_heads_segments_into, AttnScratch};
 use looplynx_model::kv_cache::LayerKvCache;
 use looplynx_tensor::activation::{gelu_vec, softmax_into};
-use looplynx_tensor::linear::{gemm_i32, gemm_i32_naive, gemv_i32_into, QuantLinear};
+use looplynx_tensor::linear::QuantLinear;
 use looplynx_tensor::matrix::Matrix;
 use looplynx_tensor::norm::{layernorm, layernorm_quantize_rows, LayerNormParams};
-use looplynx_tensor::quant::{quantize_into, quantize_vec};
+use looplynx_tensor::quant::quantize_into;
 use looplynx_tensor::simd::{dot_i8_i32, dot_i8_i32_scalar};
 
 fn i8_vec(len: usize, seed: usize) -> Vec<i8> {
@@ -46,25 +46,18 @@ fn bench_dot(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gemv(c: &mut Criterion) {
-    let w = Matrix::from_fn(1024, 1024, |r, c2| ((r * 31 + c2 * 7) % 255) as i8 - 127);
-    let x = i8_vec(1024, 3);
-    let mut out = Vec::new();
-    c.bench_function("gemv_i32_into_1024x1024", |b| {
-        b.iter(|| gemv_i32_into(black_box(&w), black_box(&x), &mut out).expect("shapes"))
-    });
-}
-
-fn bench_gemm(c: &mut Criterion) {
-    let w = Matrix::from_fn(1024, 1024, |r, c2| ((r * 31 + c2 * 7) % 255) as i8 - 127);
-    let x = Matrix::from_fn(16, 1024, |t, c2| ((t * 11 + c2) % 255) as i8 - 127);
-    let mut group = c.benchmark_group("gemm_16x1024x1024");
-    group.bench_function("blocked", |b| {
-        b.iter(|| gemm_i32(black_box(&w), black_box(&x)).expect("shapes"))
-    });
-    group.bench_function("naive", |b| {
-        b.iter(|| gemm_i32_naive(black_box(&w), black_box(&x)).expect("shapes"))
-    });
+fn bench_linear(c: &mut Criterion) {
+    let w = Matrix::from_fn(1024, 1024, |r, c2| ((r + c2) as f32 * 0.001).sin() * 0.1);
+    let lin = QuantLinear::from_f32(&w, &vec![0.0f32; 1024]).expect("bias");
+    let (mut acc, mut out) = (Vec::new(), Vec::new());
+    let mut group = c.benchmark_group("quantlinear_1024x1024");
+    for rows in [1usize, 16] {
+        let x = Matrix::from_fn(rows, 1024, |t, c2| ((t * 11 + c2) % 255) as i8 - 127);
+        let scales = vec![0.01f32; rows];
+        group.bench_with_input(BenchmarkId::new("batch_scaled", rows), &rows, |b, _| {
+            b.iter(|| lin.forward_batch_scaled_into(black_box(&x), &scales, &mut acc, &mut out))
+        });
+    }
     group.finish();
 }
 
@@ -148,20 +141,12 @@ fn bench_critical_path_ops(c: &mut Criterion) {
     c.bench_function("quantize_into_1024", |b| {
         b.iter(|| quantize_into(black_box(&x), &mut q8))
     });
-    let w = Matrix::from_fn(1024, 1024, |r, c2| ((r + c2) as f32 * 0.001).sin() * 0.1);
-    let lin = QuantLinear::from_f32(&w, &vec![0.0f32; 1024]).expect("bias");
-    let xq = quantize_vec(&x);
-    let mut out = Vec::new();
-    c.bench_function("quantlinear_forward_into_1024x1024", |b| {
-        b.iter(|| lin.forward_into(black_box(&xq), &mut out))
-    });
 }
 
 criterion_group!(
     benches,
     bench_dot,
-    bench_gemv,
-    bench_gemm,
+    bench_linear,
     bench_attend,
     bench_critical_path_ops
 );

@@ -1,5 +1,5 @@
-//! Hot-path wall-clock benchmark: functional prefill/decode tokens/s at
-//! 1/2/4 ring nodes plus the serve_sweep saturation wall-clock, written to
+//! Hot-path wall-clock benchmark: medium-shaped batch-1 decode tok/s at
+//! 1/2/4 ring nodes (median, min and max over the timed reps), written to
 //! `BENCH_hotpath.json` (pass `--quick` for the CI-sized workload, and an
 //! optional output path as the other argument).
 

@@ -311,26 +311,16 @@ pub struct Fig8Data {
     pub mean_energy_efficiency: [f64; 3],
 }
 
-/// Fig. 8: latency and energy efficiency vs the A100 across the full grid.
+/// Fig. 8: latency and energy efficiency vs the A100 across the full grid
+/// ([`FIG8_SETTINGS`]).
 pub fn fig8(model: &ModelConfig) -> Fig8Data {
-    fig8_with(model, &FIG8_SETTINGS)
-}
-
-/// Fig. 8 over a custom `[prefill:decode]` setting list (used by fast
-/// tests; the paper grid is [`FIG8_SETTINGS`]).
-///
-/// # Panics
-///
-/// Panics if `settings` is empty.
-pub fn fig8_with(model: &ModelConfig, settings: &[(usize, usize)]) -> Fig8Data {
-    assert!(!settings.is_empty(), "need at least one setting");
     let engines: Vec<LoopLynx> = [1usize, 2, 4].iter().map(|&n| engine(model, n)).collect();
     let gpu = A100Model::paper_baseline();
     let mut cells = Vec::new();
     let mut speedups = [Vec::new(), Vec::new(), Vec::new()];
     let mut efracs = [Vec::new(), Vec::new(), Vec::new()];
     let mut effs = [Vec::new(), Vec::new(), Vec::new()];
-    for &(prefill, decode) in settings {
+    for (prefill, decode) in FIG8_SETTINGS {
         let g = gpu.generation(model, prefill, decode);
         let mut latency = [0.0f64; 4];
         let mut tpj = [0.0f64; 4];

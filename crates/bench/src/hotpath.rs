@@ -1,118 +1,84 @@
-//! Wall-clock hot-path benchmark: functional prefill/decode throughput.
+//! Wall-clock decode at 1, 2 and 4 ring nodes: the one functional cell
+//! the repo benchmark does not build.
 //!
-//! Unlike the cycle-accurate experiments (which *simulate* the
-//! accelerator), this module measures how fast the host actually executes
-//! the functional W8A8 engine — the code path whose memory layout and
-//! kernel blocking the hot-path overhaul targets. It times:
-//!
-//! * prefill tokens/s and decode tokens/s of [`DistributedGpt2`] at
-//!   1/2/4 ring nodes, on [`ModelConfig::tiny`] and a
-//!   [`medium_shaped`] config (gpt2-medium per-layer geometry with fewer
-//!   layers and a small vocabulary so the run stays CI-sized);
-//! * the wall-clock of one saturation-rate offered-load sweep cell
-//!   (the `serve_sweep` hot loop, which is simulator-bound).
-//!
-//! The `hotpath` binary renders the report as `BENCH_hotpath.json`,
-//! embedding the pre-overhaul baseline ([`BASELINE`]) so every future run
-//! reports its speedup against the state of the tree before the arena /
-//! blocked-GEMM / threading changes landed.
+//! The repo benchmark (`src/bin/benchmark`, a package of its own)
+//! measures the functional engine end to end and stage by stage, at 1
+//! and 2 ring nodes. This module times batch-1 decode of a
+//! gpt2-medium-shaped model (`medium_shaped`) at 1, 2 and 4 nodes, so
+//! the 4-node number has a committed source. Each cell runs
+//! `WARM_UP` (2 s) of untimed decode first, then [`MEASURE_REPS`] timed
+//! reps, and reports their median tok/s with its min and max. The
+//! `hotpath` binary writes the report as `BENCH_hotpath.json`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use looplynx_core::engine::DistributedGpt2;
 use looplynx_core::router::RingMode;
 use looplynx_model::config::ModelConfig;
 use looplynx_model::gpt2::Gpt2Model;
 
-use crate::experiments;
-use crate::report::{best_of, fields, Json};
+use crate::report::{fields, Json, MEASURE_REPS};
+
+const _: () = assert!(MEASURE_REPS % 2 == 1, "the median is the middle rep");
 
 /// Ring sizes measured.
-pub const NODE_COUNTS: [usize; 3] = [1, 2, 4];
+const NODE_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Decode tokens/s of the **pre-overhaul** tree (nested-Vec KV cache,
-/// unblocked GEMM, sequential node loop), measured on this repo at the
-/// commit immediately before the hot-path overhaul with
-/// `hotpath --quick`. Pinned here so `BENCH_hotpath.json` always carries
-/// the before/after comparison the overhaul is judged by.
-pub const BASELINE: Baseline = Baseline {
-    captured_at: "pre-overhaul (best of 3 quick runs before PR 4 landed)",
-    tiny_decode_tok_s_1node: 20_693.0,
-    tiny_prefill_tok_s_1node: 26_321.0,
-    medium_decode_tok_s_1node: 67.99,
-};
+/// Untimed decode before each ring size's timed reps. A process that was
+/// idle or single-threaded (model synthesis takes seconds) runs its first
+/// ~1.6 s of pooled work with both threads on one vCPU, at about a third
+/// of the steady rate; five timed reps fit inside that window.
+const WARM_UP: Duration = Duration::from_secs(2);
 
-/// Pre-change reference numbers baked into the report.
+/// Batch-1 decode throughput at one ring size.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Baseline {
-    /// Where the numbers come from.
-    pub captured_at: &'static str,
-    /// Decode tokens/s, `ModelConfig::tiny()`, 1 node.
-    pub tiny_decode_tok_s_1node: f64,
-    /// Prefill tokens/s, `ModelConfig::tiny()`, 1 node.
-    pub tiny_prefill_tok_s_1node: f64,
-    /// Decode tokens/s, [`medium_shaped`], 1 node.
-    pub medium_decode_tok_s_1node: f64,
-}
-
-/// One measured phase at one ring size.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhasePoint {
+pub struct DecodeCell {
     /// Ring size.
     pub nodes: usize,
-    /// Tokens processed in the timed region.
+    /// Tokens decoded per rep, after a prompt of as many tokens.
     pub tokens: usize,
-    /// Wall-clock seconds of the timed region.
-    pub wall_s: f64,
+    /// Median tokens/s over the reps.
+    pub tok_s: f64,
+    /// Slowest rep's tokens/s.
+    pub tok_s_min: f64,
+    /// Fastest rep's tokens/s.
+    pub tok_s_max: f64,
 }
 
-impl PhasePoint {
-    /// Throughput in tokens per second (0.0 for a degenerate measurement).
-    pub fn tokens_per_second(&self) -> f64 {
-        if self.wall_s <= 0.0 {
-            return 0.0;
-        }
-        self.tokens as f64 / self.wall_s
-    }
-}
-
-/// Hot-path measurements of one model configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelHotpath {
-    /// Config name (`tiny`, `medium-shaped`).
-    pub model: String,
-    /// Prefill tokens/s per ring size.
-    pub prefill: Vec<PhasePoint>,
-    /// Decode tokens/s per ring size.
-    pub decode: Vec<PhasePoint>,
-}
-
-impl ModelHotpath {
-    /// Decode tokens/s at the given ring size (0.0 if not measured).
-    pub fn decode_tok_s(&self, nodes: usize) -> f64 {
-        self.decode
+impl DecodeCell {
+    /// The cell of `walls_s`, one timed rep's seconds each (a rep that
+    /// read no time reads 0 tok/s, not infinity). The median is the
+    /// middle rep: [`MEASURE_REPS`] is odd.
+    fn from_walls(nodes: usize, tokens: usize, walls_s: &[f64]) -> Self {
+        let mut rates: Vec<f64> = walls_s
             .iter()
-            .find(|p| p.nodes == nodes)
-            .map_or(0.0, PhasePoint::tokens_per_second)
+            .map(|&w| if w > 0.0 { tokens as f64 / w } else { 0.0 })
+            .collect();
+        rates.sort_by(f64::total_cmp);
+        DecodeCell {
+            nodes,
+            tokens,
+            tok_s: rates[rates.len() / 2],
+            tok_s_min: rates[0],
+            tok_s_max: rates[rates.len() - 1],
+        }
     }
 }
 
-/// The full hot-path report.
+/// The hot-path report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HotpathReport {
-    /// Per-model prefill/decode measurements.
-    pub models: Vec<ModelHotpath>,
-    /// Wall-clock seconds of one saturation offered-load sweep cell.
-    pub serve_sweep_wall_s: f64,
     /// Whether the run used the reduced `--quick` workload.
     pub quick: bool,
+    /// One cell per ring size.
+    pub cells: Vec<DecodeCell>,
 }
 
 /// A config with gpt2-medium's per-layer geometry (d=1024, 16 heads,
 /// d_ff=4096) but few layers and a small vocabulary, so the benchmark
-/// exercises realistic GEMV/GEMM/attention shapes without a 355 MB weight
+/// exercises realistic GEMM and attention shapes without a 355 MB weight
 /// build.
-pub fn medium_shaped() -> ModelConfig {
+fn medium_shaped() -> ModelConfig {
     ModelConfig {
         name: "medium-shaped".into(),
         layers: 4,
@@ -124,132 +90,63 @@ pub fn medium_shaped() -> ModelConfig {
     }
 }
 
-/// Measures prefill and decode throughput of `cfg` at each ring size.
-///
-/// `prefill_tokens` tokens are prefilled in the timed prefill region,
-/// then `decode_tokens` decode steps are timed. One untimed warm-up
-/// generation runs first at each ring size, then the timed repetitions;
-/// each phase reports its best one ([`best_of`]).
-pub fn measure_model(
-    cfg: &ModelConfig,
-    prefill_tokens: usize,
-    decode_tokens: usize,
-) -> ModelHotpath {
-    assert!(
-        prefill_tokens + decode_tokens <= cfg.max_seq,
-        "workload exceeds max_seq"
-    );
+/// Times `tokens` decode steps after a `tokens`-token prompt on `cfg` at
+/// each ring size: `warm_up` of untimed reps, then [`MEASURE_REPS`] timed
+/// ones.
+fn measure_model(cfg: &ModelConfig, tokens: usize, warm_up: Duration) -> Vec<DecodeCell> {
+    assert!(2 * tokens <= cfg.max_seq, "workload exceeds max_seq");
     let reference = Gpt2Model::synthetic(cfg, 4207);
-    let prompt: Vec<u32> = (0..prefill_tokens)
-        .map(|i| (i * 31 % cfg.vocab.min(256)) as u32)
-        .collect();
-    let mut prefill = Vec::new();
-    let mut decode = Vec::new();
-    for nodes in NODE_COUNTS {
-        let mut eng =
-            DistributedGpt2::new(&reference, nodes, RingMode::Exact).expect("partitionable");
-        // Warm-up: touch every weight shard and the allocator once.
-        eng.prefill(&prompt[..prefill_tokens.min(4)]);
-
-        let (best_prefill, best_decode) = best_of(
-            || {
+    let vocab = cfg.vocab.min(256);
+    let prompt: Vec<u32> = (0..tokens).map(|i| (i * 31 % vocab) as u32).collect();
+    NODE_COUNTS
+        .iter()
+        .map(|&nodes| {
+            let mut eng =
+                DistributedGpt2::new(&reference, nodes, RingMode::Exact).expect("partitionable");
+            let mut rep = || {
                 eng.reset();
-                let t0 = Instant::now();
                 let mut logits = eng.prefill(&prompt);
-                let prefill_s = t0.elapsed().as_secs_f64();
-
-                let t1 = Instant::now();
-                for _ in 0..decode_tokens {
+                let t0 = Instant::now();
+                for _ in 0..tokens {
                     // Greedy-ish deterministic feedback, no sampler overhead.
-                    let next = (logits[0].abs() as usize % cfg.vocab.min(256)) as u32;
+                    let next = (logits[0].abs() as usize % vocab) as u32;
                     logits = eng.decode_step(next);
                 }
-                (prefill_s, t1.elapsed().as_secs_f64())
-            },
-            |a, b| (a.0.min(b.0), a.1.min(b.1)),
-        );
-        prefill.push(PhasePoint {
-            nodes,
-            tokens: prefill_tokens,
-            wall_s: best_prefill,
-        });
-        decode.push(PhasePoint {
-            nodes,
-            tokens: decode_tokens,
-            wall_s: best_decode,
-        });
-    }
-    ModelHotpath {
-        model: cfg.name.clone(),
-        prefill,
-        decode,
-    }
-}
-
-/// Runs the full hot-path benchmark. `quick` shrinks the workload to a
-/// CI-friendly size (same shapes, fewer tokens/requests).
-pub fn measure(quick: bool) -> HotpathReport {
-    let tiny = ModelConfig::tiny();
-    let (tiny_prefill, tiny_decode) = (24, 39);
-    let models = if quick {
-        vec![
-            measure_model(&tiny, tiny_prefill, tiny_decode),
-            measure_model(&medium_shaped(), 8, 8),
-        ]
-    } else {
-        vec![
-            measure_model(&tiny, tiny_prefill, tiny_decode),
-            measure_model(&medium_shaped(), 32, 32),
-        ]
-    };
-    let requests = if quick { 8 } else { 32 };
-    let t0 = Instant::now();
-    let _ = experiments::offered_load_sweep_with(
-        &ModelConfig::gpt2_medium(),
-        &[1, 2, 4],
-        &[20.0],
-        requests,
-        8,
-    );
-    HotpathReport {
-        models,
-        serve_sweep_wall_s: t0.elapsed().as_secs_f64(),
-        quick,
-    }
-}
-
-/// The report (plus the pinned [`BASELINE`]) as a JSON document.
-pub fn to_json(report: &HotpathReport) -> Json {
-    let points = |points: &[PhasePoint]| {
-        Json::arr(points, |p| {
-            let mut point = fields![p; nodes, tokens, wall_s];
-            point.push(("tok_per_s", p.tokens_per_second().into()));
-            Json::Obj(point)
+                t0.elapsed().as_secs_f64()
+            };
+            let start = Instant::now();
+            while start.elapsed() < warm_up {
+                rep();
+            }
+            let walls: Vec<f64> = (0..MEASURE_REPS).map(|_| rep()).collect();
+            DecodeCell::from_walls(nodes, tokens, &walls)
         })
-    };
-    let models = Json::arr(&report.models, |m| {
-        Json::Obj(vec![
-            ("model", m.model.as_str().into()),
-            ("prefill", points(&m.prefill)),
-            ("decode", points(&m.decode)),
-        ])
-    });
-    let tiny_decode = report
-        .models
-        .iter()
-        .find(|m| m.model == "tiny")
-        .map_or(0.0, |m| m.decode_tok_s(1));
-    let speedup = tiny_decode / BASELINE.tiny_decode_tok_s_1node;
-    let baseline = fields![
-        BASELINE; captured_at, tiny_prefill_tok_s_1node, tiny_decode_tok_s_1node,
-        medium_decode_tok_s_1node
-    ];
+        .collect()
+}
+
+/// Runs the hot-path benchmark. `quick` shrinks each rep from 32 to 8
+/// tokens (same shapes, same warm-up).
+pub fn measure(quick: bool) -> HotpathReport {
+    let tokens = if quick { 8 } else { 32 };
+    HotpathReport {
+        quick,
+        cells: measure_model(&medium_shaped(), tokens, WARM_UP),
+    }
+}
+
+/// The report as a JSON document.
+pub fn to_json(report: &HotpathReport) -> Json {
     Json::Obj(vec![
-        ("baseline", Json::Obj(baseline)),
         ("quick", report.quick.into()),
-        ("models", models),
-        ("tiny_decode_speedup_vs_baseline", speedup.into()),
-        ("serve_sweep_wall_s", report.serve_sweep_wall_s.into()),
+        ("model", medium_shaped().name.as_str().into()),
+        ("warm_up_s", WARM_UP.as_secs_f64().into()),
+        ("reps", MEASURE_REPS.into()),
+        (
+            "cells",
+            Json::arr(&report.cells, |c| {
+                Json::Obj(fields![c; nodes, tokens, tok_s, tok_s_min, tok_s_max])
+            }),
+        ),
     ])
 }
 
@@ -259,39 +156,38 @@ mod tests {
 
     #[test]
     fn tiny_measurement_produces_positive_rates() {
-        let m = measure_model(&ModelConfig::tiny(), 8, 8);
-        assert_eq!(m.prefill.len(), NODE_COUNTS.len());
-        assert_eq!(m.decode.len(), NODE_COUNTS.len());
-        for p in m.prefill.iter().chain(&m.decode) {
-            assert!(p.tokens_per_second() > 0.0, "degenerate point {p:?}");
+        let cells = measure_model(&ModelConfig::tiny(), 8, Duration::ZERO);
+        let nodes: Vec<usize> = cells.iter().map(|c| c.nodes).collect();
+        assert_eq!(nodes, NODE_COUNTS);
+        for c in &cells {
+            assert!(
+                0.0 < c.tok_s_min && c.tok_s_min <= c.tok_s && c.tok_s <= c.tok_s_max,
+                "degenerate cell {c:?}"
+            );
         }
+    }
+
+    #[test]
+    fn cell_reports_median_min_and_max() {
+        let cell = DecodeCell::from_walls(2, 8, &[0.5, 0.25, 1.0, 2.0, 0.125]);
+        assert_eq!(
+            (cell.tok_s_min, cell.tok_s, cell.tok_s_max),
+            (4.0, 16.0, 64.0)
+        );
     }
 
     #[test]
     fn json_is_wellformed_enough() {
         let report = HotpathReport {
-            models: vec![ModelHotpath {
-                model: "tiny".into(),
-                prefill: vec![PhasePoint {
-                    nodes: 1,
-                    tokens: 8,
-                    wall_s: 0.5,
-                }],
-                decode: vec![PhasePoint {
-                    nodes: 1,
-                    tokens: 8,
-                    wall_s: 0.25,
-                }],
-            }],
-            serve_sweep_wall_s: 1.0,
             quick: true,
+            cells: vec![DecodeCell::from_walls(1, 8, &[0.25])],
         };
         let j = to_json(&report);
         // What CI's gate reads.
-        assert!(matches!(j.get("models"), Some(Json::Arr(models)) if models.len() == 1));
+        assert!(matches!(j.get("cells"), Some(Json::Arr(cells)) if cells.len() == 1));
         let text = j.render();
-        assert!(text.contains("\"baseline\""));
-        assert!(text.contains("\"tok_per_s\": 32.0000"));
+        assert!(text.contains("\"tok_s\": 32.0000"), "{text}");
+        assert!(text.contains("\"tok_s_min\": 32.0000"), "{text}");
     }
 
     #[test]
@@ -306,11 +202,7 @@ mod tests {
 
     #[test]
     fn degenerate_phase_point_is_finite() {
-        let p = PhasePoint {
-            nodes: 1,
-            tokens: 4,
-            wall_s: 0.0,
-        };
-        assert_eq!(p.tokens_per_second(), 0.0);
+        let cell = DecodeCell::from_walls(1, 4, &[0.0]);
+        assert_eq!((cell.tok_s, cell.tok_s_max), (0.0, 0.0));
     }
 }

@@ -1,10 +1,9 @@
 //! # looplynx-bench — experiment harness
 //!
-//! One function per table/figure of the LoopLynx paper, shared between the
-//! `src/bin/*` report binaries and the Criterion benches. Each function
-//! returns structured data (so tests can assert the *shape* of the
-//! results) and offers a `render` that prints rows comparable
-//! one-for-one with the paper.
+//! One function per table/figure of the LoopLynx paper, called by the
+//! `src/bin/*` report binaries. Each function returns structured data
+//! (so tests can assert the *shape* of the results) and offers a
+//! `render` that prints rows comparable one-for-one with the paper.
 //!
 //! | Paper artifact | Function | Binary |
 //! |---|---|---|
@@ -23,12 +22,11 @@
 //! [`chaos`] (binary `chaos`) is the robustness gate: it replays
 //! bursty/overload traces through the fault-tolerant gateway under
 //! injected faults and verifies conservation, bit-exact completions,
-//! and graceful goodput degradation. [`prefix`] (binary `prefix`)
-//! replays a multi-turn chat trace with the prefix cache on and off at
-//! equal arena bytes, reporting prefill amplification and hit rate.
-//! [`hotpath`], [`serve_functional`], [`prefix`], [`chaos`] and the
-//! `report` bin write their `BENCH_*.json` through the one path in
-//! [`report`].
+//! and graceful goodput degradation. [`hotpath`] (binary `hotpath`)
+//! times medium-shaped batch-1 decode at 1, 2 and 4 ring nodes, the one
+//! functional cell the repo benchmark (`src/bin/benchmark`, its own
+//! package) does not build. [`hotpath`], [`chaos`] and the `report` bin
+//! write their `BENCH_*.json` through the one path in [`report`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -37,6 +35,4 @@ pub mod chaos;
 pub mod experiments;
 pub mod hotpath;
 pub mod paper;
-pub mod prefix;
 pub mod report;
-pub mod serve_functional;

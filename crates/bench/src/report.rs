@@ -1,28 +1,16 @@
-//! The one report path of the `BENCH_*.json` binaries (`hotpath`,
-//! `serve_functional`, `prefix`, `chaos`, `report`): the repetition policy
-//! ([`MEASURE_REPS`], [`best_of`]), a [`Json`] value with one renderer —
-//! what a bin prints is what it writes — the [`machine`] fingerprint, and
-//! the driver every bin's `main` is a call into ([`run_bin`]).
+//! The one report path of the `BENCH_*.json` binaries (`hotpath`, `chaos`,
+//! `report`): the repetition count ([`MEASURE_REPS`]), a [`Json`] value
+//! with one renderer — what a bin prints is what it writes — the
+//! [`machine`] fingerprint, and [`run_bin`], which every bin's `main`
+//! calls.
 
 use std::fmt::Write as _;
 
 use looplynx_tensor::simd;
 
-/// Timed repetitions of every measured cell. [`best_of`] keeps the best,
-/// the standard way to strip scheduler noise out of a wall-clock benchmark
-/// (the baselines pinned in the reports are best-of too, so comparisons
-/// stay like-for-like).
+/// Timed repetitions of every measured cell. A cell reports their median
+/// and its min / max, so a reader sees the spread the median came from.
 pub const MEASURE_REPS: usize = 5;
-
-/// Runs `rep` [`MEASURE_REPS`] times and folds the outcomes with `keep`:
-/// `f64::min` for a wall time, `f64::max` for a throughput, a closure for
-/// an outcome that carries more than its score.
-pub fn best_of<T>(rep: impl FnMut() -> T, keep: impl FnMut(T, T) -> T) -> T {
-    std::iter::repeat_with(rep)
-        .take(MEASURE_REPS)
-        .reduce(keep)
-        .expect("MEASURE_REPS is positive")
-}
 
 /// A JSON value. Objects keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -301,19 +289,6 @@ mod tests {
         );
         assert!(matches!(doc.get("cells"), Some(Json::Arr(cells)) if cells.len() == 2));
         assert_eq!(doc.get("absent"), None);
-    }
-
-    #[test]
-    fn best_of_folds_every_repetition() {
-        let mut reps = 0;
-        let best = best_of(
-            || {
-                reps += 1;
-                f64::from(reps)
-            },
-            f64::max,
-        );
-        assert_eq!((reps as usize, best), (MEASURE_REPS, MEASURE_REPS as f64));
     }
 
     #[test]

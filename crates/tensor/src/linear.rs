@@ -1,4 +1,4 @@
-//! Integer GEMV/GEMM and the quantized linear layer.
+//! Integer GEMM and the quantized linear layer.
 //!
 //! The accelerator's matrix processing unit is "accumulator-multiplier based
 //! MAC hardware": each MAC consumes one int8 weight and one int8 activation
@@ -21,32 +21,6 @@ pub const GEMM_ROW_BLOCK: usize = 32;
 use crate::amx::TileUnit;
 use crate::simd::dot_i8_i32;
 use std::ops::Range;
-
-/// Integer matrix-vector product: `y[r] = Σ_c w[r,c] · x[c]` in i32.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `x.len() != w.cols()`.
-pub fn gemv_i32(w: &Matrix<i8>, x: &[i8]) -> Result<Vec<i32>, ShapeError> {
-    let mut out = Vec::new();
-    gemv_i32_into(w, x, &mut out)?;
-    Ok(out)
-}
-
-/// [`gemv_i32`] writing into a caller-provided buffer (cleared and
-/// resized), so steady-state decode loops allocate nothing.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `x.len() != w.cols()`.
-pub fn gemv_i32_into(w: &Matrix<i8>, x: &[i8], out: &mut Vec<i32>) -> Result<(), ShapeError> {
-    if x.len() != w.cols() {
-        return Err(ShapeError::new("gemv", (w.rows(), w.cols()), (1, x.len())));
-    }
-    out.clear();
-    out.extend(w.iter_rows().map(|row| dot_i8_i32(row, x)));
-    Ok(())
-}
 
 /// Unblocked reference GEMM — one full dot product per output element in
 /// storage order. Kept as the oracle the tiled [`gemm_i32`] is tested
@@ -578,14 +552,16 @@ mod tests {
     #[test]
     fn gemv_small_known_answer() {
         let w = Matrix::from_vec(2, 3, vec![1i8, 2, 3, -1, 0, 1]).unwrap();
-        let y = gemv_i32(&w, &[1, 1, 1]).unwrap();
-        assert_eq!(y, vec![6, 0]);
+        let x = Matrix::from_vec(1, 3, vec![1i8, 1, 1]).unwrap();
+        assert_eq!(gemm_i32(&w, &x).unwrap().row(0), [6, 0]);
     }
 
     #[test]
     fn gemv_shape_error() {
         let w = Matrix::<i8>::zeros(2, 3);
-        assert!(gemv_i32(&w, &[1, 2]).is_err());
+        let x = Matrix::<i8>::zeros(1, 2);
+        assert!(gemm_i32(&w, &x).is_err());
+        assert!(gemm_i32_naive(&w, &x).is_err());
     }
 
     #[test]
@@ -594,10 +570,8 @@ mod tests {
         let x = Matrix::from_fn(2, 4, |t, c| (t as i8 + 1) * (c as i8 - 1));
         let full = gemm_i32(&w, &x).unwrap();
         for t in 0..2 {
-            let single = gemv_i32(&w, x.row(t)).unwrap();
-            for (r, &s) in single.iter().enumerate() {
-                assert_eq!(full.get(t, r), s);
-            }
+            let row = Matrix::from_vec(1, 4, x.row(t).to_vec()).unwrap();
+            assert_eq!(full.row(t), gemm_i32_naive(&w, &row).unwrap().row(0));
         }
     }
 

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use looplynx_tensor::activation::softmax;
-use looplynx_tensor::linear::{gemv_f32, gemv_i32, QuantLinear};
+use looplynx_tensor::linear::{gemm_i32_naive, gemv_f32, QuantLinear};
 use looplynx_tensor::matrix::Matrix;
 use looplynx_tensor::norm::{layernorm, residual_add, LayerNormParams};
 use looplynx_tensor::quant::{quantize_vec, scale_for};
@@ -52,14 +52,14 @@ proptest! {
         let w = Matrix::from_fn(rows, cols, |r, c| {
             (((seed >> (r % 13)) as usize + r * 31 + c * 7) % 127) as i8 - 63
         });
-        let x: Vec<i8> = (0..cols).map(|i| ((i * 11 + 3) % 60) as i8 - 30).collect();
-        let y: Vec<i8> = (0..cols).map(|i| ((i * 17 + 5) % 60) as i8 - 30).collect();
-        let xy: Vec<i8> = x.iter().zip(&y).map(|(a, b)| a + b).collect();
-        let wx = gemv_i32(&w, &x).unwrap();
-        let wy = gemv_i32(&w, &y).unwrap();
-        let wxy = gemv_i32(&w, &xy).unwrap();
+        let x = Matrix::from_fn(1, cols, |_, i| ((i * 11 + 3) % 60) as i8 - 30);
+        let y = Matrix::from_fn(1, cols, |_, i| ((i * 17 + 5) % 60) as i8 - 30);
+        let xy = Matrix::from_fn(1, cols, |_, i| x.get(0, i) + y.get(0, i));
+        let wx = gemm_i32_naive(&w, &x).unwrap();
+        let wy = gemm_i32_naive(&w, &y).unwrap();
+        let wxy = gemm_i32_naive(&w, &xy).unwrap();
         for i in 0..rows {
-            prop_assert_eq!(wxy[i], wx[i] + wy[i]);
+            prop_assert_eq!(wxy.get(0, i), wx.get(0, i) + wy.get(0, i));
         }
     }
 
