@@ -54,27 +54,6 @@ impl SpatialArch {
         bytes / (self.hbm_gbps * self.decode_bw_fraction) / 1e6 + self.per_token_overhead_ms
     }
 
-    /// Prefill per-token latency in milliseconds (task-level pipeline
-    /// active — the architecture's strong regime).
-    fn prefill_token_ms(&self, model: &ModelConfig) -> f64 {
-        let bytes = model.weights_bytes_total() as f64;
-        bytes / (self.hbm_gbps * self.prefill_bw_fraction) / 1e6 + self.per_token_overhead_ms
-    }
-
-    /// The paper's reported metric: a weighted per-token processing
-    /// latency over a `[prefill : decode]` mix (the implementation "has
-    /// separate versions for prefill and decode").
-    ///
-    /// # Panics
-    ///
-    /// Panics if both counts are zero.
-    pub fn weighted_token_ms(&self, model: &ModelConfig, prefill: usize, decode: usize) -> f64 {
-        assert!(prefill + decode > 0, "empty workload");
-        let total = prefill as f64 * self.prefill_token_ms(model)
-            + decode as f64 * self.decode_token_ms(model);
-        total / (prefill + decode) as f64
-    }
-
     /// Energy per decoded token in joules.
     pub fn energy_per_token_j(&self, model: &ModelConfig) -> f64 {
         self.power_watts * self.decode_token_ms(model) / 1e3
@@ -106,21 +85,17 @@ mod tests {
 
     #[test]
     fn prefill_is_much_faster_than_decode() {
+        // Prefill streams the weights through every kernel's channels at
+        // once (the task-level pipeline), decode through the active one's.
         let a = SpatialArch::u280();
         let m = ModelConfig::gpt2_medium();
+        let prefill_token_ms =
+            m.weights_bytes_total() as f64 / (a.hbm_gbps * a.prefill_bw_fraction) / 1e6
+                + a.per_token_overhead_ms;
         assert!(
-            a.decode_token_ms(&m) / a.prefill_token_ms(&m) > 2.5,
+            a.decode_token_ms(&m) / prefill_token_ms > 2.5,
             "pipeline should shine in prefill"
         );
-    }
-
-    #[test]
-    fn weighted_latency_interpolates() {
-        let a = SpatialArch::u280();
-        let m = ModelConfig::gpt2_medium();
-        let w = a.weighted_token_ms(&m, 128, 512);
-        assert!(w > a.prefill_token_ms(&m));
-        assert!(w < a.decode_token_ms(&m));
     }
 
     #[test]
@@ -138,11 +113,5 @@ mod tests {
         let dfx =
             crate::temporal::TemporalArch::dfx_u280().token_latency_ms(&ModelConfig::gpt2_medium());
         assert!(spatial < dfx, "spatial {spatial} vs DFX {dfx}");
-    }
-
-    #[test]
-    #[should_panic(expected = "empty workload")]
-    fn empty_mix_rejected() {
-        let _ = SpatialArch::u280().weighted_token_ms(&ModelConfig::gpt2_medium(), 0, 0);
     }
 }

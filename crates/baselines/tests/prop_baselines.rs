@@ -57,21 +57,6 @@ proptest! {
         prop_assert!(small > mem_floor, "{small} vs floor {mem_floor}");
     }
 
-    /// The spatial model's weighted latency is a true weighted mean: it
-    /// lies between the prefill and decode per-token costs and moves
-    /// toward decode as the mix gets decode-heavier.
-    #[test]
-    fn spatial_weighted_mean(prefill in 1usize..256, decode in 1usize..512) {
-        let a = SpatialArch::u280();
-        let m = ModelConfig::gpt2_medium();
-        let w = a.weighted_token_ms(&m, prefill, decode);
-        // a pure-prefill mix is the prefill per-token cost
-        prop_assert!(w >= a.weighted_token_ms(&m, 1, 0) - 1e-9);
-        prop_assert!(w <= a.decode_token_ms(&m) + 1e-9);
-        let heavier = a.weighted_token_ms(&m, prefill, decode + 64);
-        prop_assert!(heavier >= w - 1e-9);
-    }
-
     /// Baseline orderings hold for every GPT-2 family member: spatial
     /// decode beats DFX (int8 vs fp16 traffic on the same board).
     #[test]

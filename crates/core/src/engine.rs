@@ -34,7 +34,7 @@ use crate::config::ArchConfig;
 use crate::energy::{fpga_energy, EnergyReport};
 use crate::latency::LatencyBreakdown;
 use crate::parallel::{shard_weights, split_range, NodeWeights, PartitionError};
-use crate::pool::WorkerPool;
+use crate::pool::{host_cores, WorkerPool};
 use crate::router::{RingMode, Router};
 use crate::scheduler::Scheduler;
 
@@ -304,23 +304,19 @@ impl PartialEq for NodeState {
     }
 }
 
-/// Runs a batch of prepared jobs — one per (node, row-shard) — on the
-/// pool when present and each worker's share touches [`MIN_DISPATCH_BYTES`],
-/// else sequentially on the caller. Results are discarded (jobs communicate
+/// Runs a batch of prepared jobs — one per (node, row-shard), each
+/// touching `job_bytes` — on the pool when present and one lane's share
+/// (`job_bytes × ⌈jobs / lanes⌉`) touches [`MIN_DISPATCH_BYTES`], else
+/// sequentially on the caller. Results are discarded (jobs communicate
 /// through the disjoint buffers they captured), so both are trivially
 /// bit-identical: each job touches only its own slab.
-fn run_jobs(pool: Option<&WorkerPool>, bytes: usize, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
-    match pool.filter(|_| bytes >= MIN_DISPATCH_BYTES) {
+fn run_jobs(pool: Option<&WorkerPool>, job_bytes: usize, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
+    let lane_bytes = |pool: &WorkerPool| job_bytes * jobs.len().div_ceil(pool.workers());
+    match pool.filter(|pool| lane_bytes(pool) >= MIN_DISPATCH_BYTES) {
         Some(pool) => drop(pool.run(jobs)),
         None => jobs.into_iter().for_each(|job| job()),
     }
 }
-
-/// Smallest `d_model` for which an engine gets a worker pool at all (the
-/// per-stage decision is [`MIN_DISPATCH_BYTES`]). At 256 with two workers
-/// only a real vocabulary's LM head clears that gate; at `d_model` 64 a
-/// pooled batch-1 stage measured 2.8 µs against 0.5–2.4 µs run in line.
-const THREADING_MIN_D_MODEL: usize = 256;
 
 /// Most batch-row shards a node's batched stages split into. Beyond this
 /// the per-shard GEMM slabs get too thin to amortize dispatch (and
@@ -328,7 +324,7 @@ const THREADING_MIN_D_MODEL: usize = 256;
 /// than oversubscribed.
 const MAX_ROW_SHARDS: usize = 4;
 
-/// Smallest per-worker working set (weight or KV bytes touched) for which
+/// Smallest per-lane working set (weight or KV bytes touched) for which
 /// a stage is dispatched to the pool; smaller stages run on the caller.
 /// Measured with one-row activations over 2 workers: a round costs 2–3 µs
 /// while the workers are still polling, so pooled and in-line time cross
@@ -401,14 +397,14 @@ fn sharded_linear_phase(
     let (b, width) = (xmat.rows(), xmat.cols());
     let gelu = lin == Linear::Fc1;
     let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(nodes.len() * row_shards);
-    let mut per_worker_bytes = usize::MAX;
+    let mut job_bytes = usize::MAX;
     for node in nodes.iter_mut() {
         let NodeState {
             weights, shards, ..
         } = node;
         let linear = lin.of(weights, layer);
         let out_rows = linear.out_features();
-        per_worker_bytes = per_worker_bytes.min(out_rows * width / row_shards.max(1));
+        job_bytes = job_bytes.min(out_rows * width / row_shards.max(1));
         for (s, shard) in shards.iter_mut().enumerate() {
             let range = split_range(out_rows, row_shards, s);
             jobs.push(Box::new(move || {
@@ -425,7 +421,7 @@ fn sharded_linear_phase(
             }));
         }
     }
-    run_jobs(pool, per_worker_bytes, jobs);
+    run_jobs(pool, job_bytes, jobs);
     // Stitch slabs into each node's full output.
     for node in nodes.iter_mut() {
         let out_rows = lin.of(&node.weights, layer).out_features();
@@ -477,7 +473,7 @@ fn batch_attention_phase(
     // KV tokens the step streams per node: Σ valid lengths.
     let kv_tokens: usize = rows.iter().map(|r| r.pos + 1).sum();
     let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(nodes.len() * row_shards);
-    let mut per_worker_bytes = usize::MAX;
+    let mut job_bytes = usize::MAX;
     let layers = arena.layers() / nodes.len();
     for (n, node) in nodes.iter_mut().enumerate() {
         let NodeState {
@@ -489,7 +485,7 @@ fn batch_attention_phase(
         let kv_pool = n * layers + layer;
         let head_range = weights.head_range.clone();
         let w = head_range.len() * d_head;
-        per_worker_bytes = per_worker_bytes.min(2 * kv_tokens * w / row_shards.max(1));
+        job_bytes = job_bytes.min(2 * kv_tokens * w / row_shards.max(1));
         attn_out.clear();
         attn_out.resize(b * w, 0.0);
         let gemm_out = &*gemm_out;
@@ -519,7 +515,7 @@ fn batch_attention_phase(
             }));
         }
     }
-    run_jobs(pool, per_worker_bytes, jobs);
+    run_jobs(pool, job_bytes, jobs);
 }
 
 /// Flat counterpart of one ring all-gather per batch row: for every row
@@ -629,8 +625,9 @@ pub struct DistributedGpt2 {
     /// that many batch-row blocks, all bit-identical to one shard (see
     /// [`DistributedGpt2::set_row_shards`]).
     row_shards: usize,
-    /// One lane per (node, row-shard), the calling thread being one;
-    /// `Some` iff `threaded` and there is more than one lane's worth of jobs.
+    /// `min(cores, nodes × row_shards)` lanes, the calling thread being
+    /// one, that every stage's (node, row-shard) jobs are striped over;
+    /// `Some` iff `threaded` and that is more than one lane.
     pool: Option<WorkerPool>,
     /// Host-side working memory of the layer walk, reused across steps.
     scratch: HostScratch,
@@ -656,10 +653,10 @@ impl DistributedGpt2 {
     /// single resident sequence (slot 0, pre-acquired, `max_seq`
     /// capacity) — the paper's one-generation-at-a-time operating point.
     ///
-    /// Node-parallel threading defaults to on when there is more than one
-    /// node, the host has more than one core, and the model is large
-    /// enough for a per-node stage to outweigh job dispatch; override
-    /// with [`DistributedGpt2::set_threaded`].
+    /// Node-parallel threading defaults to on when the host has more than
+    /// one core and there is more than one (node, row-shard) job a stage;
+    /// override with [`DistributedGpt2::set_threaded`]. Stages too small
+    /// to outweigh a dispatch still run on the caller.
     ///
     /// # Errors
     ///
@@ -744,16 +741,10 @@ impl DistributedGpt2 {
         );
         let shards = shard_weights(model.weights(), &cfg, nodes)?;
         // Sizing heuristic: use spare cores for batch-row sharding within
-        // each node, capped so nodes × row_shards never exceeds the
-        // host's cores (and by the point where slabs get dispatch-bound).
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let big = cfg.d_model >= THREADING_MIN_D_MODEL;
-        let row_shards = if cores > 1 && big {
-            (cores / nodes).clamp(1, MAX_ROW_SHARDS)
-        } else {
-            1
-        };
-        let threaded = cores > 1 && big && nodes * row_shards > 1;
+        // each node, capped by the point where slabs get dispatch-bound.
+        let cores = host_cores();
+        let row_shards = (cores / nodes).clamp(1, MAX_ROW_SHARDS);
+        let threaded = cores > 1 && nodes * row_shards > 1;
         let arena = PagedKvArena::new(
             nodes * cfg.layers,
             cfg.d_head(),
@@ -772,8 +763,7 @@ impl DistributedGpt2 {
                 shards: vec![ShardScratch::default(); row_shards],
             })
             .collect();
-        let pool = threaded.then(|| WorkerPool::new(nodes * row_shards));
-        Ok(DistributedGpt2 {
+        let mut engine = DistributedGpt2 {
             router: Router::new(nodes, mode),
             nodes: node_states,
             arena,
@@ -781,10 +771,12 @@ impl DistributedGpt2 {
             model_cfg: cfg,
             threaded,
             row_shards,
-            pool,
+            pool: None,
             scratch: HostScratch::default(),
             prefix_cache: None,
-        })
+        };
+        engine.resize_pool();
+        Ok(engine)
     }
 
     /// Whether per-node stages run on the persistent worker pool.
@@ -809,7 +801,7 @@ impl DistributedGpt2 {
     /// Forces the per-node batch-row shard count. Results are
     /// bit-identical for every count (pinned by tests); only the number
     /// of independent jobs per stage changes. The worker pool is resized
-    /// to `nodes × row_shards` when threading is on.
+    /// to `min(cores, nodes × row_shards)` lanes when threading is on.
     ///
     /// # Panics
     ///
@@ -824,10 +816,10 @@ impl DistributedGpt2 {
     }
 
     /// (Re)creates or tears down the worker pool to match `threaded` and
-    /// the current `nodes × row_shards` job count.
+    /// the current `nodes × row_shards` job count, at most one lane a core.
     fn resize_pool(&mut self) {
-        let workers = self.nodes.len() * self.row_shards;
-        let want = (self.threaded && workers > 1).then_some(workers);
+        let lanes = (self.nodes.len() * self.row_shards).min(host_cores());
+        let want = (self.threaded && lanes > 1).then_some(lanes);
         if self.pool.as_ref().map(WorkerPool::workers) != want {
             self.pool = want.map(WorkerPool::new);
         }

@@ -3,27 +3,28 @@
 //! The functional engine's data-parallel sections (one closure per ring
 //! node between two synchronizations) run ~20 times per decode step, so
 //! what a section costs beyond its work is paid 20 times a token. A
-//! [`WorkerPool`] of `n` keeps `n − 1` long-lived threads and uses the
-//! caller as the `n`-th: [`WorkerPool::run`] posts jobs `1..` into one
-//! preallocated slot per worker, runs job 0 itself, and joins, returning
-//! results in job order (what a sequential loop produces — bit-identical).
+//! [`WorkerPool`] has at most one lane per core, `L − 1` long-lived
+//! threads plus the caller; [`WorkerPool::run`] gives lane `l` the jobs
+//! `l, l + L, …`, posts each worker its lane's jobs as one task, runs
+//! lane 0's itself, and joins, returning results in job order.
 //!
 //! A slot is a `Mutex<Option<Post>>` mailbox plus an atomic epoch only
 //! the caller advances (`Release`; the worker's load is `Acquire`); an
 //! empty mailbox at a new epoch means exit. Completion is one pool-wide
-//! `pending` count: each worker decrements it (`AcqRel`) after its job
+//! `pending` count: each worker decrements it (`AcqRel`) after its task
 //! and the one reaching zero unparks the caller, whose `Acquire` load of
 //! zero happens-after every job's writes. Waiters poll for
 //! `SPIN_BUDGET` before they `park`; `unpark` is unconditional and its
 //! token makes a racing `park` return, so no wakeup is lost.
 //!
 //! Jobs may borrow the caller's stack: `run` erases the borrow lifetime
-//! to ship the closure to a long-lived thread, which is sound because it
+//! to ship the tasks to long-lived threads, which is sound because it
 //! never returns — not even by panic — before every dispatched job has
 //! finished. A panicking job is caught where it runs, kept in the job's
 //! result cell, and re-thrown on the caller after the join, matching
 //! `thread::scope` semantics.
 
+use std::mem::transmute;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -58,12 +59,30 @@ struct Shared {
     /// Posted jobs of the current round that have not finished.
     pending: AtomicUsize,
     slots: Vec<Slot>,
-    /// [`SPIN_BUDGET`], or zero for a pool with more lanes than the host
-    /// has cores: there a poller only holds a core some job is waiting for.
-    spin: Duration,
 }
 
-/// `n − 1` long-lived threads plus the caller: one lane per (node, row shard).
+/// One job's place in a round: its index in job order, the job until its
+/// lane takes it, then its outcome.
+type Cell<'env, T> = (
+    usize,
+    Option<Box<dyn FnOnce() -> T + Send + 'env>>,
+    Option<std::thread::Result<T>>,
+);
+
+/// Runs one lane's jobs in order, each under `catch_unwind`: a lane never
+/// unwinds, and a panicking job does not stop the ones after it.
+fn run_lane<T>(cells: &mut [Cell<'_, T>]) {
+    for (_, job, out) in cells {
+        *out = job.take().map(|job| catch_unwind(AssertUnwindSafe(job)));
+    }
+}
+
+/// The cores this process may use: the bound on a pool's lanes.
+pub(crate) fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Up to one lane per host core: long-lived threads plus the caller.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -95,14 +114,14 @@ fn worker_loop(shared: &Shared, slot: &Slot) {
     loop {
         // Acquire pairs with the poster's Release bump, which publishes
         // the mailbox and the round's `pending`.
-        wait_until(shared.spin, || slot.epoch.load(Ordering::Acquire) != served);
+        wait_until(SPIN_BUDGET, || slot.epoch.load(Ordering::Acquire) != served);
         served += 1;
         let mut mail = slot.post.lock().unwrap_or_else(PoisonError::into_inner);
         let Some((job, caller)) = mail.take() else {
             return;
         };
         drop(mail);
-        // Never unwinds: `run` wraps every job in `catch_unwind`.
+        // Never unwinds: `run_lane` wraps every job in `catch_unwind`.
         job();
         // AcqRel: releases this job's writes to the caller's Acquire load
         // in `run`, and chains the earlier finishers' releases into it.
@@ -113,24 +132,19 @@ fn worker_loop(shared: &Shared, slot: &Slot) {
 }
 
 impl WorkerPool {
-    /// A pool of `workers` lanes: spawns `workers − 1` threads that live
-    /// until the pool is dropped; the thread calling [`WorkerPool::run`]
-    /// is the remaining lane.
+    /// A pool of `min(workers, cores)` lanes: spawns one thread less,
+    /// which lives until the pool is dropped; the thread calling
+    /// [`WorkerPool::run`] is the remaining lane.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero or a thread cannot be spawned.
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "pool needs at least one worker");
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let workers = workers.min(host_cores());
         let shared = Arc::new(Shared {
             pending: AtomicUsize::new(0),
             slots: (1..workers).map(|_| Slot::default()).collect(),
-            spin: if workers <= cores {
-                SPIN_BUDGET
-            } else {
-                Duration::ZERO
-            },
         });
         let handles = (1..workers)
             .map(|i| {
@@ -149,7 +163,7 @@ impl WorkerPool {
         }
     }
 
-    /// Worker count (the calling thread's lane included).
+    /// Lane count (the calling thread's lane included).
     pub fn workers(&self) -> usize {
         self.handles.len() + 1
     }
@@ -163,17 +177,17 @@ impl WorkerPool {
         self.handles[i].thread().unpark();
     }
 
-    /// Runs the jobs concurrently — job 0 on the calling thread, job `i`
-    /// on worker `i` — and returns their results in job order. Blocks
-    /// until every job has completed; if any job panicked, the first
-    /// panic (in job order) is re-thrown here *after* all jobs finished
-    /// (so no job ever outlives the borrows it captured). Not re-entrant:
-    /// a job must not call `run` on the pool it runs on.
+    /// Runs the jobs over the lanes — lane `l` takes jobs `l, l + L, …`
+    /// in order, lane 0 being the calling thread — and returns their
+    /// results in job order. Blocks until every job has completed; if any
+    /// job panicked, the first panic (in job order) is re-thrown here
+    /// *after* all jobs finished (so no job ever outlives the borrows it
+    /// captured). Not re-entrant: a job must not call `run` on the pool
+    /// it runs on.
     ///
     /// # Panics
     ///
-    /// Panics if more jobs are supplied than workers exist, or re-throws
-    /// the first job panic.
+    /// Re-throws the first job panic.
     pub fn run<'env, T, I>(&self, jobs: I) -> Vec<T>
     where
         T: Send + 'env,
@@ -183,50 +197,44 @@ impl WorkerPool {
         // code inside the iterator may panic, and once a single job is in
         // flight an unwind past this frame would free the borrows that
         // job captured.
-        let jobs: Vec<_> = jobs.into_iter().collect();
-        assert!(jobs.len() <= self.workers(), "more jobs than pool workers");
-        let mut results: Vec<Option<std::thread::Result<T>>> = jobs.iter().map(|_| None).collect();
+        let cells = jobs.into_iter().enumerate();
+        let mut cells: Vec<Cell<'env, T>> = cells.map(|(i, job)| (i, Some(job), None)).collect();
+        let lanes = self.workers().min(cells.len()).max(1);
+        // Lane-major order: each lane's jobs become one contiguous run
+        // (already so when every job has a lane of its own).
+        cells.sort_unstable_by_key(|&(i, ..)| (i % lanes, i));
         {
             let _round = self.round.lock().unwrap_or_else(PoisonError::into_inner);
             // From the first post to the join nothing on this thread can
-            // unwind: a post is a store, an atomic and an unpark, job 0 runs
-            // under `catch_unwind`, and allocation failure aborts.
-            let posted = jobs.len().saturating_sub(1);
-            self.shared.pending.store(posted, Ordering::Relaxed);
+            // unwind: a post is a store, an atomic and an unpark, lane 0's
+            // jobs run under `catch_unwind`, and allocation failure aborts.
+            self.shared.pending.store(lanes - 1, Ordering::Relaxed);
             let caller = std::thread::current();
-            let mut lanes = jobs.into_iter().zip(results.iter_mut());
-            let first = lanes.next();
-            for (i, (job, cell)) in lanes.enumerate() {
-                let task: Box<dyn FnOnce() + Send + '_> =
-                    Box::new(move || *cell = Some(catch_unwind(AssertUnwindSafe(job))));
-                let job: Job = {
-                    // SAFETY: the join below does not let `run` return
-                    // (normally or by panic) before `pending` reads zero,
-                    // i.e. before every posted task — and with it every
-                    // borrow of 'env and of `results` it captured — has
-                    // been consumed and finished on its worker.
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(task) }
-                };
-                self.post(i, Some((job, caller.clone())));
+            let mut runs = cells.chunk_by_mut(|a, b| a.0 % lanes == b.0 % lanes);
+            let first = runs.next();
+            for (i, run) in runs.enumerate() {
+                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || run_lane(run));
+                // SAFETY: the join below does not let `run` return
+                // (normally or by panic) before `pending` reads zero, i.e.
+                // before every posted task — and with it every borrow of
+                // 'env and of `cells` it captured — has been consumed and
+                // finished on its worker.
+                let task = unsafe { transmute::<Box<dyn FnOnce() + Send + '_>, Job>(task) };
+                self.post(i, Some((task, caller.clone())));
             }
-            if let Some((job, cell)) = first {
-                *cell = Some(catch_unwind(AssertUnwindSafe(job)));
+            if let Some(run) = first {
+                run_lane(run);
             }
             // The join. Acquire pairs with the workers' AcqRel decrements:
             // every job's writes are visible once zero is.
             let pending = &self.shared.pending;
-            wait_until(self.shared.spin / 2, || {
-                pending.load(Ordering::Acquire) == 0
-            });
+            wait_until(SPIN_BUDGET / 2, || pending.load(Ordering::Acquire) == 0);
         }
-        results
+        cells.sort_unstable_by_key(|&(i, ..)| i);
+        cells
             .into_iter()
-            .map(
-                |cell| match cell.unwrap_or_else(|| unreachable!("job not joined")) {
-                    Ok(value) => value,
-                    Err(payload) => resume_unwind(payload),
-                },
-            )
+            .map(|(.., out)| out.unwrap_or_else(|| unreachable!("job not joined")))
+            .map(|out| out.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     }
 }
@@ -396,11 +404,11 @@ mod tests {
     }
 
     #[test]
-    fn oversubscribed_pool_finishes() {
-        // Far more lanes than cores: if either side could spin without
-        // bound, the threads holding the cores would starve the ones with
-        // work and this would crawl. A pool larger than the host does not
-        // poll at all, and one that fits parks after SPIN_BUDGET.
+    fn many_jobs_over_host_sized_lanes_finish() {
+        // Eight jobs a round on however many lanes the host gives: each
+        // lane polls for SPIN_BUDGET then parks, and never has a core to
+        // itself that another lane's job is waiting for.
+        assert!(WorkerPool::new(64).workers() <= host_cores());
         let pool = WorkerPool::new(8);
         let rounds = if cfg!(miri) { 20 } else { 10_000 };
         let mut total = 0usize;
@@ -444,13 +452,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more jobs than pool workers")]
-    fn overflow_is_rejected() {
-        let pool = WorkerPool::new(1);
-        let _ = pool.run((0..2).map(|i| {
-            let job: Box<dyn FnOnce() -> i32 + Send> = Box::new(move || i);
-            job
+    fn more_jobs_than_lanes_come_back_in_job_order() {
+        let pool = WorkerPool::new(3);
+        for _ in 0..20 {
+            let out = pool.run((0..7).map(|i| {
+                let job: Box<dyn FnOnce() -> usize + Send> = Box::new(move || i * 10);
+                job
+            }));
+            assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60]);
+        }
+    }
+
+    #[test]
+    fn first_panic_in_job_order_is_rethrown_after_every_job_ran() {
+        let pool = WorkerPool::new(3);
+        let ran = AtomicUsize::new(0);
+        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run((0..7).map(|i| {
+                let ran = &ran;
+                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    assert!(i != 2 && i != 5, "job {i} exploded");
+                });
+                job
+            }));
         }));
+        let payload = attempt.expect_err("panic must propagate");
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("job 2 exploded"));
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            7,
+            "a job was skipped or not joined"
+        );
     }
 
     #[test]

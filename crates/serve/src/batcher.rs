@@ -103,19 +103,6 @@ pub fn serve_continuous_on<B: InferenceBackend>(
     serve_preset(backend, requests, cfg.max_batch())
 }
 
-/// Serves the workload one request at a time — the baseline continuous
-/// batching is measured against: [`serve_continuous_on`] at a ceiling of 1.
-///
-/// # Panics
-///
-/// As [`serve_continuous_on`].
-pub fn serve_sequential_on<B: InferenceBackend>(
-    backend: &mut B,
-    requests: &[Request],
-) -> ServingReport {
-    serve_preset(backend, requests, 1)
-}
-
 /// [`serve_continuous_on`] pinned to the cycle-accurate sim backend.
 ///
 /// # Panics
@@ -129,13 +116,15 @@ pub fn serve_continuous(
     serve_continuous_on(&mut SimBackend::new(engine), requests, cfg)
 }
 
-/// [`serve_sequential_on`] pinned to the cycle-accurate sim backend.
+/// Serves the workload one request at a time on the cycle-accurate sim
+/// backend — the baseline continuous batching is measured against:
+/// [`serve_continuous`] at a ceiling of 1.
 ///
 /// # Panics
 ///
 /// As [`serve_continuous_on`].
 pub fn serve_sequential(engine: &LoopLynx, requests: &[Request]) -> ServingReport {
-    serve_sequential_on(&mut SimBackend::new(engine), requests)
+    serve_preset(&mut SimBackend::new(engine), requests, 1)
 }
 
 #[cfg(test)]
@@ -301,7 +290,7 @@ mod tests {
         );
         let batched = serve_continuous_on(&mut cb, &reqs, &ServeConfig::new(4));
         let (_, mut seq) = functional_backend(4);
-        let serial = serve_sequential_on(&mut seq, &reqs);
+        let serial = serve_continuous_on(&mut seq, &reqs, &ServeConfig::new(1));
         for req in &reqs {
             assert_eq!(
                 batched.output_tokens(req.id),

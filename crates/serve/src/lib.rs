@@ -21,9 +21,9 @@
 //!   backoff, and exactly-one-terminal-state accounting
 //!   ([`gateway::Terminal`]) for every offered request.
 //! * [`batcher`] — fair-weather presets of that loop returning a plain
-//!   [`metrics::ServingReport`]: [`batcher::serve_continuous_on`],
-//!   [`batcher::serve_sequential_on`] (the one-request-at-a-time
-//!   baseline, a batch ceiling of one), plus sim-pinned wrappers.
+//!   [`metrics::ServingReport`]: [`batcher::serve_continuous_on`], its
+//!   sim-pinned wrapper, and [`batcher::serve_sequential`] (the
+//!   one-request-at-a-time baseline, a batch ceiling of one).
 //! * [`metrics`] — [`metrics::ServingReport`]: throughput, p50/p95/p99
 //!   latency percentiles via [`looplynx_sim::stats::Percentiles`], and —
 //!   on token-producing backends — every request's generated tokens.
@@ -61,9 +61,7 @@ pub mod metrics;
 pub mod request;
 
 pub use arrival::ArrivalProcess;
-pub use batcher::{
-    serve_continuous, serve_continuous_on, serve_sequential, serve_sequential_on, ServeConfig,
-};
+pub use batcher::{serve_continuous, serve_continuous_on, serve_sequential, ServeConfig};
 pub use gateway::{
     serve_gateway_on, EvictPolicyKind, GatewayConfig, GatewayReport, GatewayRequest, RejectReason,
     ShedPolicy, Terminal, TimeoutPhase,

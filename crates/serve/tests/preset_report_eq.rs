@@ -14,7 +14,7 @@ use looplynx_core::engine::LoopLynx;
 use looplynx_core::fault::{FaultPlan, FaultyBackend};
 use looplynx_model::config::ModelConfig;
 use looplynx_serve::{
-    serve_continuous_on, serve_sequential_on, ArrivalProcess, Request, ServeConfig, ServingReport,
+    serve_continuous_on, serve_sequential, ArrivalProcess, Request, ServeConfig, ServingReport,
 };
 
 fn engine(nodes: usize) -> LoopLynx {
@@ -81,7 +81,7 @@ fn sequential_poisson_four_nodes_matches_golden() {
         seed: 7,
     }
     .workload(32, &[(32, 16), (64, 8)]);
-    let report = serve_sequential_on(&mut SimBackend::new(&engine(4)), &reqs);
+    let report = serve_sequential(&engine(4), &reqs);
     assert_eq!(report.completed(), 32);
     assert_eq!(report.batch_occupancy.max(), Some(1.0));
     assert_golden("poisson200/4n/seq", scalars(&report), GOLDEN_POISSON_4N_SEQ);

@@ -401,40 +401,23 @@ impl QuantLinear {
     }
 
     /// Forward pass for one token: int accumulate, dequantize, add bias.
+    /// The dequant epilogue is fused into the MAC row loop — no
+    /// intermediate `Vec<i32>` is materialized.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != in_features()` (shape errors on the hot path
     /// indicate a programming bug, not recoverable input).
     pub fn forward(&self, x: &QuantizedVector) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.forward_into(x, &mut out);
-        out
-    }
-
-    /// [`QuantLinear::forward`] writing into a caller-provided buffer
-    /// (cleared and resized). The dequant epilogue is fused into the MAC
-    /// row loop — no intermediate `Vec<i32>` is materialized — with the
-    /// same per-element expression, so results are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != in_features()`.
-    pub fn forward_into(&self, x: &QuantizedVector, out: &mut Vec<f32>) {
         assert_eq!(x.len(), self.in_features(), "gemv shape");
         let (x, x_scale) = (x.data(), x.scale());
-        out.clear();
-        out.extend(
-            self.weight
-                .data()
-                .iter_rows()
-                .zip(self.weight.row_scales())
-                .zip(&self.bias)
-                .map(|((row, &ws), &b)| {
-                    let acc = dot_i8_i32(row, x);
-                    acc as f32 * ws * x_scale + b
-                }),
-        );
+        self.weight
+            .data()
+            .iter_rows()
+            .zip(self.weight.row_scales())
+            .zip(&self.bias)
+            .map(|((row, &ws), &b)| dot_i8_i32(row, x) as f32 * ws * x_scale + b)
+            .collect()
     }
 
     /// Batched forward where each token row of `x` carries its own

@@ -143,8 +143,9 @@ proptest! {
         prop_assert_eq!(fast, slow);
     }
 
-    /// The fused forward epilogue (`forward_into`) and the allocation-free
-    /// quantizer equal their allocating counterparts bitwise.
+    /// The fused forward epilogue (`forward`) equals the unfused scalar
+    /// expression, and the allocation-free quantizer its allocating
+    /// counterpart, bitwise.
     #[test]
     fn fused_forward_equals_reference(
         rows in 1usize..24,
@@ -162,9 +163,15 @@ proptest! {
         let q = quantize_vec(&x);
         prop_assert_eq!(q.data(), q8.as_slice());
         prop_assert_eq!(q.scale(), scale);
-        let mut out = vec![9.0f32; 2]; // dirty
-        lin.forward_into(&q, &mut out);
-        prop_assert_eq!(out.clone(), lin.forward(&q));
+        let w = lin.weight();
+        let reference: Vec<f32> = (0..rows)
+            .map(|r| {
+                let acc = dot_i8_i32_scalar(w.data().row(r), q.data());
+                acc as f32 * w.row_scales()[r] * q.scale() + lin.bias()[r]
+            })
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&lin.forward(&q)), bits(&reference));
     }
 
     /// The buffer-reuse critical-path operators (layernorm / residual /

@@ -86,7 +86,7 @@ proptest! {
     /// 1-, 2- and 4-way row sharding all reproduce the unsharded batched
     /// GEMM bitwise, across odd shapes that leave ragged shard sizes —
     /// and the unsharded batched GEMM reproduces the per-token
-    /// `forward_into` bitwise for every batch size down to one row, on
+    /// `forward` bitwise for every batch size down to one row, on
     /// widths either side of the `vpdpbusd` kernel's 64-byte step, with a
     /// `-128` activation in every batch.
     #[test]
@@ -106,13 +106,12 @@ proptest! {
         let (mut acc, mut full) = (Vec::new(), Vec::new());
         lin.forward_batch_scaled_into(&x, &x_scales, &mut acc, &mut full);
 
-        let mut single = Vec::new();
         for (t, &scale) in x_scales.iter().enumerate() {
-            lin.forward_into(&QuantizedVector::new(x.row(t).to_vec(), scale), &mut single);
+            let single = lin.forward(&QuantizedVector::new(x.row(t).to_vec(), scale));
             for (r, (s, f)) in single.iter().zip(&full[t * rows..(t + 1) * rows]).enumerate() {
                 prop_assert!(
                     s.to_bits() == f.to_bits(),
-                    "token {} row {} of {} differs from forward_into: {} vs {}", t, r, b, f, s
+                    "token {} row {} of {} differs from forward: {} vs {}", t, r, b, f, s
                 );
             }
         }
@@ -135,7 +134,7 @@ proptest! {
     /// balanced shards — slabs whose start and length are multiples of
     /// neither the 16-row tile nor the 32-row block, so a slab is part
     /// tiles, part `vpdpbusd` tail. Every slab equals the per-token
-    /// `forward_into` bitwise (the epilogue is the same code on every path).
+    /// `forward` bitwise (the epilogue is the same code on every path).
     #[test]
     fn wide_batch_slabs_stitch_bitwise(
         rows in 20usize..(if cfg!(miri) { 24 } else { 120 }),
@@ -152,9 +151,8 @@ proptest! {
         let x_scales: Vec<f32> = (0..b).map(|t| 0.003 + t as f32 * 1e-4).collect();
 
         let mut reference = vec![0.0f32; b * rows];
-        let mut single = Vec::new();
         for (t, &scale) in x_scales.iter().enumerate() {
-            lin.forward_into(&QuantizedVector::new(x.row(t).to_vec(), scale), &mut single);
+            let single = lin.forward(&QuantizedVector::new(x.row(t).to_vec(), scale));
             reference[t * rows..(t + 1) * rows].copy_from_slice(&single);
         }
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
