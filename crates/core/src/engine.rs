@@ -1081,6 +1081,29 @@ impl DistributedGpt2 {
             .collect()
     }
 
+    /// Audits the KV ledger between operations: the arena's refcounts
+    /// balance against slot tables plus one pin per prefix-index entry
+    /// ([`PagedKvArena::audit`]; so every entry names a live page), and
+    /// each slot's fed-token history is as long as its KV. A test hook
+    /// like [`DistributedGpt2::materialized_kv`]; keep it out of hot paths.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first ledger entry that drifted.
+    pub fn audit(&self) {
+        let mut pins = vec![0; self.arena.total_pages()];
+        if let Some(cache) = &self.prefix_cache {
+            for page in cache.index.pages() {
+                pins[page] += 1;
+            }
+            for (slot, fed) in cache.fed.iter().enumerate() {
+                let pos = self.arena.pos(slot);
+                assert_eq!(fed.len(), pos, "slot {slot}'s fed tokens drifted");
+            }
+        }
+        self.arena.audit(&pins);
+    }
+
     /// Resets the single-sequence surface: clears slot 0's caches on every
     /// node and its position.
     pub fn reset(&mut self) {

@@ -41,7 +41,7 @@
 //! products are independent, so splitting a sequence across pages changes
 //! *where* bytes live but not one arithmetic operation. Paged decode is
 //! therefore byte-identical to the contiguous arena by construction — and
-//! by the property suites in `tests/paged_exact.rs`.
+//! by the engine-level exactness harness (`core/tests/exactness.rs`).
 //!
 //! # Sharing and copy-on-write
 //!
@@ -327,6 +327,34 @@ impl PagedKvArena {
     /// prefix cache's eviction bookkeeping reads.
     pub fn refcounts(&self) -> &[u32] {
         &self.refcount
+    }
+
+    /// Audits the refcount ledger against ground truth: each page's count
+    /// equals the in-use slot tables holding it plus `pins[page]` (the
+    /// references held outside the arena: prefix-cache pins), and the free
+    /// list is exactly the zero-count pages. A test hook that walks every
+    /// slot and page; keep it off hot paths.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first drifted entry, or unless `pins` holds one count
+    /// per page.
+    pub fn audit(&self, pins: &[u32]) {
+        assert_eq!(pins.len(), self.pages, "one pin count per page");
+        let mut expected = pins.to_vec();
+        for state in self.slots.iter().filter(|s| s.in_use) {
+            for &page in &state.table {
+                expected[page] += 1;
+            }
+        }
+        for (page, (&want, &got)) in expected.iter().zip(&self.refcount).enumerate() {
+            assert_eq!(got, want, "page {page} refcount ledger drifted");
+        }
+        let zero: Vec<usize> = (0..self.pages)
+            .rev()
+            .filter(|&p| expected[p] == 0)
+            .collect();
+        assert_eq!(self.free, zero, "free list disagrees with refcounts");
     }
 
     /// Pages in `slot`'s table that only it references — what a
@@ -1165,6 +1193,30 @@ mod tests {
         a.release(s);
         assert!(a.release_page(page));
         let _ = a.release_page(page);
+    }
+
+    #[test]
+    fn audit_passes_a_balanced_ledger_with_pins() {
+        let mut a = PagedKvArena::new(1, 4, 1, 2, 16, 4, 8);
+        let s = a.acquire().unwrap();
+        feed(&mut a, s, 1, 6);
+        let mut pins = vec![0; 8];
+        let page = a.slot_pages(s)[0];
+        a.retain_page(page);
+        pins[page] += 1;
+        a.audit(&pins);
+        a.release(s);
+        a.audit(&pins);
+    }
+
+    #[test]
+    #[should_panic(expected = "refcount ledger drifted")]
+    fn audit_catches_a_stray_pin() {
+        let mut a = PagedKvArena::new(1, 4, 1, 1, 16, 4, 8);
+        let s = a.acquire().unwrap();
+        feed(&mut a, s, 1, 4);
+        a.retain_page(a.slot_pages(s)[0]);
+        a.audit(&[0; 8]);
     }
 
     #[test]

@@ -144,6 +144,12 @@ impl PrefixIndex {
         self.entries.is_empty()
     }
 
+    /// The arena page each entry pins, one per entry — the pins an
+    /// arena audit ([`crate::paged::PagedKvArena::audit`]) counts.
+    pub fn pages(&self) -> impl Iterator<Item = usize> + '_ {
+        self.entries.values().map(|e| e.page)
+    }
+
     /// Traffic counters since construction.
     #[must_use]
     pub fn stats(&self) -> PrefixIndexStats {

@@ -1,6 +1,6 @@
 //! Sharing fuzz: random acquire/feed/pin/share/release scripts against
 //! [`PagedKvArena`] with page sharing in play, auditing the refcount
-//! ledger against ground truth after every op — a page's count must
+//! ledger ([`PagedKvArena::audit`]) after every op — a page's count must
 //! equal the slot tables holding it plus its cache-style pins, free
 //! pages are exactly the zero-count pages, and copy-on-write forks the
 //! boundary page out of a shared chain without touching the original.
@@ -49,26 +49,6 @@ fn feed(a: &mut PagedKvArena, slot: usize, seed: usize, len: usize) {
         }
         a.advance(slot, 1);
     }
-}
-
-/// Audits the arena's refcount ledger against ground truth: every
-/// page's count equals the in-use slot tables holding it plus its
-/// pins, and the free-page count is exactly the zero-count pages.
-fn audit(a: &PagedKvArena, pins: &[u32]) {
-    let mut expected = pins.to_vec();
-    for slot in 0..a.slots() {
-        if !a.in_use(slot) {
-            continue;
-        }
-        for &page in a.slot_pages(slot) {
-            expected[page] += 1;
-        }
-    }
-    for (page, (&want, &got)) in expected.iter().zip(a.refcounts()).enumerate() {
-        assert_eq!(got, want, "page {page} refcount ledger drifted");
-    }
-    let zero = expected.iter().filter(|&&r| r == 0).count();
-    assert_eq!(a.free_pages(), zero, "free list disagrees with refcounts");
 }
 
 const CASES: u32 = if cfg!(miri) { 4 } else { 48 };
@@ -176,7 +156,7 @@ proptest! {
                     }
                 }
             }
-            audit(&a, &pins);
+            a.audit(&pins);
         }
 
         // Drain everything: the pool must come back whole.
@@ -191,7 +171,7 @@ proptest! {
                 a.release(slot);
             }
         }
-        audit(&a, &pins);
+        a.audit(&pins);
         prop_assert_eq!(a.free_pages(), pool, "drained pool leaked pages");
     }
 

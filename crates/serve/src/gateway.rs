@@ -8,9 +8,7 @@
 //!
 //! * **Admission control** — a bounded queue ([`GatewayConfig::queue_depth`]);
 //!   arrivals past the bound are shed according to [`ShedPolicy`]
-//!   (reject outright, or additionally degrade `decode_tokens` under
-//!   pressure so everyone gets a shorter answer instead of some getting
-//!   none).
+//!   (reject outright, or absorb page pressure by preemption).
 //! * **Deadlines** — TTFT and end-to-end budgets, enforced while queued,
 //!   after prefill, and between decode iterations.
 //! * **Cancellation** — per-request scripted cancel times
@@ -44,13 +42,6 @@ pub enum ShedPolicy {
     /// Arrivals past [`GatewayConfig::queue_depth`] are rejected; admitted
     /// requests are served exactly as asked.
     Reject,
-    /// Arrivals past the queue bound are still rejected, but while the
-    /// queue is more than half full every admission's `decode_tokens` is
-    /// clamped to this ceiling — trading answer length for goodput.
-    Degrade {
-        /// Decode-token ceiling applied under pressure (≥ 1).
-        max_decode_tokens: usize,
-    },
     /// Arrivals past the queue bound are rejected, and KV **page
     /// pressure** is absorbed by preemption instead of failure: when a
     /// decode iteration hits [`BackendError::PagesExhausted`], the most
@@ -158,7 +149,7 @@ impl GatewayConfig {
     /// # Panics
     ///
     /// Panics if `max_batch` or `queue_depth` is zero, a deadline or the
-    /// backoff is non-finite or negative, or a degrade ceiling is zero.
+    /// backoff is non-finite or negative, or the prefill chunk is zero.
     pub fn validate(&self) {
         assert!(self.max_batch >= 1, "max_batch must be at least 1");
         assert!(self.queue_depth >= 1, "queue_depth must be at least 1");
@@ -172,9 +163,6 @@ impl GatewayConfig {
             self.retry_backoff_ms.is_finite() && self.retry_backoff_ms >= 0.0,
             "retry backoff must be finite and non-negative"
         );
-        if let ShedPolicy::Degrade { max_decode_tokens } = self.shed {
-            assert!(max_decode_tokens >= 1, "degrade ceiling must be at least 1");
-        }
         if let Some(chunk) = self.prefill_chunk {
             assert!(chunk >= 1, "prefill chunk must be at least 1");
         }
@@ -279,7 +267,7 @@ pub enum TimeoutPhase {
 /// The exactly-one terminal state every offered request reaches.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Terminal {
-    /// Produced every requested (possibly degraded) output token.
+    /// Produced every requested output token.
     Completed,
     /// Shed by admission control; no backend work was spent.
     Rejected(RejectReason),
@@ -331,8 +319,6 @@ pub struct GatewayReport {
     pub terminals: Vec<RequestTerminal>,
     /// Transient-fault retries the gateway performed.
     pub retries: u64,
-    /// Admissions whose `decode_tokens` were degraded under pressure.
-    pub degraded: u64,
     /// Residents evicted under page pressure (each was later resumed,
     /// failed by the livelock guard, cancelled, or timed out).
     pub preemptions: u64,
@@ -393,8 +379,8 @@ impl std::fmt::Display for GatewayReport {
         writeln!(
             f,
             "{} offered: {} completed, {} rejected, {} timed out, \
-             {} cancelled, {} failed ({} retries, {} degraded, \
-             {} preemptions, goodput {:.1} tok/s)",
+             {} cancelled, {} failed ({} retries, {} preemptions, \
+             goodput {:.1} tok/s)",
             self.offered(),
             c.completed,
             c.rejected,
@@ -402,7 +388,6 @@ impl std::fmt::Display for GatewayReport {
             c.cancelled,
             c.failed,
             self.retries,
-            self.degraded,
             self.preemptions,
             self.serving.tokens_per_second(),
         )?;
@@ -420,9 +405,6 @@ const BOUNCE_LIMIT: u32 = 8;
 #[derive(Debug)]
 struct ReqCore {
     gr: GatewayRequest,
-    /// Output tokens this request will actually get (≤ asked when
-    /// degraded under pressure).
-    target: usize,
     /// Serving-clock time of the first token (0 until it exists).
     first_token_ms: f64,
     tokens: Vec<u32>,
@@ -483,7 +465,6 @@ struct Run<'a, B: InferenceBackend> {
     occupancy: Summary,
     iterations: u64,
     retries: u64,
-    degraded: u64,
     preemptions: u64,
     /// Monotone residency counter feeding [`ActiveReq::admit_seq`].
     admits: u64,
@@ -661,7 +642,7 @@ impl<B: InferenceBackend> Run<'_, B> {
             last_used_ms: self.clock,
             core,
         };
-        if entry.core.produced >= entry.core.target {
+        if entry.core.produced >= entry.core.gr.req.decode_tokens {
             self.complete(entry);
         } else {
             self.active.push(entry);
@@ -695,16 +676,6 @@ impl<B: InferenceBackend> Run<'_, B> {
                 return;
             };
 
-            // Under pressure, the degrade policy trades answer length for
-            // admission throughput.
-            let mut target = gr.req.decode_tokens;
-            if let ShedPolicy::Degrade { max_decode_tokens } = self.cfg.shed {
-                if self.queued.len() > self.cfg.queue_depth / 2 && target > max_decode_tokens {
-                    target = max_decode_tokens;
-                    self.degraded += 1;
-                }
-            }
-
             // Chunked admission claims a slot and stages the prompt (no
             // time billed); the actual token feeding happens in
             // `prefill_round`, interleaved with resident decode
@@ -729,7 +700,6 @@ impl<B: InferenceBackend> Run<'_, B> {
             };
             let core = ReqCore {
                 gr,
-                target,
                 first_token_ms: 0.0,
                 tokens: Vec::new(),
                 produced: 0,
@@ -1001,7 +971,7 @@ impl<B: InferenceBackend> Run<'_, B> {
         // deadline by definition of "finished at this clock"), then
         // cancellation, then deadline enforcement.
         for a in std::mem::take(&mut self.active) {
-            if a.core.produced >= a.core.target {
+            if a.core.produced >= a.core.gr.req.decode_tokens {
                 self.complete(a);
             } else if let Some(terminal) = self.cut(&a.core.gr, TimeoutPhase::Decode) {
                 self.release_quietly(a.slot);
@@ -1064,7 +1034,6 @@ pub fn serve_gateway_on<B: InferenceBackend>(
         occupancy: Summary::new(),
         iterations: 0,
         retries: 0,
-        degraded: 0,
         preemptions: 0,
         admits: 0,
     };
@@ -1093,7 +1062,6 @@ pub fn serve_gateway_on<B: InferenceBackend>(
         serving: ServingReport::with_outputs(run.done, run.outputs, run.iterations, run.occupancy),
         terminals: run.terminals,
         retries: run.retries,
-        degraded: run.degraded,
         preemptions: run.preemptions,
     }
 }
@@ -1254,32 +1222,6 @@ mod tests {
         assert_eq!(report.terminal_of(0), Some(&Terminal::Cancelled));
         assert_eq!(report.terminal_of(1), Some(&Terminal::Cancelled));
         assert_eq!(report.terminal_of(2), Some(&Terminal::Completed));
-    }
-
-    #[test]
-    fn degrade_policy_trades_length_for_goodput() {
-        let e = engine(1);
-        let reqs = ArrivalProcess::Trace(vec![0.0; 8]).workload(8, &[(16, 32)]);
-        let offered = GatewayRequest::from_workload(&reqs);
-        let cfg = GatewayConfig {
-            max_batch: 2,
-            queue_depth: 8,
-            shed: ShedPolicy::Degrade {
-                max_decode_tokens: 4,
-            },
-            ..no_deadline_cfg()
-        };
-        let report = serve_gateway_on(&mut SimBackend::new(&e), &offered, &cfg);
-        assert!(report.is_conserved(&offered));
-        assert_eq!(report.counts().completed, 8);
-        assert!(report.degraded > 0, "pressure must trigger degradation");
-        assert!(report.serving.requests.iter().any(|m| m.decode_tokens == 4));
-        // Early admissions saw no pressure and kept their full ask.
-        assert!(report
-            .serving
-            .requests
-            .iter()
-            .any(|m| m.decode_tokens == 32));
     }
 
     #[test]
