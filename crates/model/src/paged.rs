@@ -41,7 +41,7 @@
 //! products are independent, so splitting a sequence across pages changes
 //! *where* bytes live but not one arithmetic operation. Paged decode is
 //! therefore byte-identical to the contiguous arena by construction — and
-//! by the engine-level exactness harness (`core/tests/exactness.rs`).
+//! by the engine-level exactness harness (`core/tests/harness/mod.rs`).
 //!
 //! # Sharing and copy-on-write
 //!
