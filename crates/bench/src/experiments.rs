@@ -4,6 +4,7 @@ use looplynx_baselines::gpu::A100Model;
 use looplynx_baselines::report::FpgaBaselineReport;
 use looplynx_baselines::spatial::SpatialArch;
 use looplynx_baselines::temporal::TemporalArch;
+use looplynx_core::backend::SimBackend;
 use looplynx_core::config::{ArchConfig, OptimizationFlags};
 use looplynx_core::engine::LoopLynx;
 use looplynx_hw::device::FpgaDevice;
@@ -11,7 +12,7 @@ use looplynx_hw::floorplan::FloorPlan;
 use looplynx_hw::platform::PlatformSpec;
 use looplynx_hw::resources::{ComponentResources, NodeResourceModel};
 use looplynx_model::config::ModelConfig;
-use looplynx_serve::{serve_continuous, serve_sequential, ArrivalProcess, ServeConfig};
+use looplynx_serve::{serve_continuous_on, ArrivalProcess};
 use looplynx_sim::stats::arithmetic_mean;
 
 use crate::paper;
@@ -474,7 +475,6 @@ pub fn offered_load_sweep_with(
         !nodes_list.is_empty() && !rates.is_empty(),
         "sweep needs at least one ring size and one rate"
     );
-    let cfg = ServeConfig::new(max_batch);
     let mut out = Vec::with_capacity(nodes_list.len() * rates.len());
     for &nodes in nodes_list {
         let eng = engine(model, nodes);
@@ -484,8 +484,8 @@ pub fn offered_load_sweep_with(
                 seed: 0x10091,
             }
             .workload(requests, &SERVE_SHAPES);
-            let batched = serve_continuous(&eng, &workload, &cfg);
-            let serial = serve_sequential(&eng, &workload);
+            let batched = serve_continuous_on(&mut SimBackend::new(&eng), &workload, max_batch);
+            let serial = serve_continuous_on(&mut SimBackend::new(&eng), &workload, 1);
             out.push(ServeSweepPoint {
                 nodes,
                 rate_per_s: rate,

@@ -28,7 +28,6 @@ use looplynx_tensor::activation::gelu_in_place;
 use looplynx_tensor::linear::QuantLinear;
 use looplynx_tensor::matrix::Matrix;
 use looplynx_tensor::norm::{layernorm_quantize_rows, LayerNormParams};
-use looplynx_tensor::quant::quantize_into;
 
 use crate::config::ArchConfig;
 use crate::energy::{fpga_energy, EnergyReport};
@@ -516,66 +515,6 @@ fn batch_attention_phase(
         }
     }
     run_jobs(pool, job_bytes, jobs);
-}
-
-/// Flat counterpart of one ring all-gather per batch row: for every row
-/// `t`, node shards land in node order at offset `node × shard_w`,
-/// exactly the router's node-id offset rule. [`RingMode::Exact`] copies
-/// the f32 shard; [`RingMode::Quantized`] quantizes each (row, node)
-/// shard with its own per-shard scale and dequantizes — operation for
-/// operation what [`Router::all_gather`] does per row, so the flat form
-/// is bit-identical to gathering row vectors.
-fn gather_rows_flat(
-    router: &Router,
-    nodes: &mut [NodeState],
-    src: GatherSrc,
-    b: usize,
-    shard_w: usize,
-    q8: &mut Vec<i8>,
-    out: &mut Vec<f32>,
-) {
-    let n = nodes.len();
-    if n == 1 && router.mode() == RingMode::Exact {
-        // The 1-node exact gather is the identity; move the buffer out
-        // instead of copying it (the source is scratch, overwritten by
-        // the next stage).
-        std::mem::swap(out, src.buf(&mut nodes[0]));
-        return;
-    }
-    out.clear();
-    out.reserve(b * n * shard_w);
-    for t in 0..b {
-        for node in nodes.iter_mut() {
-            let shard = &src.buf(node)[t * shard_w..(t + 1) * shard_w];
-            match router.mode() {
-                RingMode::Exact => out.extend_from_slice(shard),
-                RingMode::Quantized => {
-                    // quant unit → datapacks → router → dequantize at the
-                    // consumer; per-shard scale travels in the header.
-                    let scale = quantize_into(shard, q8);
-                    out.extend(q8.iter().map(|&q| q as f32 * scale));
-                }
-            }
-        }
-    }
-}
-
-/// Which per-node buffer [`gather_rows_flat`] gathers from.
-#[derive(Clone, Copy)]
-enum GatherSrc {
-    /// The node's attention output (`attn_out`).
-    Attn,
-    /// The node's stitched GEMM output (`gemm_out`).
-    Gemm,
-}
-
-impl GatherSrc {
-    fn buf(self, node: &mut NodeState) -> &mut Vec<f32> {
-        match self {
-            GatherSrc::Attn => &mut node.attn_out,
-            GatherSrc::Gemm => &mut node.gemm_out,
-        }
-    }
 }
 
 /// Default KV page size in tokens for engines built without explicit page
@@ -1186,10 +1125,9 @@ impl DistributedGpt2 {
                 &rows,
                 d_head,
             );
-            gather_rows_flat(
-                &self.router,
+            self.router.gather_rows(
                 &mut self.nodes,
-                GatherSrc::Attn,
+                |n| &mut n.attn_out,
                 b,
                 shard_w,
                 &mut self.scratch.stack.q8,
@@ -1263,10 +1201,9 @@ impl DistributedGpt2 {
         if matches!(lin, Linear::Qkv | Linear::LmHead) {
             return;
         }
-        gather_rows_flat(
-            &self.router,
+        self.router.gather_rows(
             &mut self.nodes,
-            GatherSrc::Gemm,
+            |n| &mut n.gemm_out,
             rows.len(),
             shard_w,
             &mut stack.q8,
@@ -1617,11 +1554,33 @@ mod tests {
     fn distributed_quantized_is_close_and_agrees_on_greedy_tokens() {
         let cfg = ModelConfig::tiny();
         let reference = Gpt2Model::synthetic(&cfg, 33);
-        let mut dist = DistributedGpt2::new(&reference, 2, RingMode::Quantized).unwrap();
+        // One int8 gather rounds each element by at most half a step, a
+        // 1/254 share of its shard's largest magnitude. A layer gathers
+        // four times (attention, out-proj, FC1, FC2), so the logit rows may
+        // move by that share of their largest magnitude once per gather,
+        // and no more.
+        let gathers = 4 * cfg.layers;
+        let mut exact = DistributedGpt2::new(&reference, 2, RingMode::Exact).unwrap();
+        let mut quant = DistributedGpt2::new(&reference, 2, RingMode::Quantized).unwrap();
+        let mut rows = vec![(exact.prefill(&[5, 6, 7]), quant.prefill(&[5, 6, 7]))];
+        for token in [9, 4, 11] {
+            rows.push((exact.decode_step(token), quant.decode_step(token)));
+        }
+        for (i, (want, got)) in rows.iter().enumerate() {
+            let peak = want.iter().fold(0.0f32, |m, x| m.max(x.abs()));
+            let bound = gathers as f32 * peak / 254.0;
+            let worst = want
+                .iter()
+                .zip(got)
+                .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
+            assert!(worst > 0.0, "row {i}: the int8 ring changed nothing");
+            assert!(worst <= bound, "row {i}: moved {worst} > {bound}");
+        }
         let mut single = reference.clone();
+        let mut quant = DistributedGpt2::new(&reference, 2, RingMode::Quantized).unwrap();
         let prompt = [5u32, 6, 7];
         let a = single.generate(&prompt, 8, &mut Sampler::greedy());
-        let b = dist.generate(&prompt, 8, &mut Sampler::greedy());
+        let b = quant.generate(&prompt, 8, &mut Sampler::greedy());
         // int8 ring payloads perturb logits slightly; greedy sequences may
         // diverge late but must agree at the start
         assert_eq!(a[0], b[0], "first generated token diverged: {a:?} vs {b:?}");

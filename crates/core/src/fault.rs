@@ -139,6 +139,12 @@ impl<B: InferenceBackend> FaultyBackend<B> {
         }
     }
 
+    /// The wrapped backend: a test hook, through which an audit reads the
+    /// inner engine between gateway steps.
+    pub fn inner(&self) -> &B {
+        &self.inner
+    }
+
     /// Slots stranded by leaked releases.
     pub fn leaked_slots(&self) -> &[usize] {
         &self.leaked

@@ -16,12 +16,15 @@
 //!
 //! Every engine-level exactness test binary in this directory is a set of
 //! entry points into this one module: random points with some axes
-//! pinned, fixed batches at chosen points, and named fixed scripts.
+//! pinned, fixed batches at chosen points, and named fixed scripts. The
+//! serving harness (`serve/tests/harness`) includes it by path for its
+//! lone-run oracle ([`lone_tokens`]) and its shrinker ([`check`]).
 
 // Each test binary includes this module and uses only part of it.
 #![allow(dead_code)]
 
 use std::cell::Cell;
+use std::fmt::Debug;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Once, OnceLock};
 
@@ -35,7 +38,7 @@ use looplynx_model::sampler::Sampler;
 
 /// Every request is sampled top-k, so a sampler that loses its place
 /// (say, across a preemption) changes tokens, which greedy would hide.
-const SAMPLER: SamplerSpec = SamplerSpec::TopK {
+pub const SAMPLER: SamplerSpec = SamplerSpec::TopK {
     k: K,
     temperature: T,
 };
@@ -100,7 +103,7 @@ impl Rng {
     }
 
     /// `lo + below(spread)` tokens drawn from the vocabulary.
-    fn tokens(&mut self, lo: usize, spread: usize, vocab: usize) -> Vec<u32> {
+    pub fn tokens(&mut self, lo: usize, spread: usize, vocab: usize) -> Vec<u32> {
         let n = lo + self.below(spread);
         (0..n).map(|_| self.below(vocab) as u32).collect()
     }
@@ -346,10 +349,7 @@ impl Run<'_> {
                         (State::Prefilling { slot }, None)
                     }
                 };
-                let mut oracle = FunctionalBackend::new(self.point.lone(), SAMPLER);
-                oracle
-                    .prefill_open(prompt.len(), Some(&prompt), id)
-                    .expect("lone open");
+                let oracle = lone_oracle(self.point, &prompt, id);
                 self.seqs.push(Seq {
                     prompt,
                     target: spec.target,
@@ -533,6 +533,28 @@ pub fn run_script(point: &Point, specs: &[ReqSpec], ops: &[Op]) -> FunctionalBac
     run.b
 }
 
+/// The oracle: request `id` alone on the point's lone engine, opened on
+/// `prompt` with nothing fed yet.
+pub fn lone_oracle(point: &Point, prompt: &[u32], id: u64) -> FunctionalBackend {
+    let mut oracle = FunctionalBackend::new(point.lone(), SAMPLER);
+    oracle
+        .prefill_open(prompt.len(), Some(prompt), id)
+        .expect("lone open");
+    oracle
+}
+
+/// The first `n` tokens request `id` samples on its lone run.
+pub fn lone_tokens(point: &Point, prompt: &[u32], n: usize, id: u64) -> Vec<u32> {
+    let mut oracle = lone_oracle(point, prompt, id);
+    let fed = oracle.prefill_step(0, prompt.len()).expect("lone feed");
+    let mut out: Vec<u32> = fed.first_token.into_iter().collect();
+    while out.len() < n {
+        let decoded = oracle.decode_batch(&[0]).expect("lone decode");
+        out.extend(decoded.tokens.expect("tokens"));
+    }
+    out
+}
+
 /// `Gpt2Model`'s tokens for one request under the harness's sampler.
 fn reference_tokens(wide: bool, prompt: &[u32], n: usize, seed: u64) -> Vec<u32> {
     let mut m = model(wide, false).clone();
@@ -550,14 +572,20 @@ thread_local! {
     static QUIET: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Runs one script and returns the subject backend; on failure shrinks
-/// the script by deleting one op at a time while it still fails, prints
-/// the seed, the point and the shortest failing script, and replays that
-/// one to fail with its own message.
-pub fn check_script(seed: u64, point: &Point, specs: &[ReqSpec], ops: &[Op]) -> FunctionalBackend {
-    let run = |ops: &[Op]| panic::catch_unwind(AssertUnwindSafe(|| run_script(point, specs, ops)));
-    if let Ok(b) = run(ops) {
-        return b;
+/// Runs `run` on `items` and returns its result; on failure shrinks the
+/// list by deleting one item at a time while it still fails (with this
+/// thread's panic messages silenced), prints the seed, `point` and the
+/// shortest failing list, and replays that one to fail with its own
+/// message.
+pub fn check<T: Clone + Debug, R>(
+    seed: u64,
+    point: &dyn Debug,
+    items: &[T],
+    run: impl Fn(&[T]) -> R,
+) -> R {
+    let attempt = |items: &[T]| panic::catch_unwind(AssertUnwindSafe(|| run(items)));
+    if let Ok(r) = attempt(items) {
+        return r;
     }
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
@@ -569,24 +597,32 @@ pub fn check_script(seed: u64, point: &Point, specs: &[ReqSpec], ops: &[Op]) -> 
         }));
     });
     QUIET.set(true);
-    let mut ops = ops.to_vec();
+    let mut items = items.to_vec();
     let mut i = 0;
-    while i < ops.len() {
-        let mut shorter = ops.clone();
+    while i < items.len() {
+        let mut shorter = items.clone();
         shorter.remove(i);
-        if run(&shorter).is_err() {
-            ops = shorter;
+        if attempt(&shorter).is_err() {
+            items = shorter;
         } else {
             i += 1;
         }
     }
     QUIET.set(false);
     eprintln!(
-        "seed {seed:#x} fails at {point:?}\nrequests: {specs:?}\nshortest failing script ({} ops): {ops:?}",
-        ops.len()
+        "seed {seed:#x} fails at {point:?}\nshortest failing list ({} items): {items:?}",
+        items.len()
     );
-    drop(run_script(point, specs, &ops));
+    run(&items);
     panic!("the failure did not replay");
+}
+
+/// Runs one script and returns the subject backend; a failing script is
+/// shrunk one op at a time and printed ([`check`]).
+pub fn check_script(seed: u64, point: &Point, specs: &[ReqSpec], ops: &[Op]) -> FunctionalBackend {
+    check(seed, &(point, specs), ops, |ops| {
+        run_script(point, specs, ops)
+    })
 }
 
 /// One sequence of the fixed batch: its prompt and three decode tokens.

@@ -104,8 +104,12 @@ proptest! {
                     .collect()
             })
             .collect();
-        let exact = Router::new(nodes, RingMode::Exact).all_gather(&shards);
-        let quant = Router::new(nodes, RingMode::Quantized).all_gather(&shards);
+        let gather = |mode| {
+            let (mut bufs, mut out) = (shards.clone(), Vec::new());
+            Router::new(nodes, mode).gather_rows(&mut bufs, |s| s, 1, shard_len, &mut Vec::new(), &mut out);
+            out
+        };
+        let (exact, quant) = (gather(RingMode::Exact), gather(RingMode::Quantized));
         prop_assert_eq!(exact.len(), quant.len());
         for (n, shard) in shards.iter().enumerate() {
             let step = shard.iter().fold(0.0f32, |m, &x| m.max(x.abs())) / 127.0;

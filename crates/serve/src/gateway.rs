@@ -1,10 +1,11 @@
 //! The fault-tolerant serving gateway: continuous batching with
 //! deadlines, admission control, cancellation, and retry.
 //!
-//! [`serve_gateway_on`] is the crate's one serving loop: continuous
-//! batching plus the machinery a production ingress needs (the
-//! fair-weather schedulers in [`crate::batcher`] are this loop with all of
-//! it switched off):
+//! [`Gateway`] is the crate's one serving loop, stepped one scheduler
+//! iteration at a time and run to the end by [`serve_gateway_on`]:
+//! continuous batching plus the machinery a production ingress needs (the
+//! fair-weather preset in [`crate::batcher`] is this loop with all of it
+//! switched off):
 //!
 //! * **Admission control** — a bounded queue ([`GatewayConfig::queue_depth`]);
 //!   arrivals past the bound are shed according to [`ShedPolicy`]
@@ -449,10 +450,34 @@ struct PreemptedReq {
     seq: PreemptedSeq,
 }
 
-/// The in-flight state of one gateway run.
-struct Run<'a, B: InferenceBackend> {
+/// What a [`Gateway`] holds between two steps: the serving clock and how
+/// many requests sit in each stage.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Gauges {
+    /// Serving-clock time (ms).
+    pub clock_ms: f64,
+    /// Requests that have not arrived yet.
+    pub pending: usize,
+    /// Arrived requests waiting in the bounded queue.
+    pub queued: usize,
+    /// Requests holding a slot while their prompt is fed in chunks.
+    pub prefilling: usize,
+    /// Requests resident in the decode batch.
+    pub active: usize,
+    /// Requests evicted under page pressure; they hold no slot.
+    pub preempted: usize,
+    /// Requests that reached their terminal state.
+    pub terminated: usize,
+}
+
+/// The serving loop as a state machine: [`Gateway::new`] takes the
+/// workload, [`Gateway::step`] runs one scheduler iteration, and between
+/// steps an audit or telemetry reads [`Gateway::backend`];
+/// [`serve_gateway_on`] steps it to the end and calls [`Gateway::finish`].
+#[derive(Debug)]
+pub struct Gateway<'a, B: InferenceBackend> {
     backend: &'a mut B,
-    cfg: &'a GatewayConfig,
+    cfg: GatewayConfig,
     clock: f64,
     pending: VecDeque<GatewayRequest>,
     queued: VecDeque<GatewayRequest>,
@@ -470,7 +495,96 @@ struct Run<'a, B: InferenceBackend> {
     admits: u64,
 }
 
-impl<B: InferenceBackend> Run<'_, B> {
+impl<'a, B: InferenceBackend> Gateway<'a, B> {
+    /// Takes a workload: requests are served in arrival order (a stable
+    /// sort, so ties keep their order in `requests`).
+    ///
+    /// # Panics
+    ///
+    /// Panics only on caller bugs: an invalid `cfg` (see
+    /// [`GatewayConfig::validate`]) or duplicate request ids.
+    pub fn new(backend: &'a mut B, requests: &[GatewayRequest], cfg: &GatewayConfig) -> Self {
+        cfg.validate();
+        let mut sorted: Vec<GatewayRequest> = requests.to_vec();
+        // total_cmp: a total order even on NaN arrival times, so the sort
+        // itself can never panic.
+        sorted.sort_by(|a, b| a.req.arrival_ms.total_cmp(&b.req.arrival_ms));
+        let mut ids: Vec<u64> = sorted.iter().map(|g| g.req.id).collect();
+        ids.sort_unstable();
+        assert!(
+            ids.windows(2).all(|w| w[0] != w[1]),
+            "duplicate request ids break terminal accounting"
+        );
+        Gateway {
+            backend,
+            cfg: *cfg,
+            clock: 0.0,
+            pending: sorted.into(),
+            queued: VecDeque::new(),
+            active: Vec::new(),
+            prefilling: Vec::new(),
+            preempted: VecDeque::new(),
+            terminals: Vec::new(),
+            done: Vec::new(),
+            outputs: Vec::new(),
+            occupancy: Summary::new(),
+            iterations: 0,
+            retries: 0,
+            preemptions: 0,
+            admits: 0,
+        }
+    }
+
+    /// Runs one scheduler iteration (arrivals, the cancel and deadline
+    /// scan, resumes, admissions, one chunk per open prefill, one decode
+    /// round) and returns the gauges after it, or `None` once every request
+    /// has terminated. An idle gateway first jumps to the next arrival, the
+    /// only future event while nothing is queued or resident.
+    pub fn step(&mut self) -> Option<Gauges> {
+        if self.nothing_resident() && self.queued.is_empty() && self.preempted.is_empty() {
+            let front = self.pending.front()?;
+            self.clock = self.clock.max(front.req.arrival_ms);
+        }
+        self.pump_arrivals();
+        self.scan_waiting();
+        self.resume_preempted();
+        self.admit();
+        self.prefill_round();
+        if !self.active.is_empty() {
+            self.decode_round();
+        }
+        Some(Gauges {
+            clock_ms: self.clock,
+            pending: self.pending.len(),
+            queued: self.queued.len(),
+            prefilling: self.prefilling.len(),
+            active: self.active.len(),
+            preempted: self.preempted.len(),
+            terminated: self.terminals.len(),
+        })
+    }
+
+    /// The backend, as the last step left it.
+    pub fn backend(&self) -> &B {
+        self.backend
+    }
+
+    /// The report of the run. Call it once [`Gateway::step`] has returned
+    /// `None`: a request still in flight has no terminal record yet.
+    pub fn finish(self) -> GatewayReport {
+        GatewayReport {
+            serving: ServingReport::with_outputs(
+                self.done,
+                self.outputs,
+                self.iterations,
+                self.occupancy,
+            ),
+            terminals: self.terminals,
+            retries: self.retries,
+            preemptions: self.preemptions,
+        }
+    }
+
     fn terminate(&mut self, gr: &GatewayRequest, terminal: Terminal) {
         self.terminals.push(RequestTerminal {
             id: gr.req.id,
@@ -617,7 +731,7 @@ impl<B: InferenceBackend> Run<'_, B> {
 
     /// A fresh admission's first token exists (one-shot prefill, or the
     /// last chunk of a chunked one): pass the first-token deadline gate,
-    /// record it, and [`Run::land`].
+    /// record it, and `land`.
     fn first_token(&mut self, mut core: ReqCore, slot: usize, token: Option<u32>) {
         if self.late(&core.gr, TimeoutPhase::FirstToken) {
             self.release_quietly(slot);
@@ -998,86 +1112,33 @@ impl<B: InferenceBackend> Run<'_, B> {
 ///
 /// # Panics
 ///
-/// Panics only on caller bugs: an invalid `cfg` (see
-/// [`GatewayConfig::validate`]) or duplicate request ids.
+/// As [`Gateway::new`].
 pub fn serve_gateway_on<B: InferenceBackend>(
     backend: &mut B,
     requests: &[GatewayRequest],
     cfg: &GatewayConfig,
 ) -> GatewayReport {
-    cfg.validate();
-    let mut sorted: Vec<GatewayRequest> = requests.to_vec();
-    // total_cmp: a total order even on NaN arrival times, so the sort
-    // itself can never panic.
-    sorted.sort_by(|a, b| a.req.arrival_ms.total_cmp(&b.req.arrival_ms));
-    {
-        let mut ids: Vec<u64> = sorted.iter().map(|g| g.req.id).collect();
-        ids.sort_unstable();
-        assert!(
-            ids.windows(2).all(|w| w[0] != w[1]),
-            "duplicate request ids break terminal accounting"
-        );
-    }
-
-    let mut run = Run {
-        backend,
-        cfg,
-        clock: 0.0,
-        pending: sorted.into(),
-        queued: VecDeque::new(),
-        active: Vec::new(),
-        prefilling: Vec::new(),
-        preempted: VecDeque::new(),
-        terminals: Vec::new(),
-        done: Vec::new(),
-        outputs: Vec::new(),
-        occupancy: Summary::new(),
-        iterations: 0,
-        retries: 0,
-        preemptions: 0,
-        admits: 0,
-    };
-
-    loop {
-        // Idle: jump to the next arrival (the only future event while
-        // nothing is queued or resident — queued requests either admit or
-        // terminate within this iteration), or finish when there is none.
-        if run.nothing_resident() && run.queued.is_empty() && run.preempted.is_empty() {
-            let Some(front) = run.pending.front() else {
-                break;
-            };
-            run.clock = run.clock.max(front.req.arrival_ms);
-        }
-        run.pump_arrivals();
-        run.scan_waiting();
-        run.resume_preempted();
-        run.admit();
-        run.prefill_round();
-        if !run.active.is_empty() {
-            run.decode_round();
-        }
-    }
-
-    GatewayReport {
-        serving: ServingReport::with_outputs(run.done, run.outputs, run.iterations, run.occupancy),
-        terminals: run.terminals,
-        retries: run.retries,
-        preemptions: run.preemptions,
-    }
+    let mut gateway = Gateway::new(backend, requests, cfg);
+    while gateway.step().is_some() {}
+    gateway.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{self, burst, check_trace, request, Point};
     use looplynx_core::backend::{FunctionalBackend, SamplerSpec, SimBackend};
     use looplynx_core::config::ArchConfig;
     use looplynx_core::engine::{DistributedGpt2, LoopLynx};
     use looplynx_core::fault::{FaultPlan, FaultyBackend};
     use looplynx_core::router::RingMode;
     use looplynx_model::config::ModelConfig;
-    use looplynx_model::gpt2::Gpt2Model;
 
     use crate::arrival::ArrivalProcess;
+
+    // The tests that drive a functional backend through the serving
+    // harness (`tests/harness/mod.rs`) are named traces: each checks what
+    // every harness case checks, and asserts what its name says on top.
 
     fn engine(nodes: usize) -> LoopLynx {
         LoopLynx::new(
@@ -1087,10 +1148,10 @@ mod tests {
         .unwrap()
     }
 
-    fn functional_backend(slots: usize) -> (Gpt2Model, FunctionalBackend) {
-        let model = Gpt2Model::synthetic(&ModelConfig::tiny(), 2024);
+    fn functional_backend(slots: usize) -> FunctionalBackend {
+        let model = looplynx_model::gpt2::Gpt2Model::synthetic(&ModelConfig::tiny(), 2024);
         let dist = DistributedGpt2::with_slots(&model, 2, RingMode::Exact, slots, 48).unwrap();
-        (model, FunctionalBackend::new(dist, SamplerSpec::Greedy))
+        FunctionalBackend::new(dist, SamplerSpec::Greedy)
     }
 
     fn prompted_workload(n: usize, seed: u64) -> Vec<Request> {
@@ -1100,10 +1161,6 @@ mod tests {
             ModelConfig::tiny().vocab,
             seed,
         )
-    }
-
-    fn no_deadline_cfg() -> GatewayConfig {
-        GatewayConfig::default()
     }
 
     #[test]
@@ -1123,7 +1180,7 @@ mod tests {
         let gated = serve_gateway_on(
             &mut SimBackend::new(&e),
             &GatewayRequest::from_workload(&reqs),
-            &no_deadline_cfg(),
+            &GatewayConfig::default(),
         );
         assert!(gated.is_conserved(&GatewayRequest::from_workload(&reqs)));
         assert_eq!(gated.counts().completed, reqs.len());
@@ -1131,30 +1188,20 @@ mod tests {
         let mut got: Vec<_> = gated.serving.requests.clone();
         got.sort_by_key(|m| m.id);
         assert_eq!(got.len(), GOLDEN.len());
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
         for (m, (first, completion)) in got.iter().zip(GOLDEN) {
-            assert!((m.first_token_ms - first).abs() < 1e-9, "request {}", m.id);
-            assert!(
-                (m.completion_ms - completion).abs() < 1e-9,
-                "request {}",
-                m.id
-            );
+            let on_time = close(m.first_token_ms, first) && close(m.completion_ms, completion);
+            assert!(on_time, "request {}", m.id);
         }
     }
 
     #[test]
     fn queue_overflow_sheds_excess_arrivals() {
-        let e = engine(1);
-        let reqs = ArrivalProcess::Trace(vec![0.0; 6]).workload(6, &[(16, 8)]);
-        let offered = GatewayRequest::from_workload(&reqs);
-        let cfg = GatewayConfig {
-            queue_depth: 2,
-            ..no_deadline_cfg()
-        };
-        let report = serve_gateway_on(&mut SimBackend::new(&e), &offered, &cfg);
-        assert!(report.is_conserved(&offered));
+        let mut point = Point::calm(1, 4);
+        point.cfg.queue_depth = 2;
+        let report = check_trace(0, &point, &burst(6));
         let c = report.counts();
-        assert_eq!(c.completed, 2);
-        assert_eq!(c.rejected, 4);
+        assert_eq!((c.completed, c.rejected), (2, 4));
         for t in &report.terminals {
             if let Terminal::Rejected(r) = t.terminal {
                 assert_eq!(r, RejectReason::QueueFull);
@@ -1164,80 +1211,66 @@ mod tests {
 
     #[test]
     fn ttft_deadline_sheds_late_queued_requests() {
-        let e = engine(1);
-        // Batch of 1 serializes the queue; a tight TTFT budget means only
-        // the head of the line can make it.
-        let reqs = ArrivalProcess::Trace(vec![0.0; 4]).workload(4, &[(32, 16)]);
-        let offered = GatewayRequest::from_workload(&reqs);
-        let cfg = GatewayConfig {
-            max_batch: 1,
-            ttft_deadline_ms: Some(1.0),
-            ..no_deadline_cfg()
-        };
-        let report = serve_gateway_on(&mut SimBackend::new(&e), &offered, &cfg);
-        assert!(report.is_conserved(&offered));
-        let c = report.counts();
-        assert!(c.timed_out >= 1, "tight TTFT budget must shed: {report}");
-        assert_eq!(c.completed + c.timed_out, 4);
-        assert!(report
-            .terminals
-            .iter()
-            .all(|t| !matches!(t.terminal, Terminal::Failed(_))));
+        // A batch of 1 serializes the queue, and the TTFT budget is one
+        // and a half prefills. Request 1 makes it; request 2 expires while
+        // queued; requests 3 and 4 are admitted in time but their first
+        // tokens land late, each measured from its own arrival even with a
+        // later arrival queued behind it.
+        let ttft = 1.5 * harness::PREFILL_MS;
+        let arrivals = [0.0, 1.0, 2.0, 2.0 + ttft - 1.0];
+        let trace: Vec<_> = (1..=4)
+            .zip(arrivals)
+            .map(|(id, at)| request(id, at, vec![5, 3, id as u32], 5))
+            .collect();
+        let mut point = Point::calm(1, 4);
+        point.cfg.max_batch = 1;
+        point.cfg.ttft_deadline_ms = Some(ttft);
+        let report = check_trace(0, &point, &trace);
+        let terminals: Vec<_> = (1..=4).map(|id| report.terminal_of(id).cloned()).collect();
+        let late = |phase| Some(Terminal::TimedOut(phase));
+        let first_token = [
+            late(TimeoutPhase::FirstToken),
+            late(TimeoutPhase::FirstToken),
+        ];
+        let head = [Some(Terminal::Completed), late(TimeoutPhase::Queued)];
+        assert_eq!(terminals, [head, first_token].concat());
     }
 
     #[test]
     fn e2e_deadline_expires_mid_decode() {
-        let e = engine(1);
-        // Prefill of 16 tokens takes ~85 simulated ms and each decode
-        // ~6 ms: a 300 ms budget survives prefill but not 64 tokens.
-        let reqs = ArrivalProcess::Trace(vec![0.0]).workload(1, &[(16, 64)]);
-        let offered: Vec<GatewayRequest> = GatewayRequest::from_workload(&reqs)
-            .into_iter()
-            .map(|g| g.with_deadline(300.0))
-            .collect();
-        let report = serve_gateway_on(&mut SimBackend::new(&e), &offered, &no_deadline_cfg());
-        assert!(report.is_conserved(&offered));
-        assert_eq!(
-            report.terminal_of(0),
-            Some(&Terminal::TimedOut(TimeoutPhase::Decode))
-        );
+        // The prefill and two decode iterations fit the budget; eight
+        // output tokens do not.
+        let budget = harness::PREFILL_MS + 2.5 * harness::DECODE_MS;
+        let trace = [request(1, 0.0, vec![3, 1, 4, 1, 5], 8).with_deadline(budget)];
+        let report = check_trace(0, &Point::calm(1, 2), &trace);
+        let mid_decode = Terminal::TimedOut(TimeoutPhase::Decode);
+        assert_eq!(report.terminal_of(1), Some(&mid_decode));
         assert_eq!(report.serving.completed(), 0);
     }
 
     #[test]
     fn cancellation_honored_queued_and_resident() {
-        let e = engine(1);
-        let reqs = ArrivalProcess::Trace(vec![0.0, 0.0, 0.0]).workload(3, &[(16, 32)]);
-        let mut offered = GatewayRequest::from_workload(&reqs);
-        // Batch of 1: request 1 waits behind request 0 and cancels while
-        // queued; request 0 cancels mid-decode.
-        offered[0] = offered[0].clone().cancel_at(40.0);
-        offered[1] = offered[1].clone().cancel_at(1.0);
-        let cfg = GatewayConfig {
-            max_batch: 1,
-            ..no_deadline_cfg()
-        };
-        let report = serve_gateway_on(&mut SimBackend::new(&e), &offered, &cfg);
-        assert!(report.is_conserved(&offered));
-        assert_eq!(report.terminal_of(0), Some(&Terminal::Cancelled));
+        // A batch of 1: request 2 waits behind request 1 and cancels while
+        // queued; request 1 cancels mid-decode.
+        let mut trace = burst(3);
+        trace[0] = trace[0].clone().cancel_at(harness::PREFILL_MS + 1.5);
+        trace[1] = trace[1].clone().cancel_at(1.0);
+        let mut point = Point::calm(1, 2);
+        point.cfg.max_batch = 1;
+        let report = check_trace(0, &point, &trace);
         assert_eq!(report.terminal_of(1), Some(&Terminal::Cancelled));
-        assert_eq!(report.terminal_of(2), Some(&Terminal::Completed));
+        assert_eq!(report.terminal_of(2), Some(&Terminal::Cancelled));
+        assert_eq!(report.terminal_of(3), Some(&Terminal::Completed));
     }
 
     #[test]
     fn oversized_request_is_rejected_not_a_panic() {
-        let e = engine(1);
-        let mut offered = GatewayRequest::from_workload(
-            &ArrivalProcess::Trace(vec![0.0]).workload(1, &[(16, 8)]),
-        );
-        offered.push(GatewayRequest::new(Request::new(1, 0.0, 5000, 100)));
-        let report = serve_gateway_on(&mut SimBackend::new(&e), &offered, &no_deadline_cfg());
-        assert!(report.is_conserved(&offered));
-        assert_eq!(
-            report.terminal_of(1),
-            Some(&Terminal::Rejected(RejectReason::TooLong))
-        );
-        assert_eq!(report.terminal_of(0), Some(&Terminal::Completed));
+        let mut trace = burst(1);
+        trace.push(request(2, 0.0, vec![7; harness::CAPACITY], 2));
+        let report = check_trace(0, &Point::calm(2, 2), &trace);
+        let too_long = Terminal::Rejected(RejectReason::TooLong);
+        assert_eq!(report.terminal_of(2), Some(&too_long));
+        assert_eq!(report.terminal_of(1), Some(&Terminal::Completed));
     }
 
     #[test]
@@ -1246,7 +1279,11 @@ mod tests {
         let offered: Vec<GatewayRequest> = (0..3)
             .map(|id| GatewayRequest::new(Request::new(id, 0.0, 5000, 100)))
             .collect();
-        let report = serve_gateway_on(&mut SimBackend::new(&e), &offered, &no_deadline_cfg());
+        let report = serve_gateway_on(
+            &mut SimBackend::new(&e),
+            &offered,
+            &GatewayConfig::default(),
+        );
         assert!(report.is_conserved(&offered));
         assert_eq!(report.counts().rejected, 3);
         assert_eq!(report.serving.tokens_per_second(), 0.0);
@@ -1258,80 +1295,32 @@ mod tests {
 
     #[test]
     fn transient_faults_retry_to_bit_exact_completion() {
-        let reqs = prompted_workload(5, 11);
-        let offered = GatewayRequest::from_workload(&reqs);
-
-        let (_m1, mut clean) = functional_backend(4);
-        let clean_report = serve_gateway_on(&mut clean, &offered, &no_deadline_cfg());
-        assert_eq!(clean_report.counts().completed, 5);
-
-        let (_m2, inner) = functional_backend(4);
-        let mut faulty = FaultyBackend::new(
-            inner,
-            FaultPlan {
-                seed: 7,
-                prefill_fail_rate: 0.3,
-                decode_fail_rate: 0.3,
-                stall_rate: 0.0,
-                stall_ms: 0.0,
-                release_leak_rate: 0.0,
-                page_fault_rate: 0.0,
-            },
-        );
-        let cfg = GatewayConfig {
-            max_retries: 64,
-            ..no_deadline_cfg()
-        };
-        let report = serve_gateway_on(&mut faulty, &offered, &cfg);
-        assert!(report.is_conserved(&offered));
+        let mut point = Point::calm(2, 4);
+        point.cfg.max_retries = 64;
+        point.plan.prefill_fail_rate = 0.3;
+        point.plan.decode_fail_rate = 0.3;
+        point.plan.seed = 7;
+        let report = check_trace(0, &point, &burst(5));
         assert_eq!(report.counts().completed, 5, "{report}");
         assert!(report.retries > 0, "fault plan must have fired");
-        for r in &reqs {
-            assert_eq!(
-                report.serving.output_tokens(r.id),
-                clean_report.serving.output_tokens(r.id),
-                "request {} diverged under retry",
-                r.id
-            );
-        }
     }
 
     #[test]
     fn exhausted_retries_fail_requests_without_hanging() {
-        let (_m, inner) = functional_backend(4);
-        let mut faulty = FaultyBackend::new(
-            inner,
-            FaultPlan {
-                seed: 3,
-                prefill_fail_rate: 1.0,
-                decode_fail_rate: 1.0,
-                stall_rate: 0.0,
-                stall_ms: 0.0,
-                release_leak_rate: 0.0,
-                page_fault_rate: 0.0,
-            },
-        );
-        let reqs = prompted_workload(3, 5);
-        let offered = GatewayRequest::from_workload(&reqs);
-        let cfg = GatewayConfig {
-            max_retries: 2,
-            ..no_deadline_cfg()
-        };
-        let report = serve_gateway_on(&mut faulty, &offered, &cfg);
-        assert!(report.is_conserved(&offered));
+        let mut point = Point::calm(2, 4);
+        point.cfg.max_retries = 2;
+        point.plan.prefill_fail_rate = 1.0;
+        point.plan.decode_fail_rate = 1.0;
+        let report = check_trace(0, &point, &burst(3));
         assert_eq!(report.counts().failed, 3);
-        for t in &report.terminals {
-            assert!(matches!(t.terminal, Terminal::Failed(_)));
-        }
     }
 
     #[test]
     fn leaked_slots_collapse_into_overload_rejection() {
         // Every release leaks: capacity shrinks to zero and the tail of
         // the workload must be shed, not hung.
-        let (_m, inner) = functional_backend(2);
         let mut faulty = FaultyBackend::new(
-            inner,
+            functional_backend(2),
             FaultPlan {
                 seed: 9,
                 prefill_fail_rate: 0.0,
@@ -1344,7 +1333,7 @@ mod tests {
         );
         let reqs = prompted_workload(6, 21);
         let offered = GatewayRequest::from_workload(&reqs);
-        let report = serve_gateway_on(&mut faulty, &offered, &no_deadline_cfg());
+        let report = serve_gateway_on(&mut faulty, &offered, &GatewayConfig::default());
         assert!(report.is_conserved(&offered));
         let c = report.counts();
         assert_eq!(c.completed, 2, "two slots leak after two completions");
@@ -1357,14 +1346,14 @@ mod tests {
 
     #[test]
     fn poisoned_backend_fails_head_and_sheds_tail() {
-        let (_m, mut backend) = functional_backend(4);
+        let mut backend = functional_backend(4);
         // Poison the backend up front: an over-long prompt panics inside
         // the engine and the backend catches it.
         let oversize = vec![1u32; 64];
         assert!(backend.prefill(64, Some(&oversize), 0).is_err());
         let reqs = prompted_workload(3, 8);
         let offered = GatewayRequest::from_workload(&reqs);
-        let report = serve_gateway_on(&mut backend, &offered, &no_deadline_cfg());
+        let report = serve_gateway_on(&mut backend, &offered, &GatewayConfig::default());
         assert!(report.is_conserved(&offered));
         let c = report.counts();
         assert_eq!(c.failed, 1, "head request observes the poisoned worker");
@@ -1377,14 +1366,14 @@ mod tests {
         // non-empty assert under `catch_unwind`, poisoning the backend —
         // one malformed request failed every request after it.
         for prefill_chunk in [None, Some(2)] {
-            let (_m, mut backend) = functional_backend(2);
+            let mut backend = functional_backend(2);
             let mut reqs = prompted_workload(3, 8);
             reqs[0].prompt = Some(Vec::new());
             reqs[0].prefill_tokens = 0;
             let offered = GatewayRequest::from_workload(&reqs);
             let cfg = GatewayConfig {
                 prefill_chunk,
-                ..no_deadline_cfg()
+                ..GatewayConfig::default()
             };
             let report = serve_gateway_on(&mut backend, &offered, &cfg);
             assert!(report.is_conserved(&offered));
@@ -1400,24 +1389,11 @@ mod tests {
 
     #[test]
     fn stalls_bill_the_serving_clock() {
-        let (_m1, inner) = functional_backend(4);
-        let mut faulty = FaultyBackend::new(
-            inner,
-            FaultPlan {
-                seed: 13,
-                prefill_fail_rate: 0.0,
-                decode_fail_rate: 0.0,
-                stall_rate: 1.0,
-                stall_ms: 500.0,
-                release_leak_rate: 0.0,
-                page_fault_rate: 0.0,
-            },
-        );
-        let reqs = prompted_workload(2, 31);
-        let offered = GatewayRequest::from_workload(&reqs);
-        let stalled = serve_gateway_on(&mut faulty, &offered, &no_deadline_cfg());
-        let (_m2, mut clean) = functional_backend(4);
-        let smooth = serve_gateway_on(&mut clean, &offered, &no_deadline_cfg());
+        let mut point = Point::calm(2, 4);
+        let smooth = check_trace(0, &point, &burst(2));
+        point.plan.stall_rate = 1.0;
+        point.plan.stall_ms = 500.0;
+        let stalled = check_trace(0, &point, &burst(2));
         assert_eq!(stalled.counts().completed, 2);
         assert!(
             stalled.serving.e2e_ms.p50().unwrap() > smooth.serving.e2e_ms.p50().unwrap() + 400.0,
@@ -1425,225 +1401,70 @@ mod tests {
         );
     }
 
-    /// A paged functional backend oversubscribed on purpose: many slots,
-    /// a page pool far smaller than `slots × capacity`.
-    fn paged_backend(slots: usize, pool_pages: usize) -> (Gpt2Model, FunctionalBackend) {
-        let model = Gpt2Model::synthetic(&ModelConfig::tiny(), 2024);
-        let dist =
-            DistributedGpt2::with_paged_slots(&model, 2, RingMode::Exact, slots, 48, 4, pool_pages)
-                .unwrap();
-        (model, FunctionalBackend::new(dist, SamplerSpec::Greedy))
+    /// Eight requests over the tightest pool, served by preemption with
+    /// `evict` choosing victims and `chunk` feeding prompts: all complete.
+    fn oversubscribed(evict: EvictPolicyKind, chunk: Option<usize>) -> GatewayReport {
+        let mut point = Point::calm(2, 8).oversubscribed();
+        point.cfg.evict = evict;
+        point.cfg.prefill_chunk = chunk;
+        let report = check_trace(0, &point, &burst(8));
+        assert_eq!(report.counts().completed, 8, "{report}");
+        report
     }
 
     #[test]
     fn preempt_policy_oversubscribes_without_failures() {
-        // With 4-token pages, 8 resident ~11-token contexts want ~24
-        // pages; the pool has 12 (the minimum geometry allows). Reject
-        // policy cannot serve this concurrency; Preempt must, with every
-        // stream bit-identical to an uncontended run.
-        let reqs = prompted_workload(8, 17);
-        let offered = GatewayRequest::from_workload(&reqs);
-
-        let (_m1, mut roomy) = functional_backend(8);
-        let baseline = serve_gateway_on(&mut roomy, &offered, &no_deadline_cfg());
-        assert_eq!(baseline.counts().completed, 8);
-
-        let (_m2, mut tight) = paged_backend(8, 12);
-        let cfg = GatewayConfig {
-            shed: ShedPolicy::Preempt,
-            ..no_deadline_cfg()
-        };
-        let report = serve_gateway_on(&mut tight, &offered, &cfg);
-        assert!(report.is_conserved(&offered));
-        assert_eq!(report.counts().completed, 8, "{report}");
-        assert!(
-            report.preemptions > 0,
-            "a 10-page pool under 8 residents must preempt: {report}"
-        );
-        for r in &reqs {
-            assert_eq!(
-                report.serving.output_tokens(r.id),
-                baseline.serving.output_tokens(r.id),
-                "request {} diverged across preemption",
-                r.id
-            );
-        }
+        let report = oversubscribed(EvictPolicyKind::YoungestFirst, None);
+        assert!(report.preemptions > 0, "the pool must preempt: {report}");
     }
 
     #[test]
     fn evict_policies_rank_candidates_as_documented() {
-        let candidates = [
-            EvictCandidate {
-                admit_seq: 3,
-                last_used_ms: 40.0,
-                reclaimable_pages: 1,
-            },
-            EvictCandidate {
-                admit_seq: 7,
-                last_used_ms: 40.0,
-                reclaimable_pages: 1,
-            },
-            EvictCandidate {
-                admit_seq: 5,
-                last_used_ms: 10.0,
-                reclaimable_pages: 4,
-            },
-        ];
+        let c = |admit_seq, last_used_ms, reclaimable_pages| EvictCandidate {
+            admit_seq,
+            last_used_ms,
+            reclaimable_pages,
+        };
+        let candidates = [c(3, 40.0, 1), c(7, 40.0, 1), c(5, 10.0, 4)];
         // Youngest-first: largest admission ordinal, regardless of pages.
         assert_eq!(EvictPolicyKind::YoungestFirst.pick(&candidates), 1);
         // LruReclaim: the most exclusive pages wins outright.
         assert_eq!(EvictPolicyKind::LruReclaim.pick(&candidates), 2);
         // Page tie → least recently used; full tie → oldest admission.
-        let tied = [
-            EvictCandidate {
-                admit_seq: 9,
-                last_used_ms: 25.0,
-                reclaimable_pages: 2,
-            },
-            EvictCandidate {
-                admit_seq: 4,
-                last_used_ms: 12.0,
-                reclaimable_pages: 2,
-            },
-            EvictCandidate {
-                admit_seq: 2,
-                last_used_ms: 12.0,
-                reclaimable_pages: 2,
-            },
-        ];
+        let tied = [c(9, 25.0, 2), c(4, 12.0, 2), c(2, 12.0, 2)];
         assert_eq!(EvictPolicyKind::LruReclaim.pick(&tied), 2);
     }
 
     #[test]
     fn lru_reclaim_policy_serves_oversubscribed_pool_bit_identically() {
-        // Same oversubscription as the youngest-first test, but victims
-        // are chosen by reclaimable pages. Scheduling changes; tokens
-        // must not (per-request samplers are schedule-invariant).
-        let reqs = prompted_workload(8, 17);
-        let offered = GatewayRequest::from_workload(&reqs);
-
-        let (_m1, mut roomy) = functional_backend(8);
-        let baseline = serve_gateway_on(&mut roomy, &offered, &no_deadline_cfg());
-
-        let (_m2, mut tight) = paged_backend(8, 12);
-        let cfg = GatewayConfig {
-            shed: ShedPolicy::Preempt,
-            evict: EvictPolicyKind::LruReclaim,
-            ..no_deadline_cfg()
-        };
-        let report = serve_gateway_on(&mut tight, &offered, &cfg);
-        assert!(report.is_conserved(&offered));
-        assert_eq!(report.counts().completed, 8, "{report}");
-        assert!(report.preemptions > 0, "tight pool must preempt: {report}");
-        for r in &reqs {
-            assert_eq!(
-                report.serving.output_tokens(r.id),
-                baseline.serving.output_tokens(r.id),
-                "request {} diverged under LruReclaim eviction",
-                r.id
-            );
-        }
+        let report = oversubscribed(EvictPolicyKind::LruReclaim, None);
+        assert!(report.preemptions > 0, "the pool must preempt: {report}");
     }
 
     #[test]
     fn chunked_prefill_is_bit_identical_to_one_pass() {
-        let reqs = prompted_workload(6, 23);
-        let offered = GatewayRequest::from_workload(&reqs);
-
-        let (_m1, mut one_pass) = functional_backend(4);
-        let baseline = serve_gateway_on(&mut one_pass, &offered, &no_deadline_cfg());
-        assert_eq!(baseline.counts().completed, 6);
-
         for chunk in [1usize, 3, 16] {
-            let (_m2, mut chunked) = functional_backend(4);
-            let cfg = GatewayConfig {
-                prefill_chunk: Some(chunk),
-                ..no_deadline_cfg()
-            };
-            let report = serve_gateway_on(&mut chunked, &offered, &cfg);
-            assert!(report.is_conserved(&offered));
+            let mut point = Point::calm(2, 4);
+            point.cfg.prefill_chunk = Some(chunk);
+            let report = check_trace(0, &point, &burst(6));
             assert_eq!(report.counts().completed, 6, "chunk={chunk}: {report}");
-            for r in &reqs {
-                assert_eq!(
-                    report.serving.output_tokens(r.id),
-                    baseline.serving.output_tokens(r.id),
-                    "request {} diverged under chunk={chunk}",
-                    r.id
-                );
-            }
         }
     }
 
     #[test]
     fn chunked_prefill_with_preemption_under_page_pressure() {
-        // Chunked prefill AND an oversubscribed pool at once: prefill
-        // chunks compete with resident decode for pages, and preemption
-        // arbitrates. Everything still completes bit-identically.
-        let reqs = prompted_workload(8, 29);
-        let offered = GatewayRequest::from_workload(&reqs);
-
-        let (_m1, mut roomy) = functional_backend(8);
-        let baseline = serve_gateway_on(&mut roomy, &offered, &no_deadline_cfg());
-
-        let (_m2, mut tight) = paged_backend(8, 12);
-        let cfg = GatewayConfig {
-            shed: ShedPolicy::Preempt,
-            prefill_chunk: Some(3),
-            ..no_deadline_cfg()
-        };
-        let report = serve_gateway_on(&mut tight, &offered, &cfg);
-        assert!(report.is_conserved(&offered));
-        assert_eq!(report.counts().completed, 8, "{report}");
-        for r in &reqs {
-            assert_eq!(
-                report.serving.output_tokens(r.id),
-                baseline.serving.output_tokens(r.id),
-                "request {} diverged under chunked+preempted serving",
-                r.id
-            );
-        }
+        oversubscribed(EvictPolicyKind::YoungestFirst, Some(3));
     }
 
     #[test]
     fn injected_page_faults_recover_under_preempt_policy() {
-        let reqs = prompted_workload(6, 41);
-        let offered = GatewayRequest::from_workload(&reqs);
-
-        let (_m1, mut clean) = functional_backend(4);
-        let baseline = serve_gateway_on(&mut clean, &offered, &no_deadline_cfg());
-
-        let (_m2, inner) = functional_backend(4);
-        let mut faulty = FaultyBackend::new(
-            inner,
-            FaultPlan {
-                seed: 19,
-                prefill_fail_rate: 0.0,
-                decode_fail_rate: 0.0,
-                stall_rate: 0.0,
-                stall_ms: 0.0,
-                release_leak_rate: 0.0,
-                page_fault_rate: 0.25,
-            },
-        );
-        let cfg = GatewayConfig {
-            shed: ShedPolicy::Preempt,
-            ..no_deadline_cfg()
-        };
-        let report = serve_gateway_on(&mut faulty, &offered, &cfg);
-        assert!(report.is_conserved(&offered));
-        assert_eq!(
-            report.counts().completed,
-            6,
-            "preemption must absorb injected page faults: {report}"
-        );
-        for r in &reqs {
-            assert_eq!(
-                report.serving.output_tokens(r.id),
-                baseline.serving.output_tokens(r.id),
-                "request {} diverged across fault-driven preemption",
-                r.id
-            );
-        }
+        let mut point = Point::calm(2, 4);
+        point.cfg.shed = ShedPolicy::Preempt;
+        point.plan.page_fault_rate = 0.25;
+        point.plan.seed = 19;
+        let report = check_trace(0, &point, &burst(6));
+        assert!(report.preemptions > 0, "{report}");
+        assert_eq!(report.counts().completed, 6, "{report}");
     }
 
     #[test]
@@ -1657,7 +1478,7 @@ mod tests {
         let offered = GatewayRequest::from_workload(&reqs);
         let cfg = GatewayConfig {
             shed: ShedPolicy::Preempt,
-            ..no_deadline_cfg()
+            ..GatewayConfig::default()
         };
         let report = serve_gateway_on(&mut SimBackend::new(&e), &offered, &cfg);
         assert!(report.is_conserved(&offered));
@@ -1673,6 +1494,10 @@ mod tests {
             GatewayRequest::new(Request::new(7, 0.0, 8, 4)),
             GatewayRequest::new(Request::new(7, 1.0, 8, 4)),
         ];
-        let _ = serve_gateway_on(&mut SimBackend::new(&e), &offered, &no_deadline_cfg());
+        let _ = serve_gateway_on(
+            &mut SimBackend::new(&e),
+            &offered,
+            &GatewayConfig::default(),
+        );
     }
 }

@@ -14,7 +14,7 @@ use looplynx_core::engine::DistributedGpt2;
 use looplynx_core::router::RingMode;
 use looplynx_model::config::ModelConfig;
 use looplynx_model::gpt2::Gpt2Model;
-use looplynx_serve::{serve_continuous_on, ArrivalProcess, ServeConfig};
+use looplynx_serve::{serve_continuous_on, ArrivalProcess};
 
 const CAPACITY: usize = 64;
 const FIXED_SLOTS: usize = 4;
@@ -34,7 +34,7 @@ fn peak_resident(model: &Gpt2Model, engine: DistributedGpt2) -> f64 {
         0x9A6E,
     );
     let mut backend = FunctionalBackend::new(engine, SamplerSpec::Greedy);
-    let report = serve_continuous_on(&mut backend, &workload, &ServeConfig::new(PAGED_SLOTS));
+    let report = serve_continuous_on(&mut backend, &workload, PAGED_SLOTS);
     assert_eq!(report.completed(), REQUESTS, "the burst dropped requests");
     report.batch_occupancy.max().expect("the burst decoded")
 }

@@ -13,9 +13,7 @@ use looplynx_core::config::ArchConfig;
 use looplynx_core::engine::LoopLynx;
 use looplynx_core::fault::{FaultPlan, FaultyBackend};
 use looplynx_model::config::ModelConfig;
-use looplynx_serve::{
-    serve_continuous_on, serve_sequential, ArrivalProcess, Request, ServeConfig, ServingReport,
-};
+use looplynx_serve::{serve_continuous_on, ArrivalProcess, Request, ServingReport};
 
 fn engine(nodes: usize) -> LoopLynx {
     LoopLynx::new(
@@ -53,11 +51,7 @@ fn continuous_poisson_two_nodes_matches_golden() {
         seed: 1,
     }
     .workload(24, &[(32, 16), (64, 8)]);
-    let report = serve_continuous_on(
-        &mut SimBackend::new(&engine(2)),
-        &reqs,
-        &ServeConfig::new(8),
-    );
+    let report = serve_continuous_on(&mut SimBackend::new(&engine(2)), &reqs, 8);
     assert_eq!(report.completed(), 24);
     assert_golden("poisson20/2n/b8", scalars(&report), GOLDEN_POISSON_2N_B8);
 }
@@ -65,11 +59,7 @@ fn continuous_poisson_two_nodes_matches_golden() {
 #[test]
 fn continuous_burst_one_node_matches_golden() {
     let reqs = ArrivalProcess::Trace(vec![0.0; 40]).workload(40, &[(16, 8), (48, 24)]);
-    let report = serve_continuous_on(
-        &mut SimBackend::new(&engine(1)),
-        &reqs,
-        &ServeConfig::new(4),
-    );
+    let report = serve_continuous_on(&mut SimBackend::new(&engine(1)), &reqs, 4);
     assert_eq!(report.completed(), 40);
     assert_golden("burst40/1n/b4", scalars(&report), GOLDEN_BURST_1N_B4);
 }
@@ -81,7 +71,7 @@ fn sequential_poisson_four_nodes_matches_golden() {
         seed: 7,
     }
     .workload(32, &[(32, 16), (64, 8)]);
-    let report = serve_sequential(&engine(4), &reqs);
+    let report = serve_continuous_on(&mut SimBackend::new(&engine(4)), &reqs, 1);
     assert_eq!(report.completed(), 32);
     assert_eq!(report.batch_occupancy.max(), Some(1.0));
     assert_golden("poisson200/4n/seq", scalars(&report), GOLDEN_POISSON_4N_SEQ);
@@ -91,11 +81,7 @@ fn sequential_poisson_four_nodes_matches_golden() {
 #[should_panic(expected = "exceed max_seq")]
 fn continuous_still_panics_on_a_request_longer_than_max_seq() {
     let reqs = vec![Request::new(0, 0.0, 8, 4), Request::new(1, 0.0, 1000, 100)];
-    let _ = serve_continuous_on(
-        &mut SimBackend::new(&engine(1)),
-        &reqs,
-        &ServeConfig::default(),
-    );
+    let _ = serve_continuous_on(&mut SimBackend::new(&engine(1)), &reqs, 8);
 }
 
 #[test]
@@ -107,15 +93,11 @@ fn continuous_still_panics_when_the_backend_fails_a_prefill() {
         FaultPlan {
             seed: 3,
             prefill_fail_rate: 1.0,
-            decode_fail_rate: 0.0,
-            stall_rate: 0.0,
-            stall_ms: 0.0,
-            release_leak_rate: 0.0,
-            page_fault_rate: 0.0,
+            ..FaultPlan::default()
         },
     );
     let reqs = vec![Request::new(0, 0.0, 8, 4)];
-    let _ = serve_continuous_on(&mut faulty, &reqs, &ServeConfig::default());
+    let _ = serve_continuous_on(&mut faulty, &reqs, 8);
 }
 
 const GOLDEN_POISSON_2N_B8: [f64; 8] = [

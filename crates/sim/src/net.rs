@@ -219,24 +219,6 @@ impl RingSim {
     }
 }
 
-/// Pure-functional ring all-gather: node `i`'s buffer receives every shard
-/// at offset `origin * shard_len`, mirroring the router's offset rule.
-pub fn functional_all_gather(shards: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    let n = shards.len();
-    let shard_len = shards.first().map_or(0, Vec::len);
-    let mut buffers = vec![vec![0u8; shard_len * n]; n];
-    for (node, buf) in buffers.iter_mut().enumerate() {
-        // Simulate the per-round arrivals: in round r the node receives the
-        // shard originated by (node - r) mod n from its predecessor.
-        for r in 0..n {
-            let origin = (node + n - r) % n;
-            let off = origin * shard_len;
-            buf[off..off + shard_len].copy_from_slice(&shards[origin]);
-        }
-    }
-    buffers
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,15 +270,6 @@ mod tests {
         // And the consistent buffer is the in-order concatenation.
         let expected: Vec<u8> = shards.concat();
         assert_eq!(outcome.buffers[0], expected);
-    }
-
-    #[test]
-    fn functional_gather_orders_by_origin() {
-        let shards = vec![vec![1u8, 1], vec![2, 2], vec![3, 3]];
-        let bufs = functional_all_gather(&shards);
-        for buf in &bufs {
-            assert_eq!(buf, &[1, 1, 2, 2, 3, 3]);
-        }
     }
 
     #[test]

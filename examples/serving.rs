@@ -16,8 +16,7 @@
 //! cargo run --release --example serving
 //! ```
 
-use looplynx::core::backend::SimBackend;
-use looplynx::core::backend::{FunctionalBackend, SamplerSpec};
+use looplynx::core::backend::{FunctionalBackend, SamplerSpec, SimBackend};
 use looplynx::core::engine::DistributedGpt2;
 use looplynx::core::router::RingMode;
 use looplynx::core::{ArchConfig, LoopLynx};
@@ -25,8 +24,8 @@ use looplynx::model::gpt2::Gpt2Model;
 use looplynx::model::tokenizer::ByteTokenizer;
 use looplynx::model::ModelConfig;
 use looplynx::serve::{
-    serve_continuous, serve_continuous_on, serve_gateway_on, serve_sequential, ArrivalProcess,
-    GatewayConfig, GatewayRequest, Request, ServeConfig, Terminal,
+    serve_continuous_on, serve_gateway_on, ArrivalProcess, GatewayConfig, GatewayRequest, Request,
+    Terminal,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,8 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed: 42,
         }
         .workload(requests, &shapes);
-        let serial = serve_sequential(&engine, &workload);
-        let batched = serve_continuous(&engine, &workload, &ServeConfig::default());
+        let serial = serve_continuous_on(&mut SimBackend::new(&engine), &workload, 1);
+        let batched = serve_continuous_on(&mut SimBackend::new(&engine), &workload, 8);
         println!(
             "{:>6.0} {:>10.1} {:>10.1} {:>5.2}x {:>8.0} {:>6.0}ms {:>8.0}ms",
             rate,
@@ -88,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
-    let report = serve_continuous_on(&mut backend, &workload, &ServeConfig::new(4));
+    let report = serve_continuous_on(&mut backend, &workload, 4);
     println!(
         "{} requests, {} output tokens, mean batch occupancy {:.2}\n",
         report.completed(),

@@ -3,13 +3,14 @@
 
 use proptest::prelude::*;
 
+use looplynx::core::backend::SimBackend;
 use looplynx::core::config::{ArchConfig, OptimizationFlags};
 use looplynx::core::engine::LoopLynx;
 use looplynx::core::parallel::split_range;
 use looplynx::core::router::{RingMode, Router};
 use looplynx::model::ModelConfig;
-use looplynx::serve::{serve_continuous, serve_sequential, ArrivalProcess, ServeConfig};
-use looplynx::sim::net::{functional_all_gather, RingSim, RingSpec};
+use looplynx::serve::{serve_continuous_on, ArrivalProcess};
+use looplynx::sim::net::{RingSim, RingSpec};
 use looplynx::sim::time::{Cycles, Frequency};
 
 proptest! {
@@ -46,12 +47,17 @@ proptest! {
                     .collect()
             })
             .collect();
-        let full = Router::new(nodes, RingMode::Exact).all_gather(&shards);
-        prop_assert_eq!(full, shards.concat());
+        let want = shards.concat();
+        let mut full = Vec::new();
+        let mut node_bufs = shards;
+        Router::new(nodes, RingMode::Exact)
+            .gather_rows(&mut node_bufs, |s| s, 1, shard_len, &mut Vec::new(), &mut full);
+        prop_assert_eq!(full, want);
     }
 
     /// The ring DES agrees with the closed-form all-gather cycle count for
-    /// any ring size and shard size, and all router buffers converge.
+    /// any ring size and shard size, all router buffers converge, and they
+    /// converge on what the engine's router gathers (the offset rule).
     #[test]
     fn ring_des_matches_closed_form(nodes in 2usize..8, shard_kb in 1usize..16) {
         let spec = RingSpec::paper_ring(nodes, Frequency::from_mhz(285.0));
@@ -62,8 +68,15 @@ proptest! {
         prop_assert_eq!(outcome.end_time, spec.all_gather_cycles(shard_kb * 1024));
         prop_assert!(outcome.buffers_consistent());
         prop_assert_eq!(outcome.buffers[0].clone(), shards.concat());
-        // and the pure-functional gather agrees with the DES contents
-        prop_assert_eq!(functional_all_gather(&shards)[0].clone(), outcome.buffers[0].clone());
+        let mut floats: Vec<Vec<f32>> = shards
+            .iter()
+            .map(|s| s.iter().map(|&b| f32::from(b)).collect())
+            .collect();
+        let mut routed = Vec::new();
+        Router::new(nodes, RingMode::Exact)
+            .gather_rows(&mut floats, |s| s, 1, shard_kb * 1024, &mut Vec::new(), &mut routed);
+        let des: Vec<f32> = outcome.buffers[0].iter().map(|&b| f32::from(b)).collect();
+        prop_assert_eq!(routed, des);
     }
 
     /// Token latency is monotone in context length for any ring size.
@@ -194,7 +207,7 @@ proptest! {
         let engine = LoopLynx::new(ModelConfig::gpt2_medium(), arch).expect("partitions");
         let workload = ArrivalProcess::Poisson { rate_per_s: rate, seed }
             .workload(n, &[(16, 6), (8, 3), (24, 2)]);
-        let report = serve_continuous(&engine, &workload, &ServeConfig::new(max_batch));
+        let report = serve_continuous_on(&mut SimBackend::new(&engine), &workload, max_batch);
 
         prop_assert_eq!(report.completed(), n, "a request starved");
         let requested: usize = workload.iter().map(|r| r.decode_tokens).sum();
@@ -224,8 +237,8 @@ proptest! {
         let engine = LoopLynx::new(ModelConfig::gpt2_medium(), arch).expect("partitions");
         let trace: Vec<f64> = (0..n).map(|i| i as f64 * gap_ms).collect();
         let workload = ArrivalProcess::Trace(trace).workload(n, &[(12, 5)]);
-        let batched = serve_continuous(&engine, &workload, &ServeConfig::new(4));
-        let serial = serve_sequential(&engine, &workload);
+        let batched = serve_continuous_on(&mut SimBackend::new(&engine), &workload, 4);
+        let serial = serve_continuous_on(&mut SimBackend::new(&engine), &workload, 1);
         prop_assert_eq!(batched.total_tokens(), n * 5);
         prop_assert_eq!(serial.total_tokens(), n * 5);
         // Same workload, same cost model: batching can only help makespan.

@@ -2,9 +2,10 @@
 //! runs across ring sizes, continuous batching beats the sequential
 //! baseline under load, and the latency tails are well-formed.
 
+use looplynx::core::backend::SimBackend;
 use looplynx::core::{ArchConfig, LoopLynx};
 use looplynx::model::ModelConfig;
-use looplynx::serve::{serve_continuous, serve_sequential, ArrivalProcess, ServeConfig};
+use looplynx::serve::{serve_continuous_on, ArrivalProcess};
 use looplynx_bench::experiments::{offered_load_sweep_with, SERVE_SHAPES};
 
 fn engine(nodes: usize) -> LoopLynx {
@@ -56,7 +57,7 @@ fn bursty_and_poisson_workloads_complete() {
         },
     ] {
         let workload = process.workload(15, &SERVE_SHAPES);
-        let report = serve_continuous(&e, &workload, &ServeConfig::default());
+        let report = serve_continuous_on(&mut SimBackend::new(&e), &workload, 8);
         assert_eq!(report.completed(), 15);
         assert_eq!(
             report.total_tokens(),
@@ -71,8 +72,8 @@ fn low_load_has_no_batching_penalty() {
     // produce identical per-request latencies.
     let e = engine(2);
     let workload = ArrivalProcess::Trace(vec![0.0, 60_000.0, 120_000.0]).workload(3, &[(32, 16)]);
-    let a = serve_continuous(&e, &workload, &ServeConfig::default());
-    let b = serve_sequential(&e, &workload);
+    let a = serve_continuous_on(&mut SimBackend::new(&e), &workload, 8);
+    let b = serve_continuous_on(&mut SimBackend::new(&e), &workload, 1);
     for (x, y) in a.requests.iter().zip(&b.requests) {
         assert!((x.ttft_ms() - y.ttft_ms()).abs() < 1e-9);
         assert!((x.e2e_ms() - y.e2e_ms()).abs() < 1e-9);
