@@ -1555,10 +1555,12 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let reference = Gpt2Model::synthetic(&cfg, 33);
         // One int8 gather rounds each element by at most half a step, a
-        // 1/254 share of its shard's largest magnitude. A layer gathers
-        // four times (attention, out-proj, FC1, FC2), so the logit rows may
-        // move by that share of their largest magnitude once per gather,
-        // and no more.
+        // 1/254 share of its shard's largest magnitude, and a layer gathers
+        // four times (attention, out-proj, FC1, FC2). The bound below, that
+        // share of the largest logit once per gather, is empirical, not
+        // derived: layernorm, GELU and the LM head do not keep round-off
+        // proportional to the peak logit. On this model and seed the rows
+        // move 0.27-0.45 of it.
         let gathers = 4 * cfg.layers;
         let mut exact = DistributedGpt2::new(&reference, 2, RingMode::Exact).unwrap();
         let mut quant = DistributedGpt2::new(&reference, 2, RingMode::Quantized).unwrap();

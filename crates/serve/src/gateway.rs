@@ -438,7 +438,7 @@ struct PrefillingReq {
     core: ReqCore,
     slot: usize,
     /// Consecutive rounds this prefill could not grow by even one chunk
-    /// (page pressure with nothing evictable); bounded like bounces.
+    /// (page pressure with nothing to evict or send back); bounded.
     stalls: u32,
 }
 
@@ -594,15 +594,16 @@ impl<'a, B: InferenceBackend> Gateway<'a, B> {
         });
     }
 
-    /// Releases a slot whose owner is leaving the gateway. A failure
-    /// here is not actionable at the call site: `SlotNotResident` means
-    /// the slot was already lost (leaked by an injected fault or a
-    /// drain) and the capacity accounting absorbs it, while a poisoned
-    /// backend is observed by the next backend operation, which calls
-    /// `drain_lost_backend` (or is the drain itself: the slot is lost
-    /// either way).
-    fn release_quietly(&mut self, slot: usize) {
+    /// Ends a request that holds `slot`: releases the slot, then records
+    /// `terminal`. A failed release is not actionable here:
+    /// `SlotNotResident` means the slot was already lost (leaked by an
+    /// injected fault or a drain) and the capacity accounting absorbs it,
+    /// while a poisoned backend is observed by the next backend operation,
+    /// which calls `drain_lost_backend` (or is the drain itself: the slot
+    /// is lost either way).
+    fn end_resident(&mut self, slot: usize, gr: &GatewayRequest, terminal: Terminal) {
         let _ = self.backend.release(slot);
+        self.terminate(gr, terminal);
     }
 
     /// Whether a deadline of `gr` has passed on the serving clock: the
@@ -734,8 +735,7 @@ impl<'a, B: InferenceBackend> Gateway<'a, B> {
     /// record it, and `land`.
     fn first_token(&mut self, mut core: ReqCore, slot: usize, token: Option<u32>) {
         if self.late(&core.gr, TimeoutPhase::FirstToken) {
-            self.release_quietly(slot);
-            self.terminate(&core.gr, Terminal::TimedOut(TimeoutPhase::FirstToken));
+            self.end_resident(slot, &core.gr, Terminal::TimedOut(TimeoutPhase::FirstToken));
             return;
         }
         core.first_token_ms = self.clock;
@@ -836,7 +836,6 @@ impl<'a, B: InferenceBackend> Gateway<'a, B> {
     /// Completes a resident request: releases its slot, records metrics,
     /// tokens and the terminal state.
     fn complete(&mut self, a: ActiveReq) {
-        self.release_quietly(a.slot);
         let ReqCore { gr, tokens, .. } = a.core;
         self.done.push(RequestMetrics {
             id: gr.req.id,
@@ -852,7 +851,7 @@ impl<'a, B: InferenceBackend> Gateway<'a, B> {
                 tokens,
             });
         }
-        self.terminate(&gr, Terminal::Completed);
+        self.end_resident(a.slot, &gr, Terminal::Completed);
     }
 
     /// Fails every resident and sheds everything still waiting: the
@@ -860,12 +859,10 @@ impl<'a, B: InferenceBackend> Gateway<'a, B> {
     fn drain_lost_backend(&mut self) {
         let lost = || Terminal::Failed("backend poisoned".into());
         for a in std::mem::take(&mut self.active) {
-            self.release_quietly(a.slot);
-            self.terminate(&a.core.gr, lost());
+            self.end_resident(a.slot, &a.core.gr, lost());
         }
         for p in std::mem::take(&mut self.prefilling) {
-            self.release_quietly(p.slot);
-            self.terminate(&p.core.gr, lost());
+            self.end_resident(p.slot, &p.core.gr, lost());
         }
         for p in std::mem::take(&mut self.preempted) {
             self.terminate(&p.core.gr, lost());
@@ -986,8 +983,7 @@ impl<'a, B: InferenceBackend> Gateway<'a, B> {
         let mut keep: Vec<PrefillingReq> = Vec::with_capacity(work.len());
         while let Some(mut p) = work.pop_front() {
             if let Some(terminal) = self.cut(&p.core.gr, TimeoutPhase::FirstToken) {
-                self.release_quietly(p.slot);
-                self.terminate(&p.core.gr, terminal);
+                self.end_resident(p.slot, &p.core.gr, terminal);
                 continue;
             }
             let stepped = self.with_retries(|b| b.prefill_step(p.slot, chunk));
@@ -1002,26 +998,31 @@ impl<'a, B: InferenceBackend> Gateway<'a, B> {
                     }
                 }
                 Err(e @ BackendError::PagesExhausted { .. }) => {
-                    let relieved =
+                    // Relieve the pressure and feed again at once, before
+                    // the next step's resume can take the pages back: evict
+                    // a resident or, as the oldest prefill with nothing
+                    // decoding, send the youngest back to the queue head
+                    // (it has no token yet, so that is exact). Else wait;
+                    // alone past the bound, the prompt does not fit.
+                    let preempted =
                         matches!(self.cfg.shed, ShedPolicy::Preempt) && self.try_preempt_one();
-                    // Pressure relieved: the chunk retries next round.
-                    // Otherwise the stall counts toward the bound.
-                    if !relieved {
-                        p.stalls += 1;
-                    }
-                    if p.stalls > BOUNCE_LIMIT {
-                        self.release_quietly(p.slot);
-                        self.terminate(
-                            &p.core.gr,
-                            Terminal::Failed(format!("prefill starved: {e}")),
-                        );
+                    let oldest = !preempted && self.active.is_empty() && keep.is_empty();
+                    if let Some(y) = oldest.then(|| work.pop_back()).flatten() {
+                        let _ = self.backend.release(y.slot); // as in `end_resident`
+                        self.queued.push_front(y.core.gr);
+                        work.push_front(p);
+                    } else if preempted {
+                        work.push_front(p);
+                    } else if oldest && p.stalls >= BOUNCE_LIMIT {
+                        let starved = Terminal::Failed(format!("prefill starved: {e}"));
+                        self.end_resident(p.slot, &p.core.gr, starved);
                     } else {
+                        p.stalls += 1;
                         keep.push(p);
                     }
                 }
                 Err(e) => {
-                    self.release_quietly(p.slot);
-                    self.terminate(&p.core.gr, Terminal::Failed(e.to_string()));
+                    self.end_resident(p.slot, &p.core.gr, Terminal::Failed(e.to_string()));
                     if matches!(e, BackendError::WorkerPoisoned { .. }) {
                         keep.extend(work.drain(..));
                         self.prefilling = keep;
@@ -1062,8 +1063,7 @@ impl<'a, B: InferenceBackend> Gateway<'a, B> {
                         let detail =
                             format!("decode failed after {} retries: {e}", self.cfg.max_retries);
                         for a in std::mem::take(&mut self.active) {
-                            self.release_quietly(a.slot);
-                            self.terminate(&a.core.gr, Terminal::Failed(detail.clone()));
+                            self.end_resident(a.slot, &a.core.gr, Terminal::Failed(detail.clone()));
                         }
                     }
                     return;
@@ -1088,8 +1088,7 @@ impl<'a, B: InferenceBackend> Gateway<'a, B> {
             if a.core.produced >= a.core.gr.req.decode_tokens {
                 self.complete(a);
             } else if let Some(terminal) = self.cut(&a.core.gr, TimeoutPhase::Decode) {
-                self.release_quietly(a.slot);
-                self.terminate(&a.core.gr, terminal);
+                self.end_resident(a.slot, &a.core.gr, terminal);
             } else {
                 self.active.push(a);
             }

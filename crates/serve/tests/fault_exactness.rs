@@ -5,9 +5,9 @@
 
 mod harness;
 
-use harness::{check_trace, draw_trace, random_points, run_trace, Point, Rng};
+use harness::{check_trace, draw_trace, random_points, request, run_trace, Point, Rng, VOCAB};
 use looplynx_core::fault::FaultPlan;
-use looplynx_serve::{serve_gateway_on, ShedPolicy};
+use looplynx_serve::{serve_gateway_on, EvictPolicyKind, ShedPolicy, Terminal};
 
 /// Every axis drawn: any fault plan, pool, cache, chunk and policy.
 #[test]
@@ -47,7 +47,11 @@ fn page_faults_preempt_but_never_corrupt() {
 
 /// Genuine page pressure, nothing else: the tightest pool, served by
 /// preemption, completes every request at any chunking, cache and
-/// eviction policy.
+/// eviction policy. Then the two shortest traces seed 0x5e7e3006 once
+/// failed on (2 nodes, 18 four-token pages, 4 slots, chunk 3, all at once):
+/// three prefills fill the pool with nothing decoding, so the youngest must
+/// go back to the queue; and a chunk evicts a resident, so it must feed at
+/// once, before the resume takes the pages back.
 #[test]
 fn oversubscription_completes_exactly() {
     random_points(0x5e7e_3000, 8, 8, |p, rng| {
@@ -62,14 +66,24 @@ fn oversubscription_completes_exactly() {
         p.cfg.max_batch = rng.pick(&[4, 8]);
         p
     });
+    let mut point = Point::calm(2, 4).oversubscribed();
+    point.cfg.prefill_chunk = Some(3);
+    point.cfg.evict = EvictPolicyKind::LruReclaim;
+    for shape in [&[(35, 4), (29, 8), (41, 2)][..], &[(29, 8), (41, 2)]] {
+        let mut rng = Rng(0x5e7e_3006);
+        let draw = |(id, &(prompt, out))| request(id, 0.0, rng.tokens(prompt, 1, VOCAB), out);
+        let trace: Vec<_> = (1..).zip(shape).map(draw).collect();
+        check_trace(0x5e7e_3006, &point, &trace);
+    }
 }
 
 /// 100 000 requests through an oversubscribed pool with vetoed prefills
 /// and decodes, stalls, page faults, cancels and per-request deadlines;
 /// the slot and request books are checked after every step, the engine
-/// audited every 64, and peak RSS must stay under 256 MiB. Release leaks
-/// are left out: a leaked slot never comes back, so a long run with them
-/// collapses into overload rejection.
+/// audited every 64, every failure has the one cause this point allows,
+/// and peak RSS must stay under 256 MiB. Release leaks are left out: a
+/// leaked slot never comes back, so a long run with them collapses into
+/// overload rejection.
 #[test]
 #[ignore = "soak: run in release (cargo test --release -p looplynx-serve --test fault_exactness -- --ignored)"]
 fn soak_100k_requests() {
@@ -86,8 +100,16 @@ fn soak_100k_requests() {
     let trace = draw_trace(&mut rng, &point, 100_000);
     let report = run_trace(&point, &trace, 64);
     let c = report.counts();
-    let chaos = c.cancelled > 0 && c.timed_out > 0 && c.failed > 0 && report.preemptions > 0;
+    let chaos = c.cancelled > 0 && c.timed_out > 0 && report.preemptions > 0;
     assert!(c.completed > 0 && c.rejected > 0 && chaos, "{report}");
+    // The one way to fail here: a page fault vetoes a resume while nothing
+    // else is resident, which the gateway cannot tell from a context that
+    // does not fit the pool.
+    for t in &report.terminals {
+        if let Terminal::Failed(why) = &t.terminal {
+            assert!(why.starts_with("resume cannot fit"), "{}: {why}", t.id);
+        }
+    }
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"));
     if let Some(kib) = hwm.and_then(|v| v.trim_end_matches("kB").trim().parse::<u64>().ok()) {
