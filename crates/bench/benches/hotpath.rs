@@ -1,16 +1,23 @@
 //! Micro-benchmarks of the functional hot path: the SIMD int8 dot, the
 //! quantized linear as the engine calls it (`forward_batch_scaled_into`
 //! at 1 and 16 rows), the arena-backed attention loop (one decode query,
-//! and a 32-row prefill chunk's causal queries), the stage prologue's
-//! layer norm → quantize over a batch of rows, and the f32 critical-path
+//! and a 32-row prefill chunk's causal queries in one K/V walk), the stage prologue's
+//! layer norm → quantize over a batch of rows, the f32 critical-path
 //! operators (layernorm / GELU / softmax / quantize), so regressions in
-//! any single stage are visible in isolation.
+//! any single stage are visible in isolation — and one whole 32-row
+//! prefill chunk of the medium-shaped model through the engine, every
+//! stage together.
 
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use looplynx_model::attention::{attend_heads_segments_into, AttnScratch};
+use looplynx_core::engine::DistributedGpt2;
+use looplynx_core::router::RingMode;
+use looplynx_model::attention::{attend_heads_segments_into, attend_rows_segments_to, AttnScratch};
+use looplynx_model::config::ModelConfig;
+use looplynx_model::gpt2::Gpt2Model;
 use looplynx_model::kv_cache::LayerKvCache;
 use looplynx_tensor::activation::{gelu_vec, softmax_into};
 use looplynx_tensor::linear::QuantLinear;
@@ -89,22 +96,23 @@ fn bench_attend(c: &mut Criterion) {
     });
 
     // A 32-token prefill chunk ending at context 192: row t attends to the
-    // 161 + t tokens up to and including its own.
+    // 161 + t tokens up to and including its own, the rows sharing one
+    // K/V walk (every row's query is `q`).
     let (chunk, end) = (32usize, 192usize);
+    let mut rows_out = vec![0.0f32; chunk * heads * d_head];
     c.bench_function("attend_chunk32_ctx192", |b| {
         b.iter(|| {
-            for valid_len in end - chunk + 1..=end {
-                attend_heads_segments_into(
-                    black_box(&q),
-                    |h| cache.segments(h),
-                    0..heads,
-                    0,
-                    d_head,
-                    valid_len,
-                    &mut scratch,
-                    &mut out,
-                );
-            }
+            attend_rows_segments_to(
+                black_box(&q),
+                0,
+                |h| cache.segments(h),
+                0..heads,
+                0,
+                d_head,
+                end - chunk + 1,
+                &mut scratch,
+                &mut rows_out,
+            )
         })
     });
 }
@@ -143,11 +151,61 @@ fn bench_critical_path_ops(c: &mut Criterion) {
     });
 }
 
+/// One 32-row `prefill_slot_chunk` of the medium-shaped model (gpt2-medium's
+/// layer geometry, 4 layers, the repo benchmark's model) at context 128, on
+/// one node with the engine's default lanes. Each iteration maps the first
+/// 128 prompt tokens back into a fresh slot from the prefix cache, feeds
+/// the chunk and releases the slot: the mapping and the release cost a few
+/// µs against milliseconds for the chunk.
+fn bench_prefill_chunk(c: &mut Criterion) {
+    let cfg = ModelConfig {
+        name: "medium-shaped".into(),
+        layers: 4,
+        d_model: 1024,
+        heads: 16,
+        d_ff: 4096,
+        vocab: 4096,
+        max_seq: 256,
+    };
+    let model = Gpt2Model::synthetic(&cfg, 4207);
+    let mut eng = DistributedGpt2::with_slots(&model, 1, RingMode::Exact, 1, 256).expect("1 node");
+    eng.enable_prefix_cache();
+    let prompt: Vec<u32> = (0..160).map(|i| (i * 31 % 4096) as u32).collect();
+    let (context, chunk) = prompt.split_at(128);
+    let feed = |eng: &mut DistributedGpt2, cached: bool| {
+        let slot = eng.acquire_slot().expect("one slot");
+        // A lookup leaves at least one token to feed, hence the 129th.
+        let hit = eng.prefix_attach(slot, &prompt[..129]);
+        assert_eq!(
+            hit,
+            if cached { 128 } else { 0 },
+            "context comes from the cache"
+        );
+        if !cached {
+            for part in context.chunks(32) {
+                eng.prefill_slot_chunk(slot, part, false);
+            }
+        }
+        eng.prefill_slot_chunk(slot, chunk, false);
+        eng.release_slot(slot);
+    };
+    feed(&mut eng, false);
+    // Pool lanes that were idle run their first ~1.6 s slow (README).
+    let warm = Instant::now();
+    while warm.elapsed() < Duration::from_secs(2) {
+        feed(&mut eng, true);
+    }
+    c.bench_function("prefill_chunk32_medium", |b| {
+        b.iter(|| feed(&mut eng, true))
+    });
+}
+
 criterion_group!(
     benches,
     bench_dot,
     bench_linear,
     bench_attend,
-    bench_critical_path_ops
+    bench_critical_path_ops,
+    bench_prefill_chunk
 );
 criterion_main!(benches);

@@ -16,7 +16,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use looplynx_model::attention::{attend_heads_segments_to, AttnScratch};
+use looplynx_model::attention::{attend_rows_segments_to, AttnScratch};
 use looplynx_model::config::ModelConfig;
 use looplynx_model::generate::Autoregressive;
 use looplynx_model::gpt2::Gpt2Model;
@@ -24,10 +24,9 @@ use looplynx_model::kv_cache::LayerKvCache;
 use looplynx_model::paged::PagedKvArena;
 use looplynx_model::prefix::{PrefixIndex, PrefixIndexStats};
 use looplynx_model::weights::Gpt2Weights;
-use looplynx_tensor::activation::gelu_in_place;
 use looplynx_tensor::linear::QuantLinear;
 use looplynx_tensor::matrix::Matrix;
-use looplynx_tensor::norm::{layernorm_quantize_rows, LayerNormParams};
+use looplynx_tensor::norm::{layernorm_quantize_rows_to, LayerNormParams};
 
 use crate::config::ArchConfig;
 use crate::energy::{fpga_energy, EnergyReport};
@@ -273,9 +272,8 @@ impl LoopLynx {
 #[derive(Debug, Clone)]
 struct NodeState {
     weights: NodeWeights,
-    /// The node's full per-stage output, row-major `batch × out_features`.
-    /// With one row shard this is the GEMM destination itself (swapped in
-    /// from the shard slab); with several it is the stitched slabs.
+    /// The node's full per-stage output, row-major `batch × out_features`:
+    /// each row shard's GEMM epilogue writes its columns of every row here.
     gemm_out: Vec<f32>,
     /// The node's attention output, row-major `batch × shard_width`; row
     /// shards write disjoint row blocks of it in place.
@@ -284,14 +282,13 @@ struct NodeState {
     shards: Vec<ShardScratch>,
 }
 
-/// Working memory owned by one row shard of one node: GEMM slab buffers
-/// (the shard's weight-row range × the whole batch) plus attention
-/// scratch for the batch rows the shard attends. Purely scratch — every
-/// buffer is overwritten before use.
+/// Working memory owned by one row shard of one node: the GEMM's i32
+/// accumulators (the shard's weight-row range × the whole batch) plus
+/// attention scratch for the batch rows the shard attends. Purely scratch
+/// — every buffer is overwritten before use.
 #[derive(Debug, Clone, Default)]
 struct ShardScratch {
     acc: Vec<i32>,
-    out: Vec<f32>,
     attn: AttnScratch,
 }
 
@@ -303,24 +300,30 @@ impl PartialEq for NodeState {
     }
 }
 
-/// Runs a batch of prepared jobs — one per (node, row-shard), each
-/// touching `job_bytes` — on the pool when present and one lane's share
-/// (`job_bytes × ⌈jobs / lanes⌉`) touches [`MIN_DISPATCH_BYTES`], else
-/// sequentially on the caller. Results are discarded (jobs communicate
-/// through the disjoint buffers they captured), so both are trivially
-/// bit-identical: each job touches only its own slab.
-fn run_jobs(pool: Option<&WorkerPool>, job_bytes: usize, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
-    let lane_bytes = |pool: &WorkerPool| job_bytes * jobs.len().div_ceil(pool.workers());
-    match pool.filter(|pool| lane_bytes(pool) >= MIN_DISPATCH_BYTES) {
+/// A prepared unit of a pool round, borrowing what it writes.
+type Job<'a> = Box<dyn FnOnce() + Send + 'a>;
+
+/// Runs a batch of prepared jobs — one per (node, row-shard) or per lane
+/// — on `pool` when one is given, else in order on the caller. Results
+/// are discarded (jobs communicate through the disjoint buffers they
+/// captured), so both are trivially bit-identical.
+fn run_jobs(pool: Option<&WorkerPool>, jobs: Vec<Job<'_>>) {
+    match pool {
         Some(pool) => drop(pool.run(jobs)),
         None => jobs.into_iter().for_each(|job| job()),
     }
 }
 
+/// The pool, if one lane's share of `jobs` jobs of `job_bytes` weight or
+/// KV bytes each (`job_bytes × ⌈jobs / lanes⌉`) reaches
+/// [`MIN_DISPATCH_BYTES`].
+fn gate_bytes(pool: Option<&WorkerPool>, job_bytes: usize, jobs: usize) -> Option<&WorkerPool> {
+    pool.filter(|pool| job_bytes * jobs.div_ceil(pool.workers()) >= MIN_DISPATCH_BYTES)
+}
+
 /// Most batch-row shards a node's batched stages split into. Beyond this
-/// the per-shard GEMM slabs get too thin to amortize dispatch (and
-/// host-side stitching starts to show), so extra cores go unused rather
-/// than oversubscribed.
+/// the per-shard GEMM slabs get too thin to amortize dispatch, so extra
+/// cores go unused rather than oversubscribed.
 const MAX_ROW_SHARDS: usize = 4;
 
 /// Smallest per-lane working set (weight or KV bytes touched) for which
@@ -332,21 +335,49 @@ const MAX_ROW_SHARDS: usize = 4;
 /// adds a 25–60 µs wake to the round.
 const MIN_DISPATCH_BYTES: usize = 1 << 18;
 
-/// Splits a flat row-major `rows × width` buffer into one contiguous
-/// block per row shard, matching [`split_range`]`(rows, parts, s)` — the
-/// disjoint `&mut` windows the attention phase hands its workers.
-fn split_row_chunks<T>(
-    mut buf: &mut [T],
-    rows: usize,
-    width: usize,
-    parts: usize,
-) -> Vec<&mut [T]> {
-    let mut out = Vec::with_capacity(parts);
-    for s in 0..parts {
-        let len = split_range(rows, parts, s).len() * width;
-        let (head, tail) = buf.split_at_mut(len);
-        out.push(head);
-        buf = tail;
+/// Smallest per-lane share, in f32 elements read, for which a host-side
+/// f32 stage — the prologue's layer norm → quantize, the KV append's
+/// per-head quantize — is dispatched to the pool. Measured over 2 warm
+/// lanes, 1024-wide rows, medians of 400 calls in two runs, in line
+/// against pooled: layer norm → quantize 11–17 against 13–15 µs at 8
+/// rows, 18–30 against 17–20 at 16, 48–58 against 28–31 at 32 (a 16-row
+/// group's gather sums cost the same for 8 rows as for 16); the KV append
+/// (one page a row) 9 against 7–10 µs at 8 rows, 17–30 against 15 at 16.
+/// So the gate sits at the crossing, 16 prologue rows or 8 append rows of
+/// 1024, and not 2× above it as [`MIN_DISPATCH_BYTES`] does: these stages
+/// run right after another round, while the worker is still polling.
+const MIN_DISPATCH_ELEMS: usize = 1 << 13;
+
+/// Cuts `weights` into `parts` contiguous ranges of roughly equal sums:
+/// range `s` ends at the first index whose prefix sum reaches `s + 1`
+/// parts' share. Some ranges may be empty.
+fn split_weighted(weights: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
+    let total: usize = weights.iter().sum();
+    let (mut cuts, mut sum, mut at) = (Vec::with_capacity(parts), 0, 0);
+    for s in 1..=parts {
+        while at < weights.len() && sum * parts < total * s {
+            sum += weights[at];
+            at += 1;
+        }
+        let start = cuts.last().map_or(0, |r: &std::ops::Range<usize>| r.end);
+        cuts.push(start..if s == parts { weights.len() } else { at });
+    }
+    cuts
+}
+
+/// Splits each `width`-wide row of `buf` at the
+/// [`split_range`]`(width, parts, s)` boundaries: part `s` gets its
+/// columns of every row, in row order — the disjoint output windows of
+/// one GEMM's row shards.
+fn column_windows<T>(buf: &mut [T], width: usize, parts: usize) -> Vec<Vec<&mut [T]>> {
+    let rows = buf.len() / width.max(1);
+    let mut out: Vec<Vec<&mut [T]>> = (0..parts).map(|_| Vec::with_capacity(rows)).collect();
+    for mut rest in buf.chunks_exact_mut(width.max(1)) {
+        for (s, part) in out.iter_mut().enumerate() {
+            let (head, tail) = rest.split_at_mut(split_range(width, parts, s).len());
+            part.push(head);
+            rest = tail;
+        }
     }
     out
 }
@@ -375,14 +406,13 @@ impl Linear {
 }
 
 /// One sharded batched linear over every node: each (node, row-shard)
-/// worker computes its weight-row range of `lin.of(node)`'s output into its
-/// own slab (`forward_batch_scaled_range_into`), FC1's followed by its
-/// node-local GELU (elementwise, so per-slab application equals
-/// whole-output application bit for bit); the host then stitches each
-/// node's slabs side by side into `gemm_out` (`batch × out_features`
-/// row-major). With one shard the slab *is* the full output and is
-/// swapped in instead of copied. Because no dot product is ever split
-/// across shards, the stitched result is bit-identical to the unsharded
+/// worker computes its weight-row range of `lin.of(node)`'s output and
+/// its dequant epilogue writes those columns of every row straight into
+/// the node's `gemm_out` (`batch × out_features` row-major;
+/// `forward_batch_scaled_range_to`), FC1's followed there by its GELU
+/// (elementwise, so per-window application equals whole-output
+/// application bit for bit). Because no dot product is ever split across
+/// shards, the output is bit-identical to the unsharded
 /// `forward_batch_scaled_into` for any shard count.
 fn sharded_linear_phase(
     nodes: &mut [NodeState],
@@ -395,50 +425,37 @@ fn sharded_linear_phase(
 ) {
     let (b, width) = (xmat.rows(), xmat.cols());
     let gelu = lin == Linear::Fc1;
-    let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(nodes.len() * row_shards);
+    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(nodes.len() * row_shards);
     let mut job_bytes = usize::MAX;
     for node in nodes.iter_mut() {
         let NodeState {
-            weights, shards, ..
+            weights,
+            shards,
+            gemm_out,
+            ..
         } = node;
         let linear = lin.of(weights, layer);
         let out_rows = linear.out_features();
         job_bytes = job_bytes.min(out_rows * width / row_shards.max(1));
-        for (s, shard) in shards.iter_mut().enumerate() {
+        // Every element is written below, so only growth needs a fill.
+        gemm_out.resize(b * out_rows, 0.0);
+        let windows = column_windows(gemm_out, out_rows, row_shards);
+        for ((s, shard), window) in shards.iter_mut().enumerate().zip(windows) {
             let range = split_range(out_rows, row_shards, s);
             jobs.push(Box::new(move || {
-                linear.forward_batch_scaled_range_into(
+                linear.forward_batch_scaled_range_to(
                     xmat,
                     scales,
                     range,
                     &mut shard.acc,
-                    &mut shard.out,
+                    window,
+                    gelu,
                 );
-                if gelu {
-                    gelu_in_place(&mut shard.out);
-                }
             }));
         }
     }
-    run_jobs(pool, job_bytes, jobs);
-    // Stitch slabs into each node's full output.
-    for node in nodes.iter_mut() {
-        let out_rows = lin.of(&node.weights, layer).out_features();
-        if row_shards == 1 {
-            std::mem::swap(&mut node.gemm_out, &mut node.shards[0].out);
-        } else {
-            node.gemm_out.clear();
-            node.gemm_out.resize(b * out_rows, 0.0);
-            for (s, shard) in node.shards.iter().enumerate() {
-                let range = split_range(out_rows, row_shards, s);
-                let cols = range.len();
-                for t in 0..b {
-                    node.gemm_out[t * out_rows + range.start..t * out_rows + range.end]
-                        .copy_from_slice(&shard.out[t * cols..(t + 1) * cols]);
-                }
-            }
-        }
-    }
+    let pool = gate_bytes(pool, job_bytes, jobs.len());
+    run_jobs(pool, jobs);
 }
 
 /// One row of a forward step: the sequence (`slot`) it belongs to and the
@@ -451,14 +468,73 @@ struct Row {
     pos: usize,
 }
 
+/// The KV append: each row's K and V (columns `w..3w` of its QKV row on
+/// each node) quantized into the page its position lands on, in pool
+/// `node × layers + layer`. The arena hands out one writer per distinct
+/// (pool, page); each node's pages are cut into `row_shards` contiguous
+/// groups of about equal row counts, one job each. A page is written by
+/// one job only, and each token by the same per-head quantize as
+/// `append_at`, so any split is bit-identical.
+fn kv_append_phase(
+    nodes: &[NodeState],
+    arena: &mut PagedKvArena,
+    pool: Option<&WorkerPool>,
+    row_shards: usize,
+    layer: usize,
+    rows: &[Row],
+    d_head: usize,
+) {
+    let layers = arena.layers() / nodes.len();
+    let page_tokens = arena.page_tokens();
+    let row_pages: Vec<usize> = rows.iter().map(|r| arena.page_of(r.slot, r.pos)).collect();
+    let mut pages = row_pages.clone();
+    pages.sort_unstable();
+    pages.dedup();
+    let mut on_page: Vec<Vec<usize>> = vec![Vec::new(); pages.len()];
+    for (t, page) in row_pages.iter().enumerate() {
+        if let Ok(j) = pages.binary_search(page) {
+            on_page[j].push(t);
+        }
+    }
+    let counts: Vec<usize> = on_page.iter().map(Vec::len).collect();
+    let groups = split_weighted(&counts, row_shards);
+    let pools: Vec<usize> = (0..nodes.len()).map(|n| n * layers + layer).collect();
+    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(nodes.len() * row_shards);
+    let mut lane_elems = 0;
+    for (node, writers) in nodes.iter().zip(arena.page_writers(&pools, &pages)) {
+        let w = node.weights.head_range.len() * d_head;
+        let gemm_out = &node.gemm_out;
+        let mut writers = writers.into_iter();
+        for group in &groups {
+            let mut mine: Vec<_> = writers.by_ref().take(group.len()).collect();
+            let on_page = &on_page[group.clone()];
+            lane_elems = lane_elems.max(2 * w * counts[group.clone()].iter().sum::<usize>());
+            jobs.push(Box::new(move || {
+                for (writer, ts) in mine.iter_mut().zip(on_page) {
+                    for &t in ts {
+                        let qkv = &gemm_out[t * 3 * w..(t + 1) * 3 * w];
+                        let (k, v) = qkv[w..].split_at(w);
+                        writer.append(rows[t].pos % page_tokens, k, v);
+                    }
+                }
+            }));
+        }
+    }
+    run_jobs(pool.filter(|_| lane_elems >= MIN_DISPATCH_ELEMS), jobs);
+}
+
 /// The row-partitioned attention phase: every (node, row-shard) worker
 /// attends its contiguous block of batch rows over the node's immutable
 /// paged KV view (pool `node × layers + layer` of the shared arena; all
-/// appends for the step already happened), writing
-/// each row's heads directly into its strip of the node's flat
-/// `attn_out` buffer. Row blocks are disjoint and each row's computation
-/// is byte-for-byte the single-row path, so any shard count and any
-/// execution order produce identical buffers.
+/// appends for the step already happened), writing each row's heads
+/// directly into its strip of the node's flat `attn_out` buffer. Blocks
+/// are cut by keys attended (Σ `pos + 1`), not by row count, so a chunk's
+/// later rows — which attend more keys — do not land on one lane. Within
+/// a block, each run of consecutive positions of one slot (a prefill
+/// chunk's rows) shares one walk of the slot's K and V
+/// ([`attend_rows_segments_to`]). Each row's arithmetic is byte-for-byte
+/// the single-row path, so any shard count and any execution order
+/// produce identical buffers.
 fn batch_attention_phase(
     nodes: &mut [NodeState],
     arena: &PagedKvArena,
@@ -469,9 +545,11 @@ fn batch_attention_phase(
     d_head: usize,
 ) {
     let b = rows.len();
+    let keys: Vec<usize> = rows.iter().map(|r| r.pos + 1).collect();
     // KV tokens the step streams per node: Σ valid lengths.
-    let kv_tokens: usize = rows.iter().map(|r| r.pos + 1).sum();
-    let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(nodes.len() * row_shards);
+    let kv_tokens: usize = keys.iter().sum();
+    let blocks = split_weighted(&keys, row_shards);
+    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(nodes.len() * row_shards);
     let mut job_bytes = usize::MAX;
     let layers = arena.layers() / nodes.len();
     for (n, node) in nodes.iter_mut().enumerate() {
@@ -485,36 +563,45 @@ fn batch_attention_phase(
         let head_range = weights.head_range.clone();
         let w = head_range.len() * d_head;
         job_bytes = job_bytes.min(2 * kv_tokens * w / row_shards.max(1));
-        attn_out.clear();
+        // Every element is written below, so only growth needs a fill.
         attn_out.resize(b * w, 0.0);
         let gemm_out = &*gemm_out;
-        for ((s, shard), chunk) in shards
-            .iter_mut()
-            .enumerate()
-            .zip(split_row_chunks(attn_out, b, w, row_shards))
-        {
-            let row_range = split_range(b, row_shards, s);
-            let head_range = head_range.clone();
+        let mut rest = &mut attn_out[..];
+        for (shard, block) in shards.iter_mut().zip(&blocks) {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(block.len() * w);
+            rest = tail;
+            let (block, head_range) = (block.clone(), head_range.clone());
             jobs.push(Box::new(move || {
-                for (t, row_out) in row_range.clone().zip(chunk.chunks_exact_mut(w)) {
+                let mut chunk = chunk;
+                let mut t = block.start;
+                while t < block.end {
+                    // The run of rows continuing row t's sequence.
                     let Row { slot, pos } = rows[t];
-                    let q = &gemm_out[t * 3 * w..t * 3 * w + w];
+                    let run = (t + 1..block.end)
+                        .take_while(|&u| rows[u].slot == slot && rows[u].pos == pos + u - t)
+                        .count()
+                        + 1;
+                    let (out, tail) = std::mem::take(&mut chunk).split_at_mut(run * w);
+                    chunk = tail;
                     let view = arena.layer_view(slot, kv_pool);
-                    attend_heads_segments_to(
-                        q,
+                    attend_rows_segments_to(
+                        &gemm_out[t * 3 * w..],
+                        3 * w,
                         |h| view.segments(h),
                         head_range.clone(),
                         head_range.start,
                         d_head,
                         pos + 1,
                         &mut shard.attn,
-                        row_out,
+                        out,
                     );
+                    t += run;
                 }
             }));
         }
     }
-    run_jobs(pool, job_bytes, jobs);
+    let pool = gate_bytes(pool, job_bytes, jobs.len());
+    run_jobs(pool, jobs);
 }
 
 /// Default KV page size in tokens for engines built without explicit page
@@ -1107,15 +1194,15 @@ impl DistributedGpt2 {
             // QKV, per-row cache append, then attention with the rows
             // partitioned across the node's row shards, gathered per row.
             self.linear_stage(Linear::Qkv, layer, 0..b);
-            for (node_idx, node) in self.nodes.iter().enumerate() {
-                let w = node.weights.head_range.len() * d_head;
-                for (t, row) in rows.iter().enumerate() {
-                    let qkv = &node.gemm_out[t * 3 * w..(t + 1) * 3 * w];
-                    let (k, v) = qkv[w..].split_at(w);
-                    self.arena
-                        .append_at(row.slot, node_idx * layers + layer, row.pos, k, v);
-                }
-            }
+            kv_append_phase(
+                &self.nodes,
+                &mut self.arena,
+                self.pool.as_ref(),
+                self.row_shards,
+                layer,
+                &rows,
+                d_head,
+            );
             batch_attention_phase(
                 &mut self.nodes,
                 &self.arena,
@@ -1184,9 +1271,10 @@ impl DistributedGpt2 {
         };
         let shard = lin.of(&self.nodes[0].weights, layer);
         let (width, shard_w) = (shard.in_features(), shard.out_features());
+        let pool = self.pool.as_ref();
         let xmat = match ln {
-            Some(_) => stack.stack_flat(&xs[rows.start * d..rows.end * d], ln, width),
-            None => stack.stack_flat(gathered, None, width),
+            Some(_) => stack.stack_flat(pool, &xs[rows.start * d..rows.end * d], ln, width),
+            None => stack.stack_flat(pool, gathered, None, width),
         };
         sharded_linear_phase(
             &mut self.nodes,
@@ -1342,14 +1430,15 @@ impl PartialEq for HostScratch {
     }
 }
 
-/// Host-side row-stacking scratch for the batched stages: LN + per-row
-/// quantization buffers plus the stacked int8 storage.
-/// [`StackScratch::stack_flat`] moves the storage into the returned matrix
-/// and [`StackScratch::reclaim`] takes it back, so per-stage stacking
+/// Row-stacking scratch for the batched stages: per-lane LN buffers plus
+/// the stacked int8 storage and scales. [`StackScratch::stack_flat`]
+/// moves the storage into the returned matrix and
+/// [`StackScratch::reclaim`] takes it back, so per-stage stacking
 /// allocates nothing in steady state.
 #[derive(Debug, Clone, Default)]
 struct StackScratch {
-    h: Vec<f32>,
+    /// One layer-norm buffer a lane.
+    hs: Vec<Vec<f32>>,
     q8: Vec<i8>,
     rows8: Vec<i8>,
     /// Per-row activation scales of the most recent
@@ -1360,25 +1449,46 @@ struct StackScratch {
 impl StackScratch {
     /// Stacks `ln(row)` (or the raw row when `ln` is `None`) quantized
     /// per-row into a `rows / width × width` int8 matrix from a flat
-    /// row-major buffer — the host-side replicated prologue of every
-    /// sharded batched linear, one row per token (batched prefill) or per
-    /// resident sequence (batched decode). Per-row scales land in
-    /// `self.scales`.
+    /// row-major buffer — the replicated prologue of every sharded batched
+    /// linear, one row per token (batched prefill) or per resident
+    /// sequence (batched decode). The rows are cut into one contiguous
+    /// block a pool lane, each through [`layernorm_quantize_rows_to`]
+    /// into its own window (per-row results, so any cut is bit-identical),
+    /// when each lane's share reaches [`MIN_DISPATCH_ELEMS`]. Per-row
+    /// scales land in `self.scales`.
     fn stack_flat(
         &mut self,
+        pool: Option<&WorkerPool>,
         rows: &[f32],
         ln: Option<&LayerNormParams>,
         width: usize,
     ) -> Matrix<i8> {
-        layernorm_quantize_rows(
-            rows,
-            width,
-            ln,
-            &mut self.h,
-            &mut self.rows8,
-            &mut self.scales,
-        );
-        let stacked = Matrix::from_vec(rows.len() / width, width, std::mem::take(&mut self.rows8));
+        let n = rows.len() / width;
+        let lanes = pool.map_or(1, WorkerPool::workers);
+        let parts = match rows.len() / lanes >= MIN_DISPATCH_ELEMS {
+            true => lanes.min(n),
+            false => 1,
+        };
+        // Every element is written below, so only growth needs a fill.
+        self.rows8.resize(rows.len(), 0);
+        self.scales.resize(n, 0.0);
+        if self.hs.len() < parts {
+            self.hs.resize_with(parts, Vec::new);
+        }
+        let (mut x, mut q8, mut scales) = (rows, &mut self.rows8[..], &mut self.scales[..]);
+        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(parts);
+        for (p, h) in self.hs.iter_mut().take(parts).enumerate() {
+            let k = split_range(n, parts, p).len();
+            let (x0, x1) = x.split_at(k * width);
+            let (q0, q1) = std::mem::take(&mut q8).split_at_mut(k * width);
+            let (s0, s1) = std::mem::take(&mut scales).split_at_mut(k);
+            (x, q8, scales) = (x1, q1, s1);
+            jobs.push(Box::new(move || {
+                layernorm_quantize_rows_to(x0, width, ln, h, q0, s0);
+            }));
+        }
+        run_jobs(pool.filter(|_| parts > 1), jobs);
+        let stacked = Matrix::from_vec(n, width, std::mem::take(&mut self.rows8));
         // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
         stacked.expect("stacked rows")
     }

@@ -6,8 +6,8 @@
 mod harness;
 
 use harness::{
-    check_script, draw_script, plain, random_points, run_script, spec, system_prompt, tightest, Op,
-    Point, Rng,
+    check_script, chunked_prefill_equals_the_model, draw_script, plain, random_points, run_script,
+    spec, system_prompt, tightest, Op, Point, Rng, Shape,
 };
 use looplynx_core::router::RingMode;
 
@@ -16,7 +16,7 @@ const CASES: u64 = if cfg!(miri) { 1 } else { 10 };
 
 #[test]
 fn random_scripts_match_the_lone_oracle() {
-    random_points(0x5eed_0000, false, CASES, |p, _| p);
+    random_points(0x5eed_0000, Shape::Tiny, CASES, |p, _| p);
 }
 
 /// A config family no earlier test ran: prefix cache × chunked feed ×
@@ -27,7 +27,7 @@ fn cache_chunks_preemption_shards_and_quantized_ring_together() {
     for case in 0..8 {
         let seed = 0xca_c4e0 + case;
         let mut rng = Rng(seed);
-        let drawn = Point::draw(&mut rng, false);
+        let drawn = Point::draw(&mut rng, Shape::Tiny);
         let point = Point {
             nodes: rng.pick(&[2, 4]),
             mode: RingMode::Quantized,
@@ -89,5 +89,39 @@ fn sequential_chat_hits_the_cache() {
         assert!(stats.hits > 0, "follow-up turns must hit the cache");
         assert!(stats.reused_tokens > 0, "hits must reuse a positive span");
         assert!(stats.inserted > 0, "releases must register chains");
+    }
+}
+
+/// Random points on the `d_head` 64 model: the AVX-512 attention arm and
+/// its chunk walk (a prefill chunk's rows sharing K/V walks) against the
+/// lone oracle and, under `Exact`, the single-device model, which attends
+/// token by token.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn head64_scripts_match_the_lone_oracle() {
+    random_points(0x5eed_6400, Shape::Head64, 4, |p, _| p);
+}
+
+/// A 44-token prompt fed in chunks of 32 over 8-token pages at `d_head`
+/// 64: the first chunk's 32 rows span four pages and split over the lanes
+/// by keys attended, and the second chunk starts mid-page. Its logits
+/// must equal the single-device model's, which attends token by token,
+/// and the script harness checks tokens and KV against the lone run.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn a_32_row_chunk_across_pages_at_d_head_64() {
+    let prompt: Vec<u32> = (0..44).map(|i| (i * 7 + 3) % 320).collect();
+    let specs = [spec(None, prompt.iter().copied(), 6)];
+    let ops = [Op::Open, Op::Feed, Op::Feed, Op::Decode, Op::Decode];
+    for (nodes, row_shards) in [(1, 2), (2, 2), (4, 1)] {
+        let point = Point {
+            shape: Shape::Head64,
+            row_shards,
+            threaded: true,
+            chunk: Some(32),
+            ..plain(nodes, 8)
+        };
+        chunked_prefill_equals_the_model(&point, &prompt, 32, &[5, 17]);
+        check_script(0, &point, &specs, &ops);
     }
 }

@@ -4,7 +4,7 @@
 
 mod harness;
 
-use harness::{check_batch, plain, random_points, three_routes, Point};
+use harness::{check_batch, plain, random_points, three_routes, Point, Shape};
 use looplynx_core::router::RingMode;
 
 /// One random exact point per ring size: the first finished request's
@@ -17,7 +17,7 @@ fn distributed_exact_generation_matches_reference_for_all_ring_sizes() {
             mode: RingMode::Exact,
             ..p
         };
-        random_points(0x5eed_5000 + 0x10 * nodes as u64, false, 1, pin);
+        random_points(0x5eed_5000 + 0x10 * nodes as u64, Shape::Tiny, 1, pin);
     }
 }
 

@@ -5,7 +5,7 @@
 //!
 //! A case draws a config point (ring size and mode, row shards,
 //! threading, page size and pool, prefix cache, feed chunk, heap or mapped
-//! weights, tiny or wide-head model) and an op script, runs the script
+//! weights, and one of three model shapes) and an op script, runs the script
 //! through [`FunctionalBackend`] and after every op checks each request
 //! against itself run alone (unthreaded, one row shard, roomy pool, no
 //! cache) in lockstep: tokens so far, live KV, and
@@ -53,19 +53,30 @@ pub const CAPACITY: usize = 64;
 /// LM head runs tiles on pool lanes.
 pub const BATCH: usize = if cfg!(miri) { 2 } else { 5 };
 
-/// The tiny or wide-head model, on the heap or `mapped` from a saved
-/// checkpoint (every large tensor a view into the file that pool workers
-/// read in place); built once per test binary.
-fn model(wide: bool, mapped: bool) -> &'static Gpt2Model {
-    static CELLS: [OnceLock<Gpt2Model>; 4] = [const { OnceLock::new() }; 4];
-    CELLS[wide as usize * 2 + mapped as usize].get_or_init(|| {
-        // The wide head: one layer, and a 32 776 × 128 LM head — the one
-        // stage whose share still clears the engine's dispatch gate when
-        // split over 4 nodes × 4 row shards, in shards that start off the
-        // 16-row tile.
-        let cfg = match wide {
-            false => ModelConfig::tiny(),
-            true => ModelConfig {
+/// The models a point runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// `ModelConfig::tiny()`: 2 layers, 4 heads of 16.
+    Tiny,
+    /// One layer, 4 heads of 32, and a 32 776 × 128 LM head — the one
+    /// stage whose share still clears the engine's dispatch gate when
+    /// split over 4 nodes × 4 row shards, in shards that start off the
+    /// 16-row tile.
+    WideHead,
+    /// One layer, 4 heads of 64: the head width of the AVX-512 attention
+    /// arm and of its chunk walk, 4 heads so 4-node points partition.
+    Head64,
+}
+
+/// The `shape` model, on the heap or `mapped` from a saved checkpoint
+/// (every large tensor a view into the file that pool workers read in
+/// place); built once per test binary.
+fn model(shape: Shape, mapped: bool) -> &'static Gpt2Model {
+    static CELLS: [OnceLock<Gpt2Model>; 6] = [const { OnceLock::new() }; 6];
+    CELLS[shape as usize * 2 + mapped as usize].get_or_init(|| {
+        let cfg = match shape {
+            Shape::Tiny => ModelConfig::tiny(),
+            Shape::WideHead => ModelConfig {
                 name: "wide-head".into(),
                 layers: 1,
                 d_model: 128,
@@ -73,12 +84,19 @@ fn model(wide: bool, mapped: bool) -> &'static Gpt2Model {
                 vocab: 32_776,
                 ..ModelConfig::tiny()
             },
+            Shape::Head64 => ModelConfig {
+                name: "head-64".into(),
+                layers: 1,
+                d_model: 256,
+                d_ff: 512,
+                ..ModelConfig::tiny()
+            },
         };
         let heap = Gpt2Model::synthetic(&cfg, 2024);
         if !mapped {
             return heap;
         }
-        let name = format!("looplynx_exactness_{}_{wide}.bin", std::process::id());
+        let name = format!("looplynx_exactness_{}_{shape:?}.bin", std::process::id());
         let path = std::env::temp_dir().join(name);
         checkpoint::save(heap.config(), heap.weights(), &path).expect("save");
         let mapped = checkpoint::load_model(&path).expect("load");
@@ -112,7 +130,7 @@ impl Rng {
 /// One config point: every axis the engine can be built or driven along.
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
-    pub wide: bool,
+    pub shape: Shape,
     pub mapped: bool,
     pub nodes: usize,
     pub mode: RingMode,
@@ -127,15 +145,15 @@ pub struct Point {
 }
 
 impl Point {
-    pub fn draw(rng: &mut Rng, wide: bool) -> Point {
+    pub fn draw(rng: &mut Rng, shape: Shape) -> Point {
         let page_tokens = if cfg!(miri) { 4 } else { rng.pick(&[2, 4, 8]) };
         let one = CAPACITY.div_ceil(page_tokens);
         Point {
-            wide,
-            // Writing the wide head's checkpoint takes seconds in a debug
-            // build, and Miri has no file mapping: mapped weights ride on
-            // the tiny model.
-            mapped: !cfg!(miri) && !wide && rng.pick(&[false, true]),
+            shape,
+            // Writing a checkpoint takes seconds in a debug build, and
+            // Miri has no file mapping: mapped weights ride on the tiny
+            // model.
+            mapped: !cfg!(miri) && shape == Shape::Tiny && rng.pick(&[false, true]),
             nodes: rng.pick(&[1, 2, 4]),
             mode: rng.pick(&[RingMode::Exact, RingMode::Quantized]),
             row_shards: rng.pick(&[1, 2, 4]),
@@ -148,13 +166,13 @@ impl Point {
     }
 
     pub fn vocab(&self) -> usize {
-        model(self.wide, false).config().vocab
+        model(self.shape, false).config().vocab
     }
 
     /// The engine under test, with `slots` slots over `pages` pages.
     pub fn engine(&self, slots: usize, pages: usize) -> DistributedGpt2 {
         let mut e = DistributedGpt2::with_paged_slots(
-            model(self.wide, self.mapped),
+            model(self.shape, self.mapped),
             self.nodes,
             self.mode,
             slots,
@@ -174,7 +192,7 @@ impl Point {
     /// The oracle's engine: one slot, heap weights, the point's ring,
     /// unthreaded, one row shard, a roomy pool of default pages, no cache.
     pub fn lone(&self) -> DistributedGpt2 {
-        let heap = model(self.wide, false);
+        let heap = model(self.shape, false);
         let mut e = DistributedGpt2::with_slots(heap, self.nodes, self.mode, 1, CAPACITY)
             .expect("partitions");
         e.set_row_shards(1);
@@ -223,10 +241,11 @@ pub fn system_prompt() -> Vec<u32> {
 pub fn draw_script(rng: &mut Rng, point: &Point) -> (Vec<ReqSpec>, Vec<Op>) {
     let vocab = point.vocab();
     // Every wide-head LM head row streams 4 MiB of weights.
-    let (requests, max_ops) = match point.wide {
+    let (requests, max_ops) = match point.shape {
         _ if cfg!(miri) => (2, 6),
-        false => (5, 40),
-        true => (2, 20),
+        Shape::Tiny => (5, 40),
+        Shape::WideHead => (2, 20),
+        Shape::Head64 => (3, 24),
     };
     let specs = (0..requests)
         .map(|i| {
@@ -527,7 +546,7 @@ pub fn run_script(point: &Point, specs: &[ReqSpec], ops: &[Op]) -> FunctionalBac
     let exact = point.mode == RingMode::Exact;
     let mut done = run.seqs.iter().enumerate().filter(|_| exact);
     if let Some((i, s)) = done.find(|(_, s)| s.tokens.len() == s.target) {
-        let want = reference_tokens(point.wide, &s.prompt, s.target, i as u64 + 1);
+        let want = reference_tokens(point.shape, &s.prompt, s.target, i as u64 + 1);
         assert_eq!(s.tokens, want, "the lone run left the single-device model");
     }
     run.b
@@ -556,8 +575,8 @@ pub fn lone_tokens(point: &Point, prompt: &[u32], n: usize, id: u64) -> Vec<u32>
 }
 
 /// `Gpt2Model`'s tokens for one request under the harness's sampler.
-fn reference_tokens(wide: bool, prompt: &[u32], n: usize, seed: u64) -> Vec<u32> {
-    let mut m = model(wide, false).clone();
+fn reference_tokens(shape: Shape, prompt: &[u32], n: usize, seed: u64) -> Vec<u32> {
+    let mut m = model(shape, false).clone();
     let mut sampler = Sampler::top_k(K, T, seed);
     let mut out = vec![sampler.sample(&m.prefill(prompt))];
     while out.len() < n {
@@ -690,7 +709,7 @@ pub fn assert_lone(point: &Point, batch: &[BatchSeq], e: &DistributedGpt2, out: 
             "sequence {i}'s KV diverged at {point:?}"
         );
         if point.mode == RingMode::Exact && i == BATCH - 1 {
-            let mut m = model(point.wide, false).clone();
+            let mut m = model(point.shape, false).clone();
             let mut reference = vec![m.prefill(&seq.0)];
             reference.extend(seq.1.iter().map(|&t| m.decode_step(t)));
             assert!(
@@ -710,14 +729,50 @@ pub fn check_batch(point: &Point) {
     assert_lone(point, &batch, &e, &out);
 }
 
-/// `cases` random points on the tiny or the `wide` head model, seeded
-/// from `base`, each with the fixed batch and a random script; `pin` fixes
-/// the axes a test is about and leaves the others as drawn.
-pub fn random_points(base: u64, wide: bool, cases: u64, pin: impl Fn(Point, &mut Rng) -> Point) {
+/// Feeds `prompt` into one slot of the point's engine in chunks of
+/// `chunk`, then decodes `steps`, and requires the final prefill logits
+/// and every decode row to equal the single-device model's, bit for bit:
+/// the model attends token by token, so this checks the chunk walk
+/// against the per-query walk through the whole engine.
+pub fn chunked_prefill_equals_the_model(
+    point: &Point,
+    prompt: &[u32],
+    chunk: usize,
+    steps: &[u32],
+) {
+    let mut e = point.engine(1, CAPACITY.div_ceil(point.page_tokens));
+    let slot = e.acquire_slot().expect("a free slot");
+    let mut got = Vec::new();
+    for (i, part) in prompt.chunks(chunk).enumerate() {
+        let last = (i + 1) * chunk >= prompt.len();
+        got.extend(e.prefill_slot_chunk(slot, part, last));
+    }
+    got.extend(
+        steps
+            .iter()
+            .flat_map(|&t| e.decode_step_batch(&[(slot, t)])),
+    );
+    let mut m = model(point.shape, false).clone();
+    let mut want = vec![m.prefill(prompt)];
+    want.extend(steps.iter().map(|&t| m.decode_step(t)));
+    for (r, (g, w)) in got.iter().zip(&want).enumerate() {
+        let same = g.len() == w.len() && g.iter().zip(w).all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            same,
+            "logit row {r} left the single-device model at {point:?}"
+        );
+    }
+    assert_eq!(got.len(), want.len(), "one logit row a step");
+}
+
+/// `cases` random points on the `shape` model, seeded from `base`, each
+/// with the fixed batch and a random script; `pin` fixes the axes a test
+/// is about and leaves the others as drawn.
+pub fn random_points(base: u64, shape: Shape, cases: u64, pin: impl Fn(Point, &mut Rng) -> Point) {
     for case in 0..cases {
         let seed = base + case;
         let mut rng = Rng(seed);
-        let point = pin(Point::draw(&mut rng, wide), &mut rng);
+        let point = pin(Point::draw(&mut rng, shape), &mut rng);
         check_batch(&point);
         let (specs, ops) = draw_script(&mut rng, &point);
         check_script(seed, &point, &specs, &ops);
@@ -732,7 +787,7 @@ pub fn tightest(page_tokens: usize) -> usize {
 /// A tiny-model point with every option at its plainest.
 pub fn plain(nodes: usize, page_tokens: usize) -> Point {
     Point {
-        wide: false,
+        shape: Shape::Tiny,
         mapped: false,
         nodes,
         mode: RingMode::Exact,

@@ -5,13 +5,13 @@
 
 mod harness;
 
-use harness::{random_points, three_routes, tightest, Point};
+use harness::{random_points, three_routes, tightest, Point, Shape};
 
 /// Random points whose pool holds one full sequence and two pages, so
 /// opens, feeds, decodes and resumes meet page pressure.
 #[test]
 fn interleavings_match_lone_generation() {
-    random_points(0x5eed_1000, false, 4, |p, _| Point {
+    random_points(0x5eed_1000, Shape::Tiny, 4, |p, _| Point {
         pages: tightest(p.page_tokens),
         ..p
     });

@@ -4,7 +4,7 @@
 
 mod harness;
 
-use harness::{check_batch, plain, toggled_batch, Point};
+use harness::{check_batch, plain, toggled_batch, Point, Shape};
 use looplynx_core::router::RingMode;
 
 /// Every tiny-model cell with more than one row shard, in `mode`.
@@ -45,7 +45,7 @@ fn wide_batch_grid_is_bit_exact_on_pool_lanes() {
         (1, 2, RingMode::Quantized),
     ] {
         check_batch(&Point {
-            wide: true,
+            shape: Shape::WideHead,
             mode,
             row_shards,
             threaded: true,

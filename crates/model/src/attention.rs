@@ -17,14 +17,15 @@
 //! The walk reuses one [`AttnScratch`] across heads and calls, and stops
 //! at `valid_len` — the mask unit's causal cut. Its scores and value mix
 //! take an AVX-512 arm ([`Avx512`], `d_head` = 64: 16 keys a group, the
-//! accumulator in registers) or the portable arm, one key or value row at
-//! a time; `tests/attention_exact.rs` pins the two bit-identical.
+//! accumulator in registers; the rows of a prefill chunk share one walk in
+//! blocks of four) or the portable arm, one key or value row at a time;
+//! `tests/attention_exact.rs` pins the two bit-identical.
 
 use std::ops::Range;
 
 use looplynx_tensor::activation::softmax_into;
-use looplynx_tensor::quant::quantize_into;
-use looplynx_tensor::simd::{accumulate_scaled_i8, dot_i8_i32 as dot_i8, Avx512};
+use looplynx_tensor::quant::{absmax, quantize_into, scale_for};
+use looplynx_tensor::simd::{accumulate_scaled_i8, dot_i8_i32 as dot_i8, quantize_slice, Avx512};
 
 use crate::kv_cache::LayerKvCache;
 
@@ -236,6 +237,140 @@ pub fn attend_heads_segments_to<'a, I, F>(
                 }
                 let vs = seg.value_scales[local] * w_scale * w8 as f32;
                 accumulate_scaled_i8(acc, v, vs);
+            }
+        }
+    }
+}
+
+/// Query rows that share one K/V walk in [`attend_rows_segments_to`].
+const QUERY_BLOCK: usize = 4;
+
+/// [`attend_heads_segments_to`] for `out.len() / w` consecutive query rows
+/// of one sequence (`w = head_range.len() × d_head`): row `r`'s query is
+/// `q[r × q_stride..][..w]`, it attends the first `first_valid + r` cached
+/// tokens (a prefill chunk's causal rows), and its heads land in
+/// `out[r × w..(r + 1) × w]`.
+///
+/// On the AVX-512 arm (`d_head` = 64) rows share the cache walk in blocks
+/// of four: per head, each 16-key group is loaded once and scored against
+/// every row of the block that attends it, and each value row is widened
+/// once and mixed into every such row. Each row's own operations — its
+/// query quantize, every score, its softmax and weight quantize, and its
+/// value updates in token order — are those of the one-row walk, so the
+/// result is **bit-identical** to calling [`attend_heads_segments_to`]
+/// row by row (what the portable arm and a lone row do).
+///
+/// # Panics
+///
+/// As [`attend_heads_segments_to`], and if `out` is not whole rows or `q`
+/// does not reach the last row's query.
+#[allow(clippy::too_many_arguments)]
+pub fn attend_rows_segments_to<'a, I, F>(
+    q: &[f32],
+    q_stride: usize,
+    segments_of: F,
+    head_range: Range<usize>,
+    cache_head_offset: usize,
+    d_head: usize,
+    first_valid: usize,
+    scratch: &mut AttnScratch,
+    out: &mut [f32],
+) where
+    I: Iterator<Item = KvSegment<'a>>,
+    F: Fn(usize) -> I,
+{
+    let w = head_range.len() * d_head;
+    assert!(
+        w > 0 && out.len().is_multiple_of(w),
+        "output must be whole rows"
+    );
+    let rows = out.len() / w;
+    assert!(
+        rows == 0 || (rows - 1) * q_stride + w <= q.len(),
+        "query rows out of range"
+    );
+    let wide = scratch.arm.0.filter(|_| d_head == 64 && rows > 1);
+    let Some(simd) = wide else {
+        for (r, row_out) in out.chunks_exact_mut(w).enumerate() {
+            attend_heads_segments_to(
+                &q[r * q_stride..r * q_stride + w],
+                &segments_of,
+                head_range.clone(),
+                cache_head_offset,
+                d_head,
+                first_valid + r,
+                scratch,
+                row_out,
+            );
+        }
+        return;
+    };
+    assert!(first_valid > 0, "attention needs at least one cached token");
+
+    let inv_sqrt = 1.0 / (d_head as f32).sqrt();
+    let AttnScratch {
+        q8,
+        scores,
+        weights,
+        w8: w8_buf,
+        ..
+    } = scratch;
+    for (local_idx, h) in head_range.clone().enumerate() {
+        let cache_h = h - cache_head_offset;
+        for r0 in (0..rows).step_by(QUERY_BLOCK) {
+            let live = (rows - r0).min(QUERY_BLOCK);
+            // Pad rows (past `live`) attend nothing.
+            let valid: [usize; QUERY_BLOCK] =
+                std::array::from_fn(|i| if i < live { first_valid + r0 + i } else { 0 });
+            let stride = valid[live - 1];
+            // --- queries, each requantized as in the one-row walk.
+            q8.clear();
+            q8.resize(QUERY_BLOCK * d_head, 0);
+            let mut q_scales = [0.0f32; QUERY_BLOCK];
+            for (i, (q8_row, scale)) in q8
+                .chunks_exact_mut(d_head)
+                .zip(&mut q_scales)
+                .enumerate()
+                .take(live)
+            {
+                let at = (r0 + i) * q_stride + local_idx * d_head;
+                let q_head = &q[at..at + d_head];
+                *scale = scale_for(absmax(q_head));
+                quantize_slice(q_head, *scale, q8_row);
+            }
+            let q8_rows: [&[i8]; QUERY_BLOCK] =
+                std::array::from_fn(|i| &q8[i * d_head..(i + 1) * d_head]);
+            // --- first MAC array, one walk for the block.
+            scores.clear();
+            scores.resize(QUERY_BLOCK * stride, 0.0);
+            let keys = segments_of(cache_h).map(|seg| (seg.keys, seg.key_scales));
+            let walked =
+                simd.key_scores_d64_rows(q8_rows, q_scales, valid, keys, inv_sqrt, scores, stride);
+            // As in the one-row walk, a short segment walk must not feed the
+            // softmax truncated score rows.
+            assert!(walked == stride, "valid_len beyond cache");
+            // --- softmax and weight requantize per row.
+            w8_buf.clear();
+            w8_buf.resize(QUERY_BLOCK * stride, 0);
+            let mut w_scales = [0.0f32; QUERY_BLOCK];
+            for i in 0..live {
+                softmax_into(&scores[i * stride..i * stride + valid[i]], weights);
+                w_scales[i] = scale_for(absmax(weights));
+                quantize_slice(
+                    weights,
+                    w_scales[i],
+                    &mut w8_buf[i * stride..i * stride + valid[i]],
+                );
+            }
+            // --- second MAC array, one walk for the block.
+            let w8_rows: [&[i8]; QUERY_BLOCK] =
+                std::array::from_fn(|i| &w8_buf[i * stride..(i + 1) * stride]);
+            let mut acc = [0.0f32; QUERY_BLOCK * 64];
+            let values = segments_of(cache_h).map(|seg| (seg.values, seg.value_scales));
+            simd.mix_values_d64_rows(values, w8_rows, w_scales, valid, &mut acc);
+            for (i, acc_row) in acc.chunks_exact(d_head).take(live).enumerate() {
+                let at = (r0 + i) * w + local_idx * d_head;
+                out[at..at + d_head].copy_from_slice(acc_row);
             }
         }
     }

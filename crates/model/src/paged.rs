@@ -620,33 +620,89 @@ impl PagedKvArena {
     /// violation still cannot write out of bounds: the page-table lookup
     /// below and the pool slices bound every index).
     pub fn append_at(&mut self, slot: usize, layer: usize, t: usize, k: &[f32], v: &[f32]) {
-        debug_assert_eq!(k.len(), v.len(), "key/value length mismatch");
-        debug_assert_eq!(
-            k.len(),
-            self.heads * self.d_head,
-            "vector geometry mismatch"
-        );
-        let state = &self.slots[slot];
-        debug_assert!(state.in_use, "slot {slot} not in use");
-        let (pt, d, heads) = (self.page_tokens, self.d_head, self.heads);
-        let page = *state
-            .table
-            .get(t / pt)
-            .unwrap_or_else(|| panic!("token {t} of slot {slot} has no granted page"));
-        let local = t % pt;
+        debug_assert!(self.slots[slot].in_use, "slot {slot} not in use");
+        let page = self.page_of(slot, t);
+        let (heads, pt, d) = (self.heads, self.page_tokens, self.d_head);
+        PageWriter::new(&mut self.pools[layer], page, heads, pt, d).append(t % pt, k, v);
+    }
+
+    /// The page backing token `t` of `slot` (every pool's, one index).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range or `t` has no granted page.
+    pub fn page_of(&self, slot: usize, t: usize) -> usize {
+        let page = self.slots[slot].table.get(t / self.page_tokens);
+        let page = *page.unwrap_or_else(|| panic!("token {t} of slot {slot} has no granted page"));
         debug_assert_eq!(
             self.refcount[page], 1,
             "append into shared page {page} — reserve must copy-on-write first"
         );
-        let pool = &mut self.pools[layer];
-        for h in 0..heads {
-            let cell = (page * heads + h) * pt + local;
-            let dst = cell * d;
-            pool.key_scales[cell] =
-                quantize_chunk(&k[h * d..(h + 1) * d], &mut pool.keys[dst..dst + d]);
-            pool.value_scales[cell] =
-                quantize_chunk(&v[h * d..(h + 1) * d], &mut pool.values[dst..dst + d]);
+        page
+    }
+
+    /// One [`PageWriter`] for each of `pages` (ascending, distinct, from
+    /// [`PagedKvArena::page_of`]) in each of the layer pools `pools`
+    /// (ascending, distinct): entry `[i][j]` writes page `pages[j]` of
+    /// pool `pools[i]`. The writers borrow disjoint memory, so they can
+    /// append on different threads at once — the same bytes as
+    /// [`PagedKvArena::append_at`] at each (page, token).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either list is unsorted, repeats, or is out of range.
+    pub fn page_writers(&mut self, pools: &[usize], pages: &[usize]) -> Vec<Vec<PageWriter<'_>>> {
+        let ascending = |xs: &[usize], n: usize| {
+            xs.windows(2).all(|w| w[0] < w[1]) && xs.last().is_none_or(|&x| x < n)
+        };
+        assert!(
+            ascending(pools, self.layers),
+            "pools must ascend within 0..{}",
+            self.layers
+        );
+        assert!(
+            ascending(pages, self.pages),
+            "pages must ascend within 0..{}",
+            self.pages
+        );
+        let (pt, d) = (self.page_tokens, self.d_head);
+        let page_len = self.heads * pt;
+        let mut wanted = pools.iter().peekable();
+        let mut out = Vec::with_capacity(pools.len());
+        for (i, pool) in self.pools.iter_mut().enumerate() {
+            if wanted.next_if_eq(&&i).is_none() {
+                continue;
+            }
+            let LayerPool {
+                keys,
+                values,
+                key_scales,
+                value_scales,
+            } = pool;
+            let mut wanted = pages.iter().peekable();
+            let pages = keys
+                .chunks_exact_mut(page_len * d)
+                .zip(values.chunks_exact_mut(page_len * d))
+                .zip(key_scales.chunks_exact_mut(page_len))
+                .zip(value_scales.chunks_exact_mut(page_len))
+                .enumerate()
+                .filter(|&(p, _)| wanted.next_if_eq(&&p).is_some());
+            out.push(
+                pages
+                    .map(
+                        |(_, (((keys, values), key_scales), value_scales))| PageWriter {
+                            keys,
+                            values,
+                            key_scales,
+                            value_scales,
+                            d_head: d,
+                            page_tokens: pt,
+                        },
+                    )
+                    .collect(),
+            );
         }
+        out
     }
 
     /// A borrowed view of `slot`'s cached tokens in `layer`, iterable as
@@ -776,6 +832,65 @@ impl PagedLayerView<'_> {
                 value_scales: &pool.value_scales[cell..cell + pt],
             }
         })
+    }
+}
+
+/// Exclusive write access to one page of one layer pool, from
+/// [`PagedKvArena::page_writers`]: the page's head-major keys, values and
+/// scales.
+#[derive(Debug)]
+pub struct PageWriter<'a> {
+    keys: &'a mut [i8],
+    values: &'a mut [i8],
+    key_scales: &'a mut [f32],
+    value_scales: &'a mut [f32],
+    d_head: usize,
+    page_tokens: usize,
+}
+
+impl<'a> PageWriter<'a> {
+    /// Page `page` of `pool`, `heads × page_tokens` cells of `d_head`.
+    fn new(
+        pool: &'a mut LayerPool,
+        page: usize,
+        heads: usize,
+        page_tokens: usize,
+        d_head: usize,
+    ) -> Self {
+        let page_len = heads * page_tokens;
+        let cells = page * page_len..(page + 1) * page_len;
+        let bytes = cells.start * d_head..cells.end * d_head;
+        PageWriter {
+            keys: &mut pool.keys[bytes.clone()],
+            values: &mut pool.values[bytes],
+            key_scales: &mut pool.key_scales[cells.clone()],
+            value_scales: &mut pool.value_scales[cells],
+            d_head,
+            page_tokens,
+        }
+    }
+
+    /// Quantizes one token's key/value vectors (all heads) into the
+    /// page's token `local`, per head like [`LayerKvCache::append`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `local` is past the page. Debug builds also check the
+    /// vector geometry.
+    pub fn append(&mut self, local: usize, k: &[f32], v: &[f32]) {
+        let (d, pt) = (self.d_head, self.page_tokens);
+        let heads = self.key_scales.len() / pt;
+        debug_assert_eq!(k.len(), v.len(), "key/value length mismatch");
+        debug_assert_eq!(k.len(), heads * d, "vector geometry mismatch");
+        assert!(local < pt, "token {local} past a {pt}-token page");
+        for h in 0..heads {
+            let cell = h * pt + local;
+            let dst = cell * d;
+            self.key_scales[cell] =
+                quantize_chunk(&k[h * d..(h + 1) * d], &mut self.keys[dst..dst + d]);
+            self.value_scales[cell] =
+                quantize_chunk(&v[h * d..(h + 1) * d], &mut self.values[dst..dst + d]);
+        }
     }
 }
 

@@ -12,11 +12,16 @@
 //!   read;
 //! - head ranges behind a nonzero cache offset (a 2-node slice);
 //! - peaked rows whose requantized weights are mostly 0, saturated ±127
-//!   keys and queries, and a score maximum shared by several keys.
+//!   keys and queries, and a score maximum shared by several keys;
+//! - the chunk walk (`attend_rows_segments_to`): ragged causal blocks of
+//!   1–33 query rows, as a first chunk and mid-context, against the
+//!   per-query walk on both arms.
 
 use std::ops::Range;
 
-use looplynx_model::attention::{attend_heads_segments_into, AttnScratch, KvSegment};
+use looplynx_model::attention::{
+    attend_heads_segments_into, attend_rows_segments_to, AttnScratch, KvSegment,
+};
 use looplynx_model::kv_cache::LayerKvCache;
 use looplynx_model::paged::PagedKvArena;
 use looplynx_tensor::simd::Avx512;
@@ -183,6 +188,102 @@ fn avx512_arm_is_bit_identical_over_a_contiguous_cache() {
             let what = format!("{kind:?} contiguous, ctx {ctx}");
             let segs = |h| cache.segments(h);
             assert_arms_agree(&q, segs, 0..HEADS, 0, ctx, &mut scratch, &what);
+        }
+    }
+}
+
+/// A prefill chunk's causal rows through the chunk walk equal each row
+/// through the per-query walk, on the AVX-512 arm and on the portable
+/// one: blocks of 1–33 rows (whole and ragged blocks of four) starting at
+/// the first token and mid-context, queries at the engine's QKV stride,
+/// pages of 4 and 16, two head ranges.
+#[test]
+fn chunk_walk_equals_the_per_query_walk() {
+    let mut scratch = scratches();
+    let mut chunk_scratch = (AttnScratch::new(), AttnScratch::portable());
+    let rows_max = if cfg!(miri) { 5 } else { 33 };
+    let starts: &[usize] = if cfg!(miri) { &[1] } else { &[1, 97] };
+    for (k, &kind) in KINDS.iter().enumerate() {
+        for &pt in &[4, 16] {
+            let granted = starts[starts.len() - 1] + rows_max + pt;
+            let seed = (pt * 13 + k) as u64;
+            let mut arena =
+                PagedKvArena::new(1, D_HEAD, HEADS, 1, granted, pt, granted.div_ceil(pt));
+            let slot = arena.acquire().expect("one slot");
+            arena.try_reserve(slot, granted).expect("pool sized to fit");
+            for t in 0..granted {
+                let (kt, vt) = kv(kind, t, seed);
+                arena.append_at(slot, 0, t, &kt, &vt);
+            }
+            arena.advance(slot, granted);
+            let view = arena.layer_view(slot, 0);
+            // Row r's query at r × stride, as in a node's QKV rows.
+            let (w, stride) = (HEADS * D_HEAD, 3 * HEADS * D_HEAD);
+            let q: Vec<f32> = (0..rows_max)
+                .flat_map(|r| {
+                    let mut row = query(kind, seed + r as u64);
+                    row.resize(stride, f32::NAN);
+                    row
+                })
+                .collect();
+            for &first in starts {
+                for rows in 1..=rows_max {
+                    for heads in [0..HEADS, 1..3] {
+                        let hw = heads.len() * D_HEAD;
+                        let what = format!(
+                            "{kind:?} pages of {pt}, rows {rows} from {first}, heads {heads:?}"
+                        );
+                        let segs = |h| view.segments(h);
+                        let mut want = vec![0.0f32; rows * hw];
+                        for (r, out) in want.chunks_exact_mut(hw).enumerate() {
+                            let qr = &q[r * stride..r * stride + w];
+                            assert_arms_agree(
+                                qr,
+                                segs,
+                                heads.clone(),
+                                0,
+                                first + r,
+                                &mut scratch,
+                                &what,
+                            );
+                            let mut one = Vec::new();
+                            let q_heads = &qr[heads.start * D_HEAD..heads.end * D_HEAD];
+                            attend_heads_segments_into(
+                                q_heads,
+                                segs,
+                                heads.clone(),
+                                0,
+                                D_HEAD,
+                                first + r,
+                                &mut scratch.1,
+                                &mut one,
+                            );
+                            out.copy_from_slice(&one);
+                        }
+                        for arm in [&mut chunk_scratch.0, &mut chunk_scratch.1] {
+                            let mut got = vec![f32::NAN; rows * hw];
+                            let q0 = &q[heads.start * D_HEAD..];
+                            attend_rows_segments_to(
+                                q0,
+                                stride,
+                                segs,
+                                heads.clone(),
+                                0,
+                                D_HEAD,
+                                first,
+                                arm,
+                                &mut got,
+                            );
+                            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                                assert!(
+                                    a.to_bits() == b.to_bits(),
+                                    "{what}: element {i}: {a} vs {b}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

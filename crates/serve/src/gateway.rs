@@ -448,6 +448,9 @@ struct PrefillingReq {
 struct PreemptedReq {
     core: ReqCore,
     seq: PreemptedSeq,
+    /// Consecutive resumes refused for pages while nothing else was
+    /// resident; bounded by [`BOUNCE_LIMIT`].
+    stalls: u32,
 }
 
 /// What a [`Gateway`] holds between two steps: the serving clock and how
@@ -923,7 +926,11 @@ impl<'a, B: InferenceBackend> Gateway<'a, B> {
             return true;
         }
         self.preemptions += 1;
-        self.preempted.push_back(PreemptedReq { core: a.core, seq });
+        self.preempted.push_back(PreemptedReq {
+            core: a.core,
+            seq,
+            stalls: 0,
+        });
         true
     }
 
@@ -945,7 +952,7 @@ impl<'a, B: InferenceBackend> Gateway<'a, B> {
                 }
                 return;
             }
-            let Some(p) = self.preempted.pop_front() else {
+            let Some(mut p) = self.preempted.pop_front() else {
                 return;
             };
             // The resumable context is the prompt plus every produced
@@ -961,6 +968,19 @@ impl<'a, B: InferenceBackend> Gateway<'a, B> {
                 Ok(outcome) => {
                     self.clock += outcome.elapsed_ms;
                     self.land(p.core, outcome.slot);
+                }
+                // Refused for pages with nothing else resident: a context
+                // that cannot fit, or an injected page fault that looks
+                // the same. Hold it at the head and retry next step; past
+                // the bound (as for prefill stalls), it does not fit.
+                Err(e)
+                    if e.is_resource_pressure()
+                        && self.nothing_resident()
+                        && p.stalls < BOUNCE_LIMIT =>
+                {
+                    p.stalls += 1;
+                    self.preempted.push_front(p);
+                    return;
                 }
                 Err(e) if self.triage(&p.core.gr, &e, true) => {
                     self.preempted.push_front(p);

@@ -7,7 +7,7 @@ mod harness;
 
 use harness::{check_trace, draw_trace, random_points, request, run_trace, Point, Rng, VOCAB};
 use looplynx_core::fault::FaultPlan;
-use looplynx_serve::{serve_gateway_on, EvictPolicyKind, ShedPolicy, Terminal};
+use looplynx_serve::{serve_gateway_on, EvictPolicyKind, ShedPolicy};
 
 /// Every axis drawn: any fault plan, pool, cache, chunk and policy.
 #[test]
@@ -80,10 +80,9 @@ fn oversubscription_completes_exactly() {
 /// 100 000 requests through an oversubscribed pool with vetoed prefills
 /// and decodes, stalls, page faults, cancels and per-request deadlines;
 /// the slot and request books are checked after every step, the engine
-/// audited every 64, every failure has the one cause this point allows,
-/// and peak RSS must stay under 256 MiB. Release leaks are left out: a
-/// leaked slot never comes back, so a long run with them collapses into
-/// overload rejection.
+/// audited every 64, no request may fail, and peak RSS must stay under
+/// 256 MiB. Release leaks are left out: a leaked slot never comes back,
+/// so a long run with them collapses into overload rejection.
 #[test]
 #[ignore = "soak: run in release (cargo test --release -p looplynx-serve --test fault_exactness -- --ignored)"]
 fn soak_100k_requests() {
@@ -102,14 +101,11 @@ fn soak_100k_requests() {
     let c = report.counts();
     let chaos = c.cancelled > 0 && c.timed_out > 0 && report.preemptions > 0;
     assert!(c.completed > 0 && c.rejected > 0 && chaos, "{report}");
-    // The one way to fail here: a page fault vetoes a resume while nothing
-    // else is resident, which the gateway cannot tell from a context that
-    // does not fit the pool.
-    for t in &report.terminals {
-        if let Terminal::Failed(why) = &t.terminal {
-            assert!(why.starts_with("resume cannot fit"), "{}: {why}", t.id);
-        }
-    }
+    // Every context fits the pool alone, so nothing may fail: a resume
+    // refused by a page fault while nothing else is resident is retried
+    // (failing only past the bound, a run of refusals at a 5 % fault
+    // rate that no seed meets).
+    assert_eq!(c.failed, 0, "{report}");
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"));
     if let Some(kib) = hwm.and_then(|v| v.trim_end_matches("kB").trim().parse::<u64>().ok()) {

@@ -143,6 +143,12 @@ fn gemm_tiled_flat(
         let mut sums = w_row_sums.unwrap_or(&[]);
         if path == Path::Vnni {
             bias_to_unsigned(x.as_slice(), &mut xu);
+            // A zero row (`0x80` rebiased) pads a 3-row tail to the 4-row
+            // tile; its results are dropped (see `Sweep::run`).
+            if x.rows() % 4 == 3 {
+                let padded = xu.len() + x.cols();
+                xu.resize(padded, 0x80);
+            }
             if w_row_sums.is_none() {
                 computed_sums.extend(w.iter_rows().map(row_sum_i8));
                 sums = &computed_sums;
@@ -199,9 +205,13 @@ impl Caps {
 /// 170–185 µs at any row count up to 16 (whole 16-row panels are computed,
 /// and strided tile loads stream slower than row reads); the `vpdpbusd`
 /// arms cost 130 µs at 1 row, 160 at 2 and at 4, 225 at 5, 260 at 6, 320
-/// at 7, 295 at 8. So tiles lose at 1, 2 and 4 rows (×0.76, ×0.9, ×0.93;
-/// 3 would win ×1.2 between two losses) and win from 5 on (×1.3; ×1.7 at
-/// 8, ×2.7 at 16, ×4 at 32): batch-1 and batch-4 decode stay as they were.
+/// at 7, 295 at 8. So tiles lose at 1, 2 and 4 rows (×0.76, ×0.9, ×0.93)
+/// and win from 5 on (×1.3; ×1.7 at 8, ×2.7 at 16, ×4 at 32): batch-1 and
+/// batch-4 decode stay as they were. Three rows take the 4-row `vpdpbusd`
+/// tile with a zero pad row (`Sweep::run`), which measured no slower than
+/// tiles: 184–269 µs against 204–308 on tiles and 274–402 for the 2-row +
+/// 1-row passes it replaced (three alternating runs each, on a busier day
+/// of the same box).
 const AMX_MIN_ROWS: usize = 5;
 
 /// The kernel for `rows` activation rows of `width` int8 values against
@@ -252,35 +262,51 @@ impl Sweep<'_> {
             let block = start..(start + GEMM_ROW_BLOCK).min(self.rows.end);
             let mut t = 0;
             while t < self.x.rows() {
-                // The largest power of two the remaining rows fill.
-                let group = 1 << (self.x.rows() - t).min(widest).ilog2();
+                // The largest power of two the remaining rows fill — but
+                // three VNNI rows take the 4-row tile with the zero pad row
+                // (one pass over the block, not a 2-row and a 1-row pass).
+                let live = (self.x.rows() - t).min(widest);
+                let group = match live {
+                    3 if self.path == Path::Vnni => 4,
+                    _ => 1 << live.ilog2(),
+                };
+                let live = live.min(group);
                 match group {
-                    8 => self.group::<8>(block.clone(), t, out),
-                    4 => self.group::<4>(block.clone(), t, out),
-                    2 => self.group::<2>(block.clone(), t, out),
-                    _ => self.group::<1>(block.clone(), t, out),
+                    8 => self.group::<8>(block.clone(), t, live, out),
+                    4 => self.group::<4>(block.clone(), t, live, out),
+                    2 => self.group::<2>(block.clone(), t, live, out),
+                    _ => self.group::<1>(block.clone(), t, live, out),
                 }
-                t += group;
+                t += live;
             }
         }
     }
 
+    /// Rebiased rows `t..t + N`; past the last token row, the zero pad row.
     fn xu_rows<const N: usize>(&self, t: usize) -> [&[u8]; N] {
         let width = self.x.cols();
         std::array::from_fn(|k| &self.xu[(t + k) * width..(t + k + 1) * width])
     }
 
     /// Token rows `t..t + N` against each weight row of `block`: one
-    /// batched dot a weight row, after the 4×4 tile where it applies.
-    fn group<const N: usize>(&self, mut block: Range<usize>, t: usize, out: &mut [i32]) {
+    /// batched dot a weight row, after the 4×4 tile where it applies. Only
+    /// the first `live` rows are real (and stored); the rest are the VNNI
+    /// pad row.
+    fn group<const N: usize>(
+        &self,
+        mut block: Range<usize>,
+        t: usize,
+        live: usize,
+        out: &mut [i32],
+    ) {
         use crate::simd::{dot_biased_i8_i32_batch, dot_i8_i32_batch};
         let col0 = self.rows.end - self.cols;
-        let xs: [&[i8]; N] = std::array::from_fn(|k| self.x.row(t + k));
+        let xs: [&[i8]; N] = std::array::from_fn(|k| self.x.row((t + k).min(t + live - 1)));
         let mut xu: [&[u8]; N] = [&[]; N];
         if self.path == Path::Vnni {
             xu = self.xu_rows(t);
             if N == 4 {
-                block.start = self.tile4x4(block.clone(), t, out);
+                block.start = self.tile4x4(block.clone(), t, live, out);
             }
         }
         for r in block {
@@ -290,15 +316,16 @@ impl Sweep<'_> {
                 Path::Maddubs => dot_i8_i32_batch(w, xs),
                 _ => xs.map(|x| dot_i8_i32(w, x)),
             };
-            for (k, v) in o.into_iter().enumerate() {
+            for (k, v) in o.into_iter().take(live).enumerate() {
                 out[(t + k) * self.cols + r - col0] = v;
             }
         }
     }
 
-    /// Token rows `t..t + 4` against `block`, four weight rows at a time on
-    /// the register-blocked `vpdpbusd` tile; returns the first row left over.
-    fn tile4x4(&self, block: Range<usize>, t: usize, out: &mut [i32]) -> usize {
+    /// Token rows `t..t + 4` (the first `live` stored) against `block`,
+    /// four weight rows at a time on the register-blocked `vpdpbusd` tile;
+    /// returns the first row left over.
+    fn tile4x4(&self, block: Range<usize>, t: usize, live: usize, out: &mut [i32]) -> usize {
         let (xu, col0) = (self.xu_rows::<4>(t), self.rows.end - self.cols);
         let mut r = block.start;
         while r + 4 <= block.end {
@@ -306,7 +333,7 @@ impl Sweep<'_> {
             let wsums: [i32; 4] = std::array::from_fn(|k| self.sums[r + k]);
             let o = crate::simd::dot_biased_i8_i32_tile4x4(wrows, wsums, xu);
             for (k, orow) in o.into_iter().enumerate() {
-                for (tt, v) in orow.into_iter().enumerate() {
+                for (tt, v) in orow.into_iter().take(live).enumerate() {
                     out[(t + tt) * self.cols + r + k - col0] = v;
                 }
             }
@@ -477,6 +504,33 @@ impl QuantLinear {
         acc: &mut Vec<i32>,
         out: &mut Vec<f32>,
     ) {
+        let cols = rows.len();
+        out.clear();
+        out.resize(x.rows() * cols, 0.0);
+        let out_rows = out.chunks_mut(cols.max(1));
+        self.forward_batch_scaled_range_to(x, x_scales, rows, acc, out_rows, false);
+    }
+
+    /// [`QuantLinear::forward_batch_scaled_range_into`] writing token row
+    /// `t`'s `rows.len()` outputs into the `t`-th slice `out` yields — a
+    /// shard's columns of a node's full output rows, so the shards of one
+    /// output need no stitch. With `gelu`, each output row goes through
+    /// [`crate::simd::gelu_slice`] right after its dequant (elementwise, so
+    /// equal to GELU over the stitched output).
+    ///
+    /// # Panics
+    ///
+    /// As [`QuantLinear::forward_batch_scaled_range_into`], and if `out`
+    /// does not yield one `rows.len()`-long slice per token row.
+    pub fn forward_batch_scaled_range_to<'o>(
+        &self,
+        x: &Matrix<i8>,
+        x_scales: &[f32],
+        rows: Range<usize>,
+        acc: &mut Vec<i32>,
+        out: impl IntoIterator<Item = &'o mut [f32]>,
+        gelu: bool,
+    ) {
         assert_eq!(x_scales.len(), x.rows(), "one scale per token row");
         assert_eq!(x.cols(), self.in_features(), "gemm shape");
         assert!(
@@ -495,21 +549,21 @@ impl QuantLinear {
             x,
             acc,
         );
-        out.clear();
-        out.resize(x.rows() * cols, 0.0);
         let scales = &self.weight.row_scales()[rows.clone()];
         let biases = &self.bias[rows];
-        for (t, &x_scale) in x_scales.iter().enumerate() {
-            let arow = &acc[t * cols..(t + 1) * cols];
-            for (((o, &a), &ws), &b) in out[t * cols..(t + 1) * cols]
-                .iter_mut()
-                .zip(arow)
-                .zip(scales)
-                .zip(biases)
-            {
-                *o = a as f32 * ws * x_scale + b;
+        let mut written = 0;
+        for ((orow, &x_scale), arow) in out.into_iter().zip(x_scales).zip(acc.chunks(cols.max(1))) {
+            assert_eq!(orow.len(), cols, "one output slice per token row");
+            crate::simd::dequant_row(arow, scales, biases, x_scale, orow);
+            if gelu {
+                crate::simd::gelu_slice(orow);
             }
+            written += 1;
         }
+        assert!(
+            written == x.rows() || cols == 0,
+            "one output slice per token row"
+        );
     }
 }
 
@@ -746,7 +800,9 @@ mod tests {
             &[(9, 64, 19)]
         } else {
             &[
+                (3, 128, 37),
                 (5, 64, 16),
+                (7, 64, 19),
                 (8, 128, 50),
                 (17, 192, 37),
                 (33, 1024, 70),

@@ -98,8 +98,8 @@ fn normalize_into(x: &[f32], mean: f32, var: f32, params: &LayerNormParams, out:
 /// [`layernorm_into`] (if `ln`) and [`crate::quant::quantize_into`], into
 /// `out` with one scale a row in `scales` (both overwritten; `h` is
 /// scratch), bit-identical to that per-row loop. On AVX-512 the LN sums
-/// run 16 rows per vector ([`Avx512::row_sums16`]); a lone row keeps the
-/// scalar sums.
+/// run 16 rows per vector ([`Avx512::row_sums16`]); a group of fewer
+/// than 4 rows keeps the scalar sums.
 ///
 /// # Panics
 ///
@@ -118,18 +118,52 @@ pub fn layernorm_quantize_rows(
         "rows must be whole"
     );
     out.clear();
+    out.resize(rows.len(), 0);
     scales.clear();
+    scales.resize(rows.len() / width, 0.0);
+    layernorm_quantize_rows_to(rows, width, ln, h, out, scales);
+}
+
+/// [`layernorm_quantize_rows`] into caller-sized windows: `out` holds
+/// `rows.len()` values and `scales` one per row. Each row's result
+/// depends on that row alone, so any split of a batch into windows
+/// computes the same bytes — the engine hands each pool lane one.
+///
+/// # Panics
+///
+/// As [`layernorm_quantize_rows`], and if `out` or `scales` is not
+/// exactly as long as that.
+pub fn layernorm_quantize_rows_to(
+    rows: &[f32],
+    width: usize,
+    ln: Option<&LayerNormParams>,
+    h: &mut Vec<f32>,
+    out: &mut [i8],
+    scales: &mut [f32],
+) {
+    assert!(
+        width > 0 && rows.len().is_multiple_of(width),
+        "rows must be whole"
+    );
+    assert!(
+        out.len() == rows.len() && scales.len() == rows.len() / width,
+        "one int8 a value and one scale a row"
+    );
     let (wide, n) = (Avx512::detect(), width as f32);
     // Where `Sum` for f32 starts its chain (an all-`-0.0` row sums to `-0.0`).
     let init = std::iter::empty::<f32>().sum::<f32>();
-    for group in rows.chunks(16 * width) {
-        let moments = wide.filter(|_| ln.is_some() && group.len() > width);
+    let groups = rows.chunks(16 * width).zip(out.chunks_mut(16 * width));
+    for ((group, out), scales) in groups.zip(scales.chunks_mut(16)) {
+        // A gather pass costs the same for 2 rows as for 16: below 4 rows
+        // the scalar sums are cheaper.
+        let moments = wide.filter(|_| ln.is_some() && group.len() >= 4 * width);
         let moments = moments.map(|simd| {
             let means = simd.row_sums16(group, width, init, None).map(|s| s / n);
             let vars = simd.row_sums16(group, width, init, Some(&means));
             (means, vars.map(|s| s / n))
         });
-        for (r, row) in group.chunks_exact(width).enumerate() {
+        let rows = group.chunks_exact(width).zip(out.chunks_exact_mut(width));
+        for (r, ((row, q8), scale)) in rows.zip(scales).enumerate() {
             let x = match (ln, moments) {
                 (Some(p), Some((means, vars))) => {
                     normalize_into(row, means[r], vars[r], p, h);
@@ -141,11 +175,8 @@ pub fn layernorm_quantize_rows(
                 }
                 (None, _) => row,
             };
-            let scale = scale_for(absmax(x));
-            let at = out.len();
-            out.resize(at + width, 0);
-            crate::simd::quantize_slice(x, scale, &mut out[at..]);
-            scales.push(scale);
+            *scale = scale_for(absmax(x));
+            crate::simd::quantize_slice(x, *scale, q8);
         }
     }
 }
@@ -221,6 +252,7 @@ mod tests {
         };
         let (mut h, mut out, mut scales) = (Vec::new(), Vec::new(), Vec::new());
         let (mut h1, mut q1) = (Vec::new(), Vec::new());
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         for width in [64usize, 1024, 4096] {
             let affine = LayerNormParams::new(wave(width, 1), wave(width, 2), 1e-5).unwrap();
             let identity = LayerNormParams::identity(width);
@@ -236,6 +268,16 @@ mod tests {
                 for ln in [Some(&affine), Some(&identity), None] {
                     layernorm_quantize_rows(&x, width, ln, &mut h, &mut out, &mut scales);
                     assert_eq!(scales.len(), rows);
+                    // Any split into windows computes the same bytes.
+                    let (mut split, mut split_scales) = (vec![0; out.len()], vec![0.0; rows]);
+                    let at = rows / 3;
+                    let (x0, x1) = x.split_at(at * width);
+                    let (o0, o1) = split.split_at_mut(at * width);
+                    let (s0, s1) = split_scales.split_at_mut(at);
+                    layernorm_quantize_rows_to(x0, width, ln, &mut h, o0, s0);
+                    layernorm_quantize_rows_to(x1, width, ln, &mut h, o1, s1);
+                    assert_eq!(split, out);
+                    assert_eq!(bits(&split_scales), bits(&scales));
                     for (r, row) in x.chunks_exact(width).enumerate() {
                         let scale = match ln {
                             Some(p) => {

@@ -224,6 +224,92 @@ impl Avx512 {
         let _: () = match self.0 {};
     }
 
+    /// [`Avx512::key_scores_d64`] for four query rows of one head in one
+    /// walk of the key strips: each 16-key group is loaded once and dotted
+    /// with every row that still attends it. Row `i` writes the scores of
+    /// its first `valid[i]` keys to `out[i * stride..]`; a row with
+    /// `valid[i] == 0` (a pad) writes nothing. Each score is the same
+    /// expression in the same order as in the one-row walk. Returns the
+    /// keys walked: the longest `valid`, short only if the strips run out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query is not 64 wide, or `out` cannot hold a row's
+    /// scores at its stride.
+    #[allow(clippy::too_many_arguments)]
+    pub fn key_scores_d64_rows<'a>(
+        self,
+        q8: [&[i8]; 4],
+        q_scales: [f32; 4],
+        valid: [usize; 4],
+        strips: impl IntoIterator<Item = (&'a [i8], &'a [f32])>,
+        inv_sqrt: f32,
+        out: &mut [f32],
+        stride: usize,
+    ) -> usize {
+        assert!(
+            q8.iter().all(|q| q.len() == 64),
+            "key_scores_d64_rows takes 64-wide queries"
+        );
+        assert!(
+            (0..4).all(|i| valid[i] == 0 || i * stride + valid[i] <= out.len()),
+            "score rows out of range"
+        );
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        // SAFETY: `self` proves AVX512F/BW/VNNI; the asserts bound the
+        // queries and every row's stores.
+        return unsafe {
+            key_scores_d64_rows(
+                q8,
+                q_scales,
+                valid,
+                strips.into_iter(),
+                inv_sqrt,
+                out,
+                stride,
+            )
+        };
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        match self.0 {}
+    }
+
+    /// [`Avx512::mix_values_d64`] for four rows of one head in one walk of
+    /// the value strips: each value row is widened to f32 once and mixed
+    /// into every row whose `valid[i]` tokens include it, with that row's
+    /// weights `w8[i]` and scale `w_scales[i]`. Row `i`'s accumulator is
+    /// `acc[64 i..64 (i + 1)]`; each row sees the same operations in the
+    /// same token order as in the one-row walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` is not 256 wide or a row has fewer weights than
+    /// `valid[i]`.
+    pub fn mix_values_d64_rows<'a>(
+        self,
+        strips: impl IntoIterator<Item = (&'a [i8], &'a [f32])>,
+        w8: [&[i8]; 4],
+        w_scales: [f32; 4],
+        valid: [usize; 4],
+        acc: &mut [f32],
+    ) {
+        assert_eq!(
+            acc.len(),
+            256,
+            "mix_values_d64_rows takes four 64-wide accumulators"
+        );
+        assert!(
+            (0..4).all(|i| w8[i].len() >= valid[i]),
+            "a weight a valid token"
+        );
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        // SAFETY: `self` proves AVX512F/BW and acc is 256 wide.
+        unsafe {
+            mix_values_d64_rows(strips.into_iter(), w8, w_scales, valid, acc);
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        let _: () = match self.0 {};
+    }
+
     /// Sums of up to 16 flat row-major rows, row `r` in lane `r`: the
     /// scalar `fold(init, +)` of `x[r][i]` (with `center`, of
     /// `(x[r][i] − c[r])²`) in index order. Other lanes are unspecified.
@@ -307,6 +393,139 @@ unsafe fn key_scores_d64<'a>(
         done += n;
     }
     done
+}
+
+/// The kernel behind [`Avx512::key_scores_d64_rows`].
+///
+/// # Safety
+///
+/// The CPU must support AVX512F/BW/VNNI; each query must hold 64 values
+/// and each row's `valid[i]` scores must fit `out` at `i * stride`.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+unsafe fn key_scores_d64_rows<'a>(
+    q8: [&[i8]; 4],
+    q_scales: [f32; 4],
+    valid: [usize; 4],
+    strips: impl Iterator<Item = (&'a [i8], &'a [f32])>,
+    inv_sqrt: f32,
+    out: &mut [f32],
+    stride: usize,
+) -> usize {
+    use std::arch::x86_64::*;
+    // SAFETY: each query holds 64 bytes, one load wide.
+    let vq = q8.map(|q| unsafe { _mm512_loadu_si512(q.as_ptr() as *const _) });
+    // Σ (k + 128)·q = Σ k·q + 128·Σq.
+    let bias = q8.map(|q| _mm512_set1_epi32(128 * row_sum_i8(q)));
+    let qs = q_scales.map(|s| _mm512_set1_ps(s));
+    let is = _mm512_set1_ps(inv_sqrt);
+    let longest = valid.into_iter().max().unwrap_or(0);
+    let mut done = 0;
+    for (keys, key_scales) in strips {
+        if done == longest {
+            break;
+        }
+        let n = key_scales.len().min(keys.len() / 64).min(longest - done);
+        for c in (0..n).step_by(16) {
+            // Always 16 keys, as in `key_scores_d64`: keys past the strip
+            // load as masked-off zeros and are never stored.
+            let kx: [_; 16] = std::array::from_fn(|j| {
+                let (live, at) = (if c + j < n { u64::MAX } else { 0 }, keys.as_ptr());
+                // SAFETY: a live load has c + j < n ≤ keys.len() / 64; a
+                // masked-off load touches no memory.
+                let k = unsafe { _mm512_maskz_loadu_epi8(live, at.wrapping_add(64 * (c + j))) };
+                _mm512_xor_si512(k, _mm512_set1_epi8(i8::MIN))
+            });
+            // SAFETY: the mask keeps to lanes c.. < n of the scales.
+            let ks = unsafe {
+                _mm512_maskz_loadu_ps(lanes((n - c).min(16)), key_scales.as_ptr().add(c))
+            };
+            for i in 0..4 {
+                let live = valid[i].saturating_sub(done + c).min(n - c).min(16);
+                if live == 0 {
+                    continue;
+                }
+                let dots = std::array::from_fn(|j| {
+                    _mm512_dpbusd_epi32(_mm512_setzero_si512(), kx[j], vq[i])
+                });
+                let dot = _mm512_cvtepi32_ps(_mm512_sub_epi32(hsum16_epi32(dots), bias[i]));
+                let s = _mm512_mul_ps(_mm512_mul_ps(_mm512_mul_ps(dot, qs[i]), ks), is);
+                // SAFETY: the mask keeps to scores done + c.. < valid[i] of
+                // row i, which the caller bounds inside `out`.
+                unsafe {
+                    _mm512_mask_storeu_ps(
+                        out.as_mut_ptr().add(i * stride + done + c),
+                        lanes(live),
+                        s,
+                    )
+                };
+            }
+        }
+        done += n;
+    }
+    done
+}
+
+/// The kernel behind [`Avx512::mix_values_d64_rows`].
+///
+/// # Safety
+///
+/// The CPU must support AVX512F/BW; `acc` must hold 256 values and each
+/// `w8[i]` at least `valid[i]`.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn mix_values_d64_rows<'a>(
+    strips: impl Iterator<Item = (&'a [i8], &'a [f32])>,
+    w8: [&[i8]; 4],
+    w_scales: [f32; 4],
+    valid: [usize; 4],
+    acc: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let mut a: [[_; 4]; 4] = std::array::from_fn(|i| {
+        std::array::from_fn(|k| {
+            // SAFETY: `acc` holds four rows of four 16-lane vectors.
+            unsafe { _mm512_loadu_ps(acc.as_ptr().add(64 * i + 16 * k)) }
+        })
+    });
+    let longest = valid.into_iter().max().unwrap_or(0);
+    let mut done = 0;
+    for (values, value_scales) in strips {
+        if done == longest {
+            break;
+        }
+        let n = value_scales
+            .len()
+            .min(values.len() / 64)
+            .min(longest - done);
+        for (t, &v_scale) in value_scales[..n].iter().enumerate() {
+            let tok = done + t;
+            let v: [_; 4] = std::array::from_fn(|k| {
+                let at = values.as_ptr().wrapping_add(64 * t + 16 * k);
+                // SAFETY: t < n ≤ values.len() / 64 bounds the 16-byte load.
+                let v8 = unsafe { _mm_loadu_si128(at as _) };
+                _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(v8))
+            });
+            for i in 0..4 {
+                // A row past its valid tokens, or a zero weight, adds nothing.
+                let w = if tok < valid[i] { w8[i][tok] } else { 0 };
+                if w == 0 {
+                    continue;
+                }
+                let vs = _mm512_set1_ps(v_scale * w_scales[i] * w as f32);
+                for (ak, vk) in a[i].iter_mut().zip(v) {
+                    *ak = _mm512_add_ps(*ak, _mm512_mul_ps(vk, vs));
+                }
+            }
+        }
+        done += n;
+    }
+    for (i, row) in a.iter().enumerate() {
+        for (k, ak) in row.iter().enumerate() {
+            // SAFETY: as for the loads.
+            unsafe { _mm512_storeu_ps(acc.as_mut_ptr().add(64 * i + 16 * k), *ak) };
+        }
+    }
 }
 
 /// Lane `j` of the result sums `a[j]`'s lanes: a transpose-add tree, 45
@@ -867,13 +1086,19 @@ unsafe fn quantize_slice_avx2(src: &[f32], scale: f32, dst: &mut [i8]) {
 /// Applies GELU elementwise in place — the vectorized twin of
 /// [`crate::activation::gelu`]. The workspace compiles for baseline
 /// x86-64 (SSE2), where the branchless polynomial cannot auto-vectorize
-/// (`roundps` is SSE4.1+), so the AVX2 path spells out the identical
-/// operation sequence with intrinsics: every lane performs the exact f32
-/// multiplies, adds, min, division, ties-even round and sign transfer of
-/// the scalar formula, so results are **bit-identical** to the scalar
-/// loop.
+/// (`roundps` is SSE4.1+), so the AVX-512 (16 lanes) and AVX2 (8 lanes)
+/// paths spell out the identical operation sequence with intrinsics:
+/// every lane performs the exact f32 multiplies, adds, min, division,
+/// ties-even round and sign transfer of the scalar formula, so results
+/// are **bit-identical** to the scalar loop.
 #[inline]
 pub fn gelu_slice(xs: &mut [f32]) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if xs.len() >= 16 && Avx512::detect().is_some() {
+        // SAFETY: the proof stands for AVX512F support.
+        unsafe { gelu_slice_avx512(xs) };
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     {
         if xs.len() >= 8 && is_x86_feature_detected!("avx2") {
@@ -959,6 +1184,126 @@ unsafe fn gelu_slice_avx2(xs: &mut [f32]) {
     }
     for x in xs[i..].iter_mut() {
         *x = crate::activation::gelu(*x);
+    }
+}
+
+/// AVX-512 GELU: [`gelu_slice_avx2`]'s sequence on 16 lanes, the tail
+/// through a masked load and store (masked-off lanes are computed on
+/// zeros and never stored).
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX512F.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+unsafe fn gelu_slice_avx512(xs: &mut [f32]) {
+    use std::arch::x86_64::*;
+    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+    let half = _mm512_set1_ps(0.5);
+    let one = _mm512_set1_ps(1.0);
+    let c = _mm512_set1_ps(0.044_715);
+    let k = _mm512_set1_ps(SQRT_2_OVER_PI);
+    let nine = _mm512_set1_ps(9.0);
+    let neg2 = _mm512_set1_ps(-2.0);
+    let log2e = _mm512_set1_ps(std::f32::consts::LOG2_E);
+    let ln2 = _mm512_set1_ps(std::f32::consts::LN_2);
+    let sign_mask = _mm512_set1_epi32(i32::MIN);
+    let bias = _mm512_set1_epi32(127);
+    let c6 = _mm512_set1_ps(1.0 / 720.0);
+    let c5 = _mm512_set1_ps(1.0 / 120.0);
+    let c4 = _mm512_set1_ps(1.0 / 24.0);
+    let c3 = _mm512_set1_ps(1.0 / 6.0);
+    let c2 = _mm512_set1_ps(0.5);
+    let n = xs.len();
+    let mut i = 0;
+    while i < n {
+        let m = lanes((n - i).min(16));
+        // SAFETY: the mask keeps to lanes i.. < n.
+        let x = unsafe { _mm512_maskz_loadu_ps(m, xs.as_ptr().add(i)) };
+        let x3 = _mm512_mul_ps(_mm512_mul_ps(_mm512_mul_ps(c, x), x), x);
+        let u = _mm512_mul_ps(k, _mm512_add_ps(x, x3));
+        let ubits = _mm512_castps_si512(u);
+        let abs_u = _mm512_castsi512_ps(_mm512_andnot_si512(sign_mask, ubits));
+        let a = _mm512_min_ps(abs_u, nine);
+        let y = _mm512_mul_ps(_mm512_mul_ps(neg2, a), log2e);
+        let nv = _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(y);
+        let g = _mm512_mul_ps(_mm512_sub_ps(y, nv), ln2);
+        let mut p = _mm512_add_ps(c5, _mm512_mul_ps(g, c6));
+        p = _mm512_add_ps(c4, _mm512_mul_ps(g, p));
+        p = _mm512_add_ps(c3, _mm512_mul_ps(g, p));
+        p = _mm512_add_ps(c2, _mm512_mul_ps(g, p));
+        p = _mm512_add_ps(one, _mm512_mul_ps(g, p));
+        p = _mm512_add_ps(one, _mm512_mul_ps(g, p));
+        let scale = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_add_epi32(
+            _mm512_cvtps_epi32(nv),
+            bias,
+        )));
+        let t = _mm512_mul_ps(p, scale);
+        let r = _mm512_div_ps(_mm512_sub_ps(one, t), _mm512_add_ps(one, t));
+        let r = _mm512_andnot_si512(sign_mask, _mm512_castps_si512(r));
+        let tanh = _mm512_castsi512_ps(_mm512_or_si512(r, _mm512_and_si512(sign_mask, ubits)));
+        let out = _mm512_mul_ps(_mm512_mul_ps(half, x), _mm512_add_ps(one, tanh));
+        // SAFETY: as for the load.
+        unsafe { _mm512_mask_storeu_ps(xs.as_mut_ptr().add(i), m, out) };
+        i += 16;
+    }
+}
+
+/// The dequant epilogue of a GEMM row: `out[j] = acc[j] as f32 *
+/// w_scales[j] * x_scale + bias[j]`, 16 lanes at a time on AVX-512 (the
+/// tail masked). Each lane converts, multiplies twice and adds in the
+/// scalar order (no FMA), so the bits equal the scalar loop's.
+///
+/// # Panics
+///
+/// Panics if the four slices differ in length.
+#[inline]
+pub fn dequant_row(acc: &[i32], w_scales: &[f32], bias: &[f32], x_scale: f32, out: &mut [f32]) {
+    let n = out.len();
+    assert!(
+        acc.len() == n && w_scales.len() == n && bias.len() == n,
+        "dequant_row operand length mismatch"
+    );
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if n >= 16 && Avx512::detect().is_some() {
+        // SAFETY: the proof stands for AVX512F support; the lengths match.
+        unsafe { dequant_row_avx512(acc, w_scales, bias, x_scale, out) };
+        return;
+    }
+    for (((o, &a), &ws), &b) in out.iter_mut().zip(acc).zip(w_scales).zip(bias) {
+        *o = a as f32 * ws * x_scale + b;
+    }
+}
+
+/// The AVX-512 arm of [`dequant_row`].
+///
+/// # Safety
+///
+/// The CPU must support AVX512F; the four slices must be equally long.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+unsafe fn dequant_row_avx512(
+    acc: &[i32],
+    w_scales: &[f32],
+    bias: &[f32],
+    x_scale: f32,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let xs = _mm512_set1_ps(x_scale);
+    let n = out.len();
+    let mut i = 0;
+    while i < n {
+        let m = lanes((n - i).min(16));
+        // SAFETY: the mask keeps to lanes i.. < n of every slice.
+        unsafe {
+            let a = _mm512_cvtepi32_ps(_mm512_maskz_loadu_epi32(m, acc.as_ptr().add(i)));
+            let ws = _mm512_maskz_loadu_ps(m, w_scales.as_ptr().add(i));
+            let b = _mm512_maskz_loadu_ps(m, bias.as_ptr().add(i));
+            let o = _mm512_add_ps(_mm512_mul_ps(_mm512_mul_ps(a, ws), xs), b);
+            _mm512_mask_storeu_ps(out.as_mut_ptr().add(i), m, o);
+        }
+        i += 16;
     }
 }
 
@@ -1100,7 +1445,7 @@ mod tests {
     #[test]
     fn gelu_slice_matches_scalar_gelu_bitwise() {
         // Vector body + scalar tail, signs, zeros, saturation range.
-        for len in [0usize, 1, 7, 8, 9, 64, 1000] {
+        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 64, 1000] {
             let mut buf: Vec<f32> = (0..len)
                 .map(|i| ((i as f32 * 0.37).sin() * 6.0) + if i % 3 == 0 { -0.5 } else { 0.25 })
                 .collect();
@@ -1111,9 +1456,39 @@ mod tests {
                 buf[4] = -42.0;
             }
             let expect: Vec<f32> = buf.iter().map(|&x| crate::activation::gelu(x)).collect();
-            gelu_slice(&mut buf);
-            for (i, (a, e)) in buf.iter().zip(&expect).enumerate() {
-                assert_eq!(a.to_bits(), e.to_bits(), "len {len} index {i}: {a} vs {e}");
+            // Every arm the host has: the dispatcher's pick, then AVX2.
+            let mut arms = vec![buf.clone()];
+            gelu_slice(&mut arms[0]);
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                let mut avx2 = buf.clone();
+                // SAFETY: AVX2 support was just verified at runtime.
+                unsafe { gelu_slice_avx2(&mut avx2) };
+                arms.push(avx2);
+            }
+            for got in &arms {
+                for (i, (a, e)) in got.iter().zip(&expect).enumerate() {
+                    assert_eq!(a.to_bits(), e.to_bits(), "len {len} index {i}: {a} vs {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dequant_row_matches_the_scalar_loop_bitwise() {
+        for len in [0usize, 1, 15, 16, 17, 33, 100] {
+            let acc: Vec<i32> = (0..len)
+                .map(|i| (i as i32 - 40) * 99_991 * (i as i32 % 7 - 3))
+                .collect();
+            let ws: Vec<f32> = (0..len)
+                .map(|i| ((i * 13) as f32 * 0.7).sin() * 1e-3)
+                .collect();
+            let bias: Vec<f32> = (0..len).map(|i| ((i * 5) as f32 * 0.3).cos()).collect();
+            let mut out = vec![f32::NAN; len];
+            dequant_row(&acc, &ws, &bias, 0.0173, &mut out);
+            for (j, o) in out.iter().enumerate() {
+                let want = acc[j] as f32 * ws[j] * 0.0173 + bias[j];
+                assert_eq!(o.to_bits(), want.to_bits(), "len {len} index {j}");
             }
         }
     }

@@ -218,3 +218,23 @@ fn saturated_operands_accumulate_exactly_at_width_4096() {
         assert_eq!(blocked.get(0, 0), 128 * 128 * 4096);
     }
 }
+
+/// Three token rows take the 4-row `vpdpbusd` tile with a zero pad row
+/// whose results are dropped: the tile's 4-row steps and the ragged
+/// weight rows after them (37 = 32 + 4 + 1) equal the naive GEMM, with
+/// the extremes in every row, on their own and behind a 4-row group.
+#[test]
+fn three_rows_take_one_padded_pass_exactly() {
+    let extreme = |i: usize| [i8::MIN, i8::MAX, -127, 5][i % 4];
+    for width in [64, 192, 1024] {
+        let w = Matrix::from_fn(37, width, |r, c| extreme(r * 3 + c));
+        for tokens in [3, 7] {
+            let x = Matrix::from_fn(tokens, width, |t, c| extreme(t + c * 7));
+            assert_eq!(
+                gemm_i32(&w, &x).expect("shapes"),
+                gemm_i32_naive(&w, &x).expect("shapes"),
+                "{tokens} tokens × {width}"
+            );
+        }
+    }
+}

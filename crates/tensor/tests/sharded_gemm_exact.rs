@@ -1,4 +1,5 @@
-//! Row-sharded GEMM test wall: stitching per-shard output slabs must
+//! Row-sharded GEMM test wall: per-shard output slabs stitched side by
+//! side, and per-shard windows written straight into the full rows, must
 //! reproduce the unsharded batched forward **bit for bit** at 1, 2 and 4
 //! shards — the property the engine's batch-row sharding stands on. It
 //! holds because sharding partitions *output rows*: no dot product is
@@ -57,10 +58,20 @@ fn split(rows: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Runs the range forward over `parts` shards and stitches the slabs
-/// side by side into the full `b × rows` layout.
+/// side by side into the full `b × rows` layout; checks that writing each
+/// shard's columns straight into the full rows
+/// (`forward_batch_scaled_range_to`, the engine's way) gives the same bits.
 fn sharded_forward(lin: &QuantLinear, x: &Matrix<i8>, x_scales: &[f32], parts: usize) -> Vec<f32> {
     let (b, rows) = (x.rows(), lin.out_features());
     let ranges = split(rows, parts);
+    let mut windowed = vec![f32::NAN; b * rows];
+    let mut acc = Vec::new();
+    for range in &ranges {
+        let window = windowed
+            .chunks_exact_mut(rows)
+            .map(|row| &mut row[range.clone()]);
+        lin.forward_batch_scaled_range_to(x, x_scales, range.clone(), &mut acc, window, false);
+    }
     let slabs: Vec<Vec<f32>> = ranges
         .iter()
         .map(|r| {
@@ -77,6 +88,11 @@ fn sharded_forward(lin: &QuantLinear, x: &Matrix<i8>, x_scales: &[f32], parts: u
                 .copy_from_slice(&slab[t * range.len()..(t + 1) * range.len()]);
         }
     }
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    assert!(
+        bits(&windowed) == bits(&stitched),
+        "windows differ from slabs"
+    );
     stitched
 }
 
@@ -172,6 +188,32 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// With `gelu`, each window is the GELU of the plain forward's, bit
+    /// for bit (the epilogue applies it per output row).
+    #[test]
+    fn gelu_windows_equal_gelu_of_the_forward(
+        rows in 1usize..70,
+        cols in prop::sample::select(WIDTHS.to_vec()),
+        b in 1usize..9,
+        seed in any::<u64>(),
+    ) {
+        let w = arb_f32_matrix(rows, cols, seed);
+        let bias: Vec<f32> = arb_f32_matrix(1, rows, seed ^ 1).into_vec();
+        let lin = QuantLinear::from_f32(&w, &bias).expect("bias matches rows");
+        let x = arb_i8_matrix(b, cols, seed ^ 2);
+        let x_scales: Vec<f32> = (0..b).map(|t| 0.02 + t as f32 * 1e-3).collect();
+        let (mut acc, mut full) = (Vec::new(), Vec::new());
+        lin.forward_batch_scaled_into(&x, &x_scales, &mut acc, &mut full);
+        looplynx_tensor::activation::gelu_in_place(&mut full);
+        let mut out = vec![f32::NAN; b * rows];
+        for range in split(rows, 2.min(rows)) {
+            let window = out.chunks_exact_mut(rows).map(|row| &mut row[range.clone()]);
+            lin.forward_batch_scaled_range_to(&x, &x_scales, range.clone(), &mut acc, window, true);
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        prop_assert!(bits(&out) == bits(&full));
     }
 
     /// Empty ranges (more shards than rows would produce them) are legal
