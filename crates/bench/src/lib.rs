@@ -19,19 +19,16 @@
 //! `serve_sweep`) measures the serving layer: sustained tokens/s and
 //! TTFT/TPOT/end-to-end latency percentiles vs Poisson arrival rate,
 //! continuous batching against a serve-one-request-at-a-time baseline.
-//! [`chaos`] (binary `chaos`) is the robustness gate: it replays
-//! bursty/overload traces through the fault-tolerant gateway under
-//! injected faults and verifies conservation, bit-exact completions,
-//! and graceful goodput degradation. [`hotpath`] (binary `hotpath`)
-//! times medium-shaped batch-1 decode at 1, 2 and 4 ring nodes, the one
-//! functional cell the repo benchmark (`src/bin/benchmark`, its own
-//! package) does not build. [`hotpath`], [`chaos`] and the `report` bin
-//! write their `BENCH_*.json` through the one path in [`report`].
+//! [`hotpath`] (binary `hotpath`) times medium-shaped batch-1 decode at
+//! 1, 2 and 4 ring nodes, the one functional cell the repo benchmark
+//! (`src/bin/benchmark`, its own package) does not build. [`hotpath`] and
+//! the `report` bin write their `BENCH_*.json` through the one path in
+//! [`report`]. The gateway's robustness is checked by the serving
+//! harness in `looplynx-serve`'s tests, not by a bin here.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod chaos;
 pub mod experiments;
 pub mod hotpath;
 pub mod paper;

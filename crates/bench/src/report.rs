@@ -1,4 +1,4 @@
-//! The one report path of the `BENCH_*.json` binaries (`hotpath`, `chaos`,
+//! The one report path of the `BENCH_*.json` binaries (`hotpath`,
 //! `report`): the repetition count ([`MEASURE_REPS`]), a [`Json`] value
 //! with one renderer — what a bin prints is what it writes — the
 //! [`machine`] fingerprint, and [`run_bin`], which every bin's `main`
@@ -211,7 +211,7 @@ pub fn machine() -> Json {
 /// The `main` of a report binary, `<bin> [--quick] [output.json]`:
 /// measures, then prints the JSON object — the [`machine`] it ran on in
 /// front — and writes the same text to the output path (default
-/// `default_out`). Hands the report back for a verdict.
+/// `default_out`).
 ///
 /// # Panics
 ///
@@ -221,7 +221,7 @@ pub fn run_bin<R>(
     default_out: &str,
     measure: impl FnOnce(bool) -> R,
     to_json: impl FnOnce(&R) -> Json,
-) -> R {
+) {
     let mut quick = false;
     let mut out_path = default_out.to_owned();
     for arg in std::env::args().skip(1) {
@@ -243,7 +243,6 @@ pub fn run_bin<R>(
     print!("{text}");
     std::fs::write(&out_path, text).expect("write benchmark JSON");
     println!("wrote {out_path}");
-    report
 }
 
 #[cfg(test)]

@@ -130,8 +130,7 @@ impl fmt::Display for BackendError {
             BackendError::InjectedFault { op } => write!(f, "injected {op} fault"),
             BackendError::MissingPrompt => write!(
                 f,
-                "token-producing backend needs real prompt tokens \
-                 (Request::with_prompt / ArrivalProcess::workload_with_prompts)"
+                "token-producing backend needs real prompt tokens (Request::with_prompt)"
             ),
             BackendError::PromptLengthMismatch { declared, got } => {
                 write!(f, "prompt declared {declared} tokens but carries {got}")

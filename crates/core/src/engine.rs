@@ -872,9 +872,9 @@ impl DistributedGpt2 {
     }
 
     /// Free KV pages per pool (one page index names the same page in
-    /// every node's and layer's pool). Backends pre-check this against
-    /// [`DistributedGpt2::pages_needed`] before mutating, so page
-    /// exhaustion surfaces as a typed error instead of a poisoning panic.
+    /// every node's and layer's pool). Cached pages that only the prefix
+    /// cache holds are not counted; backends pre-check
+    /// [`DistributedGpt2::available_pages`], which counts them.
     pub fn free_pages(&self) -> usize {
         self.arena.free_pages()
     }
@@ -1028,8 +1028,8 @@ impl DistributedGpt2 {
     ///
     /// Panics on page exhaustion — callers that can see exhaustion at
     /// runtime (the functional backend) pre-check
-    /// [`DistributedGpt2::free_pages`] and surface a typed error instead
-    /// of ever reaching this panic.
+    /// [`DistributedGpt2::available_pages`] and surface a typed error
+    /// instead of ever reaching this panic.
     fn reserve_for(&mut self, entries: &[(usize, usize)]) {
         if self.prefix_cache.is_some() {
             let needed = entries
@@ -1041,7 +1041,7 @@ impl DistributedGpt2 {
         self.arena
             .try_reserve_batch(entries)
             // lint: allow(panic_free) — engine invariant; a panic poisons the backend via catch_unwind
-            .expect("KV page pool exhausted: pre-check free_pages before this call");
+            .expect("KV page pool exhausted: pre-check available_pages before this call");
     }
 
     /// Claims the lowest-index free slot, or `None` when all slots are

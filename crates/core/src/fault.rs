@@ -59,33 +59,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that exercises every *transient-or-leak* fault kind at
-    /// intensity `rate`: prefill/decode faults at `rate`, stalls at
-    /// `rate / 2` (1500 ms each), release leaks at `rate / 4`. Page
-    /// faults are **not** included — [`BackendError::PagesExhausted`] is
-    /// not retryable, so it only makes sense against schedulers that
-    /// preempt; opt in by setting
-    /// [`page_fault_rate`](FaultPlan::page_fault_rate) explicitly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is outside `[0, 1]`.
-    pub fn uniform(seed: u64, rate: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&rate),
-            "fault rate {rate} not in [0,1]"
-        );
-        FaultPlan {
-            seed,
-            prefill_fail_rate: rate,
-            decode_fail_rate: rate,
-            stall_rate: rate / 2.0,
-            stall_ms: 1_500.0,
-            release_leak_rate: rate / 4.0,
-            page_fault_rate: 0.0,
-        }
-    }
-
     /// Validates every rate is a probability and the stall is finite.
     ///
     /// # Panics
@@ -391,7 +364,15 @@ mod tests {
 
     #[test]
     fn equal_plans_replay_identically() {
-        let plan = FaultPlan::uniform(42, 0.3);
+        let plan = FaultPlan {
+            seed: 42,
+            prefill_fail_rate: 0.3,
+            decode_fail_rate: 0.3,
+            stall_rate: 0.15,
+            stall_ms: 1_500.0,
+            release_leak_rate: 0.075,
+            page_fault_rate: 0.0,
+        };
         let run = |mut b: FaultyBackend<FunctionalBackend>| {
             let mut events = Vec::new();
             for i in 0..20 {

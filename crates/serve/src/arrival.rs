@@ -1,10 +1,9 @@
 //! Request arrival processes.
 //!
 //! Serving throughput is meaningless without an offered load, so the
-//! workload generator supports the three shapes serving papers sweep:
-//! memoryless Poisson traffic, bursty traffic (batched arrivals at Poisson
-//! epochs — the "everyone hits enter after the game ends" shape), and
-//! fixed traces for reproducible regression tests.
+//! workload generator supports memoryless Poisson traffic and fixed
+//! traces (bursts are a trace of grouped timestamps) for reproducible
+//! regression tests.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -22,16 +21,6 @@ pub enum ArrivalProcess {
         /// RNG seed (equal seeds produce equal workloads).
         seed: u64,
     },
-    /// Bursts of `burst_size` simultaneous requests whose epochs are
-    /// Poisson at `bursts_per_s`.
-    Bursty {
-        /// Mean burst rate in bursts per second.
-        bursts_per_s: f64,
-        /// Requests per burst.
-        burst_size: usize,
-        /// RNG seed.
-        seed: u64,
-    },
     /// Explicit arrival timestamps in milliseconds (must be sorted
     /// ascending). Zero jitter: the same trace always yields the same
     /// workload.
@@ -43,8 +32,8 @@ impl ArrivalProcess {
     ///
     /// # Panics
     ///
-    /// Panics if a rate is not strictly positive, a burst size is zero, or
-    /// a trace is unsorted or shorter than `n`.
+    /// Panics if the rate is not strictly positive, or a trace is unsorted
+    /// or shorter than `n`.
     pub fn arrival_times_ms(&self, n: usize) -> Vec<f64> {
         match self {
             ArrivalProcess::Poisson { rate_per_s, seed } => {
@@ -60,30 +49,6 @@ impl ArrivalProcess {
                         t
                     })
                     .collect()
-            }
-            ArrivalProcess::Bursty {
-                bursts_per_s,
-                burst_size,
-                seed,
-            } => {
-                assert!(
-                    *bursts_per_s > 0.0 && bursts_per_s.is_finite(),
-                    "burst rate must be positive"
-                );
-                assert!(*burst_size > 0, "burst size must be positive");
-                let mut rng = StdRng::seed_from_u64(*seed);
-                let mut t = 0.0f64;
-                let mut out = Vec::with_capacity(n);
-                while out.len() < n {
-                    t += exponential_gap_ms(&mut rng, *bursts_per_s);
-                    for _ in 0..*burst_size {
-                        if out.len() == n {
-                            break;
-                        }
-                        out.push(t);
-                    }
-                }
-                out
             }
             ArrivalProcess::Trace(times) => {
                 assert!(
@@ -115,36 +80,6 @@ impl ArrivalProcess {
             .map(|(i, at)| {
                 let (prefill, decode) = shapes[i % shapes.len()];
                 Request::new(i as u64, at, prefill, decode)
-            })
-            .collect()
-    }
-
-    /// Like [`ArrivalProcess::workload`], but every request also carries
-    /// deterministic synthetic prompt tokens in `0..vocab` (seeded by
-    /// `prompt_seed` and the request id), so the workload can run on a
-    /// token-producing backend. Identical `(process, shapes, vocab,
-    /// prompt_seed)` always yields the identical workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shapes` is empty, `vocab` is zero, or the arrival
-    /// generation panics.
-    pub fn workload_with_prompts(
-        &self,
-        n: usize,
-        shapes: &[(usize, usize)],
-        vocab: usize,
-        prompt_seed: u64,
-    ) -> Vec<Request> {
-        assert!(vocab > 0, "vocab must be positive");
-        self.workload(n, shapes)
-            .into_iter()
-            .map(|req| {
-                let mut rng = StdRng::seed_from_u64(prompt_seed ^ req.id.wrapping_mul(0x9E37_79B9));
-                let prompt: Vec<u32> = (0..req.prefill_tokens)
-                    .map(|_| (rng.random::<u64>() % vocab as u64) as u32)
-                    .collect();
-                req.with_prompt(prompt)
             })
             .collect()
     }
@@ -184,19 +119,6 @@ mod tests {
         let mean_gap = times.last().unwrap() / times.len() as f64;
         // 10 req/s ⇒ 100 ms mean gap; allow 15 % sampling noise.
         assert!((85.0..115.0).contains(&mean_gap), "mean gap {mean_gap}");
-    }
-
-    #[test]
-    fn bursts_arrive_together() {
-        let p = ArrivalProcess::Bursty {
-            bursts_per_s: 2.0,
-            burst_size: 4,
-            seed: 1,
-        };
-        let times = p.arrival_times_ms(12);
-        for chunk in times.chunks(4) {
-            assert!(chunk.iter().all(|&t| t == chunk[0]), "burst split apart");
-        }
     }
 
     #[test]

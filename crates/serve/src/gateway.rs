@@ -45,8 +45,9 @@ pub enum ShedPolicy {
     Reject,
     /// Arrivals past the queue bound are rejected, and KV **page
     /// pressure** is absorbed by preemption instead of failure: when a
-    /// decode iteration hits [`BackendError::PagesExhausted`], the most
-    /// recently admitted resident is evicted (its pages return to the
+    /// decode iteration or a prefill chunk hits
+    /// [`BackendError::PagesExhausted`], the resident
+    /// [`GatewayConfig::evict`] picks is evicted (its pages return to the
     /// pool; its progress is kept) and resumed — with its KV rebuilt
     /// bit-identically — once pressure clears. This is what lets a paged
     /// backend oversubscribe slots beyond worst-case arena bytes and
@@ -1173,15 +1174,6 @@ mod tests {
         FunctionalBackend::new(dist, SamplerSpec::Greedy)
     }
 
-    fn prompted_workload(n: usize, seed: u64) -> Vec<Request> {
-        ArrivalProcess::Trace(vec![0.0; n]).workload_with_prompts(
-            n,
-            &[(6, 5), (4, 7)],
-            ModelConfig::tiny().vocab,
-            seed,
-        )
-    }
-
     #[test]
     fn fault_free_gateway_matches_continuous_scheduler() {
         // Per-request (first token, completion) times captured from the
@@ -1350,8 +1342,7 @@ mod tests {
                 page_fault_rate: 0.0,
             },
         );
-        let reqs = prompted_workload(6, 21);
-        let offered = GatewayRequest::from_workload(&reqs);
+        let offered = burst(6);
         let report = serve_gateway_on(&mut faulty, &offered, &GatewayConfig::default());
         assert!(report.is_conserved(&offered));
         let c = report.counts();
@@ -1370,8 +1361,7 @@ mod tests {
         // the engine and the backend catches it.
         let oversize = vec![1u32; 64];
         assert!(backend.prefill(64, Some(&oversize), 0).is_err());
-        let reqs = prompted_workload(3, 8);
-        let offered = GatewayRequest::from_workload(&reqs);
+        let offered = burst(3);
         let report = serve_gateway_on(&mut backend, &offered, &GatewayConfig::default());
         assert!(report.is_conserved(&offered));
         let c = report.counts();
@@ -1386,10 +1376,9 @@ mod tests {
         // one malformed request failed every request after it.
         for prefill_chunk in [None, Some(2)] {
             let mut backend = functional_backend(2);
-            let mut reqs = prompted_workload(3, 8);
-            reqs[0].prompt = Some(Vec::new());
-            reqs[0].prefill_tokens = 0;
-            let offered = GatewayRequest::from_workload(&reqs);
+            let mut offered = burst(3);
+            offered[0].req.prompt = Some(Vec::new());
+            offered[0].req.prefill_tokens = 0;
             let cfg = GatewayConfig {
                 prefill_chunk,
                 ..GatewayConfig::default()
@@ -1397,7 +1386,7 @@ mod tests {
             let report = serve_gateway_on(&mut backend, &offered, &cfg);
             assert!(report.is_conserved(&offered));
             assert!(matches!(
-                report.terminal_of(reqs[0].id),
+                report.terminal_of(offered[0].req.id),
                 Some(Terminal::Failed(_))
             ));
             assert_eq!(report.counts().completed, 2, "the others are served");

@@ -7,12 +7,54 @@ mod harness;
 
 use harness::{check_trace, draw_trace, random_points, request, run_trace, Point, Rng, VOCAB};
 use looplynx_core::fault::FaultPlan;
-use looplynx_serve::{serve_gateway_on, EvictPolicyKind, ShedPolicy};
+use looplynx_serve::{serve_gateway_on, EvictPolicyKind, RejectReason, ShedPolicy, Terminal};
 
-/// Every axis drawn: any fault plan, pool, cache, chunk and policy.
+/// Every axis drawn: any fault plan, pool, cache, chunk and policy. Then
+/// two fixed traces of 32 requests at 2 nodes, 6 slots and a roomy pool,
+/// fault-free and under vetoed prefills and decodes (20 %), stalls (10 %)
+/// and release leaks (5 %): one arriving in groups of 4 with two cancels,
+/// one all at once against a queue of 12. Each completes work and fails
+/// nothing, the second sheds for a full queue, and fault-free nothing
+/// retries and every request completes, cancels or is shed.
 #[test]
 fn completed_streams_survive_any_fault_plan() {
     random_points(0x5e7e_0000, 30, 7, |p, _| p);
+    let mut rng = Rng(0xc4a05);
+    let mut draw = |id: u64, at_ms| {
+        let (prompt, out) = [(6, 10), (4, 8), (8, 6)][id as usize % 3];
+        request(id, at_ms, rng.tokens(prompt, 1, VOCAB), out)
+    };
+    let mut grouped: Vec<_> = (0..32).map(|id| draw(id, (id / 4 * 25) as f64)).collect();
+    grouped[15] = grouped[15].clone().cancel_at(78.0);
+    grouped[31] = grouped[31].clone().cancel_at(180.0);
+    let at_once: Vec<_> = (32..64).map(|id| draw(id, 0.0)).collect();
+    let faults = FaultPlan {
+        seed: 0xc4a05,
+        prefill_fail_rate: 0.2,
+        decode_fail_rate: 0.2,
+        stall_rate: 0.1,
+        stall_ms: 25.0,
+        release_leak_rate: 0.05,
+        page_fault_rate: 0.0,
+    };
+    let mut point = Point::calm(2, 6);
+    point.cfg.max_retries = 32;
+    for plan in [FaultPlan::default(), faults] {
+        point.plan = plan;
+        for (queue, trace) in [(64, &grouped), (12, &at_once)] {
+            point.cfg.queue_depth = queue;
+            let report = check_trace(0xc4a05, &point, trace);
+            let c = report.counts();
+            assert!(c.completed > 0 && c.failed == 0, "{report}");
+            let full = Terminal::Rejected(RejectReason::QueueFull);
+            let shed = report.terminals.iter().filter(|t| t.terminal == full);
+            assert_eq!(queue < trace.len(), shed.count() > 0, "{report}");
+            if plan == FaultPlan::default() {
+                assert_eq!(report.retries, 0);
+                assert_eq!(c.completed + c.cancelled + c.rejected, trace.len());
+            }
+        }
+    }
 }
 
 /// Wrapping the backend in a fault-free `FaultyBackend` changes nothing:

@@ -208,20 +208,34 @@ impl Point {
         self.engine.pages >= self.slots * CAPACITY.div_ceil(self.engine.page_tokens)
     }
 
+    /// Whether retries outlast vetoed prefills and decodes but for a 1e-9
+    /// chance.
+    fn outlasts_vetoes(&self) -> bool {
+        let veto = self.plan.prefill_fail_rate.max(self.plan.decode_fail_rate);
+        veto.powi(self.cfg.max_retries as i32 + 1) < 1e-9
+    }
+
+    /// Whether no request can end `Failed` here: a pool with a full
+    /// sequence per slot, no injected page fault, and retries that
+    /// outlast the vetoes. Leaks, stalls, deadlines, cancels and queue
+    /// bounds may still shed requests or time them out.
+    fn never_fails(&self) -> bool {
+        self.roomy() && self.plan.page_fault_rate == 0.0 && self.outlasts_vetoes()
+    }
+
     /// Whether nothing at this point can end a request of `trace` early:
     /// no leaked release, deadline or cancel, no injected page fault (a
     /// resume vetoed with nothing else resident fails), retries that
-    /// outlast vetoed prefills and decodes but for a 1e-9 chance, no
-    /// overflowing queue or over-long request, and a pool short of one
-    /// full sequence per slot only where the gateway preempts.
+    /// outlast the vetoes, no overflowing queue or over-long request, and
+    /// a pool short of one full sequence per slot only where the gateway
+    /// preempts.
     pub fn completes_all(&self, trace: &[GatewayRequest]) -> bool {
-        let veto = self.plan.prefill_fail_rate.max(self.plan.decode_fail_rate);
         let calm = |g: &GatewayRequest| {
             g.req.peak_context() <= CAPACITY && g.deadline_ms.is_none() && g.cancel_ms.is_none()
         };
         self.plan.release_leak_rate == 0.0
             && self.plan.page_fault_rate == 0.0
-            && veto.powi(self.cfg.max_retries as i32 + 1) < 1e-9
+            && self.outlasts_vetoes()
             && self.cfg.ttft_deadline_ms.is_none()
             && self.cfg.e2e_deadline_ms.is_none()
             && self.cfg.queue_depth >= trace.len()
@@ -317,11 +331,19 @@ pub fn run_trace(point: &Point, trace: &[GatewayRequest], audit_every: u64) -> G
 }
 
 /// The end checks: conservation, every timeout and cancel due, every
-/// completed request's first token within its budgets, every request
-/// completed where nothing can end one early, and every completed stream
-/// equal to its lone run.
+/// completed request's first token within its budgets, no request failed
+/// where none can fail, every request completed where nothing can end one
+/// early, and every completed stream equal to its lone run.
 pub fn check_report(point: &Point, trace: &[GatewayRequest], report: &GatewayReport) {
     assert!(report.is_conserved(trace), "not conserved: {report}");
+    if point.never_fails() {
+        let failed: Vec<_> = report
+            .terminals
+            .iter()
+            .filter(|t| matches!(t.terminal, Terminal::Failed(_)))
+            .collect();
+        assert!(failed.is_empty(), "nothing may fail a request: {failed:?}");
+    }
     if point.completes_all(trace) {
         let cut: Vec<_> = report
             .terminals

@@ -9,12 +9,15 @@
 //! slots. The paged side spends the same 256 tokens as 16 pages of 16.
 //! Peak resident requests are counts, so the test pins them exactly.
 
+mod harness;
+
+use harness::{request, Rng, VOCAB};
 use looplynx_core::backend::{FunctionalBackend, SamplerSpec};
 use looplynx_core::engine::DistributedGpt2;
 use looplynx_core::router::RingMode;
 use looplynx_model::config::ModelConfig;
 use looplynx_model::gpt2::Gpt2Model;
-use looplynx_serve::{serve_continuous_on, ArrivalProcess};
+use looplynx_serve::serve_continuous_on;
 
 const CAPACITY: usize = 64;
 const FIXED_SLOTS: usize = 4;
@@ -26,13 +29,11 @@ const REQUESTS: usize = 16;
 
 /// Peak resident requests when `engine` serves the burst; every request
 /// must complete.
-fn peak_resident(model: &Gpt2Model, engine: DistributedGpt2) -> f64 {
-    let workload = ArrivalProcess::Trace(vec![0.0; REQUESTS]).workload_with_prompts(
-        REQUESTS,
-        &[(8, 8)],
-        model.config().vocab,
-        0x9A6E,
-    );
+fn peak_resident(engine: DistributedGpt2) -> f64 {
+    let mut rng = Rng(0x9A6E);
+    let workload: Vec<_> = (0..REQUESTS as u64)
+        .map(|id| request(id, 0.0, rng.tokens(8, 1, VOCAB), 8).req)
+        .collect();
     let mut backend = FunctionalBackend::new(engine, SamplerSpec::Greedy);
     let report = serve_continuous_on(&mut backend, &workload, PAGED_SLOTS);
     assert_eq!(report.completed(), REQUESTS, "the burst dropped requests");
@@ -62,6 +63,6 @@ fn page_pressure_quadruples_resident_concurrency() {
     )
     .expect("tiny model partitions");
 
-    assert_eq!(peak_resident(&model, fixed), FIXED_SLOTS as f64);
-    assert_eq!(peak_resident(&model, paged), POOL_PAGES as f64);
+    assert_eq!(peak_resident(fixed), FIXED_SLOTS as f64);
+    assert_eq!(peak_resident(paged), POOL_PAGES as f64);
 }

@@ -50,11 +50,8 @@ fn bursty_and_poisson_workloads_complete() {
             rate_per_s: 12.0,
             seed: 5,
         },
-        ArrivalProcess::Bursty {
-            bursts_per_s: 2.0,
-            burst_size: 5,
-            seed: 5,
-        },
+        // Three bursts of five simultaneous arrivals, half a second apart.
+        ArrivalProcess::Trace([0.0, 500.0, 1000.0].iter().flat_map(|&t| [t; 5]).collect()),
     ] {
         let workload = process.workload(15, &SERVE_SHAPES);
         let report = serve_continuous_on(&mut SimBackend::new(&e), &workload, 8);
